@@ -132,9 +132,6 @@ def cmd_companion(args) -> int:
     return EXIT_OK
 
 
-_NORM_KINDS = {"sup": None, "rho-t": "rho_t_inverse", "rho-d": "rho_d"}
-
-
 def cmd_certify(args) -> int:
     m = _load_module(args.input)
     if args.criterion == "prop2.3":
@@ -199,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("prop2.3", "prop2.5", "prop2.8", "lemma2.1"),
     )
-    p.add_argument("--norm", choices=tuple(_NORM_KINDS), default="sup")
+    p.add_argument("--norm", choices=("sup", "rho-t", "rho-d"), default="sup")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("counterexample", help="characteristic-p witness report")

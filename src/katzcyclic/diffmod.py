@@ -9,9 +9,8 @@ G_{s+1} = d(G_s) + G_s * G1 with G_0 = Id.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import linalg
 from .errors import FactorialNotInvertibleError, NotInvertibleError, PreconditionError
@@ -38,10 +37,6 @@ class DifferentialModule:
         if not self.allow_small_factorial:
             check_factorial_invertible(self.ring, self.n)
 
-    @property
-    def basis_label(self) -> str:
-        return "e"
-
 
 def check_factorial_invertible(ring: Ring, n: int) -> None:
     """(n-1)! must be a unit for the Katz construction to make sense."""
@@ -52,21 +47,19 @@ def check_factorial_invertible(ring: Ring, n: int) -> None:
         )
 
 
-def factorial_unit(ring: Ring, k: int):
-    """k! as a ring element, guaranteed invertible, with its inverse."""
-    f = ring.from_int(math.factorial(k))
-    if not ring.is_invertible(f):
-        raise FactorialNotInvertibleError(f"{k}! is not invertible in this ring")
-    return f, ring.inv(f)
-
-
 def module_from_json(doc: dict) -> DifferentialModule:
     """Read {"ring": ..., "n": ..., "G1": [[entry strings]]}."""
+    if not isinstance(doc, dict):
+        raise PreconditionError(f"module must be a JSON object, got {type(doc).__name__}")
     ring = ring_from_json(doc["ring"])
-    n = doc["n"]
-    g1 = linalg.freeze(
-        [[ring.parse(entry) for entry in row] for row in doc["G1"]]
-    )
+    n, rows = doc["n"], doc["G1"]
+    if type(n) is not int:
+        raise PreconditionError(f"'n' must be an integer, got {n!r}")
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(isinstance(e, str) for e in row) for row in rows
+    ):
+        raise PreconditionError("'G1' must be a list of rows of element strings")
+    g1 = linalg.freeze([[ring.parse(entry) for entry in row] for row in rows])
     return DifferentialModule(ring=ring, n=n, g1=g1)
 
 

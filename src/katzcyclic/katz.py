@@ -22,7 +22,6 @@ from .diffmod import (
     DifferentialModule,
     apply_nabla,
     check_factorial_invertible,
-    factorial_unit,
     is_basis,
     iterated_matrices,
 )
@@ -103,14 +102,6 @@ def embed_qx(ring, f: QXPoly) -> XPoly:
     return xpoly.normalize(ring, [ring.from_fraction(c) for c in f])
 
 
-def h_matrix_in(ring, s: int, n: int) -> Matrix:
-    """H_s(X) with entries lifted into ring[X]."""
-    return tuple(
-        tuple(embed_qx(ring, h_entry(s, i, j, n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def h_matrix_at(ring, s: int, n: int, value) -> Matrix:
     """H_s evaluated at a ring element (e.g. X := t or X := -t)."""
     return tuple(
@@ -128,8 +119,6 @@ class KatzVector:
 
     n: int
     coeffs: Tuple[Row, ...]  # length n; coeffs[j] = X^j coefficient, a row
-    specialized_at: Optional[object] = None
-    specialized: Optional[Row] = None
 
 
 def katz_vector(m: DifferentialModule) -> KatzVector:
@@ -343,11 +332,7 @@ def companion_form(m: DifferentialModule, c: Row) -> Tuple:
     family = [tuple(c)]
     for _ in range(n):
         family.append(apply_nabla(m, family[-1], 1))
-    basis_rows = linalg.freeze(family[:n])
-    det, ok = is_basis(m, family[:n])
+    _, ok = is_basis(m, family[:n])
     if not ok:
         raise NotInvertibleError("the derivative family of c is not a basis")
-    try:
-        return linalg.solve_left(m.ring, basis_rows, family[n])
-    except NotInvertibleError:  # pragma: no cover - excluded by the det check
-        raise
+    return linalg.solve_left(m.ring, linalg.freeze(family[:n]), family[n])

@@ -102,9 +102,3 @@ class NormValue:
 
     def __repr__(self) -> str:
         return f"NormValue({self})"
-
-    def as_float(self) -> float:
-        """Lossy conversion, for display only."""
-        if self.is_zero:
-            return 0.0
-        return float(self.p) ** self.exp

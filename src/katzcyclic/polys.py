@@ -1,8 +1,11 @@
-"""Dense univariate polynomial arithmetic over a coefficient field.
+"""Dense univariate polynomial arithmetic, the one implementation in the
+package.
 
-Polynomials are tuples of field elements, lowest degree first, with no
+Polynomials are tuples of coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Every function
-takes the field protocol object as first argument.
+takes the coefficient protocol object as first argument: a field from
+:mod:`katzcyclic.fields` for K[x], or any ring for the B[X] of
+:mod:`katzcyclic.xpoly`.  ``divmod_``, ``gcd`` and ``monic`` need a field.
 """
 
 from __future__ import annotations
@@ -23,10 +26,6 @@ def normalize(K, coeffs: Sequence) -> Poly:
 
 def const(K, c) -> Poly:
     return normalize(K, [c])
-
-
-def variable(K) -> Poly:
-    return (K.zero, K.one)
 
 
 def degree(f: Poly) -> int:
@@ -70,13 +69,6 @@ def mul(K, f: Poly, g: Poly) -> Poly:
 
 def scale(K, c, f: Poly) -> Poly:
     return normalize(K, [K.mul(c, a) for a in f])
-
-
-def pow_(K, f: Poly, k: int) -> Poly:
-    out = const(K, K.one)
-    for _ in range(k):
-        out = mul(K, out, f)
-    return out
 
 
 def divmod_(K, f: Poly, g: Poly):

@@ -10,6 +10,12 @@ Three concrete kinds are provided:
 * ``finite_field_poly`` -- F_q[x] with d = d/dx, q = p^e (characteristic p,
   no norm).
 
+The two polynomial kinds share the :class:`PolynomialRing` base: dense
+K[x] over a coefficient field K from :mod:`katzcyclic.fields`, which holds
+all their arithmetic, the derivation and the antiderivative.  The
+subclasses add only what differs: validation, the Gauss norm and the
+JSON descriptor.
+
 Every ring carries a distinguished element ``t`` with d(t) = 1 and exposes
 arithmetic through methods; elements themselves are plain immutable data
 (coefficient tuples, or numerator/denominator pairs).
@@ -22,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import polys
-from .errors import NotInvertibleError, UnsupportedOperationError
+from .errors import NotInvertibleError, PreconditionError, UnsupportedOperationError
 from .fields import QQ, FiniteField
 from .normvalue import NormValue
 
@@ -211,109 +217,21 @@ class RationalFunctionField(Ring):
         return {"kind": self.kind, "variable": self.variable}
 
 
-class GaussPolynomialRing(Ring):
-    """Q[t] with the p-adic Gauss norm |sum a_i t^i| = max |a_i|_p p^(-r i).
+class PolynomialRing(Ring):
+    """Dense K[x] over a coefficient field K, with d = d/dx.
 
-    Models a Tate algebra of radius p^(-r); the norm is multiplicative.
-    Units are the nonzero rational constants.
+    Elements are coefficient tuples as in :mod:`katzcyclic.polys`; the
+    distinguished element t is x itself and the units are the nonzero
+    constants.
     """
 
-    kind = "gauss_padic"
-    characteristic = 0
-    is_banach = True
-
-    def __init__(self, p: int, radius_exp: int = 0, variable: str = "t"):
-        if radius_exp < 0:
-            raise ValueError("radius exponent must be >= 0")
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"p = {p} is not prime")
-        self.prime = p
-        self.radius_exp = radius_exp
+    def __init__(self, field, variable: str):
+        self.field = field
+        self.characteristic = field.characteristic
         self.variable = variable
         self.zero = ()
-        self.one = (Fraction(1),)
-        self.t = (Fraction(0), Fraction(1))
-        self.var_element = self.t
-
-    def add(self, a, b):
-        return polys.add(QQ, a, b)
-
-    def neg(self, a):
-        return polys.neg(QQ, a)
-
-    def mul(self, a, b):
-        return polys.mul(QQ, a, b)
-
-    def is_zero(self, a) -> bool:
-        return polys.is_zero(a)
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def from_int(self, n: int):
-        return self.from_fraction(Fraction(n))
-
-    def from_fraction(self, q: Fraction):
-        return () if q == 0 else (q,)
-
-    def is_invertible(self, a) -> bool:
-        return polys.degree(a) == 0
-
-    def inv(self, a):
-        if not self.is_invertible(a):
-            raise NotInvertibleError("only nonzero constants are units in Q[t]")
-        return (1 / a[0],)
-
-    def derive(self, a):
-        return polys.derive(QQ, a)
-
-    def antiderivative(self, a):
-        coeffs = [Fraction(0)] + [a[i] / (i + 1) for i in range(len(a))]
-        return polys.normalize(QQ, coeffs)
-
-    def norm(self, a) -> NormValue:
-        best = NormValue.zero(self.prime)
-        for i, c in enumerate(a):
-            v = NormValue.of_fraction(c, self.prime) * NormValue(
-                self.prime, -self.radius_exp * i
-            )
-            if v > best:
-                best = v
-        return best
-
-    def derivation_norm(self) -> NormValue:
-        # |d(t^i)| / |t^i| = |i|_p * p^r, maximal at i = 1.
-        return NormValue(self.prime, self.radius_exp)
-
-    def t_norm(self) -> NormValue:
-        return NormValue(self.prime, -self.radius_exp)
-
-    def to_str(self, a) -> str:
-        return polys.to_str(QQ, a, self.variable)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "variable": self.variable,
-            "p": self.prime,
-            "radius_exp": self.radius_exp,
-        }
-
-
-class FiniteFieldPolyRing(Ring):
-    """F_q[x] with d = d/dx, q = p^e.  Characteristic p; no norm."""
-
-    kind = "finite_field_poly"
-
-    def __init__(self, p: int, e: int = 1, variable: str = "x"):
-        self.field = FiniteField(p, e)
-        self.prime = p
-        self.q_exp = e
-        self.characteristic = p
-        self.variable = variable
-        self.zero = ()
-        self.one = (self.field.one,)
-        self.t = (self.field.zero, self.field.one)
+        self.one = (field.one,)
+        self.t = (field.zero, field.one)
         self.var_element = self.t
 
     def add(self, a, b):
@@ -332,37 +250,90 @@ class FiniteFieldPolyRing(Ring):
         return a == b
 
     def from_int(self, n: int):
-        c = self.field.from_int(n)
-        return () if self.field.is_zero(c) else (c,)
+        return polys.const(self.field, self.field.from_int(n))
 
     def from_fraction(self, q: Fraction):
-        c = self.field.from_fraction(q)
-        return () if self.field.is_zero(c) else (c,)
+        return polys.const(self.field, self.field.from_fraction(q))
 
     def is_invertible(self, a) -> bool:
         return polys.degree(a) == 0
 
     def inv(self, a):
         if not self.is_invertible(a):
-            raise NotInvertibleError("only nonzero constants are units in F_q[x]")
+            raise NotInvertibleError(f"only nonzero constants are units in {self.kind}")
         return (self.field.inv(a[0]),)
 
     def derive(self, a):
         return polys.derive(self.field, a)
 
     def antiderivative(self, a):
-        coeffs = [self.field.zero]
-        for i in range(len(a)):
-            if (i + 1) % self.prime == 0:
-                if not self.field.is_zero(a[i]):
+        K = self.field
+        coeffs = [K.zero]
+        for i, c in enumerate(a):
+            denom = K.from_int(i + 1)
+            if K.is_zero(denom):
+                if not K.is_zero(c):
                     return None  # x^i has no antiderivative when p | i+1
-                coeffs.append(self.field.zero)
+                coeffs.append(K.zero)
             else:
-                coeffs.append(self.field.div(a[i], self.field.from_int(i + 1)))
-        return polys.normalize(self.field, coeffs)
+                coeffs.append(K.div(c, denom))
+        return polys.normalize(K, coeffs)
 
     def to_str(self, a) -> str:
         return polys.to_str(self.field, a, self.variable)
+
+
+class GaussPolynomialRing(PolynomialRing):
+    """Q[t] with the p-adic Gauss norm |sum a_i t^i| = max |a_i|_p p^(-r i).
+
+    Models a Tate algebra of radius p^(-r); the norm is multiplicative.
+    Units are the nonzero rational constants.
+    """
+
+    kind = "gauss_padic"
+    is_banach = True
+
+    def __init__(self, p: int, radius_exp: int = 0, variable: str = "t"):
+        if radius_exp < 0:
+            raise ValueError("radius exponent must be >= 0")
+        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+            raise ValueError(f"p = {p} is not prime")
+        super().__init__(QQ, variable)
+        self.prime = p
+        self.radius_exp = radius_exp
+
+    def norm(self, a) -> NormValue:
+        best = NormValue.zero(self.prime)
+        for i, c in enumerate(a):
+            v = NormValue.of_fraction(c, self.prime) * NormValue(
+                self.prime, -self.radius_exp * i
+            )
+            if v > best:
+                best = v
+        return best
+
+    def derivation_norm(self) -> NormValue:
+        # |d(t^i)| / |t^i| = |i|_p * p^r, maximal at i = 1.
+        return NormValue(self.prime, self.radius_exp)
+
+    def descriptor(self) -> dict:
+        return {
+            "kind": self.kind,
+            "variable": self.variable,
+            "p": self.prime,
+            "radius_exp": self.radius_exp,
+        }
+
+
+class FiniteFieldPolyRing(PolynomialRing):
+    """F_q[x] with d = d/dx, q = p^e.  Characteristic p; no norm."""
+
+    kind = "finite_field_poly"
+
+    def __init__(self, p: int, e: int = 1, variable: str = "x"):
+        super().__init__(FiniteField(p, e), variable)
+        self.prime = p
+        self.q_exp = e
 
     def descriptor(self) -> dict:
         return {
@@ -442,9 +413,6 @@ class ScaledDerivationRing(Ring):
         # |f d| = |f| |d| for the multiplicative Gauss norm with f a unit
         return self.base.norm(self.factor) * self.base.derivation_norm()
 
-    def t_norm(self) -> NormValue:
-        return self.norm(self.t)
-
     def to_str(self, a) -> str:
         return self.base.to_str(a)
 
@@ -454,8 +422,19 @@ class ScaledDerivationRing(Ring):
         return d
 
 
+# Types of the optional descriptor fields; bool is rejected where int is due.
+_DESCRIPTOR_TYPES = {"p": int, "radius_exp": int, "q_exp": int, "variable": str}
+
+
 def ring_from_json(desc: dict) -> Ring:
     """Build a ring from its JSON descriptor fragment."""
+    if not isinstance(desc, dict):
+        raise PreconditionError(f"ring descriptor must be an object, got {desc!r}")
+    for key, typ in _DESCRIPTOR_TYPES.items():
+        if key in desc and type(desc[key]) is not typ:
+            raise PreconditionError(
+                f"ring field '{key}' must be of type {typ.__name__}, got {desc[key]!r}"
+            )
     kind = desc.get("kind")
     if kind == "rational_function":
         return RationalFunctionField(desc.get("variable", "x"))

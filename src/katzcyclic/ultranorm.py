@@ -13,13 +13,13 @@ an equality boundary is reported as "not certified" with a flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from . import linalg
+from . import linalg, xpoly
 from .diffmod import DifferentialModule, check_factorial_invertible, iterated_matrices
 from .errors import PreconditionError, UnsupportedOperationError
-from .katz import h_matrix_at, katz_vector, specialize_vector
+from .katz import assemble_h, h_matrix_at, katz_vector, specialize_vector
 from .linalg import Matrix, Row
 from .normvalue import NormValue
 
@@ -279,11 +279,8 @@ def invertibility_witness_norm(
     _require_banach(m)
     ring = m.ring
     n = m.n
-    gs = iterated_matrices(m, 2 * n - 2)
-    h_t = linalg.zeros(ring, n)
-    for s in range(2 * n - 1):
-        hs = h_matrix_at(ring, s, n, ring.t)
-        h_t = linalg.mat_add(ring, h_t, linalg.mat_mul(ring, hs, gs[s]))
+    h_x, _ = assemble_h(m)
+    h_t = tuple(tuple(xpoly.eval_at(ring, f, ring.t) for f in row) for row in h_x)
     h0_neg = h_matrix_at(ring, 0, n, ring.neg(ring.t))
     delta = linalg.mat_sub(
         ring, linalg.mat_mul(ring, h0_neg, h_t), linalg.identity(ring, n)

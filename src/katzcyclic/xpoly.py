@@ -7,73 +7,28 @@ own variable makes this bookkeeping explicit; substitution X := t - a
 (``specialize``) is the only bridge back into the ring.
 
 An XPoly is a tuple of ring elements, lowest X-degree first, no
-trailing zeros.
+trailing zeros: the dense representation of :mod:`katzcyclic.polys`,
+whose helpers take any ring protocol as coefficient domain.  The
+arithmetic (``normalize``, ``const``, ``degree``, ``is_zero``, ``add``,
+``neg``, ``sub``, ``scale``, ``eq``) is therefore re-exported from there;
+only the derivation, evaluation and substitution are specific to B[X].
+``mul`` stays a function defined here, delegating to ``polys.mul``, so
+that products in B[X] remain countable apart from products in K[x].
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
+from . import polys
 from .errors import PreconditionError
+from .polys import add, const, degree, eq, is_zero, neg, normalize, scale, sub
 
 XPoly = Tuple
 
 
-def normalize(ring, coeffs) -> XPoly:
-    coeffs = list(coeffs)
-    while coeffs and ring.is_zero(coeffs[-1]):
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def const(ring, c) -> XPoly:
-    return normalize(ring, [c])
-
-
-def x_var(ring) -> XPoly:
-    return (ring.zero, ring.one)
-
-
-def degree(f: XPoly) -> int:
-    return len(f) - 1
-
-
-def is_zero(f: XPoly) -> bool:
-    return len(f) == 0
-
-
-def add(ring, f: XPoly, g: XPoly) -> XPoly:
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else ring.zero
-        b = g[i] if i < len(g) else ring.zero
-        out.append(ring.add(a, b))
-    return normalize(ring, out)
-
-
-def neg(ring, f: XPoly) -> XPoly:
-    return tuple(ring.neg(c) for c in f)
-
-
-def sub(ring, f: XPoly, g: XPoly) -> XPoly:
-    return add(ring, f, neg(ring, g))
-
-
 def mul(ring, f: XPoly, g: XPoly) -> XPoly:
-    if not f or not g:
-        return ()
-    out = [ring.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if ring.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = ring.add(out[i + j], ring.mul(a, b))
-    return normalize(ring, out)
-
-
-def scale(ring, c, f: XPoly) -> XPoly:
-    return normalize(ring, [ring.mul(c, a) for a in f])
+    return polys.mul(ring, f, g)
 
 
 def derive(ring, f: XPoly) -> XPoly:
@@ -82,10 +37,6 @@ def derive(ring, f: XPoly) -> XPoly:
     for i in range(1, len(f)):
         out[i - 1] = ring.add(out[i - 1], ring.mul(ring.from_int(i), f[i]))
     return normalize(ring, out)
-
-
-def eq(ring, f: XPoly, g: XPoly) -> bool:
-    return len(f) == len(g) and all(ring.eq(a, b) for a, b in zip(f, g))
 
 
 def eval_at(ring, f: XPoly, value):

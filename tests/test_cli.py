@@ -155,6 +155,41 @@ class TestCyclic:
         assert ok and ring.eq(det, ring.parse(doc["determinant"]))
 
 
+QX_DOC = {"ring": {"kind": "rational_function", "variable": "x"}, "n": 2,
+          "G1": [["0", "0"], ["1", "0"]]}
+GAUSS_DOC = {"ring": {"kind": "gauss_padic", "variable": "t", "p": 3, "radius_exp": 0},
+             "n": 2, "G1": [["0", "3"], ["3*t", "0"]]}
+
+
+CYCLIC = ["cyclic"]
+CERTIFY = ["certify", "--criterion", "prop2.3"]
+
+
+# Each document would otherwise crash with a traceback or run on a
+# misread value ("01" as two entries, 2.0 as a prime, true as rank 1).
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (CYCLIC, {**QX_DOC, "n": "2"}),
+        (CYCLIC, {**QX_DOC, "G1": [[0, 1], [1, 0]]}),
+        (CYCLIC, []),
+        (CYCLIC, {**QX_DOC, "ring": "qx"}),
+        (CERTIFY, {**GAUSS_DOC, "ring": {**GAUSS_DOC["ring"], "p": "3"}}),
+        (CYCLIC, {**QX_DOC, "G1": ["01", "x0"]}),
+        (CERTIFY, {**GAUSS_DOC, "ring": {**GAUSS_DOC["ring"], "p": 2.0}}),
+        (CYCLIC, {**QX_DOC, "n": True, "G1": [["x"]]}),
+    ],
+    ids=["n-str", "G1-ints", "top-level-list", "ring-str", "p-str", "G1-strings",
+         "p-float", "n-bool"],
+)
+def test_malformed_module_json_is_an_error(capsys, tmp_path, command, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command + ["-i", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 class TestCompanion:
     def test_scalar_equation(self, capsys, qx_module):
         code, out, _ = run(capsys, ["companion", "-i", qx_module])

@@ -6,6 +6,7 @@ from katzcyclic import (
     FiniteFieldPolyRing,
     GaussPolynomialRing,
     NormValue,
+    NotInvertibleError,
     RationalFunctionField,
     UnsupportedOperationError,
 )
@@ -160,6 +161,62 @@ class TestCanonicalForm:
         for _ in range(200):
             a = random_qx_poly(ring, rng, coeff_range=4)
             assert ring.eq(ring.parse(ring.to_str(a)), a)
+
+
+def _dense_kx_samples(ring, rng):
+    """Elements of a dense K[x] ring that have an antiderivative: random
+    polynomials over Q, derivatives of random polynomials in char p."""
+    if isinstance(ring, GaussPolynomialRing):
+        return [random_qx_poly(ring, rng, max_deg=6) for _ in range(40)]
+    K = ring.field
+    out = []
+    for _ in range(40):
+        coeffs = [
+            tuple(rng.randrange(K.p) for _ in range(K.e))
+            for _ in range(rng.randint(0, 9))
+        ]
+        while coeffs and K.is_zero(coeffs[-1]):
+            coeffs.pop()
+        out.append(ring.derive(tuple(coeffs)))
+    return out
+
+
+class TestDenseKx:
+    """The dense K[x] rings: Q[t] (Gauss), F_p[x] and F_q[x]."""
+
+    @pytest.mark.parametrize(
+        "ring",
+        [GaussPolynomialRing(3), FiniteFieldPolyRing(5), FiniteFieldPolyRing(2, 2)],
+        ids=["gauss3", "f5", "f4"],
+    )
+    def test_antiderivative_inverts_derive(self, ring):
+        rng = seeded(31)
+        for a in _dense_kx_samples(ring, rng) + [ring.zero, ring.one]:
+            primitive = ring.antiderivative(a)
+            assert primitive is not None
+            assert ring.eq(ring.derive(primitive), a)
+
+    def test_antiderivative_none_when_p_divides_exponent(self):
+        ring = FiniteFieldPolyRing(3)
+        assert ring.antiderivative(ring.parse("x^2")) is None
+        assert ring.antiderivative(ring.parse("x^2 - x")) is None
+        assert ring.eq(ring.antiderivative(ring.parse("x")), ring.parse("2*x^2"))
+
+    @pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+    def test_from_int_characteristic_is_zero(self, p, e):
+        ring = FiniteFieldPolyRing(p, e)
+        assert ring.is_zero(ring.from_int(p))
+        assert ring.eq(ring.from_int(p + 1), ring.one)
+
+    @pytest.mark.parametrize(
+        "ring", [GaussPolynomialRing(3), FiniteFieldPolyRing(5)], ids=["gauss3", "f5"]
+    )
+    def test_only_nonzero_constants_invert(self, ring):
+        for a in (ring.t, ring.add(ring.mul(ring.t, ring.t), ring.one), ring.zero):
+            with pytest.raises(NotInvertibleError):
+                ring.inv(a)
+        two = ring.from_int(2)
+        assert ring.eq(ring.mul(two, ring.inv(two)), ring.one)
 
 
 class TestFiniteFieldExtension:

@@ -24,12 +24,15 @@ from typing import List, Optional
 
 from . import katz, ultranorm
 from .diffmod import charp_counterexample, module_from_json, module_to_json
-from .errors import KatzCyclicError
+from .errors import KatzCyclicError, PreconditionError
 from .ultranorm import MatrixNormKind
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
+# Largest rank accepted by cyclic, companion and certify, and the default
+# --max-n of tables: the work grows like n! in the rank.
+MAX_RANK = 8
 
 
 def _latex_entry(s: int, i: int, j: int, n: int) -> str:
@@ -87,7 +90,10 @@ def cmd_tables(args) -> int:
 
 def _load_module(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return module_from_json(json.load(fh))
+        m = module_from_json(json.load(fh))
+    if m.n > MAX_RANK:
+        raise PreconditionError(f"rank n = {m.n} exceeds the maximum {MAX_RANK}")
+    return m
 
 
 def _parse_constants(m, spec: Optional[str]):
@@ -176,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="emit the universal base-change matrices")
     p.add_argument("-n", type=int, required=True, help="module rank")
     p.add_argument("--format", choices=("json", "latex"), default="json")
-    p.add_argument("--max-n", dest="max_n", type=int, default=8)
+    p.add_argument("--max-n", dest="max_n", type=int, default=MAX_RANK)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("cyclic", help="find a cyclic vector for a module file")

@@ -173,11 +173,45 @@ def _find_irreducible(p: int, e: int) -> Tuple[int, ...]:
     raise ValueError(f"no irreducible of degree {e} over F_{p}")  # unreachable
 
 
+# Miller-Rabin witnesses: the primes up to 37 decide primality of every
+# n < 3.18 * 10^23 (Sorenson & Webster 2015), far beyond MAX_PRIME.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_PRIME = 2 ** 64
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= n <= MAX_PRIME.
+
+    Larger n raise ValueError rather than be tested.
+    """
+    if n > MAX_PRIME:
+        raise ValueError(f"p = {n} exceeds the supported maximum 2^64")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class FiniteField:
     """F_q with q = p^e, elements as coefficient tuples of length e."""
 
     def __init__(self, p: int, e: int = 1):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("e must be >= 1")

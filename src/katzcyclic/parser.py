@@ -9,7 +9,11 @@ Grammar (whitespace insensitive):
     atom   := INT | VAR | '(' expr ')'
 
 INT is a nonnegative decimal literal; VAR is the ring's variable name.
-Exponents must be nonnegative integers.  '/' is accepted only where the
+Exponents must be integers in [0, MAX_EXPONENT], since ``x^k`` costs k
+ring multiplications, and a power may have degree at most MAX_DEGREE in
+the variable, so that nested powers such as ``(x^256)^256`` cannot build
+huge elements.  The degree of a power is checked, from its base's, before
+any multiplication.  '/' is accepted only where the
 ring can actually divide (fields, or division by a unit); in
 characteristic p, integer literals reduce silently.
 """
@@ -19,6 +23,9 @@ from __future__ import annotations
 import re
 
 from .errors import NotInvertibleError, ParseError
+
+MAX_EXPONENT = 256
+MAX_DEGREE = 256
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
 
@@ -111,6 +118,11 @@ class _Parser:
             ekind, exp, epos = self._next()
             if ekind != "int":
                 raise ParseError("exponent must be a nonnegative integer", epos)
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} exceeds the maximum {MAX_EXPONENT}", epos)
+            degree = exp * self.ring.degree(base)
+            if degree > MAX_DEGREE:
+                raise ParseError(f"power of degree {degree} exceeds the maximum {MAX_DEGREE}", epos)
             return self.ring.pow(base, exp)
         return base
 

@@ -5,14 +5,21 @@ Polynomials are tuples of coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Every function
 takes the coefficient protocol object as first argument: a field from
 :mod:`katzcyclic.fields` for K[x], or any ring for the B[X] of
-:mod:`katzcyclic.xpoly`.  ``divmod_``, ``gcd`` and ``monic`` need a field.
+:mod:`katzcyclic.xpoly`.  ``divmod_`` and ``monic`` need a field.
+``gcd`` is the gcd of Q[x] only: it clears denominators and runs a
+primitive pseudo-remainder sequence over Z (Collins 1967; Brown 1971),
+which keeps the coefficients as small as the gcd's content allows
+instead of letting Euclid's remainders over Q grow.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import math
+from fractions import Fraction
+from typing import List, Sequence, Tuple
 
 from .errors import NotInvertibleError
+from .fields import QQ
 
 Poly = Tuple
 
@@ -90,13 +97,49 @@ def divmod_(K, f: Poly, g: Poly):
 
 
 def gcd(K, f: Poly, g: Poly) -> Poly:
-    """Monic gcd."""
-    while g:
-        _, rem = divmod_(K, f, g)
-        f, g = g, rem
-    if not f:
-        return ()
-    return monic(K, f)
+    """Monic gcd in Q[x].  K must be :data:`~katzcyclic.fields.QQ`; it is
+    taken only for the signature shared with the other helpers."""
+    if K is not QQ:
+        raise TypeError(f"gcd works in Q[x] only, not over {K!r}")
+    if not f or not g:
+        return monic(QQ, f or g)
+    if len(f) == 1 or len(g) == 1:
+        return (Fraction(1),)
+    a, b = _primitive_int(f), _primitive_int(g)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    lead = a[-1]
+    return tuple(Fraction(c, lead) for c in a)
+
+
+def _primitive_int(f: Poly) -> List[int]:
+    """f times the lcm of its coefficients' denominators, made primitive."""
+    den = math.lcm(*(c.denominator for c in f))
+    return _primitive([c.numerator * (den // c.denominator) for c in f])
+
+
+def _primitive(f: List[int]) -> List[int]:
+    """f divided by its content, the gcd of its coefficients."""
+    content = math.gcd(*f)
+    return [c // content for c in f] if content > 1 else f
+
+
+def _prem(a: List[int], b: List[int]) -> List[int]:
+    """Pseudo-remainder of a by b over Z, len(a) >= len(b) > 0: the
+    remainder of lead(b)^(deg a - deg b + 1) * a, with no trailing zeros."""
+    r = list(a)
+    lead = b[-1]
+    while len(r) >= len(b):
+        c = r.pop()
+        shift = len(r) + 1 - len(b)
+        r = [x * lead for x in r]
+        for i in range(len(b) - 1):
+            r[shift + i] -= c * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
 def monic(K, f: Poly) -> Poly:

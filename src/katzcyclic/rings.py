@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 
 from . import polys
 from .errors import NotInvertibleError, PreconditionError, UnsupportedOperationError
-from .fields import QQ, FiniteField
+from .fields import QQ, FiniteField, is_prime
 from .normvalue import NormValue
 
 
@@ -85,6 +85,10 @@ class Ring:
 
     def is_constant(self, a) -> bool:
         return self.is_zero(self.derive(a))
+
+    def degree(self, a) -> int:
+        """Degree in the variable; -1 for zero."""
+        raise NotImplementedError
 
     # -- derivation -----------------------------------------------------
     def derive(self, a):
@@ -144,10 +148,7 @@ class RationalFunctionField(Ring):
             raise ZeroDivisionError("zero denominator")
         if polys.is_zero(num):
             return self.zero
-        g = polys.gcd(QQ, num, den)
-        if polys.degree(g) > 0:
-            num, _ = polys.divmod_(QQ, num, g)
-            den, _ = polys.divmod_(QQ, den, g)
+        num, den = self._cancel(num, den)
         lead = den[-1]
         if lead != 1:
             num = polys.scale(QQ, 1 / lead, num)
@@ -155,6 +156,8 @@ class RationalFunctionField(Ring):
         return RatFunc(num, den)
 
     def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
+        if a.den == b.den:
+            return self._make(polys.add(QQ, a.num, b.num), a.den)
         num = polys.add(
             QQ, polys.mul(QQ, a.num, b.den), polys.mul(QQ, b.num, a.den)
         )
@@ -164,7 +167,22 @@ class RationalFunctionField(Ring):
         return RatFunc(polys.neg(QQ, a.num), a.den)
 
     def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        return self._make(polys.mul(QQ, a.num, b.num), polys.mul(QQ, a.den, b.den))
+        # Cross-cancel first (Henrici): with a, b reduced and their
+        # denominators monic, the product of the cancelled parts is again
+        # reduced with a monic denominator, so no gcd of the product is due.
+        if not a.num or not b.num:
+            return self.zero
+        a_num, b_den = self._cancel(a.num, b.den)
+        b_num, a_den = self._cancel(b.num, a.den)
+        return RatFunc(polys.mul(QQ, a_num, b_num), polys.mul(QQ, a_den, b_den))
+
+    @staticmethod
+    def _cancel(num, den):
+        """num and den divided by their monic gcd."""
+        g = polys.gcd(QQ, num, den)
+        if polys.degree(g) == 0:
+            return num, den
+        return polys.divmod_(QQ, num, g)[0], polys.divmod_(QQ, den, g)[0]
 
     def is_zero(self, a: RatFunc) -> bool:
         return polys.is_zero(a.num)
@@ -205,6 +223,10 @@ class RationalFunctionField(Ring):
 
     def is_constant(self, a: RatFunc) -> bool:
         return polys.degree(a.num) <= 0 and polys.degree(a.den) == 0
+
+    def degree(self, a: RatFunc) -> int:
+        """The larger of the numerator's and the denominator's degree."""
+        return -1 if self.is_zero(a) else max(polys.degree(a.num), polys.degree(a.den))
 
     def to_str(self, a: RatFunc) -> str:
         num = polys.to_str(QQ, a.num, self.variable)
@@ -266,6 +288,9 @@ class PolynomialRing(Ring):
     def derive(self, a):
         return polys.derive(self.field, a)
 
+    def degree(self, a) -> int:
+        return polys.degree(a)
+
     def antiderivative(self, a):
         K = self.field
         coeffs = [K.zero]
@@ -296,7 +321,7 @@ class GaussPolynomialRing(PolynomialRing):
     def __init__(self, p: int, radius_exp: int = 0, variable: str = "t"):
         if radius_exp < 0:
             raise ValueError("radius exponent must be >= 0")
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         super().__init__(QQ, variable)
         self.prime = p
@@ -405,6 +430,9 @@ class ScaledDerivationRing(Ring):
 
     def derive(self, a):
         return self.base.mul(self.factor, self.base.derive(a))
+
+    def degree(self, a) -> int:
+        return self.base.degree(a)
 
     def norm(self, a) -> NormValue:
         return self.base.norm(a)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from katzcyclic import GaussPolynomialRing, RationalFunctionField
-from katzcyclic.cli import main
+from katzcyclic.cli import MAX_RANK, main
 
 
 @pytest.fixture
@@ -188,6 +188,38 @@ def test_malformed_module_json_is_an_error(capsys, tmp_path, command, doc):
     code, out, err = run(capsys, command + ["-i", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+# Inputs that would otherwise run without bound: a rank one past the
+# cap, and a p whose primality would be tried by 10^15 trial divisions.
+@pytest.mark.parametrize(
+    "command", [CYCLIC, ["companion"], CERTIFY], ids=["cyclic", "companion", "certify"]
+)
+def test_rank_above_cap_is_an_error(capsys, tmp_path, command):
+    n = MAX_RANK + 1
+    ring = (GAUSS_DOC if command is CERTIFY else QX_DOC)["ring"]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"ring": ring, "n": n, "G1": [["0"] * n] * n}))
+    code, out, err = run(capsys, command + ["-i", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"exceeds the maximum {MAX_RANK}" in err
+
+
+def test_nested_power_is_an_error(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({**QX_DOC, "G1": [["(x^256)^256", "1"], ["0", "x"]]}))
+    code, out, err = run(capsys, CYCLIC + ["-i", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "degree 65536 exceeds the maximum" in err
+
+
+def test_prime_beyond_primality_range_is_an_error(capsys, tmp_path):
+    path = tmp_path / "huge_p.json"
+    doc = {**GAUSS_DOC, "ring": {**GAUSS_DOC["ring"], "p": 10 ** 30 + 57}}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, CERTIFY + ["-i", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "2^64" in err
 
 
 class TestCompanion:

@@ -6,6 +6,7 @@ from katzcyclic import (
     ParseError,
     RationalFunctionField,
 )
+from katzcyclic.parser import MAX_DEGREE, MAX_EXPONENT
 
 
 @pytest.fixture
@@ -66,6 +67,41 @@ def test_trailing_garbage(qx):
 def test_negative_exponent_rejected(qx):
     with pytest.raises(ParseError):
         qx.parse("x^-2")
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [RationalFunctionField(), GaussPolynomialRing(3), FiniteFieldPolyRing(5)],
+    ids=["qx", "gauss3", "f5"],
+)
+def test_exponent_cap(ring):
+    x = ring.variable
+    top = ring.parse(f"{x}^{MAX_EXPONENT}")
+    assert ring.eq(ring.derive(top), ring.parse(f"{MAX_EXPONENT}*{x}^{MAX_EXPONENT - 1}"))
+    with pytest.raises(ParseError, match="exceeds the maximum"):
+        ring.parse(f"1 + ({x} - 1)^{MAX_EXPONENT + 1}")
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [RationalFunctionField(), GaussPolynomialRing(3), FiniteFieldPolyRing(5)],
+    ids=["qx", "gauss", "fq"],
+)
+def test_power_degree_cap(ring):
+    x = ring.variable
+    half = MAX_DEGREE // 2
+    assert ring.eq(ring.parse(f"({x}^2)^{half}"), ring.parse(f"{x}^{MAX_DEGREE}"))
+    assert ring.eq(ring.parse(f"2^{MAX_EXPONENT}"), ring.pow(ring.from_int(2), MAX_EXPONENT))
+    for text in (f"({x}^2)^{half + 1}", f"({x}^{MAX_EXPONENT})^{MAX_EXPONENT}"):
+        with pytest.raises(ParseError, match="exceeds the maximum"):
+            ring.parse(text)
+
+
+def test_power_degree_cap_counts_denominators():
+    qx = RationalFunctionField()
+    assert qx.degree(qx.parse(f"(1/x^2)^{MAX_DEGREE // 2}")) == MAX_DEGREE
+    with pytest.raises(ParseError, match="exceeds the maximum"):
+        qx.parse(f"((x + 1)/x^2)^{MAX_DEGREE // 2 + 1}")
 
 
 def test_division_in_polynomial_ring_rejected():

@@ -10,6 +10,8 @@ from katzcyclic import (
     RationalFunctionField,
     UnsupportedOperationError,
 )
+from katzcyclic import polys
+from katzcyclic.fields import FiniteField, is_prime
 
 from _helpers import random_qx_poly, random_ratfunc, seeded
 
@@ -237,3 +239,37 @@ class TestFiniteFieldExtension:
                 x = (a, b)
                 if not K.is_zero(x):
                     assert K.mul(x, K.inv(x)) == K.one
+
+
+def test_gcd_is_over_q_only():
+    F5 = FiniteField(5)
+    with pytest.raises(TypeError, match="Q\\[x\\] only"):
+        polys.gcd(F5, (F5.one, F5.one), (F5.one,))
+
+
+class TestPrimality:
+    """fields.is_prime, shared by F_q and the Gauss norm rings."""
+
+    def test_small_values(self):
+        assert [n for n in range(40) if is_prime(n)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+        ]
+
+    def test_pseudoprimes_and_primes(self):
+        assert not is_prime(561)  # Carmichael number
+        # strong pseudoprime to every prime base up to 23
+        assert not is_prime(3825123056546413051)
+        assert is_prime(2 ** 61 - 1)
+        assert is_prime(2 ** 64 - 59)  # largest prime below 2^64
+
+    def test_beyond_2_64_raises(self):
+        with pytest.raises(ValueError, match="2\\^64"):
+            is_prime(2 ** 64 + 13)
+
+    @pytest.mark.parametrize("make", [GaussPolynomialRing, FiniteField, FiniteFieldPolyRing])
+    def test_rings_use_it(self, make):
+        assert make(2 ** 61 - 1).characteristic in (0, 2 ** 61 - 1)
+        with pytest.raises(ValueError, match="not prime"):
+            make(561)
+        with pytest.raises(ValueError, match="2\\^64"):
+            make(10 ** 30 + 57)

@@ -1,0 +1,148 @@
+"""Differential tests of Q[x] gcd, Q(x) arithmetic and primality against sympy.
+
+sympy is an oracle here only; the package never imports it.  Inputs are
+built on the sympy side (``sympy.cancel``) and handed to the package as
+raw coefficient tuples, so the expected values share no code with
+``polys.gcd`` or ``RationalFunctionField``.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from katzcyclic import polys
+from katzcyclic.fields import QQ, is_prime
+from katzcyclic.rings import RationalFunctionField, RatFunc
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.Symbol("x")
+QX = RationalFunctionField()
+SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+small_fractions = st.builds(
+    Fraction, st.integers(-40, 40), st.integers(1, 9)
+)
+# Coefficient lists, lowest degree first, possibly zero or constant.
+coeff_lists = st.lists(small_fractions, min_size=0, max_size=5)
+
+
+def to_poly(coeffs):
+    return polys.normalize(QQ, coeffs)
+
+
+def to_sympy(f):
+    return sympy.Poly(list(reversed(f)) or [0], X, domain=sympy.QQ)
+
+
+def from_sympy(p):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+    return polys.normalize(QQ, coeffs)
+
+
+def expr_of(a: RatFunc):
+    return to_sympy(a.num).as_expr() / to_sympy(a.den).as_expr()
+
+
+def canonical(expr):
+    """The reduced form of ``expr`` with a monic denominator, by sympy."""
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    num, den = sympy.Poly(num, X, domain=sympy.QQ), sympy.Poly(den, X, domain=sympy.QQ)
+    lead = den.LC()
+    return RatFunc(from_sympy(num.quo_ground(lead)), from_sympy(den.quo_ground(lead)))
+
+
+@st.composite
+def ratfuncs(draw, nonzero=False):
+    num = to_poly(draw(coeff_lists))
+    den = to_poly(draw(coeff_lists))
+    assume(den and (num or not nonzero))
+    if not num:
+        return QX.zero
+    return canonical(to_sympy(num).as_expr() / to_sympy(den).as_expr())
+
+
+def assert_canonical(a: RatFunc):
+    assert a.den and a.den[-1] == 1
+    assert all(type(c) is Fraction for c in a.num + a.den)
+    if not a.num:
+        assert a.den == (Fraction(1),)
+    else:
+        assert to_sympy(a.num).gcd(to_sympy(a.den)).degree() == 0
+
+
+@SETTINGS
+@given(coeff_lists, coeff_lists, coeff_lists, st.integers(1, 10 ** 30))
+def test_gcd_of_multiples_matches_sympy(f, g, h, content):
+    f, g, h = to_poly(f), to_poly(g), to_poly(h)
+    fh = polys.scale(QQ, Fraction(content), polys.mul(QQ, f, h))
+    gh = polys.mul(QQ, g, h)
+    expected = to_sympy(fh).gcd(to_sympy(gh))
+    assert polys.gcd(QQ, fh, gh) == from_sympy(expected)
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        ((), ()),
+        ((Fraction(3),), (Fraction(1), Fraction(2))),
+        ((Fraction(0), Fraction(5, 7)), (Fraction(-2),)),
+        ((Fraction(-4), Fraction(0), Fraction(6)),) * 2,
+        ((), (Fraction(2), Fraction(4, 3))),
+        ((Fraction(10 ** 40), Fraction(10 ** 40)), (Fraction(-1), Fraction(0), Fraction(1))),
+    ],
+    ids=["zeros", "constant", "constant-second", "equal", "zero-first", "large-content"],
+)
+def test_gcd_edge_cases_match_sympy(f, g):
+    got = polys.gcd(QQ, f, g)
+    expected = () if not (f or g) else from_sympy(to_sympy(f).gcd(to_sympy(g)))
+    assert got == expected
+
+
+@SETTINGS
+@given(ratfuncs(), ratfuncs())
+def test_add_and_mul_match_sympy_cancel(a, b):
+    for got, expr in ((QX.add(a, b), expr_of(a) + expr_of(b)),
+                      (QX.mul(a, b), expr_of(a) * expr_of(b)),
+                      (QX.add(a, a), 2 * expr_of(a))):
+        assert_canonical(got)
+        assert got == canonical(expr)
+
+
+@SETTINGS
+@given(coeff_lists, coeff_lists, coeff_lists, coeff_lists)
+def test_shared_denominator_add_matches_sympy_cancel(g, e, f, n1):
+    # a = n1/(g e) and b = (f g - n1)/(g e), so the sum f/e cancels g.
+    g, e, f, n1 = to_poly(g), to_poly(e), to_poly(f), to_poly(n1)
+    assume(g and e and n1)
+    den = to_sympy(polys.mul(QQ, g, e)).monic()
+    n2 = to_sympy(polys.mul(QQ, f, g)) - to_sympy(n1)
+    assume(den.degree() > 0 and not n2.is_zero)
+    assume(den.gcd(to_sympy(n1)).degree() == 0 and den.gcd(n2).degree() == 0)
+    a = RatFunc(n1, from_sympy(den))
+    b = RatFunc(from_sympy(n2), from_sympy(den))
+    got = QX.add(a, b)
+    assert_canonical(got)
+    assert got == canonical(expr_of(a) + expr_of(b))
+    assert QX.add(a, QX.neg(a)) == QX.zero
+
+
+@SETTINGS
+@given(ratfuncs(nonzero=True))
+def test_inv_and_derive_match_sympy_cancel(a):
+    inv = QX.inv(a)
+    assert_canonical(inv)
+    assert inv == canonical(1 / expr_of(a))
+    d = QX.derive(a)
+    assert_canonical(d)
+    assert d == canonical(sympy.diff(expr_of(a), X))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 10 ** 6), st.integers(0, 2 ** 64)))
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)

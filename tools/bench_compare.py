@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Compare the end-to-end benchmark of two checkouts and write BENCH_<tag>.json.
+
+    python3 tools/bench_compare.py --base ../parent --tag 4
+
+Runs ``bench/run.py --trace 0`` for the benchmark's ``run_seconds`` on
+every workload of ``BENCHMARK.json`` and on seeds 1-10, once in the base
+checkout and once in this one, as one pair per seed; the side that
+runs first alternates from pair to pair, so that both sides see the same
+phases of a noisy machine.  The JSON written to the repository
+root holds every run's metrics, the per-metric medians of each side, the
+change/base ratio of the medians, the base's quartile spread, the number
+of pairs the change wins, and the machine and Python details.
+Standard library only.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+SECONDS = SPEC["run_seconds"]
+SEEDS = range(1, 11)
+HIGHER_IS_BETTER = {m["name"]: m["better"] == "higher" for m in SPEC["end_to_end"]}
+
+
+def run_bench(checkout: Path, workload: str, seed: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def medians(runs):
+    return {name: statistics.median(r[name] for r in runs) for name in runs[0]}
+
+
+def quartile_spreads(runs):
+    """Distance between the upper and lower quartile of each metric."""
+    spreads = {}
+    for name in runs[0]:
+        q1, _, q3 = statistics.quantiles([r[name] for r in runs], n=4)
+        spreads[name] = q3 - q1
+    return spreads
+
+
+def machine_info() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {
+        "cpu": cpu,
+        "cpus": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", type=Path, required=True, help="checkout to compare against")
+    ap.add_argument("--tag", required=True, help="output is BENCH_<tag>.json")
+    args = ap.parse_args(argv)
+
+    doc = {
+        "command": f"bench/run.py --trace 0 --seconds {SECONDS:g}",
+        "seeds": list(SEEDS),
+        "machine": machine_info(),
+        "workloads": {},
+    }
+    for workload in WORKLOADS:
+        base_runs, change_runs = [], []
+        for k, seed in enumerate(SEEDS):
+            sides = [(base_runs, args.base.resolve()), (change_runs, ROOT)]
+            for runs, checkout in sides[::-1] if k % 2 else sides:
+                runs.append(run_bench(checkout, workload, seed))
+            print(f"{workload} seed {seed}: ops_per_s {base_runs[-1]['ops_per_s']:.2f} -> "
+                  f"{change_runs[-1]['ops_per_s']:.2f}", file=sys.stderr)
+        base, change = medians(base_runs), medians(change_runs)
+        doc["workloads"][workload] = {
+            "base_median": base,
+            "change_median": change,
+            "ratio": {k: change[k] / base[k] if base[k] else None for k in base},
+            "base_quartile_spread": quartile_spreads(base_runs),
+            "change_wins": {k: sum(c[k] > b[k] if HIGHER_IS_BETTER[k] else c[k] < b[k]
+                                   for b, c in zip(base_runs, change_runs))
+                            for k in base},
+            "base_runs": base_runs,
+            "change_runs": change_runs,
+        }
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,16 +1,19 @@
-"""Base coefficient fields: the rationals and finite fields F_{p^e}.
+"""Base coefficient fields, the rationals and finite fields F_{p^e}, and
+the integers as a coefficient ring.
 
-Both expose the same small protocol (zero, one, add, sub, mul, neg,
-inv, div, is_zero, eq, from_int, characteristic, to_str) so that the
-dense polynomial helpers in :mod:`katzcyclic.polys` stay generic.
+All expose the same small protocol (zero, one, add, sub, mul, neg,
+div, is_zero, eq, from_int, characteristic, to_str; the fields also
+inv) so that the dense polynomial helpers in :mod:`katzcyclic.polys`
+stay generic.
 
-Rational elements are :class:`fractions.Fraction`; finite-field
-elements are tuples of e ints in [0, p), coordinates with respect to
-the power basis of a fixed irreducible modulus.
+Rational elements are :class:`fractions.Fraction`; integers are Python
+ints; finite-field elements are tuples of e ints in [0, p), coordinates
+with respect to the power basis of a fixed irreducible modulus.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Tuple
 
@@ -74,6 +77,31 @@ class RationalField:
 
 
 QQ = RationalField()
+
+
+class IntegerRing:
+    """The ring Z on Python ints; its methods are the builtin operators.
+
+    It is the coefficient ring of the primitive numerators and
+    denominators of Q(x).  ``div`` is floor division, which the
+    polynomial helpers use only where the quotient is exact.
+    """
+
+    characteristic = 0
+    zero = 0
+    one = 1
+    add = operator.add
+    sub = operator.sub
+    mul = operator.mul
+    neg = operator.neg
+    div = operator.floordiv
+    is_zero = operator.not_
+    eq = operator.eq
+    from_int = int
+    to_str = str
+
+
+ZZ = IntegerRing()
 
 GFElem = Tuple[int, ...]
 

@@ -9,13 +9,21 @@ Grammar (whitespace insensitive):
     atom   := INT | VAR | '(' expr ')'
 
 INT is a nonnegative decimal literal; VAR is the ring's variable name.
-Exponents must be integers in [0, MAX_EXPONENT], since ``x^k`` costs k
-ring multiplications, and a power may have degree at most MAX_DEGREE in
-the variable, so that nested powers such as ``(x^256)^256`` cannot build
-huge elements.  The degree of a power is checked, from its base's, before
-any multiplication.  '/' is accepted only where the
-ring can actually divide (fields, or division by a unit); in
-characteristic p, integer literals reduce silently.
+Three bounds keep a power from building a huge element; each is checked
+from the base and the exponent, before any multiplication:
+
+* the exponent is an integer in [0, MAX_EXPONENT];
+* the power's degree in the variable is at most MAX_DEGREE, so that
+  nested powers such as ``(x^256)^256`` are refused;
+* the power's size, the exponent times the length of the base's
+  canonical string, is at most MAX_POWER_SIZE, so that nested powers of
+  constants such as ``((2^256)^256)^256`` are refused.  The cap is
+  Python's default limit on the digits of an int converted to a string,
+  past which the canonical printer could not write a constant anyway.
+
+'/' is accepted only where the ring can actually divide (fields, or
+division by a unit); in characteristic p, integer literals reduce
+silently.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .errors import NotInvertibleError, ParseError
 
 MAX_EXPONENT = 256
 MAX_DEGREE = 256
+MAX_POWER_SIZE = 4300
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
 
@@ -123,8 +132,18 @@ class _Parser:
             degree = exp * self.ring.degree(base)
             if degree > MAX_DEGREE:
                 raise ParseError(f"power of degree {degree} exceeds the maximum {MAX_DEGREE}", epos)
+            if exp > 1:
+                self._check_size(base, exp, epos)
             return self.ring.pow(base, exp)
         return base
+
+    def _check_size(self, base, exp, pos):
+        try:
+            size = exp * len(self.ring.to_str(base))
+        except ValueError:  # the base alone has more digits than str() writes
+            raise ParseError(f"power base exceeds the maximum size {MAX_POWER_SIZE}", pos) from None
+        if size > MAX_POWER_SIZE:
+            raise ParseError(f"power of size {size} exceeds the maximum {MAX_POWER_SIZE}", pos)
 
     def atom(self):
         kind, val, pos = self._next()

@@ -4,12 +4,14 @@ package.
 Polynomials are tuples of coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Every function
 takes the coefficient protocol object as first argument: a field from
-:mod:`katzcyclic.fields` for K[x], or any ring for the B[X] of
-:mod:`katzcyclic.xpoly`.  ``divmod_`` and ``monic`` need a field.
-``gcd`` is the gcd of Q[x] only: it clears denominators and runs a
-primitive pseudo-remainder sequence over Z (Collins 1967; Brown 1971),
-which keeps the coefficients as small as the gcd's content allows
-instead of letting Euclid's remainders over Q grow.
+:mod:`katzcyclic.fields` for K[x], :data:`~katzcyclic.fields.ZZ` for the
+integer polynomials of Q(x), or any ring for the B[X] of
+:mod:`katzcyclic.xpoly`.  ``divmod_`` needs a field, or over ZZ an exact
+quotient (its steps divide by the divisor's leading coefficient).
+``gcd`` is the gcd of Z[x] and Q[x] only: it runs a primitive
+pseudo-remainder sequence over Z (Collins 1967; Brown 1971), which keeps
+the coefficients as small as the gcd's content allows instead of letting
+Euclid's remainders over Q grow.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import NotInvertibleError
-from .fields import QQ
+from .fields import QQ, ZZ
 
 Poly = Tuple
 
@@ -84,9 +86,9 @@ def divmod_(K, f: Poly, g: Poly):
         raise NotInvertibleError("polynomial division by zero")
     q = [K.zero] * max(0, len(f) - len(g) + 1)
     r = list(f)
-    inv_lead = K.inv(g[-1])
+    lead = g[-1]
     while len(r) >= len(g) and r:
-        c = K.mul(r[-1], inv_lead)
+        c = K.div(r[-1], lead)
         shift = len(r) - len(g)
         q[shift] = c
         for i, gc in enumerate(g):
@@ -97,33 +99,49 @@ def divmod_(K, f: Poly, g: Poly):
 
 
 def gcd(K, f: Poly, g: Poly) -> Poly:
-    """Monic gcd in Q[x].  K must be :data:`~katzcyclic.fields.QQ`; it is
-    taken only for the signature shared with the other helpers."""
-    if K is not QQ:
-        raise TypeError(f"gcd works in Q[x] only, not over {K!r}")
-    if not f or not g:
-        return monic(QQ, f or g)
-    if len(f) == 1 or len(g) == 1:
-        return (Fraction(1),)
-    a, b = _primitive_int(f), _primitive_int(g)
+    """gcd in Z[x] (K = ZZ) or Q[x] (K = QQ).
+
+    Over ZZ it is the primitive gcd with a positive leading coefficient,
+    over QQ the monic gcd; the gcd of two zeros is zero.
+    """
+    if K is QQ:
+        h = _int_gcd(clear_denominators(f)[1], clear_denominators(g)[1])
+        return tuple(Fraction(c, h[-1]) for c in h)
+    if K is not ZZ:
+        raise TypeError(f"gcd works in Z[x] or Q[x] only, not over {K!r}")
+    return tuple(_int_gcd(f, g))
+
+
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """Primitive gcd with a positive leading coefficient in Z[x]."""
+    if not a or not b:
+        return primitive(a or b)[1]
+    if len(a) == 1 or len(b) == 1:
+        return (1,)
+    a, b = primitive(a)[1], primitive(b)[1]
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _primitive(_prem(a, b))
-    lead = a[-1]
-    return tuple(Fraction(c, lead) for c in a)
+        a, b = b, primitive(_prem(a, b))[1]
+    return a
 
 
-def _primitive_int(f: Poly) -> List[int]:
-    """f times the lcm of its coefficients' denominators, made primitive."""
+def clear_denominators(f: Poly):
+    """(den, g) for f in Q[x]: den is the lcm of the denominators of f's
+    coefficients and g = den * f, with int coefficients."""
     den = math.lcm(*(c.denominator for c in f))
-    return _primitive([c.numerator * (den // c.denominator) for c in f])
+    return den, tuple(c.numerator * (den // c.denominator) for c in f)
 
 
-def _primitive(f: List[int]) -> List[int]:
-    """f divided by its content, the gcd of its coefficients."""
+def primitive(f: Sequence[int]):
+    """(content, part) of f in Z[x]: f = content * part, with part
+    primitive and its leading coefficient positive; zero is (0, f)."""
     content = math.gcd(*f)
-    return [c // content for c in f] if content > 1 else f
+    if f and f[-1] < 0:
+        content = -content
+    if content in (0, 1):
+        return content, f
+    return content, tuple(c // content for c in f)
 
 
 def _prem(a: List[int], b: List[int]) -> List[int]:
@@ -140,12 +158,6 @@ def _prem(a: List[int], b: List[int]) -> List[int]:
         while r and r[-1] == 0:
             r.pop()
     return r
-
-
-def monic(K, f: Poly) -> Poly:
-    if not f:
-        return ()
-    return scale(K, K.inv(f[-1]), f)
 
 
 def derive(K, f: Poly) -> Poly:

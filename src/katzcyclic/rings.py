@@ -16,21 +16,41 @@ all their arithmetic, the derivation and the antiderivative.  The
 subclasses add only what differs: validation, the Gauss norm and the
 JSON descriptor.
 
+Q(x) stores an element as c * N/D (:class:`RatFunc`): one rational scale
+c times coprime primitive integer polynomials N and D with positive
+leading coefficients.  The form is unique, so equality is structural,
+and all polynomial work runs in Z[x] with
+:data:`~katzcyclic.fields.ZZ` as coefficient ring, with no Fraction
+arithmetic per coefficient.
+
 Every ring carries a distinguished element ``t`` with d(t) = 1 and exposes
-arithmetic through methods; elements themselves are plain immutable data
-(coefficient tuples, or numerator/denominator pairs).
+arithmetic through methods; elements themselves are plain data that no
+operation mutates (coefficient tuples, or :class:`RatFunc`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import polys
 from .errors import NotInvertibleError, PreconditionError, UnsupportedOperationError
-from .fields import QQ, FiniteField, is_prime
+from .fields import QQ, ZZ, FiniteField, is_prime
 from .normvalue import NormValue
+
+
+def _power(mul, one, a, k: int):
+    """a^k for k >= 0 by square-and-multiply with the product ``mul``."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, a)
+        k >>= 1
+        if k:
+            a = mul(a, a)
+    return out
 
 
 class Ring:
@@ -57,10 +77,8 @@ class Ring:
         raise NotImplementedError
 
     def pow(self, a, k: int):
-        out = self.one
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
+        """a^k for k >= 0."""
+        return _power(self.mul, self.one, a, k)
 
     def is_zero(self, a) -> bool:
         raise NotImplementedError
@@ -121,16 +139,86 @@ class Ring:
         return f"<{type(self).__name__} {self.descriptor()}>"
 
 
-@dataclass(frozen=True)
 class RatFunc:
-    """Reduced fraction of Q[x] polynomials; denominator monic."""
+    """An element c * N/D of Q(x) in its unique canonical form.
 
-    num: Tuple[Fraction, ...]
-    den: Tuple[Fraction, ...]
+    ``c`` is a nonzero Fraction; ``N`` and ``D`` are coprime primitive
+    integer coefficient tuples (lowest degree first) with positive
+    leading coefficients.  Zero is c = 0, N = (), D = (1,).  As the form
+    is unique, elements compare structurally.
+
+    ``RatFunc(num, den)`` builds an element from Fraction coefficient
+    tuples, and ``num``/``den`` give it back as the reduced fraction
+    with a monic denominator.
+    """
+
+    __slots__ = ("c", "N", "D")
+
+    def __init__(self, num, den):
+        num, den = polys.normalize(QQ, num), polys.normalize(QQ, den)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        dn, N = polys.clear_denominators(num)
+        dd, D = polys.clear_denominators(den)
+        a = _canonical(dd, dn, N, D)
+        self.c, self.N, self.D = a.c, a.N, a.D
+
+    @property
+    def num(self) -> Tuple[Fraction, ...]:
+        lead = self.D[-1]
+        return tuple(self.c * n / lead for n in self.N)
+
+    @property
+    def den(self) -> Tuple[Fraction, ...]:
+        lead = self.D[-1]
+        return tuple(Fraction(d, lead) for d in self.D)
+
+    def __eq__(self, other):
+        if type(other) is not RatFunc:
+            return NotImplemented
+        return self.c == other.c and self.N == other.N and self.D == other.D
+
+    def __hash__(self):
+        return hash((self.c, self.N, self.D))
+
+    def __repr__(self) -> str:
+        return f"RatFunc({self.num!r}, {self.den!r})"
+
+
+def _ratfunc(c: Fraction, N, D) -> RatFunc:
+    """The element c * N/D, with (c, N, D) already canonical."""
+    a = object.__new__(RatFunc)
+    a.c, a.N, a.D = c, N, D
+    return a
+
+
+def _cancel(N, D):
+    """N and D divided by their gcd; primitive in, primitive out."""
+    g = polys.gcd(ZZ, N, D)
+    if len(g) == 1:
+        return N, D
+    return polys.divmod_(ZZ, N, g)[0], polys.divmod_(ZZ, D, g)[0]
+
+
+def _canonical(p: int, q: int, N, D) -> RatFunc:
+    """The element (p/q) * N/D for N, D in Z[x], D nonzero."""
+    if not p or not N:
+        return _ratfunc(Fraction(0), (), (1,))
+    cn, N = polys.primitive(N)
+    cd, D = polys.primitive(D)
+    N, D = _cancel(N, D)
+    return _ratfunc(Fraction(p * cn, q * cd), N, D)
 
 
 class RationalFunctionField(Ring):
-    """Q(x) with d = d/dx; the distinguished element t is x itself."""
+    """Q(x) with d = d/dx; the distinguished element t is x itself.
+
+    Elements are :class:`RatFunc`.  All polynomial work is in Z[x], with
+    :data:`~katzcyclic.fields.ZZ` as the coefficient ring of the
+    :mod:`katzcyclic.polys` helpers; only the scale c is a Fraction.
+    Products cross-cancel first (Henrici; Knuth TAOCP 2, 4.5.1), and by
+    Gauss's lemma products of primitive polynomials stay primitive.
+    """
 
     kind = "rational_function"
     characteristic = 0
@@ -138,57 +226,57 @@ class RationalFunctionField(Ring):
 
     def __init__(self, variable: str = "x"):
         self.variable = variable
-        self.zero = RatFunc((), (Fraction(1),))
-        self.one = RatFunc((Fraction(1),), (Fraction(1),))
-        self.t = RatFunc((Fraction(0), Fraction(1)), (Fraction(1),))
+        self.zero = _ratfunc(Fraction(0), (), (1,))
+        self.one = _ratfunc(Fraction(1), (1,), (1,))
+        self.t = _ratfunc(Fraction(1), (0, 1), (1,))
         self.var_element = self.t
 
-    def _make(self, num, den) -> RatFunc:
-        if polys.is_zero(den):
-            raise ZeroDivisionError("zero denominator")
-        if polys.is_zero(num):
-            return self.zero
-        num, den = self._cancel(num, den)
-        lead = den[-1]
-        if lead != 1:
-            num = polys.scale(QQ, 1 / lead, num)
-            den = polys.scale(QQ, 1 / lead, den)
-        return RatFunc(num, den)
-
     def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        if a.den == b.den:
-            return self._make(polys.add(QQ, a.num, b.num), a.den)
+        if not a.c:
+            return b
+        if not b.c:
+            return a
+        # a + b = (ma aN/aD + mb bN/bD) / lcm, with integer multipliers
+        qa, qb = a.c.denominator, b.c.denominator
+        q = qa * qb // math.gcd(qa, qb)
+        ma, mb = a.c.numerator * (q // qa), b.c.numerator * (q // qb)
+        if a.D == b.D:
+            num = polys.add(ZZ, polys.scale(ZZ, ma, a.N), polys.scale(ZZ, mb, b.N))
+            return _canonical(1, q, num, a.D)
         num = polys.add(
-            QQ, polys.mul(QQ, a.num, b.den), polys.mul(QQ, b.num, a.den)
+            ZZ,
+            polys.scale(ZZ, ma, polys.mul(ZZ, a.N, b.D)),
+            polys.scale(ZZ, mb, polys.mul(ZZ, b.N, a.D)),
         )
-        return self._make(num, polys.mul(QQ, a.den, b.den))
+        return _canonical(1, q, num, polys.mul(ZZ, a.D, b.D))
 
     def neg(self, a: RatFunc) -> RatFunc:
-        return RatFunc(polys.neg(QQ, a.num), a.den)
+        return _ratfunc(-a.c, a.N, a.D)
 
     def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        # Cross-cancel first (Henrici): with a, b reduced and their
-        # denominators monic, the product of the cancelled parts is again
-        # reduced with a monic denominator, so no gcd of the product is due.
-        if not a.num or not b.num:
+        # With a and b canonical, the cross-cancelled products are again
+        # coprime and primitive, so no gcd of the product is due.
+        if not a.c or not b.c:
             return self.zero
-        a_num, b_den = self._cancel(a.num, b.den)
-        b_num, a_den = self._cancel(b.num, a.den)
-        return RatFunc(polys.mul(QQ, a_num, b_num), polys.mul(QQ, a_den, b_den))
+        a_num, b_den = _cancel(a.N, b.D)
+        b_num, a_den = _cancel(b.N, a.D)
+        return _ratfunc(
+            a.c * b.c, polys.mul(ZZ, a_num, b_num), polys.mul(ZZ, a_den, b_den)
+        )
 
-    @staticmethod
-    def _cancel(num, den):
-        """num and den divided by their monic gcd."""
-        g = polys.gcd(QQ, num, den)
-        if polys.degree(g) == 0:
-            return num, den
-        return polys.divmod_(QQ, num, g)[0], polys.divmod_(QQ, den, g)[0]
+    def pow(self, a: RatFunc, k: int) -> RatFunc:
+        # Powers of coprime primitive polynomials are again coprime and
+        # primitive, so a^k needs no gcd at all.
+        if not a.c:
+            return self.one if k == 0 else self.zero
+        zmul = functools.partial(polys.mul, ZZ)
+        return _ratfunc(a.c ** k, _power(zmul, (1,), a.N, k), _power(zmul, (1,), a.D, k))
 
     def is_zero(self, a: RatFunc) -> bool:
-        return polys.is_zero(a.num)
+        return not a.c
 
     def eq(self, a: RatFunc, b: RatFunc) -> bool:
-        return a.num == b.num and a.den == b.den
+        return a == b
 
     def from_int(self, n: int) -> RatFunc:
         return self.from_fraction(Fraction(n))
@@ -196,7 +284,7 @@ class RationalFunctionField(Ring):
     def from_fraction(self, q: Fraction) -> RatFunc:
         if q == 0:
             return self.zero
-        return RatFunc((q,), (Fraction(1),))
+        return _ratfunc(Fraction(q), (1,), (1,))
 
     def is_invertible(self, a: RatFunc) -> bool:
         return not self.is_zero(a)
@@ -204,33 +292,33 @@ class RationalFunctionField(Ring):
     def inv(self, a: RatFunc) -> RatFunc:
         if self.is_zero(a):
             raise NotInvertibleError("0 is not invertible in Q(x)")
-        return self._make(a.den, a.num)
+        return _ratfunc(1 / a.c, a.D, a.N)
 
     def derive(self, a: RatFunc) -> RatFunc:
+        # d(c N/D) = c (N' D - N D') / D^2
         num = polys.sub(
-            QQ,
-            polys.mul(QQ, polys.derive(QQ, a.num), a.den),
-            polys.mul(QQ, a.num, polys.derive(QQ, a.den)),
+            ZZ,
+            polys.mul(ZZ, polys.derive(ZZ, a.N), a.D),
+            polys.mul(ZZ, a.N, polys.derive(ZZ, a.D)),
         )
-        return self._make(num, polys.mul(QQ, a.den, a.den))
+        return _canonical(a.c.numerator, a.c.denominator, num, polys.mul(ZZ, a.D, a.D))
 
     def antiderivative(self, a: RatFunc):
-        if polys.degree(a.den) > 0:
+        if polys.degree(a.D) > 0:
             return None  # no rational antiderivative in general
-        c = a.den[0]
-        coeffs = [Fraction(0)] + [a.num[i] / c / (i + 1) for i in range(len(a.num))]
-        return RatFunc(polys.normalize(QQ, coeffs), (Fraction(1),))
+        coeffs = [Fraction(0)] + [a.c * n / (i + 1) for i, n in enumerate(a.N)]
+        return RatFunc(coeffs, (Fraction(1),))
 
     def is_constant(self, a: RatFunc) -> bool:
-        return polys.degree(a.num) <= 0 and polys.degree(a.den) == 0
+        return polys.degree(a.N) <= 0 and polys.degree(a.D) == 0
 
     def degree(self, a: RatFunc) -> int:
         """The larger of the numerator's and the denominator's degree."""
-        return -1 if self.is_zero(a) else max(polys.degree(a.num), polys.degree(a.den))
+        return -1 if self.is_zero(a) else max(polys.degree(a.N), polys.degree(a.D))
 
     def to_str(self, a: RatFunc) -> str:
         num = polys.to_str(QQ, a.num, self.variable)
-        if polys.degree(a.den) <= 0 and (not a.den or a.den[0] == 1):
+        if polys.degree(a.D) == 0:
             return num
         den = polys.to_str(QQ, a.den, self.variable)
         return f"({num})/({den})"
@@ -409,6 +497,9 @@ class ScaledDerivationRing(Ring):
 
     def mul(self, a, b):
         return self.base.mul(a, b)
+
+    def pow(self, a, k: int):
+        return self.base.pow(a, k)
 
     def is_zero(self, a):
         return self.base.is_zero(a)

@@ -213,6 +213,14 @@ def test_nested_power_is_an_error(capsys, tmp_path):
     assert err.startswith("error: ") and "degree 65536 exceeds the maximum" in err
 
 
+def test_nested_constant_power_is_an_error(capsys, tmp_path):
+    path = tmp_path / "nested_constant.json"
+    path.write_text(json.dumps({**QX_DOC, "G1": [["((2^256)^256)^256", "1"], ["0", "x"]]}))
+    code, out, err = run(capsys, CYCLIC + ["-i", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "size 19968 exceeds the maximum" in err
+
+
 def test_prime_beyond_primality_range_is_an_error(capsys, tmp_path):
     path = tmp_path / "huge_p.json"
     doc = {**GAUSS_DOC, "ring": {**GAUSS_DOC["ring"], "p": 10 ** 30 + 57}}

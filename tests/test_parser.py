@@ -6,7 +6,7 @@ from katzcyclic import (
     ParseError,
     RationalFunctionField,
 )
-from katzcyclic.parser import MAX_DEGREE, MAX_EXPONENT
+from katzcyclic.parser import MAX_DEGREE, MAX_EXPONENT, MAX_POWER_SIZE
 
 
 @pytest.fixture
@@ -95,6 +95,33 @@ def test_power_degree_cap(ring):
     for text in (f"({x}^2)^{half + 1}", f"({x}^{MAX_EXPONENT})^{MAX_EXPONENT}"):
         with pytest.raises(ParseError, match="exceeds the maximum"):
             ring.parse(text)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [RationalFunctionField(), GaussPolynomialRing(3), FiniteFieldPolyRing(2 ** 64 - 59)],
+    ids=["qx", "gauss", "fq"],
+)
+def test_power_size_cap(ring):
+    # 10^19 prints as 20 characters (also in F_p, p > 10^19), so the
+    # exponent MAX_POWER_SIZE // 20 is exactly at the cap.
+    top = MAX_POWER_SIZE // 20
+    assert 20 * top == MAX_POWER_SIZE
+    assert ring.eq(ring.parse(f"(10^19)^{top}"), ring.from_int(10 ** (19 * top)))
+    assert ring.eq(ring.parse("2^256"), ring.from_int(2 ** 256))
+    x = ring.variable
+    # the base's string also counts its variable part
+    for text in (f"(10^19)^{top + 1}", "((2^256)^256)^256", f"(10^19*{x})^{top}"):
+        with pytest.raises(ParseError, match="exceeds the maximum"):
+            ring.parse(text)
+
+
+def test_power_size_cap_on_a_base_past_the_digit_limit():
+    qx = RationalFunctionField()
+    huge = "*".join(["10^256"] * 17)  # 4353 digits: past what str() writes
+    assert qx.degree(qx.parse(f"({huge})^1")) == 0
+    with pytest.raises(ParseError, match="exceeds the maximum size"):
+        qx.parse(f"({huge})^2")
 
 
 def test_power_degree_cap_counts_denominators():

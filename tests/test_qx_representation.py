@@ -1,0 +1,102 @@
+"""The canonical form c * N/D of Q(x) elements (``rings.RatFunc``).
+
+N and D are coprime primitive integer polynomials with positive leading
+coefficients and c is a nonzero Fraction; zero is c = 0, N = (), D = (1,).
+Equality is structural, so every route to one value must end in the
+same triple.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from katzcyclic.rings import RationalFunctionField, RatFunc
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.Symbol("x")
+QX = RationalFunctionField()
+SETTINGS = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+# Coefficients with content and signs: large numerators, small denominators.
+coeffs = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 12))
+polynomials = st.lists(coeffs, min_size=0, max_size=4)
+
+
+@st.composite
+def elements(draw, nonzero=False):
+    num = draw(polynomials if not nonzero else polynomials.filter(any))
+    den = draw(polynomials.filter(any))
+    return RatFunc(num, den)
+
+
+def assert_canonical(a: RatFunc):
+    assert type(a.c) is Fraction
+    if not a.c:
+        assert (a.N, a.D) == ((), (1,))
+        return
+    for f in (a.N, a.D):
+        assert f and all(type(x) is int for x in f)
+        assert math.gcd(*f) == 1 and f[-1] > 0
+    n, d = (sympy.Poly(list(reversed(f)), X, domain=sympy.ZZ) for f in (a.N, a.D))
+    assert n.gcd(d).degree() == 0
+
+
+@SETTINGS
+@given(elements())
+def test_print_parse_roundtrip(a):
+    assert_canonical(a)
+    assert QX.parse(QX.to_str(a)) == a
+
+
+@SETTINGS
+@given(elements(), elements(nonzero=True))
+def test_one_value_reached_two_ways_is_equal(a, b):
+    for value in (QX.mul(QX.mul(a, b), QX.inv(b)), QX.sub(QX.add(a, b), b),
+                  QX.div(QX.mul(b, a), b)):
+        assert_canonical(value)
+        assert value == a
+        assert hash(value) == hash(a)
+
+
+@SETTINGS
+@given(elements(), elements())
+def test_results_stay_normalised(a, b):
+    for value in (QX.add(a, b), QX.sub(a, b), QX.mul(a, b), QX.neg(a), QX.derive(a),
+                  QX.pow(a, 3)):
+        assert_canonical(value)
+    if a.c:
+        assert_canonical(QX.inv(a))
+
+
+@SETTINGS
+@given(elements())
+def test_zero_has_one_form(a):
+    zeros = [
+        QX.sub(a, a),
+        QX.mul(a, QX.zero),
+        QX.add(a, QX.neg(a)),
+        QX.from_int(0),
+        QX.derive(QX.from_fraction(Fraction(7, 3))),
+        QX.pow(QX.zero, 3),
+        RatFunc((), (Fraction(-3), Fraction(2))),
+        RatFunc((Fraction(0), Fraction(0)), (Fraction(5),)),
+    ]
+    for z in zeros:
+        assert (z.c, z.N, z.D) == (0, (), (1,))
+        assert z == QX.zero and QX.is_zero(z)
+    assert QX.pow(QX.zero, 0) == QX.one
+
+
+def test_scale_and_sign_are_taken_out():
+    a = QX.parse("(-6*x - 4)/(9*x^2 - 3)")  # -2(3x + 2) / (3(3x^2 - 1))
+    assert (a.c, a.N, a.D) == (Fraction(-2, 3), (2, 3), (-1, 0, 3))
+    assert a.num == (Fraction(-4, 9), Fraction(-2, 3))
+    assert a.den == (Fraction(-1, 3), Fraction(0), Fraction(1))
+    assert QX.to_str(a) == "(-2/3*x - 4/9)/(x^2 - 1/3)"
+    assert RatFunc(a.num, a.den) == a

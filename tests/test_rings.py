@@ -8,10 +8,11 @@ from katzcyclic import (
     NormValue,
     NotInvertibleError,
     RationalFunctionField,
+    ScaledDerivationRing,
     UnsupportedOperationError,
 )
 from katzcyclic import polys
-from katzcyclic.fields import FiniteField, is_prime
+from katzcyclic.fields import ZZ, FiniteField, is_prime
 
 from _helpers import random_qx_poly, random_ratfunc, seeded
 
@@ -239,6 +240,39 @@ class TestFiniteFieldExtension:
                 x = (a, b)
                 if not K.is_zero(x):
                     assert K.mul(x, K.inv(x)) == K.one
+
+
+class TestPow:
+    """Ring.pow (square-and-multiply; in Q(x) the powers of N and D, with
+    no gcd) against repeated multiplication."""
+
+    @pytest.mark.parametrize(
+        "ring, a",
+        [
+            (RationalFunctionField(), "(2 - 4*x)/(3*x^2 + 1)"),  # c = -2
+            (GaussPolynomialRing(3), "t/3 - 2"),
+            (FiniteFieldPolyRing(2, 2), ((1, 0), (0, 1))),  # 1 + g*x over F_4
+            (ScaledDerivationRing(RationalFunctionField(), RationalFunctionField().t),
+             "(1 - x)/(x^2 + 2)"),
+        ],
+        ids=["qx", "gauss3", "f4", "scaled-qx"],
+    )
+    def test_pow_is_repeated_mul(self, ring, a):
+        a = ring.parse(a) if isinstance(a, str) else a
+        expected = ring.one
+        for k in range(257):
+            if k in (0, 1, 2, 5, 256):
+                assert ring.eq(ring.pow(a, k), expected)
+            expected = ring.mul(expected, a)
+
+
+def test_gcd_over_z_is_primitive_with_positive_lead():
+    f = (-6, 0, 6)  # -6 (x - 1)(x + 1)
+    g = (4, -8, 4)  # 4 (x - 1)^2
+    assert polys.gcd(ZZ, f, g) == (-1, 1)
+    assert polys.gcd(ZZ, f, ()) == (-1, 0, 1)
+    assert polys.gcd(ZZ, (), ()) == ()
+    assert polys.gcd(ZZ, (-7,), g) == (1,)
 
 
 def test_gcd_is_over_q_only():

@@ -7,10 +7,12 @@ Runs ``bench/run.py --trace 0`` for the benchmark's ``run_seconds`` on
 every workload of ``BENCHMARK.json`` and on seeds 1-10, once in the base
 checkout and once in this one, as one pair per seed; the side that
 runs first alternates from pair to pair, so that both sides see the same
-phases of a noisy machine.  The JSON written to the repository
-root holds every run's metrics, the per-metric medians of each side, the
-change/base ratio of the medians, the base's quartile spread, the number
-of pairs the change wins, and the machine and Python details.
+phases of a noisy machine.  Then it runs ``bench/run.py --trace 1`` once
+per side and workload on seed 0, whose counts repeat exactly.  The JSON
+written to the repository root holds every run's metrics, the
+per-metric medians of each side, the change/base ratio of the medians,
+the base's quartile spread, the number of pairs the change wins, both
+sides' per-layer metrics, and the machine and Python details.
 Standard library only.
 """
 
@@ -31,10 +33,10 @@ SEEDS = range(1, 11)
 HIGHER_IS_BETTER = {m["name"]: m["better"] == "higher" for m in SPEC["end_to_end"]}
 
 
-def run_bench(checkout: Path, workload: str, seed: int) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -79,6 +81,7 @@ def main(argv=None) -> int:
 
     doc = {
         "command": f"bench/run.py --trace 0 --seconds {SECONDS:g}",
+        "per_layer_command": "bench/run.py --trace 1 --seed 0",
         "seeds": list(SEEDS),
         "machine": machine_info(),
         "workloads": {},
@@ -102,6 +105,10 @@ def main(argv=None) -> int:
                             for k in base},
             "base_runs": base_runs,
             "change_runs": change_runs,
+            "per_layer_seed_0": {
+                "base": run_bench(args.base.resolve(), workload, 0, trace=1),
+                "change": run_bench(ROOT, workload, 0, trace=1),
+            },
         }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -30,8 +30,8 @@ from .ultranorm import MatrixNormKind
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
-# Largest rank accepted by cyclic, companion and certify, and the default
-# --max-n of tables: the work grows like n! in the rank.
+# Largest rank accepted by cyclic, companion, certify and counterexample,
+# and the default --max-n of tables: the work grows like n! in the rank.
 MAX_RANK = 8
 
 
@@ -88,9 +88,21 @@ def cmd_tables(args) -> int:
     return EXIT_OK
 
 
+def _json_int(text: str) -> int:
+    from .parser import MAX_LITERAL_DIGITS
+
+    if len(text) > MAX_LITERAL_DIGITS:
+        raise PreconditionError(f"integer in module file exceeds {MAX_LITERAL_DIGITS} digits")
+    return int(text)
+
+
 def _load_module(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        m = module_from_json(json.load(fh))
+        try:
+            doc = json.load(fh, parse_int=_json_int)
+        except RecursionError:
+            raise PreconditionError("module file nests too deeply") from None
+    m = module_from_json(doc)
     if m.n > MAX_RANK:
         raise PreconditionError(f"rank n = {m.n} exceeds the maximum {MAX_RANK}")
     return m
@@ -161,6 +173,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if args.n > MAX_RANK:
+        raise PreconditionError(f"rank n = {args.n} exceeds the maximum {MAX_RANK}")
     report = charp_counterexample(args.p, args.e, args.n)
     doc = report.to_json()
     doc["command"] = "counterexample"

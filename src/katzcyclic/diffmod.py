@@ -177,10 +177,10 @@ def charp_counterexample(p: int, e: int, n: int, max_degree: int = 12) -> CharPR
     """
     from .rings import FiniteFieldPolyRing
 
-    q = p ** e
+    ring = FiniteFieldPolyRing(p, e)  # refuses q = p^e > 2^64 before computing it
+    q = ring.field.q
     if n <= q:
         raise PreconditionError(f"need n > q = {q}, got n = {n}")
-    ring = FiniteFieldPolyRing(p, e)
     m = DifferentialModule(
         ring=ring,
         n=n,

@@ -243,6 +243,9 @@ class FiniteField:
             raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("e must be >= 1")
+        # p >= 2, so e > 64 alone puts q past the bound; test it before p ** e
+        if e > 64 or p ** e > MAX_PRIME:
+            raise ValueError(f"q = {p}^{e} exceeds the supported maximum 2^64")
         self.p = p
         self.e = e
         self.q = p ** e

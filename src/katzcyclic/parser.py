@@ -8,9 +8,12 @@ Grammar (whitespace insensitive):
     power  := atom ('^' INT)?
     atom   := INT | VAR | '(' expr ')'
 
-INT is a nonnegative decimal literal; VAR is the ring's variable name.
-Three bounds keep a power from building a huge element; each is checked
-from the base and the exponent, before any multiplication:
+INT is a nonnegative decimal literal of at most MAX_LITERAL_DIGITS
+digits; VAR is the ring's variable name.  Parentheses and unary signs
+nest at most MAX_NESTING deep, far below Python's recursion limit (each
+parenthesis costs five frames of the descent, each sign one).  Three
+bounds keep a power from building a huge element; each is checked from
+the base and the exponent, before any multiplication:
 
 * the exponent is an integer in [0, MAX_EXPONENT];
 * the power's degree in the variable is at most MAX_DEGREE, so that
@@ -30,11 +33,13 @@ from __future__ import annotations
 
 import re
 
-from .errors import NotInvertibleError, ParseError
+from .errors import NotInvertibleError, ParseError, UnsupportedOperationError
 
 MAX_EXPONENT = 256
 MAX_DEGREE = 256
 MAX_POWER_SIZE = 4300
+MAX_LITERAL_DIGITS = 4300
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
 
@@ -43,7 +48,7 @@ class _Parser:
     def __init__(self, text: str, ring):
         self.text = text
         self.ring = ring
-        self.pos = 0
+        self.depth = 0
         self.tokens = []
         self._tokenize()
         self.idx = 0
@@ -59,6 +64,11 @@ class _Parser:
                 bad = pos + (len(self.text) - pos - len(stripped))
                 raise ParseError(f"unexpected character {self.text[bad]!r}", bad)
             if m.group(1) is not None:
+                if len(m.group(1)) > MAX_LITERAL_DIGITS:
+                    raise ParseError(
+                        f"integer literal exceeds the maximum {MAX_LITERAL_DIGITS} digits",
+                        m.start(1),
+                    )
                 self.tokens.append(("int", int(m.group(1)), m.start(1)))
             elif m.group(2) is not None:
                 self.tokens.append(("name", m.group(2), m.start(2)))
@@ -110,14 +120,19 @@ class _Parser:
                 return value
 
     def factor(self):
-        kind, val, _ = self._peek()
-        if kind == "op" and val == "-":
+        kind, val, pos = self._peek()
+        if kind == "op" and val in "+-":
             self._next()
-            return self.ring.neg(self.factor())
-        if kind == "op" and val == "+":
-            self._next()
-            return self.factor()
+            self._enter(pos)
+            value = self.factor()
+            self.depth -= 1
+            return self.ring.neg(value) if val == "-" else value
         return self.power()
+
+    def _enter(self, pos):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting exceeds the maximum depth {MAX_NESTING}", pos)
 
     def power(self):
         base = self.atom()
@@ -140,7 +155,7 @@ class _Parser:
     def _check_size(self, base, exp, pos):
         try:
             size = exp * len(self.ring.to_str(base))
-        except ValueError:  # the base alone has more digits than str() writes
+        except UnsupportedOperationError:  # the base alone is too long to print
             raise ParseError(f"power base exceeds the maximum size {MAX_POWER_SIZE}", pos) from None
         if size > MAX_POWER_SIZE:
             raise ParseError(f"power of size {size} exceeds the maximum {MAX_POWER_SIZE}", pos)
@@ -154,10 +169,12 @@ class _Parser:
                 raise ParseError(f"unknown symbol {val!r}", pos)
             return self.ring.var_element
         if kind == "op" and val == "(":
+            self._enter(pos)
             value = self.expr()
             ckind, cval, cpos = self._next()
             if not (ckind == "op" and cval == ")"):
                 raise ParseError("expected ')'", cpos)
+            self.depth -= 1
             return value
         raise ParseError("expected a number, variable, or '('", pos)
 

@@ -17,10 +17,11 @@ Euclid's remainders over Q grow.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .errors import NotInvertibleError
+from .errors import NotInvertibleError, UnsupportedOperationError
 from .fields import QQ, ZZ
 
 Poly = Tuple
@@ -179,7 +180,13 @@ def to_str(K, f: Poly, var: str) -> str:
         c = f[i]
         if K.is_zero(c):
             continue
-        s = K.to_str(c)
+        try:
+            s = K.to_str(c)
+        except ValueError:  # an int past the interpreter's limit for str()
+            raise UnsupportedOperationError(
+                f"a coefficient has more than {sys.get_int_max_str_digits()} digits"
+                " and cannot be printed"
+            ) from None
         negative = s.startswith("-")
         if negative:
             s = s[1:]

@@ -1,11 +1,13 @@
 import importlib.metadata
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import katzcyclic
 from katzcyclic import GaussPolynomialRing, RationalFunctionField
 from katzcyclic.cli import MAX_RANK, main
 
@@ -230,6 +232,86 @@ def test_prime_beyond_primality_range_is_an_error(capsys, tmp_path):
     assert err.startswith("error: ") and "2^64" in err
 
 
+FQ_DOC = {"ring": {"kind": "finite_field_poly", "variable": "x", "p": 5, "q_exp": 1},
+          "n": 2, "G1": [["0", "1"], ["x", "0"]]}
+
+
+def run_doc(capsys, tmp_path, command, doc):
+    """Run a subcommand on a module document; the document may be raw text."""
+    path = tmp_path / "module.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return run(capsys, command + ["-i", str(path)])
+
+
+def with_entry(doc, entry):
+    return {**doc, "G1": [[entry, doc["G1"][0][1]], doc["G1"][1]]}
+
+
+# 5,000 parentheses or signs used to end in a RecursionError traceback.
+@pytest.mark.parametrize("entry", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"],
+                         ids=["parens", "signs"])
+@pytest.mark.parametrize("command, doc", [(CYCLIC, QX_DOC), (CERTIFY, GAUSS_DOC),
+                                          (["companion"], FQ_DOC)], ids=["qx", "gauss", "fq"])
+def test_deep_nesting_is_an_error(capsys, tmp_path, command, doc, entry):
+    var = doc["ring"]["variable"]
+    code, out, err = run_doc(capsys, tmp_path, command, with_entry(doc, entry.replace("x", var)))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "exceeds the maximum depth" in err
+
+
+def test_deep_nesting_prints_no_traceback(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(with_entry(QX_DOC, "(" * 5000 + "x" + ")" * 5000)))
+    package_root = Path(katzcyclic.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "katzcyclic.cli", "cyclic", "-i", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+# These used to exit with the interpreter's own message, which names
+# sys.set_int_max_str_digits, instead of a package error.
+def test_oversized_literal_is_an_error(capsys, tmp_path):
+    code, out, err = run_doc(capsys, tmp_path, CYCLIC, with_entry(QX_DOC, "1" + "0" * 5000))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "exceeds the maximum 4300 digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_oversized_output_is_a_typed_error(capsys, tmp_path):
+    product = "*".join(["10^256"] * 17)  # 4,353 digits, built by a product
+    code, out, err = run_doc(capsys, tmp_path, CYCLIC, with_entry(QX_DOC, product))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "cannot be printed" in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[" * 100000 + "]" * 100000, "nests too deeply"),
+     (json.dumps({**QX_DOC, "n": 0}).replace('"n": 0', '"n": 1' + "0" * 5000),
+      "exceeds 4300 digits")],
+    ids=["deep-json", "huge-json-int"],
+)
+def test_hostile_json_is_an_error(capsys, tmp_path, text, message):
+    code, out, err = run_doc(capsys, tmp_path, CYCLIC, text)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
+# "q_exp": 1000000 used to run on inside the search for an irreducible
+# modulus of degree 10^6; q = 2^64 is the largest order accepted.
+@pytest.mark.parametrize("q_exp", [65, 1000000])
+def test_field_order_above_bound_is_an_error(capsys, tmp_path, q_exp):
+    doc = {**FQ_DOC, "ring": {**FQ_DOC["ring"], "p": 2, "q_exp": q_exp}}
+    code, out, err = run_doc(capsys, tmp_path, ["companion"], doc)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "exceeds the supported maximum 2^64" in err
+
+
 class TestCompanion:
     def test_scalar_equation(self, capsys, qx_module):
         code, out, _ = run(capsys, ["companion", "-i", qx_module])
@@ -322,6 +404,18 @@ class TestCounterexample:
     def test_rank_too_small(self, capsys):
         code, _, err = run(capsys, ["counterexample", "-p", "3", "-n", "3"])
         assert code == 1 and "error:" in err
+
+    def test_rank_cap(self, capsys):
+        code, out, _ = run(capsys, ["counterexample", "-p", "7", "-n", str(MAX_RANK)])
+        assert code == 0 and json.loads(out)["n"] == MAX_RANK
+        code, out, err = run(capsys, ["counterexample", "-p", "2", "-n", str(MAX_RANK + 1)])
+        assert (code, out) == (1, "")
+        assert f"exceeds the maximum {MAX_RANK}" in err
+
+    def test_field_order_above_bound(self, capsys):
+        code, out, err = run(capsys, ["counterexample", "-p", "2", "-e", "65", "-n", "3"])
+        assert (code, out) == (1, "")
+        assert "exceeds the supported maximum 2^64" in err
 
 
 PROJECT_ROOT = Path(__file__).resolve().parent.parent

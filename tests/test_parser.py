@@ -6,7 +6,13 @@ from katzcyclic import (
     ParseError,
     RationalFunctionField,
 )
-from katzcyclic.parser import MAX_DEGREE, MAX_EXPONENT, MAX_POWER_SIZE
+from katzcyclic.parser import (
+    MAX_DEGREE,
+    MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
+    MAX_NESTING,
+    MAX_POWER_SIZE,
+)
 
 
 @pytest.fixture
@@ -129,6 +135,42 @@ def test_power_degree_cap_counts_denominators():
     assert qx.degree(qx.parse(f"(1/x^2)^{MAX_DEGREE // 2}")) == MAX_DEGREE
     with pytest.raises(ParseError, match="exceeds the maximum"):
         qx.parse(f"((x + 1)/x^2)^{MAX_DEGREE // 2 + 1}")
+
+
+RING_KINDS = pytest.mark.parametrize(
+    "ring",
+    [RationalFunctionField(), GaussPolynomialRing(3), FiniteFieldPolyRing(5)],
+    ids=["qx", "gauss", "fq"],
+)
+
+
+@RING_KINDS
+def test_nesting_cap(ring):
+    x = ring.variable
+    half = MAX_NESTING // 2
+    at_cap = [
+        "(" * MAX_NESTING + x + ")" * MAX_NESTING,
+        "-" * MAX_NESTING + x,
+        "+" * MAX_NESTING + x,
+        "-(" * half + x + ")" * half,  # signs and parentheses count together
+    ]
+    for text in at_cap:
+        assert ring.eq(ring.parse(text), ring.parse(text.count("-") % 2 * "-" + x))
+    for text in ["(" + at_cap[0] + ")", "-" + at_cap[1], "-" + at_cap[3], "(" * 5000 + x]:
+        with pytest.raises(ParseError, match=f"exceeds the maximum depth {MAX_NESTING}"):
+            ring.parse(text)
+    # depth is the nesting of one path, not the count of parentheses
+    flat = "+".join(["(" * MAX_NESTING + x + ")" * MAX_NESTING] * 3)
+    assert ring.eq(ring.parse(flat), ring.parse(f"3*{x}"))
+
+
+@RING_KINDS
+def test_literal_digit_cap(ring):
+    top = "9" * MAX_LITERAL_DIGITS
+    assert ring.eq(ring.parse(top), ring.from_int(int(top)))
+    for text in ("9" * (MAX_LITERAL_DIGITS + 1), "1 + 0" + top):
+        with pytest.raises(ParseError, match=f"exceeds the maximum {MAX_LITERAL_DIGITS} digits"):
+            ring.parse(text)
 
 
 def test_division_in_polynomial_ring_rejected():

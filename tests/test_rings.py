@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -300,6 +301,12 @@ class TestPrimality:
         with pytest.raises(ValueError, match="2\\^64"):
             is_prime(2 ** 64 + 13)
 
+    def test_field_order_bound(self):
+        assert FiniteField(2, 64).q == 2 ** 64
+        for p, e in [(2, 65), (3, 41), (2 ** 64 - 59, 2), (2, 10 ** 9)]:
+            with pytest.raises(ValueError, match="exceeds the supported maximum 2\\^64"):
+                FiniteFieldPolyRing(p, e)
+
     @pytest.mark.parametrize("make", [GaussPolynomialRing, FiniteField, FiniteFieldPolyRing])
     def test_rings_use_it(self, make):
         assert make(2 ** 61 - 1).characteristic in (0, 2 ** 61 - 1)
@@ -307,3 +314,14 @@ class TestPrimality:
             make(561)
         with pytest.raises(ValueError, match="2\\^64"):
             make(10 ** 30 + 57)
+
+
+def test_oversized_coefficient_print_is_a_typed_error(qx):
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("the interpreter prints ints of any length")
+    assert qx.to_str(qx.from_int(10 ** (limit - 1))) == "1" + "0" * (limit - 1)
+    big = qx.mul(qx.from_int(10 ** limit), qx.var_element)
+    for a in (qx.from_int(10 ** limit), big, qx.inv(big)):
+        with pytest.raises(UnsupportedOperationError, match="cannot be printed"):
+            qx.to_str(a)

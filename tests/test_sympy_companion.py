@@ -14,48 +14,25 @@ expressions: ``Matrix.LUsolve`` on expressions followed by
 ``sympy.cancel`` took about 50 s on one rank-4 module.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from katzcyclic import DifferentialModule, NotInvertibleError, linalg
 from katzcyclic.katz import companion_form
-from katzcyclic.rings import RationalFunctionField, RatFunc
+from katzcyclic.rings import RationalFunctionField
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
+from test_sympy_linalg import X, element  # noqa: E402
 
-X = sympy.Symbol("x")
 K = sympy.QQ.frac_field(X)
 QX = RationalFunctionField()
 
 small = st.integers(-3, 3)
 linear = st.tuples(small, small).map(lambda c: c[0] + c[1] * X)
-
-
-def nonzero_linear():
-    return st.tuples(st.integers(1, 3), small).map(lambda c: c[0] + c[1] * X)
-
-
-def ratfuncs():
-    return st.tuples(linear, nonzero_linear()).map(lambda nd: nd[0] / nd[1])
-
-
-def to_coeffs(poly):
-    out = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def element(expr):
-    """The package element of a sympy rational function, via sympy.cancel."""
-    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
-    num, den = sympy.Poly(num, X, domain=sympy.QQ), sympy.Poly(den, X, domain=sympy.QQ)
-    lead = den.LC()
-    return RatFunc(to_coeffs(num.quo_ground(lead)), to_coeffs(den.quo_ground(lead)))
+nonzero_linear = st.tuples(st.integers(1, 3), small).map(lambda c: c[0] + c[1] * X)
+ratfuncs = st.tuples(linear, nonzero_linear).map(lambda nd: nd[0] / nd[1])
 
 
 @st.composite
@@ -89,7 +66,7 @@ def check_against_sympy(g1, c):
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from([2, 3]).flatmap(lambda n: cases(n, ratfuncs())))
+@given(st.sampled_from([2, 3]).flatmap(lambda n: cases(n, ratfuncs)))
 def test_companion_form_matches_sympy(case):
     check_against_sympy(*case)
 

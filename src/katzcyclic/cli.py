@@ -18,6 +18,7 @@ for identical inputs, with every value printed exactly.  Exit status:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -228,8 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built on the first call and kept for the process: building the parser
+# costs more than many commands, and importing the module should not pay
+# for it.  Parsing leaves the parser unchanged, so every call can share it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (KatzCyclicError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

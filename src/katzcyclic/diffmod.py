@@ -51,6 +51,9 @@ def module_from_json(doc: dict) -> DifferentialModule:
     """Read {"ring": ..., "n": ..., "G1": [[entry strings]]}."""
     if not isinstance(doc, dict):
         raise PreconditionError(f"module must be a JSON object, got {type(doc).__name__}")
+    for key in ("ring", "n", "G1"):
+        if key not in doc:
+            raise PreconditionError(f"module lacks key '{key}'")
     ring = ring_from_json(doc["ring"])
     n, rows = doc["n"], doc["G1"]
     if type(n) is not int:

@@ -17,7 +17,7 @@ import operator
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import NotInvertibleError
+from .errors import InternalConsistencyError, NotInvertibleError, PreconditionError
 
 
 class RationalField:
@@ -83,7 +83,7 @@ class IntegerRing:
     """The ring Z on Python ints; its methods are the builtin operators.
 
     It is the coefficient ring of the primitive numerators and
-    denominators of Q(x).  ``div`` is floor division, which the
+    denominators of Q(x) and Q[t].  ``div`` is floor division, which the
     polynomial helpers use only where the quotient is exact.
     """
 
@@ -157,22 +157,16 @@ def _gfp_gcd(a, b, p):
     return a
 
 
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _find_irreducible(p: int, e: int) -> Tuple[int, ...]:
-    """Smallest monic irreducible of degree e over F_p (lexicographic search)."""
+    """Smallest monic irreducible of degree e over F_p, lexicographically
+    (constant coefficient least significant).
+
+    Each candidate f passes Ben-Or's test: f is irreducible iff
+    gcd(x^(p^i) - x, f) = 1 for i = 1..e//2, since a reducible f has a
+    factor of degree i <= e/2, which divides x^(p^i) - x.  x^(p^i) mod f
+    is taken as the p-th power of x^(p^(i-1)), and most reducible
+    candidates fail at a small i.
+    """
     x = (0, 1)
     for code in range(p ** e):
         coeffs = []
@@ -181,24 +175,18 @@ def _find_irreducible(p: int, e: int) -> Tuple[int, ...]:
             coeffs.append(c % p)
             c //= p
         f = tuple(coeffs) + (1,)
-        # f irreducible iff x^(p^e) == x mod f and gcd(x^(p^(e/l)) - x, f) = 1
-        xq = _gfp_powmod(x, p ** e, f, p)
-        if xq != x:
-            continue
-        ok = True
-        for ell in _prime_factors(e):
-            xr = _gfp_powmod(x, p ** (e // ell), f, p)
-            diff = list(xr) + [0] * max(0, 2 - len(xr))
+        h = x
+        for _ in range(e // 2):
+            h = _gfp_powmod(h, p, f, p)
+            diff = list(h) + [0] * max(0, 2 - len(h))
             diff[1] = (diff[1] - 1) % p
             while diff and diff[-1] == 0:
                 diff.pop()
-            g = _gfp_gcd(f, tuple(diff), p)
-            if len(g) != 1:
-                ok = False
+            if len(_gfp_gcd(f, tuple(diff), p)) != 1:
                 break
-        if ok:
+        else:
             return f
-    raise ValueError(f"no irreducible of degree {e} over F_{p}")  # unreachable
+    raise InternalConsistencyError(f"no irreducible of degree {e} over F_{p}")
 
 
 # Miller-Rabin witnesses: the primes up to 37 decide primality of every
@@ -210,10 +198,10 @@ MAX_PRIME = 2 ** 64
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for 0 <= n <= MAX_PRIME.
 
-    Larger n raise ValueError rather than be tested.
+    Larger n raise PreconditionError rather than be tested.
     """
     if n > MAX_PRIME:
-        raise ValueError(f"p = {n} exceeds the supported maximum 2^64")
+        raise PreconditionError(f"p = {n} exceeds the supported maximum 2^64")
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -240,12 +228,12 @@ class FiniteField:
 
     def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+            raise PreconditionError(f"p = {p} is not prime")
         if e < 1:
-            raise ValueError("e must be >= 1")
+            raise PreconditionError("e must be >= 1")
         # p >= 2, so e > 64 alone puts q past the bound; test it before p ** e
         if e > 64 or p ** e > MAX_PRIME:
-            raise ValueError(f"q = {p}^{e} exceeds the supported maximum 2^64")
+            raise PreconditionError(f"q = {p}^{e} exceeds the supported maximum 2^64")
         self.p = p
         self.e = e
         self.q = p ** e

@@ -5,7 +5,7 @@ Polynomials are tuples of coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Every function
 takes the coefficient protocol object as first argument: a field from
 :mod:`katzcyclic.fields` for K[x], :data:`~katzcyclic.fields.ZZ` for the
-integer polynomials of Q(x), or any ring for the B[X] of
+integer polynomials of Q(x) and Q[t], or any ring for the B[X] of
 :mod:`katzcyclic.xpoly`.  ``divmod_`` needs a field, or over ZZ an exact
 quotient (its steps divide by the divisor's leading coefficient).
 ``gcd`` is the gcd of Z[x] and Q[x] only: it runs a primitive
@@ -142,7 +142,11 @@ def primitive(f: Sequence[int]):
         content = -content
     if content in (0, 1):
         return content, f
-    return content, tuple(c // content for c in f)
+    # tuple() of a list, not of a generator: a generator's tuple is
+    # allocated at a guessed size and shrunk, which leaves its memory on
+    # the interpreter's free list for the smaller size, so that hot loops
+    # grow the process's memory
+    return content, tuple([c // content for c in f])
 
 
 def _prem(a: List[int], b: List[int]) -> List[int]:

@@ -10,18 +10,20 @@ Three concrete kinds are provided:
 * ``finite_field_poly`` -- F_q[x] with d = d/dx, q = p^e (characteristic p,
   no norm).
 
-The two polynomial kinds share the :class:`PolynomialRing` base: dense
-K[x] over a coefficient field K from :mod:`katzcyclic.fields`, which holds
-all their arithmetic, the derivation and the antiderivative.  The
-subclasses add only what differs: validation, the Gauss norm and the
-JSON descriptor.
-
-Q(x) stores an element as c * N/D (:class:`RatFunc`): one rational scale
-c times coprime primitive integer polynomials N and D with positive
-leading coefficients.  The form is unique, so equality is structural,
-and all polynomial work runs in Z[x] with
+Q(x) and Q[t] share one representation, :class:`RatFunc`: an element is
+c * N/D, one rational scale c times coprime primitive integer
+polynomials N and D with positive leading coefficients, and an element
+of Q[t] is one with D = (1,).  The form is unique, so equality is
+structural, and all polynomial work runs in Z[x] with
 :data:`~katzcyclic.fields.ZZ` as coefficient ring, with no Fraction
-arithmetic per coefficient.
+arithmetic per coefficient.  What the two kinds share sits in a private
+base; Q[t] never takes a gcd of polynomials (by Gauss's lemma a product
+of primitive polynomials is primitive), and its Gauss norm is read off
+c and the p-adic valuations of N's integer coefficients.
+
+F_q[x] stores dense coefficient tuples over
+:class:`~katzcyclic.fields.FiniteField` and runs on the
+:mod:`katzcyclic.polys` helpers.
 
 Every ring carries a distinguished element ``t`` with d(t) = 1 and exposes
 arithmetic through methods; elements themselves are plain data that no
@@ -38,7 +40,7 @@ from typing import Optional, Tuple
 from . import polys
 from .errors import NotInvertibleError, PreconditionError, UnsupportedOperationError
 from .fields import QQ, ZZ, FiniteField, is_prime
-from .normvalue import NormValue
+from .normvalue import NormValue, padic_valuation
 
 
 def _power(mul, one, a, k: int):
@@ -140,16 +142,17 @@ class Ring:
 
 
 class RatFunc:
-    """An element c * N/D of Q(x) in its unique canonical form.
+    """An element c * N/D of Q(x) or Q[t] in its unique canonical form.
 
     ``c`` is a nonzero Fraction; ``N`` and ``D`` are coprime primitive
     integer coefficient tuples (lowest degree first) with positive
-    leading coefficients.  Zero is c = 0, N = (), D = (1,).  As the form
-    is unique, elements compare structurally.
+    leading coefficients.  Zero is c = 0, N = (), D = (1,).  An element
+    of Q[t] is one with D = (1,).  As the form is unique, elements
+    compare structurally.
 
-    ``RatFunc(num, den)`` builds an element from Fraction coefficient
-    tuples, and ``num``/``den`` give it back as the reduced fraction
-    with a monic denominator.
+    ``RatFunc(num, den)`` builds an element of Q(x) from Fraction
+    coefficient tuples, and ``num``/``den`` give it back as the reduced
+    fraction with a monic denominator.
     """
 
     __slots__ = ("c", "N", "D")
@@ -185,11 +188,17 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
+_ONE = (1,)
+
+
 def _ratfunc(c: Fraction, N, D) -> RatFunc:
     """The element c * N/D, with (c, N, D) already canonical."""
     a = object.__new__(RatFunc)
     a.c, a.N, a.D = c, N, D
     return a
+
+
+_ZERO = _ratfunc(Fraction(0), (), _ONE)
 
 
 def _cancel(N, D):
@@ -203,33 +212,97 @@ def _cancel(N, D):
 def _canonical(p: int, q: int, N, D) -> RatFunc:
     """The element (p/q) * N/D for N, D in Z[x], D nonzero."""
     if not p or not N:
-        return _ratfunc(Fraction(0), (), (1,))
+        return _ZERO
     cn, N = polys.primitive(N)
     cd, D = polys.primitive(D)
     N, D = _cancel(N, D)
     return _ratfunc(Fraction(p * cn, q * cd), N, D)
 
 
-class RationalFunctionField(Ring):
+def _scaled(p: int, q: int, N: Tuple[int, ...]) -> RatFunc:
+    """The polynomial (p/q) * N for N in Z[x] with no trailing zeros.
+
+    Only N's content is taken out; with D = (1,) there is nothing to
+    cancel, so no gcd of polynomials is due.
+    """
+    if not p or not N:
+        return _ZERO
+    cn, N = polys.primitive(N)
+    return _ratfunc(Fraction(p * cn, q), N, _ONE)
+
+
+class _IntegerCoreRing(Ring):
+    """What Q(x) and Q[t] share: elements are :class:`RatFunc`, all
+    polynomial work is in Z[x] with :data:`~katzcyclic.fields.ZZ` as the
+    coefficient ring of the :mod:`katzcyclic.polys` helpers, and only
+    the scale c is a Fraction."""
+
+    characteristic = 0
+
+    def __init__(self, variable: str = "x"):
+        self.variable = variable
+        self.zero = _ZERO
+        self.one = _ratfunc(Fraction(1), _ONE, _ONE)
+        self.t = _ratfunc(Fraction(1), (0, 1), _ONE)
+        self.var_element = self.t
+
+    def neg(self, a: RatFunc) -> RatFunc:
+        return _ratfunc(-a.c, a.N, a.D)
+
+    def pow(self, a: RatFunc, k: int) -> RatFunc:
+        # Powers of coprime primitive polynomials are again coprime and
+        # primitive, so a^k needs no gcd at all.
+        if not a.c:
+            return self.one if k == 0 else self.zero
+        zmul = functools.partial(polys.mul, ZZ)
+        return _ratfunc(a.c ** k, _power(zmul, _ONE, a.N, k), _power(zmul, _ONE, a.D, k))
+
+    def is_zero(self, a: RatFunc) -> bool:
+        return not a.c
+
+    def eq(self, a: RatFunc, b: RatFunc) -> bool:
+        return a == b
+
+    def from_int(self, n: int) -> RatFunc:
+        return self.from_fraction(Fraction(n))
+
+    def from_fraction(self, q: Fraction) -> RatFunc:
+        if q == 0:
+            return self.zero
+        return _ratfunc(Fraction(q), _ONE, _ONE)
+
+    def antiderivative(self, a: RatFunc):
+        if len(a.D) > 1:
+            return None  # no rational antiderivative in general
+        # c * sum N_i t^(i+1)/(i+1) = (c/m) * sum N_i (m/(i+1)) t^(i+1)
+        m = math.lcm(*range(1, len(a.N) + 1))
+        num = (0,) + tuple(n * (m // (i + 1)) for i, n in enumerate(a.N))
+        return _scaled(a.c.numerator, a.c.denominator * m, num)
+
+    def is_constant(self, a: RatFunc) -> bool:
+        return len(a.N) <= 1 and len(a.D) == 1
+
+    def degree(self, a: RatFunc) -> int:
+        """The larger of the numerator's and the denominator's degree."""
+        return -1 if not a.c else max(len(a.N), len(a.D)) - 1
+
+    def to_str(self, a: RatFunc) -> str:
+        num = polys.to_str(QQ, a.num, self.variable)
+        if len(a.D) == 1:
+            return num
+        den = polys.to_str(QQ, a.den, self.variable)
+        return f"({num})/({den})"
+
+
+class RationalFunctionField(_IntegerCoreRing):
     """Q(x) with d = d/dx; the distinguished element t is x itself.
 
-    Elements are :class:`RatFunc`.  All polynomial work is in Z[x], with
-    :data:`~katzcyclic.fields.ZZ` as the coefficient ring of the
-    :mod:`katzcyclic.polys` helpers; only the scale c is a Fraction.
     Products cross-cancel first (Henrici; Knuth TAOCP 2, 4.5.1), and by
     Gauss's lemma products of primitive polynomials stay primitive.
     """
 
     kind = "rational_function"
-    characteristic = 0
     is_field = True
-
-    def __init__(self, variable: str = "x"):
-        self.variable = variable
-        self.zero = _ratfunc(Fraction(0), (), (1,))
-        self.one = _ratfunc(Fraction(1), (1,), (1,))
-        self.t = _ratfunc(Fraction(1), (0, 1), (1,))
-        self.var_element = self.t
 
     def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
         if not a.c:
@@ -250,9 +323,6 @@ class RationalFunctionField(Ring):
         )
         return _canonical(1, q, num, polys.mul(ZZ, a.D, b.D))
 
-    def neg(self, a: RatFunc) -> RatFunc:
-        return _ratfunc(-a.c, a.N, a.D)
-
     def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
         # With a and b canonical, the cross-cancelled products are again
         # coprime and primitive, so no gcd of the product is due.
@@ -263,28 +333,6 @@ class RationalFunctionField(Ring):
         return _ratfunc(
             a.c * b.c, polys.mul(ZZ, a_num, b_num), polys.mul(ZZ, a_den, b_den)
         )
-
-    def pow(self, a: RatFunc, k: int) -> RatFunc:
-        # Powers of coprime primitive polynomials are again coprime and
-        # primitive, so a^k needs no gcd at all.
-        if not a.c:
-            return self.one if k == 0 else self.zero
-        zmul = functools.partial(polys.mul, ZZ)
-        return _ratfunc(a.c ** k, _power(zmul, (1,), a.N, k), _power(zmul, (1,), a.D, k))
-
-    def is_zero(self, a: RatFunc) -> bool:
-        return not a.c
-
-    def eq(self, a: RatFunc, b: RatFunc) -> bool:
-        return a == b
-
-    def from_int(self, n: int) -> RatFunc:
-        return self.from_fraction(Fraction(n))
-
-    def from_fraction(self, q: Fraction) -> RatFunc:
-        if q == 0:
-            return self.zero
-        return _ratfunc(Fraction(q), (1,), (1,))
 
     def is_invertible(self, a: RatFunc) -> bool:
         return not self.is_zero(a)
@@ -303,45 +351,111 @@ class RationalFunctionField(Ring):
         )
         return _canonical(a.c.numerator, a.c.denominator, num, polys.mul(ZZ, a.D, a.D))
 
-    def antiderivative(self, a: RatFunc):
-        if polys.degree(a.D) > 0:
-            return None  # no rational antiderivative in general
-        coeffs = [Fraction(0)] + [a.c * n / (i + 1) for i, n in enumerate(a.N)]
-        return RatFunc(coeffs, (Fraction(1),))
-
-    def is_constant(self, a: RatFunc) -> bool:
-        return polys.degree(a.N) <= 0 and polys.degree(a.D) == 0
-
-    def degree(self, a: RatFunc) -> int:
-        """The larger of the numerator's and the denominator's degree."""
-        return -1 if self.is_zero(a) else max(polys.degree(a.N), polys.degree(a.D))
-
-    def to_str(self, a: RatFunc) -> str:
-        num = polys.to_str(QQ, a.num, self.variable)
-        if polys.degree(a.D) == 0:
-            return num
-        den = polys.to_str(QQ, a.den, self.variable)
-        return f"({num})/({den})"
-
     def descriptor(self) -> dict:
         return {"kind": self.kind, "variable": self.variable}
 
 
-class PolynomialRing(Ring):
-    """Dense K[x] over a coefficient field K, with d = d/dx.
+class GaussPolynomialRing(_IntegerCoreRing):
+    """Q[t] with the p-adic Gauss norm |sum a_i t^i| = max |a_i|_p p^(-r i).
 
-    Elements are coefficient tuples as in :mod:`katzcyclic.polys`; the
-    distinguished element t is x itself and the units are the nonzero
-    constants.
+    Models a Tate algebra of radius p^(-r); the norm is multiplicative.
+    Units are the nonzero rational constants.  An element is c * N with
+    N primitive in Z[t] (a :class:`RatFunc` with D = (1,)); by Gauss's
+    lemma a product of primitive polynomials is primitive, so ``mul``
+    takes no content, and no operation takes a gcd of polynomials.
     """
 
-    def __init__(self, field, variable: str):
-        self.field = field
-        self.characteristic = field.characteristic
+    kind = "gauss_padic"
+    is_banach = True
+
+    def __init__(self, p: int, radius_exp: int = 0, variable: str = "t"):
+        if radius_exp < 0:
+            raise PreconditionError("radius exponent must be >= 0")
+        if not is_prime(p):
+            raise PreconditionError(f"p = {p} is not prime")
+        super().__init__(variable)
+        self.prime = p
+        self.radius_exp = radius_exp
+
+    def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
+        if not a.c:
+            return b
+        if not b.c:
+            return a
+        # a + b = (ma aN + mb bN) / lcm, with integer multipliers
+        qa, qb = a.c.denominator, b.c.denominator
+        q = qa * qb // math.gcd(qa, qb)
+        ma, mb = a.c.numerator * (q // qa), b.c.numerator * (q // qb)
+        f, g = a.N, b.N
+        if len(f) < len(g):
+            f, g, ma, mb = g, f, mb, ma
+        num = [ma * x for x in f]
+        for i, y in enumerate(g):
+            num[i] += mb * y
+        while num and not num[-1]:
+            num.pop()
+        return _scaled(1, q, tuple(num))
+
+    def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
+        if not a.c or not b.c:
+            return self.zero
+        return _ratfunc(a.c * b.c, polys.mul(ZZ, a.N, b.N), _ONE)
+
+    def is_invertible(self, a: RatFunc) -> bool:
+        return len(a.N) == 1
+
+    def inv(self, a: RatFunc) -> RatFunc:
+        if not self.is_invertible(a):
+            raise NotInvertibleError(f"only nonzero constants are units in {self.kind}")
+        return _ratfunc(1 / a.c, _ONE, _ONE)
+
+    def derive(self, a: RatFunc) -> RatFunc:
+        return _scaled(a.c.numerator, a.c.denominator, polys.derive(ZZ, a.N))
+
+    def norm(self, a: RatFunc) -> NormValue:
+        # |c N| = |c|_p max_i |N_i|_p p^(-r i); N is primitive, so at
+        # r = 0 the maximum is |N_i|_p = 1 and |c N| = |c|_p.
+        p = self.prime
+        if not a.c:
+            return NormValue.zero(p)
+        r = self.radius_exp
+        exp = padic_valuation(a.c.denominator, p) - padic_valuation(a.c.numerator, p)
+        if r:
+            exp += max(-padic_valuation(n, p) - r * i for i, n in enumerate(a.N) if n)
+        return NormValue(p, exp)
+
+    def derivation_norm(self) -> NormValue:
+        # |d(t^i)| / |t^i| = |i|_p * p^r, maximal at i = 1.
+        return NormValue(self.prime, self.radius_exp)
+
+    def descriptor(self) -> dict:
+        return {
+            "kind": self.kind,
+            "variable": self.variable,
+            "p": self.prime,
+            "radius_exp": self.radius_exp,
+        }
+
+
+class FiniteFieldPolyRing(Ring):
+    """F_q[x] with d = d/dx, q = p^e.  Characteristic p; no norm.
+
+    Elements are coefficient tuples over :class:`~katzcyclic.fields.FiniteField`
+    as in :mod:`katzcyclic.polys`; the distinguished element t is x
+    itself and the units are the nonzero constants.
+    """
+
+    kind = "finite_field_poly"
+
+    def __init__(self, p: int, e: int = 1, variable: str = "x"):
+        self.field = FiniteField(p, e)
+        self.characteristic = p
+        self.prime = p
+        self.q_exp = e
         self.variable = variable
         self.zero = ()
-        self.one = (field.one,)
-        self.t = (field.zero, field.one)
+        self.one = (self.field.one,)
+        self.t = (self.field.zero, self.field.one)
         self.var_element = self.t
 
     def add(self, a, b):
@@ -394,59 +508,6 @@ class PolynomialRing(Ring):
 
     def to_str(self, a) -> str:
         return polys.to_str(self.field, a, self.variable)
-
-
-class GaussPolynomialRing(PolynomialRing):
-    """Q[t] with the p-adic Gauss norm |sum a_i t^i| = max |a_i|_p p^(-r i).
-
-    Models a Tate algebra of radius p^(-r); the norm is multiplicative.
-    Units are the nonzero rational constants.
-    """
-
-    kind = "gauss_padic"
-    is_banach = True
-
-    def __init__(self, p: int, radius_exp: int = 0, variable: str = "t"):
-        if radius_exp < 0:
-            raise ValueError("radius exponent must be >= 0")
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        super().__init__(QQ, variable)
-        self.prime = p
-        self.radius_exp = radius_exp
-
-    def norm(self, a) -> NormValue:
-        best = NormValue.zero(self.prime)
-        for i, c in enumerate(a):
-            v = NormValue.of_fraction(c, self.prime) * NormValue(
-                self.prime, -self.radius_exp * i
-            )
-            if v > best:
-                best = v
-        return best
-
-    def derivation_norm(self) -> NormValue:
-        # |d(t^i)| / |t^i| = |i|_p * p^r, maximal at i = 1.
-        return NormValue(self.prime, self.radius_exp)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "variable": self.variable,
-            "p": self.prime,
-            "radius_exp": self.radius_exp,
-        }
-
-
-class FiniteFieldPolyRing(PolynomialRing):
-    """F_q[x] with d = d/dx, q = p^e.  Characteristic p; no norm."""
-
-    kind = "finite_field_poly"
-
-    def __init__(self, p: int, e: int = 1, variable: str = "x"):
-        super().__init__(FiniteField(p, e), variable)
-        self.prime = p
-        self.q_exp = e
 
     def descriptor(self) -> dict:
         return {
@@ -555,6 +616,8 @@ def ring_from_json(desc: dict) -> Ring:
                 f"ring field '{key}' must be of type {typ.__name__}, got {desc[key]!r}"
             )
     kind = desc.get("kind")
+    if kind in ("gauss_padic", "finite_field_poly") and "p" not in desc:
+        raise PreconditionError(f"ring descriptor of kind '{kind}' lacks key 'p'")
     if kind == "rational_function":
         return RationalFunctionField(desc.get("variable", "x"))
     if kind == "gauss_padic":
@@ -567,4 +630,4 @@ def ring_from_json(desc: dict) -> Ring:
         return FiniteFieldPolyRing(
             p=desc["p"], e=desc.get("q_exp", 1), variable=desc.get("variable", "x")
         )
-    raise ValueError(f"unknown ring kind: {kind!r}")
+    raise PreconditionError(f"unknown ring kind: {kind!r}")

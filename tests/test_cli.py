@@ -192,6 +192,30 @@ def test_malformed_module_json_is_an_error(capsys, tmp_path, command, doc):
     assert err.startswith("error: ")
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# A missing key used to print as the bare KeyError text, e.g. "error: 'ring'".
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        (CYCLIC, _without(QX_DOC, "ring"), "ring"),
+        (CYCLIC, _without(QX_DOC, "n"), "n"),
+        (CYCLIC, _without(QX_DOC, "G1"), "G1"),
+        (CERTIFY, {**GAUSS_DOC, "ring": _without(GAUSS_DOC["ring"], "p")}, "p"),
+        (CYCLIC, {**QX_DOC, "ring": {"kind": "finite_field_poly", "q_exp": 2}}, "p"),
+    ],
+    ids=["ring", "n", "G1", "gauss-p", "fq-p"],
+)
+def test_missing_key_is_named(capsys, tmp_path, command, doc, key):
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command + ["-i", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"lacks key '{key}'" in err
+
+
 # Inputs that would otherwise run without bound: a rank one past the
 # cap, and a p whose primality would be tried by 10^15 trial divisions.
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from katzcyclic import (
     GaussPolynomialRing,
     NormValue,
     NotInvertibleError,
+    PreconditionError,
     RationalFunctionField,
     ScaledDerivationRing,
     UnsupportedOperationError,
@@ -298,21 +299,21 @@ class TestPrimality:
         assert is_prime(2 ** 64 - 59)  # largest prime below 2^64
 
     def test_beyond_2_64_raises(self):
-        with pytest.raises(ValueError, match="2\\^64"):
+        with pytest.raises(PreconditionError, match="2\\^64"):
             is_prime(2 ** 64 + 13)
 
     def test_field_order_bound(self):
         assert FiniteField(2, 64).q == 2 ** 64
         for p, e in [(2, 65), (3, 41), (2 ** 64 - 59, 2), (2, 10 ** 9)]:
-            with pytest.raises(ValueError, match="exceeds the supported maximum 2\\^64"):
+            with pytest.raises(PreconditionError, match="exceeds the supported maximum 2\\^64"):
                 FiniteFieldPolyRing(p, e)
 
     @pytest.mark.parametrize("make", [GaussPolynomialRing, FiniteField, FiniteFieldPolyRing])
     def test_rings_use_it(self, make):
         assert make(2 ** 61 - 1).characteristic in (0, 2 ** 61 - 1)
-        with pytest.raises(ValueError, match="not prime"):
+        with pytest.raises(PreconditionError, match="not prime"):
             make(561)
-        with pytest.raises(ValueError, match="2\\^64"):
+        with pytest.raises(PreconditionError, match="2\\^64"):
             make(10 ** 30 + 57)
 
 

@@ -12,6 +12,7 @@ from katzcyclic import (
     RationalFunctionField,
     ScaledDerivationRing,
     UnsupportedOperationError,
+    ring_from_json,
 )
 from katzcyclic import polys
 from katzcyclic.fields import ZZ, FiniteField, is_prime
@@ -315,6 +316,20 @@ class TestPrimality:
             make(561)
         with pytest.raises(PreconditionError, match="2\\^64"):
             make(10 ** 30 + 57)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GaussPolynomialRing(3, radius_exp=-1),
+        lambda: FiniteField(3, 0),
+        lambda: ring_from_json({"kind": "laurent"}),
+    ],
+    ids=["radius", "e", "kind"],
+)
+def test_invalid_ring_parameters_are_precondition_errors(build):
+    with pytest.raises(PreconditionError):
+        build()
 
 
 def test_oversized_coefficient_print_is_a_typed_error(qx):

@@ -9,7 +9,7 @@ G_{s+1} = d(G_s) + G_s * G1 with G_0 = Id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Sequence, Tuple
 
 from . import linalg
@@ -111,15 +111,13 @@ def rescale_derivation(m: DifferentialModule, f) -> DifferentialModule:
     ):
         # f = old factor inverse: undo the wrapper instead of stacking two
         new_ring: Ring = ring.base
-        f_in_base = f
-        g1 = linalg.mat_scale(new_ring, f_in_base, m.g1)
-        return DifferentialModule(
-            ring=new_ring, n=m.n, g1=g1, allow_small_factorial=m.allow_small_factorial
-        )
-    new_ring = ScaledDerivationRing(ring, f)
-    g1 = linalg.mat_scale(new_ring, f, m.g1)
+    else:
+        new_ring = ScaledDerivationRing(ring, f)
     return DifferentialModule(
-        ring=new_ring, n=m.n, g1=g1, allow_small_factorial=m.allow_small_factorial
+        ring=new_ring,
+        n=m.n,
+        g1=linalg.mat_scale(new_ring, f, m.g1),
+        allow_small_factorial=m.allow_small_factorial,
     )
 
 
@@ -155,17 +153,7 @@ class CharPReport:
     message: str
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "e": self.e,
-            "q": self.q,
-            "n": self.n,
-            "monomial_degrees_checked": self.monomial_degrees_checked,
-            "sampled_vectors": [list(v) for v in self.sampled_vectors],
-            "zero_power_index": self.zero_power_index,
-            "all_determinants_zero": self.all_determinants_zero,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 def charp_counterexample(p: int, e: int, n: int, max_degree: int = 12) -> CharPReport:

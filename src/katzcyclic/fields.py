@@ -1,10 +1,16 @@
-"""Base coefficient fields, the rationals and finite fields F_{p^e}, and
-the integers as a coefficient ring.
+"""Coefficient rings: the rationals Q, the integers Z, and the finite
+fields F_p and F_{p^e}.
 
 All expose the same small protocol (zero, one, add, sub, mul, neg,
 div, is_zero, eq, from_int, characteristic, to_str; the fields also
 inv) so that the dense polynomial helpers in :mod:`katzcyclic.polys`
 stay generic.
+
+The layers run ZZ, QQ, F_p -> :mod:`katzcyclic.polys` -> F_{p^e}, F_q[x],
+Q(x), Q[t].  F_p is the private ``_IntegersModP``; :class:`FiniteField`
+with e > 1 multiplies, and searches for its irreducible modulus, with
+``polys`` over it.  :func:`power` is the package's one
+square-and-multiply loop.
 
 Rational elements are :class:`fractions.Fraction`; integers are Python
 ints; finite-field elements are tuples of e ints in [0, p), coordinates
@@ -18,6 +24,18 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import InternalConsistencyError, NotInvertibleError, PreconditionError
+
+
+def power(mul, one, a, k: int):
+    """a^k for k >= 0 by square-and-multiply with the product ``mul``."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, a)
+        k >>= 1
+        if k:
+            a = mul(a, a)
+    return out
 
 
 class RationalField:
@@ -105,56 +123,42 @@ ZZ = IntegerRing()
 
 GFElem = Tuple[int, ...]
 
-
-def _gfp_polymul(a, b, p):
-    """Product of two dense int-coefficient polynomials mod p."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+# polys is built on QQ and ZZ above; F_{p^e} below is built on polys.
+from . import polys  # noqa: E402
 
 
-def _gfp_polymod(a, m, p):
-    """a mod m over F_p, m monic."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1] % p
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-        while a and a[-1] % p == 0:
-            a.pop()
-    return tuple(c % p for c in a)
+class _IntegersModP:
+    """The ring F_p on Python ints, in the style of ZZ: an int stands for
+    its residue mod p, so add, sub, mul and neg are the builtin
+    operators, and is_zero and eq compare mod p.  It is the coefficient
+    ring of the :mod:`katzcyclic.polys` helpers behind F_{p^e}.
+    """
+
+    zero = 0
+    one = 1
+    add = operator.add
+    sub = operator.sub
+    mul = operator.mul
+    neg = operator.neg
+    from_int = int
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def div(self, a: int, b: int) -> int:
+        return a * pow(b, -1, self.p) % self.p
+
+    def is_zero(self, a: int) -> bool:
+        return a % self.p == 0
+
+    def eq(self, a: int, b: int) -> bool:
+        return (a - b) % self.p == 0
 
 
-def _gfp_powmod(base, exp, m, p):
-    result = (1,)
-    base = _gfp_polymod(base, m, p)
-    while exp:
-        if exp & 1:
-            result = _gfp_polymod(_gfp_polymul(result, base, p), m, p)
-        base = _gfp_polymod(_gfp_polymul(base, base, p), m, p)
-        exp >>= 1
-    return result
-
-
-def _gfp_gcd(a, b, p):
-    a, b = tuple(a), tuple(b)
-    while b:
-        # reduce a mod b after making b monic
-        lead_inv = pow(b[-1], p - 2, p)
-        b_monic = tuple((c * lead_inv) % p for c in b)
-        a, b = b, _gfp_polymod(a, b_monic, p)
-    return a
+def _mulmod(Fp: _IntegersModP, a, b, m) -> Tuple[int, ...]:
+    """a * b mod m over F_p, for m monic, with coefficients in [0, p)."""
+    r = polys.divmod_(Fp, polys.mul(Fp, a, b), m)[1]
+    return tuple([c % Fp.p for c in r])
 
 
 def _find_irreducible(p: int, e: int) -> Tuple[int, ...]:
@@ -167,6 +171,7 @@ def _find_irreducible(p: int, e: int) -> Tuple[int, ...]:
     is taken as the p-th power of x^(p^(i-1)), and most reducible
     candidates fail at a small i.
     """
+    Fp = _IntegersModP(p)
     x = (0, 1)
     for code in range(p ** e):
         coeffs = []
@@ -177,12 +182,11 @@ def _find_irreducible(p: int, e: int) -> Tuple[int, ...]:
         f = tuple(coeffs) + (1,)
         h = x
         for _ in range(e // 2):
-            h = _gfp_powmod(h, p, f, p)
-            diff = list(h) + [0] * max(0, 2 - len(h))
-            diff[1] = (diff[1] - 1) % p
-            while diff and diff[-1] == 0:
-                diff.pop()
-            if len(_gfp_gcd(f, tuple(diff), p)) != 1:
+            h = power(lambda a, b: _mulmod(Fp, a, b, f), (1,), h, p)
+            a, b = f, polys.sub(Fp, h, x)
+            while b:
+                a, b = b, polys.divmod_(Fp, a, b)[1]
+            if len(a) != 1:
                 break
         else:
             return f
@@ -238,6 +242,7 @@ class FiniteField:
         self.e = e
         self.q = p ** e
         self.characteristic = p
+        self._Fp = _IntegersModP(p)
         self.modulus = _find_irreducible(p, e) if e > 1 else None
         self.zero: GFElem = (0,) * e
         self.one: GFElem = (1,) + (0,) * (e - 1)
@@ -254,23 +259,14 @@ class FiniteField:
     def mul(self, a: GFElem, b: GFElem) -> GFElem:
         if self.e == 1:
             return ((a[0] * b[0]) % self.p,)
-        prod = _gfp_polymul(a, b, self.p)
-        red = _gfp_polymod(prod, self.modulus, self.p)
-        return tuple(red) + (0,) * (self.e - len(red))
+        red = _mulmod(self._Fp, a, b, self.modulus)
+        return red + (0,) * (self.e - len(red))
 
     def inv(self, a: GFElem) -> GFElem:
         if self.is_zero(a):
             raise NotInvertibleError("0 is not invertible")
         # a^(q-2) = a^(-1) in F_q
-        result = self.one
-        base = a
-        exp = self.q - 2
-        while exp:
-            if exp & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            exp >>= 1
-        return result
+        return power(self.mul, self.one, a, self.q - 2)
 
     def div(self, a: GFElem, b: GFElem) -> GFElem:
         return self.mul(a, self.inv(b))

@@ -254,15 +254,11 @@ def base_change(m: DifferentialModule) -> BaseChangeDecomposition:
     )
 
 
-def vandermonde_det(constants: Sequence, ring=None):
-    """prod_{i<j} (a_j - a_i); rational inputs by default, ring elements
-    when a ring is supplied."""
-    if ring is None:
-        out = Fraction(1)
-        for i in range(len(constants)):
-            for j in range(i + 1, len(constants)):
-                out *= Fraction(constants[j]) - Fraction(constants[i])
-        return out
+def vandermonde_det(constants: Sequence, ring=QQ):
+    """prod_{i<j} (a_j - a_i) over ``ring``: by default the rationals,
+    given as ints or Fractions, else elements of the ring supplied."""
+    if ring is QQ:
+        constants = [Fraction(c) for c in constants]
     out = ring.one
     for i in range(len(constants)):
         for j in range(i + 1, len(constants)):

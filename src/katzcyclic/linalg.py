@@ -31,9 +31,8 @@ def identity(ring, n: int) -> Matrix:
     )
 
 
-def zeros(ring, n: int, m: int = None) -> Matrix:
-    m = n if m is None else m
-    return tuple(tuple(ring.zero for _ in range(m)) for _ in range(n))
+def zeros(ring, n: int) -> Matrix:
+    return tuple(tuple(ring.zero for _ in range(n)) for _ in range(n))
 
 
 def mat_add(ring, a: Matrix, b: Matrix) -> Matrix:

@@ -1,6 +1,12 @@
 """Dense univariate polynomial arithmetic, the one implementation in the
 package.
 
+It sits between the coefficient rings and the rings built from them:
+ZZ, QQ, F_p (:mod:`katzcyclic.fields`) -> polys -> F_{p^e}
+(:class:`~katzcyclic.fields.FiniteField`, whose products are taken
+modulo an irreducible over F_p), F_q[x], Q(x) and Q[t]
+(:mod:`katzcyclic.rings`), and B[X] (:mod:`katzcyclic.xpoly`).
+
 Polynomials are tuples of coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Every function
 takes the coefficient protocol object as first argument: a field from
@@ -198,6 +204,8 @@ def to_str(K, f: Poly, var: str) -> str:
             term = s
         else:
             xpow = var if i == 1 else f"{var}^{i}"
+            if "+" in s:  # a sum, such as 1+g in F_{p^e}, multiplies as a whole
+                s = f"({s})"
             term = xpow if s == "1" else f"{s}*{xpow}"
         if not parts:
             parts.append(("-" if negative else "") + term)

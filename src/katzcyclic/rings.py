@@ -39,20 +39,8 @@ from typing import Optional, Tuple
 
 from . import polys
 from .errors import NotInvertibleError, PreconditionError, UnsupportedOperationError
-from .fields import QQ, ZZ, FiniteField, is_prime
+from .fields import QQ, ZZ, FiniteField, is_prime, power
 from .normvalue import NormValue, padic_valuation
-
-
-def _power(mul, one, a, k: int):
-    """a^k for k >= 0 by square-and-multiply with the product ``mul``."""
-    out = one
-    while k:
-        if k & 1:
-            out = mul(out, a)
-        k >>= 1
-        if k:
-            a = mul(a, a)
-    return out
 
 
 class Ring:
@@ -80,7 +68,7 @@ class Ring:
 
     def pow(self, a, k: int):
         """a^k for k >= 0."""
-        return _power(self.mul, self.one, a, k)
+        return power(self.mul, self.one, a, k)
 
     def is_zero(self, a) -> bool:
         raise NotImplementedError
@@ -255,7 +243,7 @@ class _IntegerCoreRing(Ring):
         if not a.c:
             return self.one if k == 0 else self.zero
         zmul = functools.partial(polys.mul, ZZ)
-        return _ratfunc(a.c ** k, _power(zmul, _ONE, a.N, k), _power(zmul, _ONE, a.D, k))
+        return _ratfunc(a.c ** k, power(zmul, _ONE, a.N, k), power(zmul, _ONE, a.D, k))
 
     def is_zero(self, a: RatFunc) -> bool:
         return not a.c

@@ -32,10 +32,6 @@ class MatrixNormKind:
     rho: NormValue
 
     @staticmethod
-    def sup(p: int) -> "MatrixNormKind":
-        return MatrixNormKind("sup", NormValue.one(p))
-
-    @staticmethod
     def rho_t_inverse(ring) -> "MatrixNormKind":
         return MatrixNormKind("rho-t", ring.norm(ring.t).inverse())
 

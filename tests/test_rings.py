@@ -244,6 +244,14 @@ class TestFiniteFieldExtension:
                 if not K.is_zero(x):
                     assert K.mul(x, K.inv(x)) == K.one
 
+    def test_sum_coefficients_print_in_parentheses(self):
+        ring = FiniteFieldPolyRing(2, 2)
+        one_plus_g, g = (1, 1), (0, 1)
+        assert ring.to_str((ring.field.zero, one_plus_g)) == "(1+g)*x"
+        assert ring.to_str((one_plus_g, one_plus_g)) == "(1+g)*x + 1+g"
+        assert ring.to_str((g, g, ring.field.one)) == "x^2 + g*x + g"
+        assert ring.to_str((ring.field.zero, one_plus_g)) != ring.to_str(((1, 0), g))
+
 
 class TestPow:
     """Ring.pow (square-and-multiply; in Q(x) the powers of N and D, with

@@ -1,10 +1,10 @@
 """Coefficient rings: the rationals Q, the integers Z, and the finite
 fields F_p and F_{p^e}.
 
-All expose the same small protocol (zero, one, add, sub, mul, neg,
-div, is_zero, eq, from_int, characteristic, to_str; the fields also
-inv) so that the dense polynomial helpers in :mod:`katzcyclic.polys`
-stay generic.
+QQ, ZZ and FiniteField expose the same small protocol (zero, one, add,
+sub, mul, neg, div, is_zero, eq, from_int, characteristic, to_str; the
+fields also inv) so that the dense polynomial helpers in
+:mod:`katzcyclic.polys` stay generic.
 
 The layers run ZZ, QQ, F_p -> :mod:`katzcyclic.polys` -> F_{p^e}, F_q[x],
 Q(x), Q[t].  F_p is the private ``_IntegersModP``; :class:`FiniteField`

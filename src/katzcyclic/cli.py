@@ -32,7 +32,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
 # Largest rank accepted by cyclic, companion, certify and counterexample,
-# and the default --max-n of tables: the work grows like n! in the rank.
+# and the default --max-n of tables: the work grows steeply in the rank.
 MAX_RANK = 8
 
 

@@ -265,8 +265,21 @@ class FiniteField:
     def inv(self, a: GFElem) -> GFElem:
         if self.is_zero(a):
             raise NotInvertibleError("0 is not invertible")
-        # a^(q-2) = a^(-1) in F_q
-        return power(self.mul, self.one, a, self.q - 2)
+        p = self.p
+        if self.e == 1:
+            return (pow(a[0], -1, p),)
+        # Extended Euclid over F_p: s * a = r mod the modulus, until r is
+        # a nonzero constant (the modulus is irreducible); at most e steps.
+        Fp = self._Fp
+        r0, r1 = self.modulus, polys.normalize(Fp, a)
+        s0, s1 = (), (1,)
+        while len(r1) > 1:
+            q, r = polys.divmod_(Fp, r0, r1)
+            s = polys.sub(Fp, s0, polys.mul(Fp, q, s1))
+            r0, r1 = r1, tuple([c % p for c in r])
+            s0, s1 = s1, tuple([c % p for c in s])
+        c = pow(r1[0], -1, p)
+        return tuple([x * c % p for x in s1]) + (0,) * (self.e - len(s1))
 
     def div(self, a: GFElem, b: GFElem) -> GFElem:
         return self.mul(a, self.inv(b))

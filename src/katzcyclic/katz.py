@@ -8,6 +8,17 @@ have monomial entries alpha(s;i,j) X^(s+j-i)/(s+j-i)! with integer
 alpha, and det H(X) =: P(X) satisfies P(0) = 1 and deg P <= n(n-1), so
 specializing X := t - a at n(n-1)+1 distinct constants a must hit a
 nonzero determinant over a field.
+
+Over Q(x) and Q[t], ``base_change`` takes P(X) as one determinant over
+Z (:meth:`~katzcyclic.rings.RationalFunctionField.xdet`): each row of
+H(X) is cleared of denominators into Z[x][X], each entry packed into one
+int by Kronecker substitution x -> 2^k, X -> 2^(k (d+1)), with d the sum
+of the rows' largest x-degrees and k one bit more than the bound
+prod_i sum_j |h_ij|_1 on the coefficients of the determinant; the
+determinant's balanced base-2^k digits, over the rows' multipliers, are
+P's coefficients.  No gcd is taken during the elimination, and one
+canonical form per coefficient of P after it.  Other rings (F_q[x], the
+scaled-derivation rings) take det H(X) over ring[X].
 """
 
 from __future__ import annotations
@@ -232,9 +243,8 @@ def base_change(m: DifferentialModule) -> BaseChangeDecomposition:
     """Assemble H(X) = sum_s H_s(X) G_s and its determinant P(X)."""
     ring = m.ring
     n = m.n
-    xring = XPolyRing(ring)
     h_assembled, tables = assemble_h(m)
-    det_poly = linalg.det(xring, h_assembled)
+    det_poly = ring.xdet(h_assembled)
     max_deg = n * (n - 1)
     coeffs = tuple(
         det_poly[k] if k < len(det_poly) else ring.zero for k in range(max_deg + 1)

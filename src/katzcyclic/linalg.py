@@ -1,10 +1,14 @@
 """Matrices and row vectors over a ring.
 
 Matrices are tuples of tuples of ring elements; rows/vectors are tuples.
-``det`` is the package's one elimination routine: Laplace expansion,
-which never divides, so it works over any commutative ring and on
-polynomial entries makes no gcd.  Ranks here never exceed ~8, so its n!
-terms stay affordable.  ``solve_left`` is Cramer's rule over ``det``
+``det`` is the package's one elimination routine: cofactor expansion
+along the first column, which never divides, so it works over any
+commutative ring and on polynomial entries makes no gcd.  Each minor on
+the trailing columns is named by the bitmask of its rows and computed
+once, which takes n * 2^(n-1) - n products, where the plain expansion
+takes about (e-1) * n! (1,016 against 69,280 at n = 8); the products
+and sums are those of the plain expansion, in the same order, so every
+ring gets the same result.  ``solve_left`` is Cramer's rule over ``det``
 with a single field inversion.  Fraction-free Bareiss elimination was
 measured as the alternative and rejected: each of its exact divisions
 costs two gcds in Q(x), which made P(X) = det H(X) over Q(x)[X] about
@@ -102,18 +106,36 @@ def row_mat_mul(ring, v: Row, a: Matrix) -> Row:
 
 
 def det(ring, a: Matrix):
-    """Determinant by cofactor expansion along the first column."""
+    """Determinant by cofactor expansion along the first column, each
+    minor computed once.
+
+    The minor on the trailing columns k..n-1 is named by the bitmask of
+    its n - k rows and stored the first time it is reached, so the
+    expansion takes n * 2^(n-1) - n products instead of about (e-1) * n!.
+    """
     n = len(a)
-    if n == 1:
-        return a[0][0]
-    acc = ring.zero
-    for i in range(n):
-        if ring.is_zero(a[i][0]):
-            continue
-        minor = tuple(a[k][1:] for k in range(n) if k != i)
-        cof = ring.mul(a[i][0], det(ring, minor))
-        acc = ring.add(acc, cof) if i % 2 == 0 else ring.sub(acc, cof)
-    return acc
+    minors = {}
+
+    def minor(rows: int):
+        col = n - rows.bit_count()
+        if col == n - 1:
+            return a[rows.bit_length() - 1][col]
+        acc = minors.get(rows)
+        if acc is not None:
+            return acc
+        acc = ring.zero
+        sign = 0
+        for i in range(n):
+            if not rows >> i & 1:
+                continue
+            if not ring.is_zero(a[i][col]):
+                cof = ring.mul(a[i][col], minor(rows & ~(1 << i)))
+                acc = ring.sub(acc, cof) if sign else ring.add(acc, cof)
+            sign ^= 1
+        minors[rows] = acc
+        return acc
+
+    return minor((1 << n) - 1)
 
 
 def solve_left(ring, a: Matrix, b: Row) -> Row:

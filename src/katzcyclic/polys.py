@@ -17,7 +17,13 @@ quotient (its steps divide by the divisor's leading coefficient).
 ``gcd`` is the gcd of Z[x] and Q[x] only: it runs a primitive
 pseudo-remainder sequence over Z (Collins 1967; Brown 1971), which keeps
 the coefficients as small as the gcd's content allows instead of letting
-Euclid's remainders over Q grow.
+Euclid's remainders over Q grow.  ``pack`` and ``unpack`` are Kronecker
+substitution for Z[x]: ``pack(f, k)`` is the int f(2^k), and
+``unpack(v, k)`` (k >= 2) reads the coefficients back as v's balanced
+base-2^k digits, which is exact when every coefficient lies in
+[-2^(k-1), 2^(k-1)).  Applied twice, with x -> 2^k inside
+X -> 2^(k (d+1)) for x-degrees at most d, they pack Z[x][X] and unpack
+it again when every coefficient is below 2^(k-1) in absolute value.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import sys
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .errors import NotInvertibleError, UnsupportedOperationError
+from .errors import NotInvertibleError, PreconditionError, UnsupportedOperationError
 from .fields import QQ, ZZ
 
 Poly = Tuple
@@ -88,7 +94,8 @@ def scale(K, c, f: Poly) -> Poly:
 
 
 def divmod_(K, f: Poly, g: Poly):
-    """Euclidean division; g must be nonzero."""
+    """Euclidean division; g must be nonzero.  Over ZZ every step must
+    divide exactly, else PreconditionError."""
     if not g:
         raise NotInvertibleError("polynomial division by zero")
     q = [K.zero] * max(0, len(f) - len(g) + 1)
@@ -100,6 +107,11 @@ def divmod_(K, f: Poly, g: Poly):
         q[shift] = c
         for i, gc in enumerate(g):
             r[shift + i] = K.sub(r[shift + i], K.mul(c, gc))
+        if not K.is_zero(r.pop()):  # over ZZ: lead does not divide the top
+            raise PreconditionError(
+                "inexact polynomial division: the divisor's leading coefficient"
+                " does not divide the dividend's"
+            )
         while r and K.is_zero(r[-1]):
             r.pop()
     return normalize(K, q), normalize(K, r)
@@ -169,6 +181,33 @@ def _prem(a: List[int], b: List[int]) -> List[int]:
         while r and r[-1] == 0:
             r.pop()
     return r
+
+
+def pack(f: Sequence[int], k: int) -> int:
+    """f(2^k) for f in Z[x]: Kronecker substitution x -> 2^k."""
+    v = 0
+    for c in reversed(f):
+        v = (v << k) + c
+    return v
+
+
+def unpack(v: int, k: int) -> Poly:
+    """The f in Z[x] with f(2^k) = v whose coefficients all lie in
+    [-2^(k-1), 2^(k-1)): v's balanced base-2^k digits, lowest first.
+
+    k >= 2: with k = 1 the digits -1, 0 spell no positive v.
+    """
+    if k < 2:
+        raise PreconditionError(f"balanced digits need k >= 2 bits, got {k}")
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    out = []
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= 1 << k
+        out.append(c)
+        v = (v - c) >> k
+    return tuple(out)
 
 
 def derive(K, f: Poly) -> Poly:

@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from . import polys
+from . import linalg, polys
 from .errors import NotInvertibleError, PreconditionError, UnsupportedOperationError
 from .fields import QQ, ZZ, FiniteField, is_prime, power
 from .normvalue import NormValue, padic_valuation
@@ -97,6 +97,13 @@ class Ring:
     def degree(self, a) -> int:
         """Degree in the variable; -1 for zero."""
         raise NotImplementedError
+
+    def xdet(self, h):
+        """det h for a square matrix h over ring[X], its entries
+        :mod:`katzcyclic.xpoly` tuples."""
+        from .xpoly import XPolyRing
+
+        return linalg.det(XPolyRing(self), h)
 
     # -- derivation -----------------------------------------------------
     def derive(self, a):
@@ -258,6 +265,59 @@ class _IntegerCoreRing(Ring):
         if q == 0:
             return self.zero
         return _ratfunc(Fraction(q), _ONE, _ONE)
+
+    def xdet(self, h):
+        """det h for a square matrix h over ring[X], taken as one
+        determinant over Z by Kronecker substitution (von zur Gathen &
+        Gerhard, *Modern Computer Algebra*, 8.4).
+
+        Row i is multiplied by m_i L_i, the lcm m_i of its scales'
+        denominators times the lcm L_i of its denominators D, so that
+        its entries lie in Z[x][X].  Then d = sum_i max_j deg_x of row i
+        bounds deg_x det, and B = prod_i sum_j |h_ij|_1 bounds every
+        coefficient of det, each of whose n! terms is a product of one
+        entry per row.  With k = bitlen(B) + 1 the coefficients are at
+        most 2^(k-1) - 1 in absolute value, so x -> 2^k and
+        X -> 2^(k (d+1)) pack each entry into one int, and the
+        determinant of the ints unpacks into det of the cleared matrix.
+        Over prod_i m_i L_i that is det h: one canonical form per
+        coefficient, and no gcd during the elimination.
+        """
+        scale, den = 1, _ONE
+        bound, d = 1, 0
+        cleared = []
+        for row in h:
+            coeffs = [a for f in row for a in f]
+            m = math.lcm(*(a.c.denominator for a in coeffs))
+            dens = {a.D for a in coeffs}
+            L = _ONE
+            for D in dens - {_ONE}:
+                L = polys.divmod_(ZZ, polys.mul(ZZ, L, D), polys.gcd(ZZ, L, D))[0]
+            cofactor = {D: polys.divmod_(ZZ, L, D)[0] for D in dens if D != L}
+            out = []
+            for f in row:
+                entry = []
+                for a in f:
+                    N = polys.scale(ZZ, m // a.c.denominator * a.c.numerator, a.N)
+                    entry.append(polys.mul(ZZ, N, cofactor[a.D]) if a.D != L else N)
+                out.append(entry)
+            cleared.append(out)
+            bound *= sum(abs(c) for entry in out for N in entry for c in N)
+            d += max((len(N) - 1 for entry in out for N in entry), default=0)
+            scale *= m
+            den = polys.mul(ZZ, den, L)
+        if not bound:  # a zero row
+            return ()
+        k = bound.bit_length() + 1
+        K = k * (d + 1)
+        packed = tuple(
+            tuple(polys.pack([polys.pack(N, k) for N in entry], K) for entry in row)
+            for row in cleared
+        )
+        v = linalg.det(ZZ, packed)
+        return tuple(
+            _canonical(1, scale, polys.unpack(w, k), den) for w in polys.unpack(v, K)
+        )
 
     def antiderivative(self, a: RatFunc):
         if len(a.D) > 1:

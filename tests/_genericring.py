@@ -137,3 +137,21 @@ class GenericConnectionRing:
 
     def to_str(self, a):
         return repr(a)
+
+
+class CountingRing:
+    """A ring protocol object that delegates to ``ring`` and counts the
+    products it is asked for."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.zero = ring.zero
+        self.one = ring.one
+        self.products = 0
+
+    def mul(self, a, b):
+        self.products += 1
+        return self.ring.mul(a, b)
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)

@@ -1,0 +1,215 @@
+"""``linalg.det`` with shared minors, and P(X) over Q(x) and Q[t] as one
+integer determinant (``xdet``), each against a reference that shares no
+code with it: a plain cofactor expansion kept here, and the elimination
+over ring[X]."""
+
+import functools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from katzcyclic import GaussPolynomialRing, RationalFunctionField, linalg, xpoly
+from katzcyclic.fields import QQ, ZZ, FiniteField
+from katzcyclic.xpoly import XPolyRing
+
+from _genericring import CountingRing
+from _helpers import random_qx_poly, random_ratfunc, seeded
+
+
+def cofactor_det(ring, a):
+    """The plain expansion along the first column, every minor computed
+    anew at each use."""
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    acc = ring.zero
+    for i in range(n):
+        if ring.is_zero(a[i][0]):
+            continue
+        minor = tuple(a[k][1:] for k in range(n) if k != i)
+        cof = ring.mul(a[i][0], cofactor_det(ring, minor))
+        acc = ring.add(acc, cof) if i % 2 == 0 else ring.sub(acc, cof)
+    return acc
+
+
+def matrices(n, elements):
+    return st.lists(
+        st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(linalg.freeze)
+
+
+small_ints = st.integers(min_value=-5, max_value=5)
+GF25 = FiniteField(5, 2)
+ELEMENTS = {
+    "ZZ": (ZZ, st.one_of(st.just(0), st.integers(min_value=-(10**6), max_value=10**6))),
+    "QQ": (QQ, st.builds(Fraction, small_ints, st.integers(min_value=1, max_value=7))),
+    "F25": (GF25, st.tuples(st.integers(0, 4), st.integers(0, 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTS))
+@given(data=st.data(), n=st.integers(min_value=1, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_det_matches_cofactor_expansion(name, data, n):
+    ring, elements = ELEMENTS[name]
+    a = data.draw(matrices(n, elements))
+    assert linalg.det(ring, a) == cofactor_det(ring, a)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_matches_cofactor_expansion_over_qx(n):
+    qx = RationalFunctionField()
+    rng = seeded(600 + n)
+    for _ in range(2):
+        a = linalg.freeze(
+            [
+                [
+                    rng.choice(
+                        [qx.zero, random_qx_poly(qx, rng, 2), random_ratfunc(qx, rng, 1)]
+                    )
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+        )
+        assert linalg.det(qx, a) == cofactor_det(qx, a)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_det_takes_one_product_per_minor_entry(n):
+    """n 2^(n-1) - n products on a dense matrix: each minor of size m >= 2
+    costs m, and there are C(n, m) of them."""
+    ring = CountingRing(ZZ)
+    a = linalg.freeze([[i * n + j + 1 for j in range(n)] for i in range(n)])
+    d = linalg.det(ring, a)
+    assert ring.products == n * 2 ** (n - 1) - n
+    assert d == cofactor_det(ZZ, a)
+
+
+def test_det_skips_zero_entries():
+    ring = CountingRing(ZZ)
+    a = linalg.freeze([[2, 1, 1], [0, 3, 1], [0, 0, 5]])
+    assert linalg.det(ring, a) == 30
+    assert ring.products == 2
+
+
+# -- P(X) as one integer determinant ----------------------------------------
+
+QX = RationalFunctionField()
+
+
+def qx_entry(rng, x_deg):
+    """A Q(x) coefficient with a fractional scale and, half the time, a
+    nonconstant denominator."""
+    if rng.random() < 0.5:
+        a = random_ratfunc(QX, rng, x_deg)
+    else:
+        a = random_qx_poly(QX, rng, x_deg)
+    return QX.mul(a, QX.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+
+
+def gauss_entry(ring, rng, x_deg):
+    a = random_qx_poly(ring, rng, x_deg, coeff_range=20)
+    return ring.mul(a, ring.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+
+
+def xmatrix(ring, entry, rng, n, x_deg, X_deg, zero_rows=()):
+    """An n x n matrix over ring[X] with X-degree <= X_deg."""
+    rows = []
+    for i in range(n):
+        row = []
+        for _ in range(n):
+            f = [ring.zero] * (X_deg + 1) if i in zero_rows else [
+                entry(rng, x_deg) if rng.random() < 0.8 else ring.zero
+                for _ in range(X_deg + 1)
+            ]
+            row.append(xpoly.normalize(ring, f))
+        rows.append(row)
+    return linalg.freeze(rows)
+
+
+def check_xdet(ring, h):
+    expected = linalg.det(XPolyRing(ring), h)
+    got = ring.xdet(h)
+    assert got == expected
+    assert xpoly.normalize(ring, got) == got
+
+
+GAUSS3, GAUSS2 = GaussPolynomialRing(3, 1), GaussPolynomialRing(2, 0)
+RINGS = {
+    "qx": (QX, qx_entry),
+    "gauss3": (GAUSS3, functools.partial(gauss_entry, GAUSS3)),
+    "gauss2": (GAUSS2, functools.partial(gauss_entry, GAUSS2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=1, max_value=4),
+    x_deg=st.integers(min_value=0, max_value=2),
+    X_deg=st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=25, deadline=None)
+def test_xdet_matches_det_over_ring_x(name, seed, n, x_deg, X_deg):
+    ring, entry = RINGS[name]
+    rng = seeded(seed)
+    zero_rows = (rng.randrange(n),) if rng.random() < 0.15 else ()
+    h = xmatrix(ring, entry, rng, n, x_deg, X_deg, zero_rows)
+    check_xdet(ring, h)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_xdet_of_a_zero_row_is_zero(name):
+    ring, _ = RINGS[name]
+    one = xpoly.const(ring, ring.one)
+    h = linalg.freeze([[one, one], [(), ()]])
+    assert ring.xdet(h) == ()
+    check_xdet(ring, h)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@given(
+    coeffs=st.lists(
+        st.integers(min_value=-(2**70), max_value=2**70).filter(bool), min_size=1, max_size=5
+    ),
+    degs=st.lists(st.integers(min_value=0, max_value=3), min_size=10, max_size=10),
+)
+@settings(max_examples=40, deadline=None)
+def test_xdet_where_the_bound_is_tight(name, coeffs, degs):
+    """Diagonal monomial entries c_i x^a X^b: the determinant's one
+    coefficient is the bound prod_i |c_i| itself, so a digit width one
+    bit short misreads it."""
+    ring, _ = RINGS[name]
+    n = len(coeffs)
+    x = ring.t
+    h = []
+    for i in range(n):
+        a, b = degs[2 * i], degs[2 * i + 1]
+        mono = ring.mul(ring.from_int(coeffs[i]), ring.pow(x, a))
+        row = [()] * n
+        row[i] = (ring.zero,) * b + (mono,)
+        h.append(row)
+    check_xdet(ring, linalg.freeze(h))
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_xdet_of_all_negative_entries(name):
+    ring, _ = RINGS[name]
+    rng = seeded(77)
+    for n in (1, 2, 3):
+        h = linalg.freeze(
+            [
+                [
+                    tuple(
+                        ring.mul(ring.from_int(-rng.randint(1, 30)), ring.pow(ring.t, k))
+                        for k in rng.choices(range(3), k=rng.randint(1, 3))
+                    )
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+        )
+        check_xdet(ring, h)

@@ -1,9 +1,11 @@
 """Exact-arithmetic cyclic vectors for differential modules.
 
-Computes the explicit candidate cyclic vector for a module given by its
-connection matrix, assembles the universal base-change decomposition
-H(X) = sum_s H_s(X) G_s with determinant P(X), and certifies cyclicity
-over p-adic Banach rings through exact ultrametric norm bounds.
+Computes the explicit candidate cyclic vector c(e, X) for a module given
+by its connection matrix, builds the base change H(X) = sum_s H_s(X) G_s
+as the derivative family nabla^i(c(e, X)) over ring[X] (with the
+universal tables H_s alongside) and its determinant P(X), and certifies
+cyclicity over p-adic Banach rings through exact ultrametric norm
+bounds.
 """
 
 from .diffmod import (

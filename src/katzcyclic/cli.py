@@ -20,12 +20,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import List, Optional
 
 from . import katz, ultranorm
 from .diffmod import charp_counterexample, module_from_json, module_to_json
 from .errors import KatzCyclicError, PreconditionError
+from .parser import MAX_LITERAL_DIGITS
 from .ultranorm import MatrixNormKind
 
 EXIT_OK = 0
@@ -90,8 +92,6 @@ def cmd_tables(args) -> int:
 
 
 def _json_int(text: str) -> int:
-    from .parser import MAX_LITERAL_DIGITS
-
     if len(text) > MAX_LITERAL_DIGITS:
         raise PreconditionError(f"integer in module file exceeds {MAX_LITERAL_DIGITS} digits")
     return int(text)
@@ -110,9 +110,17 @@ def _load_module(path: str):
 
 
 def _parse_constants(m, spec: Optional[str]):
+    """The comma-separated integer literals of ``spec`` as ring elements."""
     if spec is None:
         return None
-    return [m.ring.from_int(int(tok)) for tok in spec.split(",") if tok.strip()]
+    tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
+    for tok in tokens:
+        if not re.fullmatch(r"[+-]?[0-9]{1,%d}" % MAX_LITERAL_DIGITS, tok):
+            shown = tok[:20] + "..." * (len(tok) > 20)
+            raise PreconditionError(
+                f"constant {shown!r} is not an integer of at most {MAX_LITERAL_DIGITS} digits"
+            )
+    return [m.ring.from_int(int(tok)) for tok in tokens]
 
 
 def cmd_cyclic(args) -> int:

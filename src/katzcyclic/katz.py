@@ -9,6 +9,12 @@ alpha, and det H(X) =: P(X) satisfies P(0) = 1 and deg P <= n(n-1), so
 specializing X := t - a at n(n-1)+1 distinct constants a must hit a
 nonzero determinant over a field.
 
+``assemble_h`` builds H(X) from that identity, as the family c,
+nabla(c), ..., nabla^(n-1)(c) over ring[X] with d extended by d(X) = 1,
+which needs only G_0 .. G_{n-1} and no product H_s G_s; the tables H_s
+are returned alongside, and the tests check that the sum over them
+agrees.
+
 Over Q(x) and Q[t], ``base_change`` takes P(X) as one determinant over
 Z (:meth:`~katzcyclic.rings.RationalFunctionField.xdet`): each row of
 H(X) is cleared of denominators into Z[x][X], each entry packed into one
@@ -93,10 +99,7 @@ def h_entry(s: int, i: int, j: int, n: int) -> QXPoly:
 
 def h_matrix(s: int, n: int) -> Tuple[Tuple[QXPoly, ...], ...]:
     """The n x n universal matrix H_s(X) over Q[X]."""
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    if not (0 <= s <= 2 * n - 2):
-        raise PreconditionError(f"s={s} out of range [0, {2 * n - 2}]")
+    _check_indices(s, 0, 0, n)
     return tuple(
         tuple(h_entry(s, i, j, n) for j in range(n)) for i in range(n)
     )
@@ -216,27 +219,22 @@ class BaseChangeDecomposition:
 
 
 def assemble_h(m: DifferentialModule):
-    """The matrix H(X) = sum_s H_s(X) G_s over ring[X], plus the tables H_s."""
-    check_factorial_invertible(m.ring, m.n)
+    """The matrix H(X) over ring[X], plus the tables H_0 .. H_{2n-2}.
+
+    Row i of H(X) = sum_s H_s(X) G_s holds the coordinates of
+    nabla^i(c(e, X)) with d(X) = 1, so H(X) is built as that family:
+    row 0 is the candidate, and each further row nabla of the one
+    before, over ring[X] with G1 lifted to constants.  This needs only
+    G_0 .. G_{n-1}, and no product of H_s with G_s.
+    """
     ring = m.ring
     n = m.n
-    xring = XPolyRing(ring)
-    gs = iterated_matrices(m, 2 * n - 2)
-    h_assembled = linalg.zeros(xring, n)
-    tables = []
-    for s in range(2 * n - 1):
-        hs = h_matrix(s, n)
-        tables.append(hs)
-        hs_ring = tuple(
-            tuple(embed_qx(ring, hs[i][j]) for j in range(n)) for i in range(n)
-        )
-        gs_lifted = tuple(
-            tuple(xpoly.const(ring, x) for x in row) for row in gs[s]
-        )
-        h_assembled = linalg.mat_add(
-            xring, h_assembled, linalg.mat_mul(xring, hs_ring, gs_lifted)
-        )
-    return h_assembled, tuple(tables)
+    rows = [tuple(xpoly.normalize(ring, c) for c in zip(*katz_vector(m).coeffs))]
+    g1 = tuple(tuple(xpoly.const(ring, x) for x in row) for row in m.g1)
+    xm = DifferentialModule(ring=XPolyRing(ring), n=n, g1=g1)
+    for _ in range(n - 1):
+        rows.append(apply_nabla(xm, rows[-1]))
+    return tuple(rows), tuple(h_matrix(s, n) for s in range(2 * n - 1))
 
 
 def base_change(m: DifferentialModule) -> BaseChangeDecomposition:

@@ -9,9 +9,11 @@ Grammar (whitespace insensitive):
     atom   := INT | VAR | '(' expr ')'
 
 INT is a nonnegative decimal literal of at most MAX_LITERAL_DIGITS
-digits; VAR is the ring's variable name.  Parentheses and unary signs
-nest at most MAX_NESTING deep, far below Python's recursion limit (each
-parenthesis costs five frames of the descent, each sign one).  Three
+digits; VAR is the ring's variable name or, in F_{p^e}[x] with e > 1,
+g, the generator of F_{p^e} in which its coefficients print.
+Parentheses and unary signs nest at most MAX_NESTING deep, far below
+Python's recursion limit (each parenthesis costs five frames of the
+descent, each sign one).  Three
 bounds keep a power from building a huge element; each is checked from
 the base and the exponent, before any multiplication:
 
@@ -165,9 +167,11 @@ class _Parser:
         if kind == "int":
             return self.ring.from_int(val)
         if kind == "name":
-            if val != self.ring.variable:
-                raise ParseError(f"unknown symbol {val!r}", pos)
-            return self.ring.var_element
+            if val == self.ring.variable:
+                return self.ring.var_element
+            if val == "g" and self.ring.generator is not None:
+                return self.ring.generator
+            raise ParseError(f"unknown symbol {val!r}", pos)
         if kind == "op" and val == "(":
             self._enter(pos)
             value = self.expr()

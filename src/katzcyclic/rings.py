@@ -17,9 +17,12 @@ of Q[t] is one with D = (1,).  The form is unique, so equality is
 structural, and all polynomial work runs in Z[x] with
 :data:`~katzcyclic.fields.ZZ` as coefficient ring, with no Fraction
 arithmetic per coefficient.  What the two kinds share sits in a private
-base; Q[t] never takes a gcd of polynomials (by Gauss's lemma a product
-of primitive polynomials is primitive), and its Gauss norm is read off
-c and the p-adic valuations of N's integer coefficients.
+base, with the arithmetic of Q[t], which never takes a gcd of
+polynomials (by Gauss's lemma a product of primitive polynomials is
+primitive); polynomial elements of Q(x) use it too, and only operands
+with a nonconstant D take the cross-cancelling path.  The Gauss norm of
+Q[t] is read off c and the p-adic valuations of N's integer
+coefficients.
 
 F_q[x] stores dense coefficient tuples over
 :class:`~katzcyclic.fields.FiniteField` and runs on the
@@ -52,6 +55,8 @@ class Ring:
     is_banach: bool = False
     is_field: bool = False
     prime: Optional[int] = None
+    # In F_{p^e}[x], e > 1: the constant g, F_{p^e} = F_p[g], printed and parsed as g
+    generator = None
 
     # -- arithmetic -----------------------------------------------------
     def add(self, a, b):
@@ -258,6 +263,37 @@ class _IntegerCoreRing(Ring):
     def eq(self, a: RatFunc, b: RatFunc) -> bool:
         return a == b
 
+    def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
+        """a + b for polynomials a and b (D = (1,)), or a zero operand."""
+        if not a.c:
+            return b
+        if not b.c:
+            return a
+        # a + b = (ma aN + mb bN) / lcm, with integer multipliers
+        qa, qb = a.c.denominator, b.c.denominator
+        q = qa * qb // math.gcd(qa, qb)
+        ma, mb = a.c.numerator * (q // qa), b.c.numerator * (q // qb)
+        f, g = a.N, b.N
+        if len(f) < len(g):
+            f, g, ma, mb = g, f, mb, ma
+        num = [ma * x for x in f]
+        for i, y in enumerate(g):
+            num[i] += mb * y
+        while num and not num[-1]:
+            num.pop()
+        return _scaled(1, q, tuple(num))
+
+    def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
+        """a * b for polynomials a and b, or a zero operand: N_a N_b is
+        primitive by Gauss's lemma."""
+        if not a.c or not b.c:
+            return self.zero
+        return _ratfunc(a.c * b.c, polys.mul(ZZ, a.N, b.N), _ONE)
+
+    def derive(self, a: RatFunc) -> RatFunc:
+        """d(a) for a polynomial a."""
+        return _scaled(a.c.numerator, a.c.denominator, polys.derive(ZZ, a.N))
+
     def from_int(self, n: int) -> RatFunc:
         return self.from_fraction(Fraction(n))
 
@@ -345,18 +381,18 @@ class _IntegerCoreRing(Ring):
 class RationalFunctionField(_IntegerCoreRing):
     """Q(x) with d = d/dx; the distinguished element t is x itself.
 
-    Products cross-cancel first (Henrici; Knuth TAOCP 2, 4.5.1), and by
-    Gauss's lemma products of primitive polynomials stay primitive.
+    Polynomial operands (D = (1,)) take the Q[t] arithmetic of the shared
+    base.  Otherwise products cross-cancel first (Henrici; Knuth TAOCP 2,
+    4.5.1), and by Gauss's lemma products of primitive polynomials stay
+    primitive.
     """
 
     kind = "rational_function"
     is_field = True
 
     def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        if not a.c:
-            return b
-        if not b.c:
-            return a
+        if len(a.D) == len(b.D) == 1 or not a.c or not b.c:
+            return _IntegerCoreRing.add(self, a, b)
         # a + b = (ma aN/aD + mb bN/bD) / lcm, with integer multipliers
         qa, qb = a.c.denominator, b.c.denominator
         q = qa * qb // math.gcd(qa, qb)
@@ -372,10 +408,10 @@ class RationalFunctionField(_IntegerCoreRing):
         return _canonical(1, q, num, polys.mul(ZZ, a.D, b.D))
 
     def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
+        if len(a.D) == len(b.D) == 1 or not a.c or not b.c:
+            return _IntegerCoreRing.mul(self, a, b)
         # With a and b canonical, the cross-cancelled products are again
         # coprime and primitive, so no gcd of the product is due.
-        if not a.c or not b.c:
-            return self.zero
         a_num, b_den = _cancel(a.N, b.D)
         b_num, a_den = _cancel(b.N, a.D)
         return _ratfunc(
@@ -391,6 +427,8 @@ class RationalFunctionField(_IntegerCoreRing):
         return _ratfunc(1 / a.c, a.D, a.N)
 
     def derive(self, a: RatFunc) -> RatFunc:
+        if len(a.D) == 1:
+            return _IntegerCoreRing.derive(self, a)
         # d(c N/D) = c (N' D - N D') / D^2
         num = polys.sub(
             ZZ,
@@ -425,30 +463,6 @@ class GaussPolynomialRing(_IntegerCoreRing):
         self.prime = p
         self.radius_exp = radius_exp
 
-    def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        if not a.c:
-            return b
-        if not b.c:
-            return a
-        # a + b = (ma aN + mb bN) / lcm, with integer multipliers
-        qa, qb = a.c.denominator, b.c.denominator
-        q = qa * qb // math.gcd(qa, qb)
-        ma, mb = a.c.numerator * (q // qa), b.c.numerator * (q // qb)
-        f, g = a.N, b.N
-        if len(f) < len(g):
-            f, g, ma, mb = g, f, mb, ma
-        num = [ma * x for x in f]
-        for i, y in enumerate(g):
-            num[i] += mb * y
-        while num and not num[-1]:
-            num.pop()
-        return _scaled(1, q, tuple(num))
-
-    def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        if not a.c or not b.c:
-            return self.zero
-        return _ratfunc(a.c * b.c, polys.mul(ZZ, a.N, b.N), _ONE)
-
     def is_invertible(self, a: RatFunc) -> bool:
         return len(a.N) == 1
 
@@ -456,9 +470,6 @@ class GaussPolynomialRing(_IntegerCoreRing):
         if not self.is_invertible(a):
             raise NotInvertibleError(f"only nonzero constants are units in {self.kind}")
         return _ratfunc(1 / a.c, _ONE, _ONE)
-
-    def derive(self, a: RatFunc) -> RatFunc:
-        return _scaled(a.c.numerator, a.c.denominator, polys.derive(ZZ, a.N))
 
     def norm(self, a: RatFunc) -> NormValue:
         # |c N| = |c|_p max_i |N_i|_p p^(-r i); N is primitive, so at
@@ -497,6 +508,9 @@ class FiniteFieldPolyRing(Ring):
 
     def __init__(self, p: int, e: int = 1, variable: str = "x"):
         self.field = FiniteField(p, e)
+        if e > 1 and variable == "g":
+            raise PreconditionError("the variable of F_q[x] cannot be g, the generator of F_q")
+        self.generator = ((0, 1) + (0,) * (e - 2),) if e > 1 else None
         self.characteristic = p
         self.prime = p
         self.q_exp = e
@@ -585,6 +599,7 @@ class ScaledDerivationRing(Ring):
         self.is_banach = base.is_banach
         self.is_field = base.is_field
         self.prime = base.prime
+        self.generator = base.generator
         self.zero = base.zero
         self.one = base.one
         self.var_element = base.var_element

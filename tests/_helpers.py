@@ -6,8 +6,15 @@ import pathlib
 import random
 from fractions import Fraction
 
-from katzcyclic import DifferentialModule, linalg, module_from_json, xpoly
-from katzcyclic.katz import katz_vector
+from katzcyclic import (
+    DifferentialModule,
+    iterated_matrices,
+    linalg,
+    module_from_json,
+    xpoly,
+)
+from katzcyclic.katz import embed_qx, h_matrix, katz_vector
+from katzcyclic.xpoly import XPolyRing
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -83,6 +90,22 @@ def expanded_h_rows(m):
     for _ in range(m.n - 1):
         rows.append(nabla_on_xpoly_row(m.ring, rows[-1], m.g1))
     return rows
+
+
+def decomposition_h(m):
+    """H(X) = sum_s H_s(X) G_s over ring[X], from the universal tables
+    and the iterated matrices G_0 .. G_{2n-2}: the decomposition route,
+    which shares neither the candidate vector nor the extended connection
+    with :func:`katzcyclic.katz.assemble_h`."""
+    ring, n = m.ring, m.n
+    xring = XPolyRing(ring)
+    gs = iterated_matrices(m, 2 * n - 2)
+    h = linalg.zeros(xring, n)
+    for s in range(2 * n - 1):
+        hs = tuple(tuple(embed_qx(ring, e) for e in row) for row in h_matrix(s, n))
+        gs_lifted = tuple(tuple(xpoly.const(ring, x) for x in row) for row in gs[s])
+        h = linalg.mat_add(xring, h, linalg.mat_mul(xring, hs, gs_lifted))
+    return h
 
 
 def seeded(seed):

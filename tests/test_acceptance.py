@@ -42,7 +42,7 @@ from katzcyclic.katz import alpha, assemble_h, h_matrix, qx_to_str
 from katzcyclic.xpoly import XPolyRing
 
 from _genericring import GenericConnectionRing
-from _helpers import expanded_h_rows, load_corpus, random_module, seeded
+from _helpers import decomposition_h, expanded_h_rows, load_corpus, random_module, seeded
 
 
 def report(number, text):
@@ -76,16 +76,19 @@ def test_criterion_02_spot_coefficients():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_criterion_03_master_oracle(n):
     # H(X) assembled from the universal tables equals the direct symbolic
-    # expansion of the derivative rows of the candidate vector, over a
-    # ring whose connection entries are independent indeterminates
+    # expansion of the derivative rows of the candidate vector, and the
+    # production H(X), over a ring whose connection entries are
+    # independent indeterminates
     start = time.perf_counter()
     ring = GenericConnectionRing(n, max_order=2 * n)
     m = DifferentialModule(ring=ring, n=n, g1=ring.g1_matrix())
-    assembled, _ = assemble_h(m)
+    tables = decomposition_h(m)
     direct = expanded_h_rows(m)
+    production, _ = assemble_h(m)
     for i in range(n):
         for k in range(n):
-            assert xpoly.eq(ring, assembled[i][k], direct[i][k])
+            assert xpoly.eq(ring, tables[i][k], direct[i][k])
+            assert xpoly.eq(ring, production[i][k], direct[i][k])
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(3, f"generic-connection oracle matches at n={n} in {elapsed:.1f}s")

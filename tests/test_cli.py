@@ -124,6 +124,22 @@ class TestCyclic:
         doc = json.loads(out)
         assert doc["a"] == "5"
 
+    @pytest.mark.parametrize(
+        "spec", ["0,a", "1/2", "0," + "1" * 5000], ids=["letter", "fraction", "5000-digits"]
+    )
+    @pytest.mark.parametrize("command", ["cyclic", "companion"])
+    def test_malformed_constant_is_a_typed_error(self, capsys, qx_module, command, spec):
+        code, out, err = run(capsys, [command, "-i", qx_module, "--constants", spec])
+        assert (code, out) == (1, "")
+        token = spec.split(",")[-1]
+        assert err.startswith("error: constant ") and repr(token[:20]).rstrip("'") in err
+        assert "at most 4300 digits" in err
+        assert "int()" not in err and "set_int_max_str_digits" not in err
+
+    def test_signed_constants(self, capsys, qx_module):
+        code, out, _ = run(capsys, ["cyclic", "-i", qx_module, "--constants", " -2, +3 ,4,"])
+        assert code == 0 and json.loads(out)["a"] == "-2"
+
     def test_too_few_constants(self, capsys, qx_module):
         code, _, err = run(capsys, ["cyclic", "-i", qx_module, "--constants", "0,1"])
         assert code == 1 and "distinct constants" in err

@@ -1,0 +1,151 @@
+"""Golden output on seeded modules that the committed corpora lack.
+
+Every Q(x) module of ``qx_corpus.json`` has polynomial entries, so the
+Q(x) cross-cancelling arithmetic and the other ring kinds never enter
+the P(X) digest of ``test_golden.py``.  The modules here are generated
+in the test from fixed seeds, as entry strings (the F_49 entries also
+from coefficient tuples), so that they do not depend on how the package
+builds elements:
+
+* Q(x) modules of rank 2 and 3 whose entries have nontrivial
+  denominators and fractional scales (P(X) and ``katzcyclic cyclic``);
+* a Gauss Q[t] module with fractional coefficients;
+* F_5[x] and F_49[x] modules (p > n - 1);
+* a Q(x) module after ``rescale_derivation``.
+
+The digests were recorded before H(X) was built as the nabla-family of
+c(e, X) and before polynomial Q(x) elements took the Q[t] arithmetic.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+
+from katzcyclic import (
+    DifferentialModule,
+    FiniteFieldPolyRing,
+    GaussPolynomialRing,
+    RationalFunctionField,
+    base_change,
+    linalg,
+    module_to_json,
+    rescale_derivation,
+)
+from katzcyclic.cli import main
+
+
+def _int_poly(rng, var, max_deg, lo=-3, hi=3):
+    terms = [f"{rng.randint(lo, hi)}*{var}^{i}" for i in range(rng.randint(0, max_deg) + 1)]
+    return " + ".join(terms)
+
+
+def qx_entry(rng, var="x"):
+    """c * N/D with a fractional scale c and, mostly, a nonconstant D."""
+    if rng.random() < 0.15:
+        return "0"
+    scale = f"{rng.choice((-1, 1)) * rng.randint(1, 5)}/{rng.randint(1, 6)}"
+    num = _int_poly(rng, var, 2)
+    if rng.random() < 0.25:
+        return f"{scale}*({num})"
+    den = f"{rng.randint(1, 3)}*{var} + {rng.choice((-2, -1, 1, 2, 3))}"
+    return f"{scale}*({num})/({den})"
+
+
+def poly_entry(rng, var):
+    """A polynomial with fractional coefficients."""
+    return " + ".join(
+        f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}*{var}^{i}"
+        for i in range(rng.randint(0, 2) + 1)
+    )
+
+
+def int_entry(rng, var):
+    return _int_poly(rng, var, 2, 0, 6)
+
+
+def module(ring, n, seed, entry):
+    rng = random.Random(seed)
+    rows = [[ring.parse(entry(rng, ring.variable)) for _ in range(n)] for _ in range(n)]
+    return DifferentialModule(ring=ring, n=n, g1=linalg.freeze(rows))
+
+
+def fpe_module(ring, n, seed):
+    """Entries a + g b over F_{p^e}[x], with a, b in F_p[x] and g the
+    generator, built from the coefficient tuples."""
+    rng = random.Random(seed)
+    g = ((0, 1) + (0,) * (ring.q_exp - 2),)
+
+    def entry():
+        a, b = (ring.parse(int_entry(rng, ring.variable)) for _ in range(2))
+        return ring.add(a, ring.mul(g, b))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    return DifferentialModule(ring=ring, n=n, g1=linalg.freeze(rows))
+
+
+def qx_modules():
+    ring = RationalFunctionField()
+    return [module(ring, 2, seed, qx_entry) for seed in range(6)] + [
+        module(ring, 3, seed, qx_entry) for seed in range(100, 103)
+    ]
+
+
+def other_modules():
+    qx = RationalFunctionField()
+    return [
+        module(GaussPolynomialRing(3, 1), 3, 200, poly_entry),
+        module(FiniteFieldPolyRing(5), 3, 300, int_entry),
+        fpe_module(FiniteFieldPolyRing(7, 2), 3, 301),
+        rescale_derivation(module(qx, 2, 400, qx_entry), qx.parse("2*x^2 + 1")),
+    ]
+
+
+def p_digest(modules):
+    """sha256 of the printed coefficients of P(X), one JSON list per module."""
+    lines = [
+        json.dumps([m.ring.to_str(c) for c in base_change(m).coefficients])
+        for m in modules
+    ]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def cyclic_digest(modules, workdir):
+    """sha256 of the stdout of ``katzcyclic cyclic`` on each module."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for k, m in enumerate(modules):
+            path = workdir / f"module-{k}.json"
+            path.write_text(json.dumps(module_to_json(m)), encoding="utf-8")
+            assert main(["cyclic", "-i", str(path)]) == 0
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+QX_P_DIGEST = "632a6e3150181fbd98b70b118c2eabfb763fb7acaf9a352b870bd3c300638b80"
+QX_CYCLIC_DIGEST = "a4d859bd9bc33c81bc9066b9176cab616c510c5b4c3c430e8f34a49d84a429b8"
+# Gauss Q[t] p = 3 r = 1, F_5[x], F_49[x], Q(x) with d rescaled by 2x^2 + 1.
+OTHER_P_DIGESTS = (
+    "f4b1156db004fd0e492366689c2d2869abecfd3705895a613cb00f161776ff1d",
+    "8843a47ff9e451f1f1e809e7732a8095185aebc8ce04fc755b32a37375a1cc6d",
+    "cf80900efafeaa9c7ba3648f3cd51f5f0d4def7e6cb9391a4d3312a8dca5df71",
+    "45802eadfaa3e83b673e738d5fb56dc9f3b357b41ac6e038897733e4475c2f95",
+)
+
+
+def test_qx_modules_have_denominators():
+    ms = qx_modules()
+    assert any(len(x.D) > 1 for m in ms for row in m.g1 for x in row)
+    assert any(x.c.denominator > 1 for m in ms for row in m.g1 for x in row)
+
+
+def test_golden_qx_base_change_det():
+    assert p_digest(qx_modules()) == QX_P_DIGEST
+
+
+def test_golden_qx_cyclic(tmp_path):
+    assert cyclic_digest(qx_modules(), tmp_path) == QX_CYCLIC_DIGEST
+
+
+def test_golden_other_rings_base_change_det():
+    assert tuple(p_digest([m]) for m in other_modules()) == OTHER_P_DIGESTS

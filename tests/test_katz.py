@@ -5,6 +5,8 @@ import pytest
 
 from katzcyclic import (
     DifferentialModule,
+    FiniteFieldPolyRing,
+    GaussPolynomialRing,
     InternalConsistencyError,
     PreconditionError,
     RationalFunctionField,
@@ -32,11 +34,14 @@ from katzcyclic.katz import assemble_h, h_entry, qx_to_str
 from katzcyclic.xpoly import XPolyRing
 
 from _helpers import (
+    decomposition_h,
     expanded_h_rows,
     free_module_h_entries,
     nabla_on_xpoly_row,
     katz_vector_xpoly_row,
     random_module,
+    random_qx_poly,
+    random_ratfunc,
     seeded,
 )
 
@@ -325,6 +330,54 @@ class TestBaseChange:
         xr = XPolyRing(qx)
         rows = expanded_h_rows(m)
         assert xpoly.eq(qx, linalg.det(xr, linalg.freeze(rows)), bc.det_poly)
+
+
+def oracle_module(kind, n, rng):
+    """A seeded module of rank n over the ring named by ``kind``."""
+    if kind in ("qx", "scaled"):
+        ring = RationalFunctionField()
+
+        def entry():
+            scale = ring.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+            return ring.mul(scale, random_ratfunc(ring, rng, max_deg=1))
+    elif kind.startswith("gauss"):
+        ring = GaussPolynomialRing(int(kind[-1]), 1)
+
+        def entry():
+            scale = ring.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+            return ring.mul(scale, random_qx_poly(ring, rng, max_deg=2))
+    else:
+        ring = FiniteFieldPolyRing(*{"f5": (5, 1), "f49": (7, 2)}[kind])
+        g = ring.generator
+
+        def entry():
+            a, b = (random_qx_poly(ring, rng, max_deg=2) for _ in range(2))
+            return ring.add(a, ring.mul(g, b)) if g else a
+
+    m = DifferentialModule(
+        ring=ring, n=n, g1=linalg.freeze([[entry() for _ in range(n)] for _ in range(n)])
+    )
+    return rescale_derivation(m, ring.parse("x^2 + 1")) if kind == "scaled" else m
+
+
+class TestDecompositionOracle:
+    """H(X) built as the nabla-family of c(e, X) equals sum_s H_s(X) G_s
+    from the universal tables, which production no longer multiplies out."""
+
+    @pytest.mark.parametrize("kind", ["qx", "gauss2", "gauss3", "f5", "f49", "scaled"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_assemble_h_equals_table_sum(self, kind, n):
+        rng = seeded(1000 * n + len(kind))
+        for _ in range(2 if n < 4 else 1):
+            m = oracle_module(kind, n, rng)
+            h, tables = assemble_h(m)
+            assert h == decomposition_h(m)
+            assert tables == tuple(h_matrix(s, n) for s in range(2 * n - 1))
+
+    def test_oracle_modules_have_denominators(self):
+        m = oracle_module("qx", 3, seeded(7))
+        assert any(len(x.D) > 1 for row in m.g1 for x in row)
+        assert any(x.c.denominator > 1 for row in m.g1 for x in row)
 
 
 class TestSpecialize:

@@ -1,10 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from katzcyclic import (
     FiniteFieldPolyRing,
     GaussPolynomialRing,
     ParseError,
+    PreconditionError,
     RationalFunctionField,
+    ScaledDerivationRing,
+    module_from_json,
 )
 from katzcyclic.parser import (
     MAX_DEGREE,
@@ -184,3 +189,36 @@ def test_division_in_polynomial_ring_rejected():
 def test_division_by_zero_rejected(qx):
     with pytest.raises(ParseError):
         qx.parse("1/0")
+
+
+@pytest.mark.parametrize("p, e", [(2, 2), (3, 4), (7, 2)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fpe_print_parse_roundtrip(p, e, data):
+    # F_{p^e}[x] prints its coefficients in the generator g; g parses back
+    ring = FiniteFieldPolyRing(p, e)
+    coeff = st.tuples(*[st.integers(0, p - 1)] * e)
+    a = tuple(data.draw(st.lists(coeff, max_size=5)))
+    while a and not any(a[-1]):
+        a = a[:-1]
+    assert ring.parse(ring.to_str(a)) == a
+
+
+def test_generator_symbol():
+    f4 = FiniteFieldPolyRing(2, 2)
+    assert f4.parse("g*x") == ((f4.field.zero, (0, 1)))
+    assert f4.parse("g^2 + g + 1") == f4.zero  # g^2 = g + 1 in F_4
+    assert f4.parse("x/g") == f4.mul(f4.t, f4.inv(f4.generator))
+    assert ScaledDerivationRing(f4, f4.generator).parse("g*x") == f4.parse("g*x")
+    for ring in (FiniteFieldPolyRing(5), RationalFunctionField(), GaussPolynomialRing(2)):
+        with pytest.raises(ParseError, match="unknown symbol 'g'"):
+            ring.parse("g*x")
+
+
+def test_generator_name_refused_as_variable():
+    with pytest.raises(PreconditionError, match="cannot be g"):
+        FiniteFieldPolyRing(3, 2, variable="g")
+    with pytest.raises(PreconditionError, match="cannot be g"):
+        module_from_json({"ring": {"kind": "finite_field_poly", "p": 2, "q_exp": 2,
+                                   "variable": "g"}, "n": 1, "G1": [["0"]]})
+    assert FiniteFieldPolyRing(3, 1, variable="g").parse("g^2") == ((0,), (0,), (1,))

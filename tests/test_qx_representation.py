@@ -8,17 +8,20 @@ same triple.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from katzcyclic.rings import RationalFunctionField, RatFunc
+from katzcyclic import polys
+from katzcyclic.rings import GaussPolynomialRing, RationalFunctionField, RatFunc
 
 sympy = pytest.importorskip("sympy")
 
 X = sympy.Symbol("x")
 QX = RationalFunctionField()
+QT = GaussPolynomialRing(3)
 SETTINGS = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -100,3 +103,61 @@ def test_scale_and_sign_are_taken_out():
     assert a.den == (Fraction(-1, 3), Fraction(0), Fraction(1))
     assert QX.to_str(a) == "(-2/3*x - 4/9)/(x^2 - 1/3)"
     assert RatFunc(a.num, a.den) == a
+
+
+# -- polynomial elements (D = (1,)) run on the Q[t] arithmetic ------------
+
+@st.composite
+def polynomial_elements(draw):
+    return RatFunc(draw(polynomials), (Fraction(1),))
+
+
+def as_sympy(a: RatFunc):
+    def expr(f):
+        return sum(c * X ** i for i, c in enumerate(f))
+
+    return sympy.Rational(a.c.numerator, a.c.denominator) * expr(a.N) / expr(a.D)
+
+
+def assert_equals_sympy(value, expected):
+    assert_canonical(value)
+    assert sympy.cancel(as_sympy(value) - expected) == 0
+
+
+@SETTINGS
+@given(polynomial_elements(), polynomial_elements())
+def test_polynomial_operands_match_qt_without_gcd(a, b):
+    with mock.patch.object(polys, "gcd", side_effect=AssertionError("gcd taken")):
+        pairs = ((QX.add(a, b), QT.add(a, b)), (QX.mul(a, b), QT.mul(a, b)),
+                 (QX.derive(a), QT.derive(a)))
+    for value, expected in pairs:
+        assert value == expected
+        assert len(value.D) == 1
+    assert_equals_sympy(QX.add(a, b), as_sympy(a) + as_sympy(b))
+    assert_equals_sympy(QX.mul(a, b), as_sympy(a) * as_sympy(b))
+    assert_equals_sympy(QX.derive(a), sympy.diff(as_sympy(a), X))
+
+
+@SETTINGS
+@given(st.one_of(polynomial_elements(), elements()),
+       st.one_of(polynomial_elements(), elements()))
+def test_mixed_operands_match_sympy(a, b):
+    sa, sb = as_sympy(a), as_sympy(b)
+    assert_equals_sympy(QX.add(a, b), sa + sb)
+    assert_equals_sympy(QX.sub(a, b), sa - sb)
+    assert_equals_sympy(QX.mul(a, b), sa * sb)
+    assert_equals_sympy(QX.derive(a), sympy.diff(sa, X))
+
+
+def test_polynomial_path_with_zero():
+    p = QX.parse("3/2*x^2 - 6")
+    r = QX.parse("(x + 1)/(2*x - 3)")
+    for a in (p, r):
+        assert QX.add(a, QX.zero) is a and QX.add(QX.zero, a) is a
+        assert QX.mul(a, QX.zero) == QX.zero == QX.mul(QX.zero, a)
+    assert QX.add(QX.zero, QX.zero) == QX.zero
+    assert QX.derive(QX.zero) == QX.zero
+    assert QX.sub(p, p) == QX.zero
+    assert QX.mul(p, r) == QX.parse("(3/2*x^2 - 6)*(x + 1)/(2*x - 3)")
+    assert QX.add(p, r) == QX.parse("3/2*x^2 - 6 + (x + 1)/(2*x - 3)")
+    assert QX.mul(QX.parse("2*x - 3"), r) == QX.parse("x + 1")

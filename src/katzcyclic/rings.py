@@ -16,13 +16,12 @@ polynomials N and D with positive leading coefficients, and an element
 of Q[t] is one with D = (1,).  The form is unique, so equality is
 structural, and all polynomial work runs in Z[x] with
 :data:`~katzcyclic.fields.ZZ` as coefficient ring, with no Fraction
-arithmetic per coefficient.  What the two kinds share sits in a private
-base, with the arithmetic of Q[t], which never takes a gcd of
+arithmetic per coefficient.  One arithmetic in a private base serves
+both kinds.  Its branch for constant denominators takes no gcd of
 polynomials (by Gauss's lemma a product of primitive polynomials is
-primitive); polynomial elements of Q(x) use it too, and only operands
-with a nonconstant D take the cross-cancelling path.  The Gauss norm of
-Q[t] is read off c and the p-adic valuations of N's integer
-coefficients.
+primitive), so neither Q[t] nor a polynomial element of Q(x) takes one.
+The Gauss norm of Q[t] is read off c and the p-adic valuations of N's
+integer coefficients.
 
 F_q[x] stores dense coefficient tuples over
 :class:`~katzcyclic.fields.FiniteField` and runs on the
@@ -232,10 +231,12 @@ def _scaled(p: int, q: int, N: Tuple[int, ...]) -> RatFunc:
 
 
 class _IntegerCoreRing(Ring):
-    """What Q(x) and Q[t] share: elements are :class:`RatFunc`, all
-    polynomial work is in Z[x] with :data:`~katzcyclic.fields.ZZ` as the
-    coefficient ring of the :mod:`katzcyclic.polys` helpers, and only
-    the scale c is a Fraction."""
+    """The arithmetic of Q(x) and Q[t]: elements are :class:`RatFunc`,
+    all polynomial work is in Z[x] with :data:`~katzcyclic.fields.ZZ` as
+    the coefficient ring of the :mod:`katzcyclic.polys` helpers, and only
+    the scale c is a Fraction.  Each operation has one branch for
+    D = (1,), which takes no gcd; the subclasses add only their units,
+    norms and descriptors."""
 
     characteristic = 0
 
@@ -264,16 +265,18 @@ class _IntegerCoreRing(Ring):
         return a == b
 
     def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        """a + b for polynomials a and b (D = (1,)), or a zero operand."""
         if not a.c:
             return b
         if not b.c:
             return a
-        # a + b = (ma aN + mb bN) / lcm, with integer multipliers
+        # a + b = (ma aN/aD + mb bN/bD) / lcm, with integer multipliers
         qa, qb = a.c.denominator, b.c.denominator
         q = qa * qb // math.gcd(qa, qb)
         ma, mb = a.c.numerator * (q // qa), b.c.numerator * (q // qb)
-        f, g = a.N, b.N
+        f, g, D = a.N, b.N, a.D
+        if a.D != b.D:
+            f, g = polys.mul(ZZ, a.N, b.D), polys.mul(ZZ, b.N, a.D)
+            D = polys.mul(ZZ, a.D, b.D)
         if len(f) < len(g):
             f, g, ma, mb = g, f, mb, ma
         num = [ma * x for x in f]
@@ -281,18 +284,41 @@ class _IntegerCoreRing(Ring):
             num[i] += mb * y
         while num and not num[-1]:
             num.pop()
-        return _scaled(1, q, tuple(num))
+        if len(D) == 1:
+            return _scaled(1, q, tuple(num))
+        return _canonical(1, q, tuple(num), D)
 
     def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        """a * b for polynomials a and b, or a zero operand: N_a N_b is
-        primitive by Gauss's lemma."""
+        """a * b.  Polynomial operands need no gcd: N_a N_b is primitive
+        by Gauss's lemma.  Otherwise the factors cross-cancel first
+        (Henrici; Knuth TAOCP 2, 4.5.1); with a and b canonical the
+        cross-cancelled products are again coprime and primitive, so no
+        gcd of the product is due."""
         if not a.c or not b.c:
             return self.zero
-        return _ratfunc(a.c * b.c, polys.mul(ZZ, a.N, b.N), _ONE)
+        if len(a.D) == len(b.D) == 1:
+            return _ratfunc(a.c * b.c, polys.mul(ZZ, a.N, b.N), _ONE)
+        a_num, b_den = _cancel(a.N, b.D)
+        b_num, a_den = _cancel(b.N, a.D)
+        return _ratfunc(
+            a.c * b.c, polys.mul(ZZ, a_num, b_num), polys.mul(ZZ, a_den, b_den)
+        )
+
+    def inv(self, a: RatFunc) -> RatFunc:
+        if not self.is_invertible(a):
+            raise NotInvertibleError(f"not a unit in {self.kind}")
+        return _ratfunc(1 / a.c, a.D, a.N)
 
     def derive(self, a: RatFunc) -> RatFunc:
-        """d(a) for a polynomial a."""
-        return _scaled(a.c.numerator, a.c.denominator, polys.derive(ZZ, a.N))
+        if len(a.D) == 1:
+            return _scaled(a.c.numerator, a.c.denominator, polys.derive(ZZ, a.N))
+        # d(c N/D) = c (N' D - N D') / D^2
+        num = polys.sub(
+            ZZ,
+            polys.mul(ZZ, polys.derive(ZZ, a.N), a.D),
+            polys.mul(ZZ, a.N, polys.derive(ZZ, a.D)),
+        )
+        return _canonical(a.c.numerator, a.c.denominator, num, polys.mul(ZZ, a.D, a.D))
 
     def from_int(self, n: int) -> RatFunc:
         return self.from_fraction(Fraction(n))
@@ -379,63 +405,14 @@ class _IntegerCoreRing(Ring):
 
 
 class RationalFunctionField(_IntegerCoreRing):
-    """Q(x) with d = d/dx; the distinguished element t is x itself.
-
-    Polynomial operands (D = (1,)) take the Q[t] arithmetic of the shared
-    base.  Otherwise products cross-cancel first (Henrici; Knuth TAOCP 2,
-    4.5.1), and by Gauss's lemma products of primitive polynomials stay
-    primitive.
-    """
+    """Q(x) with d = d/dx; the distinguished element t is x itself, and
+    every nonzero element is a unit."""
 
     kind = "rational_function"
     is_field = True
 
-    def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        if len(a.D) == len(b.D) == 1 or not a.c or not b.c:
-            return _IntegerCoreRing.add(self, a, b)
-        # a + b = (ma aN/aD + mb bN/bD) / lcm, with integer multipliers
-        qa, qb = a.c.denominator, b.c.denominator
-        q = qa * qb // math.gcd(qa, qb)
-        ma, mb = a.c.numerator * (q // qa), b.c.numerator * (q // qb)
-        if a.D == b.D:
-            num = polys.add(ZZ, polys.scale(ZZ, ma, a.N), polys.scale(ZZ, mb, b.N))
-            return _canonical(1, q, num, a.D)
-        num = polys.add(
-            ZZ,
-            polys.scale(ZZ, ma, polys.mul(ZZ, a.N, b.D)),
-            polys.scale(ZZ, mb, polys.mul(ZZ, b.N, a.D)),
-        )
-        return _canonical(1, q, num, polys.mul(ZZ, a.D, b.D))
-
-    def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        if len(a.D) == len(b.D) == 1 or not a.c or not b.c:
-            return _IntegerCoreRing.mul(self, a, b)
-        # With a and b canonical, the cross-cancelled products are again
-        # coprime and primitive, so no gcd of the product is due.
-        a_num, b_den = _cancel(a.N, b.D)
-        b_num, a_den = _cancel(b.N, a.D)
-        return _ratfunc(
-            a.c * b.c, polys.mul(ZZ, a_num, b_num), polys.mul(ZZ, a_den, b_den)
-        )
-
     def is_invertible(self, a: RatFunc) -> bool:
         return not self.is_zero(a)
-
-    def inv(self, a: RatFunc) -> RatFunc:
-        if self.is_zero(a):
-            raise NotInvertibleError("0 is not invertible in Q(x)")
-        return _ratfunc(1 / a.c, a.D, a.N)
-
-    def derive(self, a: RatFunc) -> RatFunc:
-        if len(a.D) == 1:
-            return _IntegerCoreRing.derive(self, a)
-        # d(c N/D) = c (N' D - N D') / D^2
-        num = polys.sub(
-            ZZ,
-            polys.mul(ZZ, polys.derive(ZZ, a.N), a.D),
-            polys.mul(ZZ, a.N, polys.derive(ZZ, a.D)),
-        )
-        return _canonical(a.c.numerator, a.c.denominator, num, polys.mul(ZZ, a.D, a.D))
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "variable": self.variable}
@@ -446,9 +423,9 @@ class GaussPolynomialRing(_IntegerCoreRing):
 
     Models a Tate algebra of radius p^(-r); the norm is multiplicative.
     Units are the nonzero rational constants.  An element is c * N with
-    N primitive in Z[t] (a :class:`RatFunc` with D = (1,)); by Gauss's
-    lemma a product of primitive polynomials is primitive, so ``mul``
-    takes no content, and no operation takes a gcd of polynomials.
+    N primitive in Z[t] (a :class:`RatFunc` with D = (1,)), so every
+    operation takes the constant-denominator branch of the shared
+    arithmetic, and none takes a gcd of polynomials.
     """
 
     kind = "gauss_padic"
@@ -465,11 +442,6 @@ class GaussPolynomialRing(_IntegerCoreRing):
 
     def is_invertible(self, a: RatFunc) -> bool:
         return len(a.N) == 1
-
-    def inv(self, a: RatFunc) -> RatFunc:
-        if not self.is_invertible(a):
-            raise NotInvertibleError(f"only nonzero constants are units in {self.kind}")
-        return _ratfunc(1 / a.c, _ONE, _ONE)
 
     def norm(self, a: RatFunc) -> NormValue:
         # |c N| = |c|_p max_i |N_i|_p p^(-r i); N is primitive, so at
@@ -678,6 +650,9 @@ def ring_from_json(desc: dict) -> Ring:
             raise PreconditionError(
                 f"ring field '{key}' must be of type {typ.__name__}, got {desc[key]!r}"
             )
+    variable = desc.get("variable", "x")
+    if not (variable.isidentifier() and variable.isascii()):
+        raise PreconditionError(f"ring variable {variable!r} must match [A-Za-z_][A-Za-z_0-9]*")
     kind = desc.get("kind")
     if kind in ("gauss_padic", "finite_field_poly") and "p" not in desc:
         raise PreconditionError(f"ring descriptor of kind '{kind}' lacks key 'p'")

@@ -352,6 +352,18 @@ def test_field_order_above_bound_is_an_error(capsys, tmp_path, q_exp):
     assert err.startswith("error: ") and "exceeds the supported maximum 2^64" in err
 
 
+# A variable the parser cannot read back used to print as output, e.g.
+# the vector (1, x) as ["1", "1"] with "variable": "1".
+@pytest.mark.parametrize("variable", ["", "1", "x y", "2*"])
+@pytest.mark.parametrize("command, doc", [(CYCLIC, QX_DOC), (CERTIFY, GAUSS_DOC),
+                                          (["companion"], FQ_DOC)], ids=["qx", "gauss", "fq"])
+def test_variable_that_is_not_a_name_is_an_error(capsys, tmp_path, command, doc, variable):
+    doc = {**doc, "ring": {**doc["ring"], "variable": variable}}
+    code, out, err = run_doc(capsys, tmp_path, command, doc)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "must match [A-Za-z_][A-Za-z_0-9]*" in err
+
+
 class TestCompanion:
     def test_scalar_equation(self, capsys, qx_module):
         code, out, _ = run(capsys, ["companion", "-i", qx_module])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from katzcyclic import polys
+from katzcyclic import NotInvertibleError, polys
 from katzcyclic.rings import GaussPolynomialRing, RationalFunctionField, RatFunc
 
 sympy = pytest.importorskip("sympy")
@@ -161,3 +161,29 @@ def test_polynomial_path_with_zero():
     assert QX.mul(p, r) == QX.parse("(3/2*x^2 - 6)*(x + 1)/(2*x - 3)")
     assert QX.add(p, r) == QX.parse("3/2*x^2 - 6 + (x + 1)/(2*x - 3)")
     assert QX.mul(QX.parse("2*x - 3"), r) == QX.parse("x + 1")
+
+
+# -- one inv serves both kinds, guarded by each kind's is_invertible ------
+
+@pytest.mark.parametrize(
+    "ring, non_units",
+    [(QX, ["0"]), (QT, ["t", "t^2 + 1", "0"])],
+    ids=["qx", "gauss"],
+)
+def test_inv_refuses_non_units(ring, non_units):
+    for text in non_units:
+        with pytest.raises(NotInvertibleError):
+            ring.inv(ring.parse(text))
+
+
+@pytest.mark.parametrize(
+    "ring, units",
+    [(QX, ["-6/5", "3*x^2 - 6", "(x + 1)/(2*x - 3)"]), (QT, ["-6/5", "7"])],
+    ids=["qx", "gauss"],
+)
+def test_unit_times_inverse_is_one(ring, units):
+    for text in units:
+        a = ring.parse(text)
+        inv = ring.inv(a)
+        assert_canonical(inv)
+        assert ring.mul(a, inv) == ring.one == ring.mul(inv, a)

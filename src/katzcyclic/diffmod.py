@@ -75,12 +75,17 @@ def module_to_json(m: DifferentialModule) -> dict:
 
 
 def iterated_matrices(m: DifferentialModule, s_max: int) -> List[Matrix]:
-    """[G_0, ..., G_{s_max}] with G_0 = Id and G_{s+1} = d(G_s) + G_s G_1."""
+    """[G_0, ..., G_{s_max}] with G_0 = Id and G_{s+1} = d(G_s) + G_s G_1.
+
+    G_1 = d(Id) + Id G_1 is the connection matrix itself, so the
+    recursion starts from it."""
     if s_max < 0:
         raise PreconditionError("s_max must be >= 0")
     ring = m.ring
     out = [linalg.identity(ring, m.n)]
-    for _ in range(s_max):
+    if s_max:
+        out.append(linalg.freeze(m.g1))
+    for _ in range(s_max - 1):
         g = out[-1]
         out.append(
             linalg.mat_add(ring, linalg.mat_derive(ring, g), linalg.mat_mul(ring, g, m.g1))

@@ -116,14 +116,19 @@ def embed_qx(ring, f: QXPoly) -> XPoly:
 
 
 def h_matrix_at(ring, s: int, n: int, value) -> Matrix:
-    """H_s evaluated at a ring element (e.g. X := t or X := -t)."""
-    return tuple(
-        tuple(
-            xpoly.eval_at(ring, embed_qx(ring, h_entry(s, i, j, n)), value)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    """H_s evaluated at a ring element (e.g. X := t or X := -t).
+
+    Each nonzero entry is one monomial c X^(s+j-i) with s + j - i <= n - 1
+    (see :func:`epsilon`), so it is c times an entry of one table of the
+    powers of ``value`` up to n - 1."""
+    powers = [ring.one]
+    for _ in range(n - 1):
+        powers.append(ring.mul(powers[-1], value))
+
+    def entry(f: QXPoly):
+        return ring.mul(ring.from_fraction(f[-1]), powers[len(f) - 1]) if f else ring.zero
+
+    return tuple(tuple(entry(h_entry(s, i, j, n)) for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -137,8 +142,12 @@ class KatzVector:
 def katz_vector(m: DifferentialModule) -> KatzVector:
     """Build c(e, X) = sum_j (X^j/j!) sum_k (-1)^k C(j,k) nabla^k(e_{j-k})."""
     check_factorial_invertible(m.ring, m.n)
+    return _katz_vector_from(m, iterated_matrices(m, m.n - 1))
+
+
+def _katz_vector_from(m: DifferentialModule, gs: Sequence[Matrix]) -> KatzVector:
+    """c(e, X) from the iterated matrices G_0 .. G_{n-1} (or more)."""
     ring = m.ring
-    gs = iterated_matrices(m, m.n - 1)
     coeffs: List[Row] = []
     for j in range(m.n):
         acc = tuple(ring.zero for _ in range(m.n))

@@ -21,9 +21,13 @@ Euclid's remainders over Q grow.  ``pack`` and ``unpack`` are Kronecker
 substitution for Z[x]: ``pack(f, k)`` is the int f(2^k), and
 ``unpack(v, k)`` (k >= 2) reads the coefficients back as v's balanced
 base-2^k digits, which is exact when every coefficient lies in
-[-2^(k-1), 2^(k-1)).  Applied twice, with x -> 2^k inside
-X -> 2^(k (d+1)) for x-degrees at most d, they pack Z[x][X] and unpack
-it again when every coefficient is below 2^(k-1) in absolute value.
+[-2^(k-1), 2^(k-1)).  The matrix product of Q(x) and Q[t]
+(:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul`) uses them at
+one level, for Z[x].  Their determinant over ring[X]
+(:meth:`~katzcyclic.rings.RationalFunctionField.xdet`) uses them at two,
+with x -> 2^k inside X -> 2^(k (d+1)) for x-degrees at most d, which
+packs Z[x][X] and unpacks it again when every coefficient is below
+2^(k-1) in absolute value.
 """
 
 from __future__ import annotations

@@ -21,7 +21,10 @@ both kinds.  Its branch for constant denominators takes no gcd of
 polynomials (by Gauss's lemma a product of primitive polynomials is
 primitive), so neither Q[t] nor a polynomial element of Q(x) takes one.
 The Gauss norm of Q[t] is read off c and the p-adic valuations of N's
-integer coefficients.
+integer coefficients.  Matrix products (``mat_mul``) and the determinant
+of a matrix over ring[X] (``xdet``) clear their rows (and the product
+its columns too) into Z[x] by one helper, :func:`_clear`, and take the
+rest on Kronecker-packed ints.
 
 F_q[x] stores dense coefficient tuples over
 :class:`~katzcyclic.fields.FiniteField` and runs on the
@@ -230,6 +233,26 @@ def _scaled(p: int, q: int, N: Tuple[int, ...]) -> RatFunc:
     return _ratfunc(Fraction(p * cn, q), N, _ONE)
 
 
+def _clear(elements) -> Tuple[int, Tuple[int, ...], list]:
+    """(m, L, [m L a for a in elements]) for a sequence of elements: m is
+    the lcm of their scales' denominators and L the lcm of their
+    denominators D, so that every m L a lies in Z[x].  With every D =
+    (1,), L = (1,) and no gcd of polynomials is taken."""
+    qs = [a.c.denominator for a in elements]
+    m = math.lcm(*qs)
+    dens = {a.D for a in elements}
+    L = _ONE
+    for D in dens - {_ONE}:
+        L = polys.divmod_(ZZ, polys.mul(ZZ, L, D), polys.gcd(ZZ, L, D))[0]
+    cofactor = {D: polys.divmod_(ZZ, L, D)[0] for D in dens if D != L}
+    out = []
+    for a, q in zip(elements, qs):
+        f = m // q * a.c.numerator
+        N = a.N if f == 1 else tuple([f * c for c in a.N])
+        out.append(polys.mul(ZZ, N, cofactor[a.D]) if a.D != L else N)
+    return m, L, out
+
+
 class _IntegerCoreRing(Ring):
     """The arithmetic of Q(x) and Q[t]: elements are :class:`RatFunc`,
     all polynomial work is in Z[x] with :data:`~katzcyclic.fields.ZZ` as
@@ -328,18 +351,52 @@ class _IntegerCoreRing(Ring):
             return self.zero
         return _ratfunc(Fraction(q), _ONE, _ONE)
 
+    def mat_mul(self, a, b):
+        """a * b for matrices over the ring, taken as one product of
+        integer matrices by Kronecker substitution (von zur Gathen &
+        Gerhard, *Modern Computer Algebra*, 8.4).
+
+        :func:`_clear` takes row i of a to Z[x] over m_i L_i and column
+        j of b over m'_j L'_j.  Every coefficient of sum_l A_il B_lj is
+        at most max_i sum_l |A_il|_1 * max_lj |B_lj|_1 =: B in absolute
+        value, so with k = bitlen(B) + 1 the packing x -> 2^k is exact,
+        and entry (i, j) of the integer product unpacks into
+        sum_l A_il B_lj, which over m_i m'_j L_i L'_j is (a b)_ij.
+        """
+        rows = [_clear(row) for row in a]
+        cols = [_clear(col) for col in zip(*b)]
+        row_sum = max(sum(abs(c) for f in A for c in f) for _, _, A in rows)
+        bound = row_sum * max(sum(map(abs, f)) for _, _, B in cols for f in B)
+        if not bound:
+            return tuple(tuple(_ZERO for _ in cols) for _ in rows)
+        k = bound.bit_length() + 1
+        prod = linalg.mat_mul(
+            ZZ,
+            tuple(tuple(polys.pack(f, k) for f in A) for _, _, A in rows),
+            tuple(zip(*(tuple(polys.pack(f, k) for f in B) for _, _, B in cols))),
+        )
+        return tuple(
+            tuple(
+                _scaled(1, m * mb, polys.unpack(v, k))
+                if len(L) == len(Lb) == 1
+                else _canonical(1, m * mb, polys.unpack(v, k), polys.mul(ZZ, L, Lb))
+                for v, (mb, Lb, _) in zip(out, cols)
+            )
+            for out, (m, L, _) in zip(prod, rows)
+        )
+
     def xdet(self, h):
         """det h for a square matrix h over ring[X], taken as one
         determinant over Z by Kronecker substitution (von zur Gathen &
         Gerhard, *Modern Computer Algebra*, 8.4).
 
-        Row i is multiplied by m_i L_i, the lcm m_i of its scales'
-        denominators times the lcm L_i of its denominators D, so that
-        its entries lie in Z[x][X].  Then d = sum_i max_j deg_x of row i
-        bounds deg_x det, and B = prod_i sum_j |h_ij|_1 bounds every
-        coefficient of det, each of whose n! terms is a product of one
-        entry per row.  With k = bitlen(B) + 1 the coefficients are at
-        most 2^(k-1) - 1 in absolute value, so x -> 2^k and
+        :func:`_clear` multiplies row i by m_i L_i, the lcm m_i of its
+        scales' denominators times the lcm L_i of its denominators D, so
+        that its entries lie in Z[x][X].  Then d = sum_i max_j deg_x of
+        row i bounds deg_x det, and B = prod_i sum_j |h_ij|_1 bounds
+        every coefficient of det, each of whose n! terms is a product of
+        one entry per row.  With k = bitlen(B) + 1 the coefficients are
+        at most 2^(k-1) - 1 in absolute value, so x -> 2^k and
         X -> 2^(k (d+1)) pack each entry into one int, and the
         determinant of the ints unpacks into det of the cleared matrix.
         Over prod_i m_i L_i that is det h: one canonical form per
@@ -349,23 +406,14 @@ class _IntegerCoreRing(Ring):
         bound, d = 1, 0
         cleared = []
         for row in h:
-            coeffs = [a for f in row for a in f]
-            m = math.lcm(*(a.c.denominator for a in coeffs))
-            dens = {a.D for a in coeffs}
-            L = _ONE
-            for D in dens - {_ONE}:
-                L = polys.divmod_(ZZ, polys.mul(ZZ, L, D), polys.gcd(ZZ, L, D))[0]
-            cofactor = {D: polys.divmod_(ZZ, L, D)[0] for D in dens if D != L}
-            out = []
+            m, L, flat = _clear([a for f in row for a in f])
+            out, at = [], 0
             for f in row:
-                entry = []
-                for a in f:
-                    N = polys.scale(ZZ, m // a.c.denominator * a.c.numerator, a.N)
-                    entry.append(polys.mul(ZZ, N, cofactor[a.D]) if a.D != L else N)
-                out.append(entry)
+                out.append(flat[at:at + len(f)])
+                at += len(f)
             cleared.append(out)
-            bound *= sum(abs(c) for entry in out for N in entry for c in N)
-            d += max((len(N) - 1 for entry in out for N in entry), default=0)
+            bound *= sum(abs(c) for N in flat for c in N)
+            d += max((len(N) - 1 for N in flat), default=0)
             scale *= m
             den = polys.mul(ZZ, den, L)
         if not bound:  # a zero row

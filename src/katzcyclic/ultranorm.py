@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import linalg, xpoly
 from .diffmod import DifferentialModule, check_factorial_invertible, iterated_matrices
 from .errors import PreconditionError, UnsupportedOperationError
-from .katz import assemble_h, h_matrix_at, katz_vector, specialize_vector
+from .katz import _katz_vector_from, assemble_h, h_matrix_at, specialize_vector
 from .linalg import Matrix, Row
 from .normvalue import NormValue
 
@@ -171,9 +171,9 @@ def _base_norms(m: DifferentialModule) -> Dict[str, NormValue]:
     }
 
 
-def _witness(m: DifferentialModule) -> Row:
-    kv = katz_vector(m)
-    return specialize_vector(m, kv, m.ring.from_int(0))
+def _witness(m: DifferentialModule, gs: Sequence[Matrix]) -> Row:
+    """c(e, t), built from the iterated matrices G_0 .. G_{n-1} (or more)."""
+    return specialize_vector(m, _katz_vector_from(m, gs), m.ring.from_int(0))
 
 
 def _smallness_certificate(
@@ -186,7 +186,7 @@ def _smallness_certificate(
         certified=certified,
         norms={**_base_norms(m), "G1": g1_norm, "bound": bound},
         boundary=boundary,
-        witness=_witness(m) if certified else None,
+        witness=_witness(m, iterated_matrices(m, m.n - 1)) if certified else None,
     )
 
 
@@ -264,7 +264,7 @@ def certify_lemma_2_1(
         norms={**_base_norms(m), "G1": g1_norm},
         per_s=tuple(per_s),
         boundary=boundary,
-        witness=_witness(m) if certified else None,
+        witness=_witness(m, gs) if certified else None,
     )
 
 

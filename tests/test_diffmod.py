@@ -66,6 +66,11 @@ class TestIteratedMatrices:
                     row = apply_nabla(m, e_k, s)
                     assert all(qx.eq(a, b) for a, b in zip(row, gs[s][k]))
 
+    def test_short_lists_start_from_identity_and_g1(self, qx):
+        m = mk(qx, [["0", "1/x"], ["x^2", "3"]])
+        assert iterated_matrices(m, 0) == [linalg.identity(qx, 2)]
+        assert iterated_matrices(m, 1) == [linalg.identity(qx, 2), m.g1]
+
 
 class TestApplyNabla:
     def test_zeroth_power_is_identity(self, qx):

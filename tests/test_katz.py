@@ -10,6 +10,7 @@ from katzcyclic import (
     InternalConsistencyError,
     PreconditionError,
     RationalFunctionField,
+    ScaledDerivationRing,
     UnsupportedOperationError,
     alpha,
     apply_nabla,
@@ -30,7 +31,7 @@ from katzcyclic import (
     xpoly,
 )
 from katzcyclic.fields import QQ
-from katzcyclic.katz import assemble_h, h_entry, qx_to_str
+from katzcyclic.katz import assemble_h, embed_qx, h_entry, h_matrix_at, qx_to_str
 from katzcyclic.xpoly import XPolyRing
 
 from _helpers import (
@@ -181,6 +182,33 @@ class TestHMatrix:
     def test_s_out_of_range(self):
         with pytest.raises(PreconditionError):
             h_matrix(5, 3)
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            RationalFunctionField(),
+            GaussPolynomialRing(3, 1),
+            FiniteFieldPolyRing(5),
+            ScaledDerivationRing(RationalFunctionField(), RationalFunctionField().from_int(3)),
+        ],
+        ids=["qx", "gauss3", "F5", "scaled-qx"],
+    )
+    def test_h_matrix_at_matches_horner(self, ring):
+        """Against Horner evaluation of each embedded entry, at t, -t and
+        a non-constant value; the rescaled ring's t is x/3, not x."""
+        x = ring.var_element
+        value = ring.add(ring.mul(ring.from_int(2), ring.mul(x, x)), ring.one)
+        for point in (ring.t, ring.neg(ring.t), value):
+            for n in range(1, 6):
+                for s in range(2 * n - 1):
+                    expected = tuple(
+                        tuple(
+                            xpoly.eval_at(ring, embed_qx(ring, h_entry(s, i, j, n)), point)
+                            for j in range(n)
+                        )
+                        for i in range(n)
+                    )
+                    assert h_matrix_at(ring, s, n, point) == expected
 
 
 class TestKatzVector:

@@ -18,9 +18,11 @@ from katzcyclic import (
     invertibility_witness_norm,
     is_basis,
     iterated_matrices,
+    katz_vector,
     lemma_2_2_bound,
     linalg,
     matrix_norm,
+    specialize_vector,
 )
 from katzcyclic.katz import h_matrix_at
 from katzcyclic.ultranorm import h_norm_bounds, ring_norm_data
@@ -308,6 +310,21 @@ class TestLemma21:
                 assert sharp.certified
                 assert invertibility_witness_norm(m, kind) < NormValue.one(p)
         assert certified_count > 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_witness_is_the_candidate_at_zero_on_corpus(self, p):
+        """The witness built from lemma 2.1's own G_0 .. G_{n-1} is c(e, t)."""
+        certified = 0
+        for m in load_corpus(f"gauss_corpus_p{p}.json"):
+            for kind in (None, MatrixNormKind.rho_t_inverse(m.ring)):
+                cert = certify_lemma_2_1(m, kind)
+                if not cert.certified:
+                    assert cert.witness is None
+                    continue
+                certified += 1
+                zero = m.ring.from_int(0)
+                assert cert.witness == specialize_vector(m, katz_vector(m), zero)
+        assert certified > 0
 
     def test_certified_witness_determinant_is_one_plus_small(self):
         # the family determinant need not be a unit of the polynomial

@@ -41,6 +41,7 @@ from .katz import (
     h_matrix,
     invert_coefficients,
     katz_vector,
+    lemma_table,
     specialize_vector,
     vandermonde_det,
 )

@@ -15,6 +15,12 @@ which needs only G_0 .. G_{n-1} and no product H_s G_s; the tables H_s
 are returned alongside, and the tests check that the sum over them
 agrees.
 
+The tables H_s(X) (:func:`h_matrix`) and H_0(-X) H_s(X)
+(:func:`lemma_table`, the factor of G_s in lemma 2.1) depend on (s, n)
+alone: each is built once per process, in a bounded cache, and shared
+by every module of that rank; :func:`h_matrix_at` evaluates either kind
+at a ring element through one table of powers.
+
 Over Q(x) and Q[t], ``base_change`` takes P(X) as one determinant over
 Z (:meth:`~katzcyclic.rings.RationalFunctionField.xdet`): each row of
 H(X) is cleared of denominators into Z[x][X], each entry packed into one
@@ -29,6 +35,7 @@ scaled-derivation rings) take det H(X) over ring[X].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +59,7 @@ from .linalg import Matrix, Row
 from .xpoly import XPoly, XPolyRing
 
 QXPoly = Tuple[Fraction, ...]  # element of Q[X], dense
+QXTable = Tuple[Tuple[QXPoly, ...], ...]  # n x n matrix over Q[X]
 
 
 def _check_indices(s: int, i: int, j: int, n: int) -> None:
@@ -97,12 +105,52 @@ def h_entry(s: int, i: int, j: int, n: int) -> QXPoly:
     return tuple([Fraction(0)] * m + [coeff])
 
 
-def h_matrix(s: int, n: int) -> Tuple[Tuple[QXPoly, ...], ...]:
-    """The n x n universal matrix H_s(X) over Q[X]."""
+def _check_table(s: int, n: int) -> None:
+    if not (isinstance(s, int) and isinstance(n, int)):
+        raise PreconditionError("s and n must be integers")
     _check_indices(s, 0, 0, n)
-    return tuple(
-        tuple(h_entry(s, i, j, n) for j in range(n)) for i in range(n)
-    )
+
+
+# The tables depend on (s, n) alone, so each is built once per process.
+# 128 entries hold every table of both kinds up to rank 8 (2n - 1 per n).
+@functools.lru_cache(maxsize=128)
+def _h_table(s: int, n: int) -> QXTable:
+    return tuple(tuple(h_entry(s, i, j, n) for j in range(n)) for i in range(n))
+
+
+@functools.lru_cache(maxsize=128)
+def _lemma_table(s: int, n: int) -> QXTable:
+    # H_0(-X) has the entries (-X)^(k-i)/(k-i)! for k >= i, so entry
+    # (i, j) of H_0(-X) H_s(X) is beta X^m / m! with m = s + j - i and
+    # the integer beta = sum_{k >= i} (-1)^(k-i) C(m, k-i) alpha(s;k,j).
+    a = [[alpha(s, k, j, n) for j in range(n)] for k in range(n)]
+
+    def entry(i: int, j: int) -> QXPoly:
+        m = s + j - i
+        beta = sum(
+            (-1 if (k - i) % 2 else 1) * math.comb(m, k - i) * a[k][j]
+            for k in range(i, n)
+            if a[k][j]
+        )
+        return tuple([Fraction(0)] * m + [Fraction(beta, math.factorial(m))]) if beta else ()
+
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+
+
+def h_matrix(s: int, n: int) -> QXTable:
+    """The n x n universal matrix H_s(X) over Q[X], built once per (s, n)."""
+    _check_table(s, n)
+    return _h_table(s, n)
+
+
+def lemma_table(s: int, n: int) -> QXTable:
+    """The universal matrix H_0(-X) H_s(X) over Q[X], built once per (s, n).
+
+    Every entry is one monomial c X^(s+j-i); lemma 2.1 evaluates it at
+    X := t and takes one product with G_s.  ``lemma_table(0, n)`` is the
+    identity, because H_0(-X) H_0(X) = Id."""
+    _check_table(s, n)
+    return _lemma_table(s, n)
 
 
 def qx_to_str(f: QXPoly) -> str:
@@ -115,20 +163,22 @@ def embed_qx(ring, f: QXPoly) -> XPoly:
     return xpoly.normalize(ring, [ring.from_fraction(c) for c in f])
 
 
-def h_matrix_at(ring, s: int, n: int, value) -> Matrix:
-    """H_s evaluated at a ring element (e.g. X := t or X := -t).
+def h_matrix_at(ring, table: QXTable, value) -> Matrix:
+    """A table of monomials over Q[X], such as :func:`h_matrix` or
+    :func:`lemma_table`, evaluated at a ring element (e.g. X := t or
+    X := -t).
 
-    Each nonzero entry is one monomial c X^(s+j-i) with s + j - i <= n - 1
-    (see :func:`epsilon`), so it is c times an entry of one table of the
-    powers of ``value`` up to n - 1."""
+    Each nonzero entry is one monomial c X^m, so it is c times an entry
+    of one table of the powers of ``value`` up to the largest m."""
+    top = max((len(f) for row in table for f in row), default=0)
     powers = [ring.one]
-    for _ in range(n - 1):
+    while len(powers) < top:
         powers.append(ring.mul(powers[-1], value))
 
     def entry(f: QXPoly):
         return ring.mul(ring.from_fraction(f[-1]), powers[len(f) - 1]) if f else ring.zero
 
-    return tuple(tuple(entry(h_entry(s, i, j, n)) for j in range(n)) for i in range(n))
+    return tuple(tuple(entry(f) for f in row) for row in table)
 
 
 @dataclass(frozen=True)
@@ -221,7 +271,7 @@ class BaseChangeDecomposition:
     """The family H_0 .. H_{2n-2}, the assembled H(X), and P(X) = det H(X)."""
 
     n: int
-    h_tables: Tuple[Tuple[Tuple[QXPoly, ...], ...], ...]
+    h_tables: Tuple[QXTable, ...]
     h_assembled: Matrix  # entries in ring[X]
     det_poly: XPoly  # P(X) over the ring
     coefficients: Tuple  # r_0, ..., r_{n(n-1)} as ring elements

@@ -65,17 +65,19 @@ class _Parser:
                     break
                 bad = pos + (len(self.text) - pos - len(stripped))
                 raise ParseError(f"unexpected character {self.text[bad]!r}", bad)
-            if m.group(1) is not None:
-                if len(m.group(1)) > MAX_LITERAL_DIGITS:
+            group = m.lastindex
+            text, start = m.group(group), m.start(group)
+            if group == 1:
+                if len(text) > MAX_LITERAL_DIGITS:
                     raise ParseError(
                         f"integer literal exceeds the maximum {MAX_LITERAL_DIGITS} digits",
-                        m.start(1),
+                        start,
                     )
-                self.tokens.append(("int", int(m.group(1)), m.start(1)))
-            elif m.group(2) is not None:
-                self.tokens.append(("name", m.group(2), m.start(2)))
+                self.tokens.append(("int", int(text), start))
+            elif group == 2:
+                self.tokens.append(("name", text, start))
             else:
-                self.tokens.append(("op", m.group(3), m.start(3)))
+                self.tokens.append(("op", text, start))
             pos = m.end()
 
     def _peek(self):

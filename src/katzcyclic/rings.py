@@ -279,7 +279,8 @@ class _IntegerCoreRing(Ring):
         if not a.c:
             return self.one if k == 0 else self.zero
         zmul = functools.partial(polys.mul, ZZ)
-        return _ratfunc(a.c ** k, power(zmul, _ONE, a.N, k), power(zmul, _ONE, a.D, k))
+        D = a.D if len(a.D) == 1 else power(zmul, _ONE, a.D, k)
+        return _ratfunc(a.c ** k, power(zmul, _ONE, a.N, k), D)
 
     def is_zero(self, a: RatFunc) -> bool:
         return not a.c
@@ -344,7 +345,7 @@ class _IntegerCoreRing(Ring):
         return _canonical(a.c.numerator, a.c.denominator, num, polys.mul(ZZ, a.D, a.D))
 
     def from_int(self, n: int) -> RatFunc:
-        return self.from_fraction(Fraction(n))
+        return _ratfunc(Fraction(n), _ONE, _ONE) if n else self.zero
 
     def from_fraction(self, q: Fraction) -> RatFunc:
         if q == 0:

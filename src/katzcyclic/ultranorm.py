@@ -19,7 +19,14 @@ from typing import Dict, Optional, Sequence, Tuple
 from . import linalg, xpoly
 from .diffmod import DifferentialModule, check_factorial_invertible, iterated_matrices
 from .errors import PreconditionError, UnsupportedOperationError
-from .katz import _katz_vector_from, assemble_h, h_matrix_at, specialize_vector
+from .katz import (
+    _katz_vector_from,
+    assemble_h,
+    h_matrix,
+    h_matrix_at,
+    lemma_table,
+    specialize_vector,
+)
 from .linalg import Matrix, Row
 from .normvalue import NormValue
 
@@ -45,17 +52,27 @@ class MatrixNormKind:
 
 
 def matrix_norm(ring, a: Matrix, kind: Optional[MatrixNormKind] = None) -> NormValue:
-    """max over entries of |a_ij| * rho^(j-i); sup-norm when kind is None."""
+    """max over entries of |a_ij| * rho^(j-i); sup-norm when kind is None.
+
+    With rho = p^k this is p to the largest |a_ij|.exp + k (j - i) over
+    the nonzero entries, taken on exponents, and 0 for a zero matrix."""
     if not ring.is_banach:
         raise UnsupportedOperationError("matrix norms need a Banach ring")
-    rho = kind.rho if kind is not None else NormValue.one(ring.prime)
-    best = NormValue.zero(ring.prime)
+    p = ring.prime
+    k = 0
+    if kind is not None:
+        if kind.rho.p != p:
+            raise ValueError(f"norm values over different primes: {p} vs {kind.rho.p}")
+        k = kind.rho.exp
+    best = None
     for i, row in enumerate(a):
         for j, entry in enumerate(row):
-            v = ring.norm(entry) * rho ** (j - i)
-            if v > best:
-                best = v
-    return best
+            e = ring.norm(entry).exp
+            if e is not None:
+                e += k * (j - i)
+                if best is None or e > best:
+                    best = e
+    return NormValue(p, best)
 
 
 def lemma_2_2_bound(g1_norm: NormValue, d_norm: NormValue, s: int) -> NormValue:
@@ -242,19 +259,19 @@ def certify_lemma_2_1(
 
     When it holds, H(t) is invertible (Neumann series) and the candidate
     vector specialized at X := t is cyclic.  The prop-2.x checks are
-    sufficient conditions for this one.
+    sufficient conditions for this one.  H0(-t) H_s(t) is the universal
+    table :func:`~katzcyclic.katz.lemma_table` evaluated at t, so each s
+    takes one matrix product.
     """
     _require_banach(m)
     ring = m.ring
     n = m.n
     one = NormValue.one(ring.prime)
     gs = iterated_matrices(m, 2 * n - 2)
-    h0_neg = h_matrix_at(ring, 0, n, ring.neg(ring.t))
     per_s = []
     for s in range(1, 2 * n - 1):
-        hs = h_matrix_at(ring, s, n, ring.t)
-        prod = linalg.mat_mul(ring, linalg.mat_mul(ring, h0_neg, hs), gs[s])
-        per_s.append(matrix_norm(ring, prod, kind))
+        factor = h_matrix_at(ring, lemma_table(s, n), ring.t)
+        per_s.append(matrix_norm(ring, linalg.mat_mul(ring, factor, gs[s]), kind))
     certified = all(v < one for v in per_s)
     boundary = (not certified) and all(v <= one for v in per_s)
     g1_norm = matrix_norm(ring, m.g1, kind)
@@ -277,7 +294,7 @@ def invertibility_witness_norm(
     n = m.n
     h_x, _ = assemble_h(m)
     h_t = tuple(tuple(xpoly.eval_at(ring, f, ring.t) for f in row) for row in h_x)
-    h0_neg = h_matrix_at(ring, 0, n, ring.neg(ring.t))
+    h0_neg = h_matrix_at(ring, h_matrix(0, n), ring.neg(ring.t))
     delta = linalg.mat_sub(
         ring, linalg.mat_mul(ring, h0_neg, h_t), linalg.identity(ring, n)
     )

@@ -11,10 +11,15 @@ builds elements:
   denominators and fractional scales (P(X) and ``katzcyclic cyclic``);
 * a Gauss Q[t] module with fractional coefficients;
 * F_5[x] and F_49[x] modules (p > n - 1);
-* a Q(x) module after ``rescale_derivation``.
+* a Q(x) module after ``rescale_derivation``;
+* Gauss Q[t] modules of rank 4 to 8 over p = 2, 3, 5 with radius
+  exponents 0, 1, 2, each plain and with G1 multiplied by p, under every
+  ``certify`` criterion and every lemma-2.1 norm.
 
 The digests were recorded before H(X) was built as the nabla-family of
-c(e, X) and before polynomial Q(x) elements took the Q[t] arithmetic.
+c(e, X) and before polynomial Q(x) elements took the Q[t] arithmetic;
+the ``certify`` digest before lemma 2.1 read H_0(-t) H_s(t) from one
+cached universal table per s.
 """
 
 import contextlib
@@ -122,8 +127,58 @@ def cyclic_digest(modules, workdir):
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
+def gauss_certify_files(workdir):
+    """Seeded Gauss modules of rank 4 to 8, one per (p, r), entries
+    p^e (a + b t + c t^2) with e spread so that both verdicts occur; each
+    module also appears with G1 multiplied by p."""
+    paths = []
+    k = 0
+    for p in (2, 3, 5):
+        for r in (0, 1, 2):
+            n = 4 + k % 5
+            rng = random.Random(500 + k)
+            rows = [
+                [f"{p ** rng.randint(0, 2 * n)}*({_int_poly(rng, 't', 2)})" for _ in range(n)]
+                for _ in range(n)
+            ]
+            for extra in (1, p):
+                doc = {
+                    "ring": {"kind": "gauss_padic", "variable": "t", "p": p, "radius_exp": r},
+                    "n": n,
+                    "G1": [[f"{extra}*({e})" for e in row] for row in rows],
+                }
+                path = workdir / f"gauss-{k}-{extra}.json"
+                path.write_text(json.dumps(doc), encoding="utf-8")
+                paths.append(str(path))
+            k += 1
+    return paths
+
+
+CERTIFY_RUNS = (
+    ["--criterion", "prop2.3"],
+    ["--criterion", "prop2.5"],
+    ["--criterion", "prop2.8"],
+    ["--criterion", "lemma2.1", "--norm", "sup"],
+    ["--criterion", "lemma2.1", "--norm", "rho-t"],
+    ["--criterion", "lemma2.1", "--norm", "rho-d"],
+)
+
+
+def certify_digest(paths):
+    """sha256 of the stdout of every ``katzcyclic certify`` run on each file,
+    and the exit codes, which tell certified (0) from not (2)."""
+    out = io.StringIO()
+    codes = []
+    with contextlib.redirect_stdout(out):
+        for path in paths:
+            for extra in CERTIFY_RUNS:
+                codes.append(main(["certify", "-i", path, *extra]))
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), codes
+
+
 QX_P_DIGEST = "632a6e3150181fbd98b70b118c2eabfb763fb7acaf9a352b870bd3c300638b80"
 QX_CYCLIC_DIGEST = "a4d859bd9bc33c81bc9066b9176cab616c510c5b4c3c430e8f34a49d84a429b8"
+GAUSS_CERTIFY_DIGEST = "fa64e8556a56b22a8575f4e052995d15cbf96ce09064aa455547a0a97c5c1167"
 # Gauss Q[t] p = 3 r = 1, F_5[x], F_49[x], Q(x) with d rescaled by 2x^2 + 1.
 OTHER_P_DIGESTS = (
     "f4b1156db004fd0e492366689c2d2869abecfd3705895a613cb00f161776ff1d",
@@ -149,3 +204,9 @@ def test_golden_qx_cyclic(tmp_path):
 
 def test_golden_other_rings_base_change_det():
     assert tuple(p_digest([m]) for m in other_modules()) == OTHER_P_DIGESTS
+
+
+def test_golden_gauss_certify_high_rank(tmp_path):
+    digest, codes = certify_digest(gauss_certify_files(tmp_path))
+    assert set(codes) == {0, 2}
+    assert digest == GAUSS_CERTIFY_DIGEST

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from katzcyclic import (
     is_basis,
     katz_vector,
     derivative_coefficients,
+    lemma_table,
     linalg,
     polys,
     rescale_derivation,
@@ -208,7 +210,66 @@ class TestHMatrix:
                         )
                         for i in range(n)
                     )
-                    assert h_matrix_at(ring, s, n, point) == expected
+                    assert h_matrix_at(ring, h_matrix(s, n), point) == expected
+
+
+def qx_mat_mul(a, b):
+    """Product of two tables over Q[X], entry by entry with ``polys``."""
+    n = len(a)
+    return tuple(
+        tuple(
+            functools.reduce(
+                lambda acc, l: polys.add(QQ, acc, polys.mul(QQ, a[i][l], b[l][j])),
+                range(n),
+                (),
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def at_minus_x(table):
+    """f(-X) for every entry f of a table over Q[X]."""
+    return tuple(
+        tuple(tuple(c if k % 2 == 0 else -c for k, c in enumerate(f)) for f in row)
+        for row in table
+    )
+
+
+class TestLemmaTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_is_h0_at_minus_x_times_hs(self, n):
+        h0_neg = at_minus_x(h_matrix(0, n))
+        for s in range(2 * n - 1):
+            assert lemma_table(s, n) == qx_mat_mul(h0_neg, h_matrix(s, n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_s0_is_identity(self, n):
+        identity = tuple(
+            tuple((Fraction(1),) if i == j else () for j in range(n)) for i in range(n)
+        )
+        assert lemma_table(0, n) == identity
+
+    def test_tables_are_built_once(self):
+        assert h_matrix(3, 4) is h_matrix(3, 4)
+        assert lemma_table(3, 4) is lemma_table(3, 4)
+
+    @pytest.mark.parametrize("s,n", [(5, 3), (-1, 3), (0, 0), (1.0, 2), (1, "2")])
+    def test_arguments_checked_before_the_cache(self, s, n):
+        for table in (h_matrix, lemma_table):
+            with pytest.raises(PreconditionError):
+                table(s, n)
+
+    @pytest.mark.parametrize("ring", [RationalFunctionField(), GaussPolynomialRing(5, 2)])
+    def test_evaluated_at_t_is_the_product_of_the_evaluated_factors(self, ring):
+        for n in range(1, 6):
+            h0_neg = h_matrix_at(ring, h_matrix(0, n), ring.neg(ring.t))
+            for s in range(2 * n - 1):
+                hs = h_matrix_at(ring, h_matrix(s, n), ring.t)
+                assert h_matrix_at(ring, lemma_table(s, n), ring.t) == linalg.mat_mul(
+                    ring, h0_neg, hs
+                )
 
 
 class TestKatzVector:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from katzcyclic import (
     DifferentialModule,
@@ -24,7 +26,7 @@ from katzcyclic import (
     matrix_norm,
     specialize_vector,
 )
-from katzcyclic.katz import h_matrix_at
+from katzcyclic.katz import h_matrix, h_matrix_at
 from katzcyclic.ultranorm import h_norm_bounds, ring_norm_data
 
 from _helpers import load_corpus, seeded
@@ -121,6 +123,64 @@ class TestMatrixNorm:
             assert matrix_norm(ring, a, kind) == matrix_norm(ring, conj)
 
 
+P_KINDS = st.sampled_from(["sup", "rho-t", "rho-d", "rho-any"])
+
+
+@st.composite
+def gauss_matrices(draw):
+    """A Gauss ring and a matrix over it with many zero entries, or the
+    zero matrix, plus a norm kind: sup, rho-t, rho-d or rho = p^k."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ring = GaussPolynomialRing(p, radius_exp=draw(st.integers(0, 2)))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    zero = draw(st.booleans())
+    coeff = st.fractions(min_value=-40, max_value=40, max_denominator=50)
+
+    def entry():
+        if zero or draw(st.booleans()):
+            return ring.zero
+        acc = ring.zero
+        for k, c in enumerate(draw(st.lists(coeff, min_size=1, max_size=3))):
+            acc = ring.add(acc, ring.mul(ring.from_fraction(c), ring.pow(ring.t, k)))
+        return acc
+
+    a = linalg.freeze([[entry() for _ in range(cols)] for _ in range(rows)])
+    name = draw(P_KINDS)
+    kind = {
+        "sup": None,
+        "rho-t": MatrixNormKind.rho_t_inverse(ring),
+        "rho-d": MatrixNormKind.rho_d(ring),
+        "rho-any": MatrixNormKind("rho", NormValue(p, draw(st.integers(-3, 3)))),
+    }[name]
+    return ring, a, kind
+
+
+class TestMatrixNormDefinition:
+    @given(gauss_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_normvalue_definition(self, case):
+        ring, a, kind = case
+        rho = kind.rho if kind is not None else NormValue.one(ring.prime)
+        best = NormValue.zero(ring.prime)
+        for i, row in enumerate(a):
+            for j, entry in enumerate(row):
+                best = max(best, ring.norm(entry) * rho ** (j - i))
+        assert matrix_norm(ring, a, kind) == best
+
+    def test_zero_matrix_under_every_kind(self):
+        ring = GaussPolynomialRing(3, 1)
+        a = linalg.freeze([[ring.zero] * 3] * 2)
+        for kind in (None, MatrixNormKind.rho_t_inverse(ring), MatrixNormKind.rho_d(ring)):
+            assert matrix_norm(ring, a, kind) == NormValue.zero(3)
+
+    @pytest.mark.parametrize("rows", [[["1", "t"], ["0", "3"]], [["0"]]])
+    def test_kind_over_another_prime_raises(self, rows):
+        ring = GaussPolynomialRing(2, 1)
+        a = mk(ring, rows).g1
+        with pytest.raises(ValueError):
+            matrix_norm(ring, a, MatrixNormKind("rho", NormValue(3, 1)))
+
+
 class TestLemma22Bound:
     def test_s1_is_g1_norm(self):
         g1 = NormValue(3, -2)
@@ -161,14 +221,14 @@ class TestHNormBounds:
         bounds = h_norm_bounds(n, t_pows, d_norm, fact)
         rho_t = MatrixNormKind.rho_t_inverse(ring)
         rho_d = MatrixNormKind.rho_d(ring)
-        h0_t = h_matrix_at(ring, 0, n, ring.t)
-        h0_neg = h_matrix_at(ring, 0, n, ring.neg(ring.t))
+        h0_t = h_matrix_at(ring, h_matrix(0, n), ring.t)
+        h0_neg = h_matrix_at(ring, h_matrix(0, n), ring.neg(ring.t))
         assert matrix_norm(ring, h0_t) <= bounds.sup_h0
         assert matrix_norm(ring, h0_neg) <= bounds.sup_h0
         assert matrix_norm(ring, h0_t, rho_t) <= bounds.rho_t_h0
         assert matrix_norm(ring, h0_t, rho_d) <= bounds.rho_d_h0
         for s in range(2 * n - 1):
-            hs = h_matrix_at(ring, s, n, ring.t)
+            hs = h_matrix_at(ring, h_matrix(s, n), ring.t)
             assert matrix_norm(ring, hs, rho_t) <= bounds.rho_t_hs[s]
             assert matrix_norm(ring, hs, rho_d) <= bounds.rho_d_hs[s]
 
@@ -271,6 +331,40 @@ class TestLemma21:
         cert = certify_lemma_2_1(m)
         assert cert.certified
         assert cert.per_s == (NormValue(3, -1), NormValue(3, -2))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_per_s_norms_match_the_two_product_path(self, p):
+        """Against H0(-t) (H_s(t) G_s) taken as two products of the
+        evaluated tables, on seeded modules plain and with G1 times p."""
+        rng = seeded(300 + p)
+        compared = 0
+        for r in (0, 1, 2):
+            ring = GaussPolynomialRing(p, radius_exp=r)
+            for n in (2, 3, 4):
+                g1 = random_gauss_matrix(ring, rng, n, max_scale=2 * n)
+                for scale in (1, p):
+                    c = ring.from_int(scale)
+                    m = DifferentialModule(
+                        ring=ring,
+                        n=n,
+                        g1=linalg.freeze([[ring.mul(c, x) for x in row] for row in g1]),
+                    )
+                    gs = iterated_matrices(m, 2 * n - 2)
+                    h0_neg = h_matrix_at(ring, h_matrix(0, n), ring.neg(ring.t))
+                    products = [
+                        linalg.mat_mul(
+                            ring,
+                            linalg.mat_mul(ring, h0_neg, h_matrix_at(ring, h_matrix(s, n), ring.t)),
+                            gs[s],
+                        )
+                        for s in range(1, 2 * n - 1)
+                    ]
+                    kinds = (None, MatrixNormKind.rho_t_inverse(ring), MatrixNormKind.rho_d(ring))
+                    for kind in kinds:
+                        expected = tuple(matrix_norm(ring, prod, kind) for prod in products)
+                        assert certify_lemma_2_1(m, kind).per_s == expected
+                        compared += 1
+        assert compared == 3 * 3 * 2 * 3
 
     def test_witness_norm_small_when_certified(self):
         ring = GaussPolynomialRing(3)

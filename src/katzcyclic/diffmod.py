@@ -4,7 +4,10 @@ Conventions: a module of rank n over a ring B is presented by the n x n
 matrix G1 whose row i holds the coordinates of nabla(e_i) in the basis
 e.  Coordinates act on the right, so for a row vector f one has
 nabla(f) = d(f) + f * G1, and the iterated matrices satisfy
-G_{s+1} = d(G_s) + G_s * G1 with G_0 = Id.
+G_{s+1} = d(G_s) + G_s * G1 with G_0 = Id.  :func:`iterated_matrices`
+defers this recurrence to the ring where it has its own, as
+:func:`katzcyclic.linalg.mat_mul` defers products: Q(x) and Q[t] run it
+on cleared integer matrices, every other ring takes the generic loop.
 """
 
 from __future__ import annotations
@@ -77,11 +80,19 @@ def module_to_json(m: DifferentialModule) -> dict:
 def iterated_matrices(m: DifferentialModule, s_max: int) -> List[Matrix]:
     """[G_0, ..., G_{s_max}] with G_0 = Id and G_{s+1} = d(G_s) + G_s G_1.
 
-    G_1 = d(Id) + Id G_1 is the connection matrix itself, so the
-    recursion starts from it."""
+    Row k of G_s holds the coordinates of nabla^s(e_k).  A ring with its
+    own ``iterated_matrices`` runs the recurrence itself: Q(x) and Q[t]
+    take it on cleared integer matrices
+    (:meth:`~katzcyclic.rings.RationalFunctionField.iterated_matrices`).
+    F_q[x] and the scaled-derivation rings take the loop below.  G_1 =
+    d(Id) + Id G_1 is the connection matrix itself, so the loop starts
+    from it."""
     if s_max < 0:
         raise PreconditionError("s_max must be >= 0")
     ring = m.ring
+    recurrence = getattr(ring, "iterated_matrices", None)
+    if recurrence is not None:
+        return recurrence(m.g1, s_max)
     out = [linalg.identity(ring, m.n)]
     if s_max:
         out.append(linalg.freeze(m.g1))

@@ -17,9 +17,11 @@ costs two gcds in Q(x), which made P(X) = det H(X) over Q(x)[X] about
 ``mat_mul`` defers to the ring's own ``mat_mul`` where it has one: Q(x)
 and Q[t] take the product as one Kronecker-packed product of integer
 matrices (:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul`),
-which comes back here over :data:`~katzcyclic.fields.ZZ`.  F_q[x],
-ring[X], the scaled-derivation rings and ZZ itself take the entry-wise
-loop.
+which comes back here over :data:`~katzcyclic.fields.ZZ`.  So does
+each step of their iterated matrices G_s
+(:meth:`~katzcyclic.rings.RationalFunctionField.iterated_matrices`),
+through the same packed kernel.  F_q[x], ring[X], the scaled-derivation
+rings and ZZ itself take the entry-wise loop.
 """
 
 from __future__ import annotations

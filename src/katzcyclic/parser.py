@@ -157,10 +157,15 @@ class _Parser:
         return base
 
     def _check_size(self, base, exp, pos):
-        try:
-            size = exp * len(self.ring.to_str(base))
-        except UnsupportedOperationError:  # the base alone is too long to print
-            raise ParseError(f"power base exceeds the maximum size {MAX_POWER_SIZE}", pos) from None
+        if base is self.ring.var_element:  # it prints as the variable's name
+            size = exp * len(self.ring.variable)
+        else:
+            try:
+                size = exp * len(self.ring.to_str(base))
+            except UnsupportedOperationError:  # the base alone is too long to print
+                raise ParseError(
+                    f"power base exceeds the maximum size {MAX_POWER_SIZE}", pos
+                ) from None
         if size > MAX_POWER_SIZE:
             raise ParseError(f"power of size {size} exceeds the maximum {MAX_POWER_SIZE}", pos)
 

@@ -21,9 +21,10 @@ Euclid's remainders over Q grow.  ``pack`` and ``unpack`` are Kronecker
 substitution for Z[x]: ``pack(f, k)`` is the int f(2^k), and
 ``unpack(v, k)`` (k >= 2) reads the coefficients back as v's balanced
 base-2^k digits, which is exact when every coefficient lies in
-[-2^(k-1), 2^(k-1)).  The matrix product of Q(x) and Q[t]
-(:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul`) uses them at
-one level, for Z[x].  Their determinant over ring[X]
+[-2^(k-1), 2^(k-1)).  The matrix products of Q(x) and Q[t]
+(:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul` and each step
+of :meth:`~katzcyclic.rings.RationalFunctionField.iterated_matrices`)
+use them at one level, for Z[x].  Their determinant over ring[X]
 (:meth:`~katzcyclic.rings.RationalFunctionField.xdet`) uses them at two,
 with x -> 2^k inside X -> 2^(k (d+1)) for x-degrees at most d, which
 packs Z[x][X] and unpacks it again when every coefficient is below

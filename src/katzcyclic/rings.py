@@ -21,10 +21,14 @@ both kinds.  Its branch for constant denominators takes no gcd of
 polynomials (by Gauss's lemma a product of primitive polynomials is
 primitive), so neither Q[t] nor a polynomial element of Q(x) takes one.
 The Gauss norm of Q[t] is read off c and the p-adic valuations of N's
-integer coefficients.  Matrix products (``mat_mul``) and the determinant
-of a matrix over ring[X] (``xdet``) clear their rows (and the product
-its columns too) into Z[x] by one helper, :func:`_clear`, and take the
-rest on Kronecker-packed ints.
+integer coefficients.  The integer core holds three matrix routines,
+each of which clears its input into Z[x] by one helper, :func:`_clear`,
+and takes the rest on Kronecker-packed ints: matrix products
+(``mat_mul``), the determinant of a matrix over ring[X] (``xdet``), and
+the recurrence G_{s+1} = d(G_s) + G_s G_1 of the iterated matrices
+(``iterated_matrices``), which clears G_1 once and runs on integer
+matrices.  The products of ``mat_mul`` and of the recurrence share one
+kernel, :func:`_zx_mat_mul`.
 
 F_q[x] stores dense coefficient tuples over
 :class:`~katzcyclic.fields.FiniteField` and runs on the
@@ -253,6 +257,30 @@ def _clear(elements) -> Tuple[int, Tuple[int, ...], list]:
     return m, L, out
 
 
+def _zx_mat_mul(a, b):
+    """a * b for matrices over Z[x], as one product of integer matrices
+    by Kronecker substitution (von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, 8.4).
+
+    Every coefficient of sum_l a_il b_lj is at most max_i sum_l |a_il|_1
+    * max_lj |b_lj|_1 =: B in absolute value, so with k = bitlen(B) + 1
+    the packing x -> 2^k is exact, and each entry of the product of the
+    packed ints, taken by ``linalg.mat_mul`` over ZZ, unpacks into the
+    entry of a * b.
+    """
+    row_sum = max(sum(abs(c) for f in row for c in f) for row in a)
+    bound = row_sum * max(sum(map(abs, f)) for row in b for f in row)
+    if not bound:
+        return [[() for _ in b[0]] for _ in a]
+    k = bound.bit_length() + 1
+    prod = linalg.mat_mul(
+        ZZ,
+        tuple(tuple(polys.pack(f, k) for f in row) for row in a),
+        tuple(tuple(polys.pack(f, k) for f in row) for row in b),
+    )
+    return [[polys.unpack(v, k) for v in row] for row in prod]
+
+
 class _IntegerCoreRing(Ring):
     """The arithmetic of Q(x) and Q[t]: elements are :class:`RatFunc`,
     all polynomial work is in Z[x] with :data:`~katzcyclic.fields.ZZ` as
@@ -354,37 +382,78 @@ class _IntegerCoreRing(Ring):
 
     def mat_mul(self, a, b):
         """a * b for matrices over the ring, taken as one product of
-        integer matrices by Kronecker substitution (von zur Gathen &
-        Gerhard, *Modern Computer Algebra*, 8.4).
+        integer matrices by :func:`_zx_mat_mul`.
 
         :func:`_clear` takes row i of a to Z[x] over m_i L_i and column
-        j of b over m'_j L'_j.  Every coefficient of sum_l A_il B_lj is
-        at most max_i sum_l |A_il|_1 * max_lj |B_lj|_1 =: B in absolute
-        value, so with k = bitlen(B) + 1 the packing x -> 2^k is exact,
-        and entry (i, j) of the integer product unpacks into
-        sum_l A_il B_lj, which over m_i m'_j L_i L'_j is (a b)_ij.
+        j of b over m'_j L'_j; entry (i, j) of the product of the
+        cleared rows and columns, over m_i m'_j L_i L'_j, is (a b)_ij.
         """
         rows = [_clear(row) for row in a]
         cols = [_clear(col) for col in zip(*b)]
-        row_sum = max(sum(abs(c) for f in A for c in f) for _, _, A in rows)
-        bound = row_sum * max(sum(map(abs, f)) for _, _, B in cols for f in B)
-        if not bound:
-            return tuple(tuple(_ZERO for _ in cols) for _ in rows)
-        k = bound.bit_length() + 1
-        prod = linalg.mat_mul(
-            ZZ,
-            tuple(tuple(polys.pack(f, k) for f in A) for _, _, A in rows),
-            tuple(zip(*(tuple(polys.pack(f, k) for f in B) for _, _, B in cols))),
-        )
+        prod = _zx_mat_mul([A for _, _, A in rows], list(zip(*(B for _, _, B in cols))))
         return tuple(
             tuple(
-                _scaled(1, m * mb, polys.unpack(v, k))
+                _scaled(1, m * mb, v)
                 if len(L) == len(Lb) == 1
-                else _canonical(1, m * mb, polys.unpack(v, k), polys.mul(ZZ, L, Lb))
+                else _canonical(1, m * mb, v, polys.mul(ZZ, L, Lb))
                 for v, (mb, Lb, _) in zip(out, cols)
             )
             for out, (m, L, _) in zip(prod, rows)
         )
+
+    def iterated_matrices(self, g1, s_max: int):
+        """[G_0, ..., G_{s_max}] with G_0 = Id and G_{s+1} = d(G_s) + G_s G_1,
+        run on integer matrices.
+
+        :func:`_clear` writes G_1 once as A/(m L) with A over Z[x].  Then
+        G_s = A_s/(m^s L^s), where A_0 = Id, A_1 = A and
+
+            A_{s+1} = m (L A_s' - s L' A_s) + A_s A,
+
+        since d(A_s/(m^s L^s)) = (L A_s' - s L' A_s)/(m^s L^(s+1)).  Each
+        step takes one packed product A_s A (:func:`_zx_mat_mul`) and one
+        canonical form per entry of G_{s+1}; with L = (1,), as in Q[t],
+        the derivative term is m A_s' and no gcd is taken.
+        """
+        n = len(g1)
+        out = [linalg.identity(self, n)]
+        if s_max:
+            out.append(linalg.freeze(g1))
+        if s_max < 2:
+            return out
+        m, L, flat = _clear([x for row in g1 for x in row])
+        A = [flat[i * n:(i + 1) * n] for i in range(n)]
+        dL = polys.derive(ZZ, L)
+
+        def step(s, f, p):
+            """m (L f' - s L' f) + p: an entry of A_{s+1} from A_s and A_s A.
+
+            f' and the sum are plain int loops: through polys.derive and
+            polys.add, which call ZZ's methods per coefficient, the whole
+            recurrence took about 1.7x as long on rank-2..4 Q[t] modules."""
+            d = [i * c for i, c in enumerate(f)][1:]
+            if dL:
+                d = polys.sub(ZZ, polys.mul(ZZ, L, d), polys.mul(ZZ, [s * c for c in dL], f))
+            acc = list(p) + [0] * (len(d) - len(p))
+            for i, c in enumerate(d):
+                acc[i] += m * c
+            while acc and not acc[-1]:
+                acc.pop()
+            return tuple(acc)
+
+        A_s, scale, den = A, m, L
+        for s in range(1, s_max):
+            prod = _zx_mat_mul(A_s, A)
+            A_s = [[step(s, f, p) for f, p in zip(row, prow)] for row, prow in zip(A_s, prod)]
+            scale, den = scale * m, polys.mul(ZZ, den, L)
+            out.append(tuple(
+                tuple(
+                    _scaled(1, scale, f) if not dL else _canonical(1, scale, f, den)
+                    for f in row
+                )
+                for row in A_s
+            ))
+        return out
 
     def xdet(self, h):
         """det h for a square matrix h over ring[X], taken as one
@@ -494,14 +563,24 @@ class GaussPolynomialRing(_IntegerCoreRing):
 
     def norm(self, a: RatFunc) -> NormValue:
         # |c N| = |c|_p max_i |N_i|_p p^(-r i); N is primitive, so at
-        # r = 0 the maximum is |N_i|_p = 1 and |c N| = |c|_p.
+        # r = 0 the maximum is |N_i|_p = 1 and |c N| = |c|_p.  For r > 0
+        # the term at i is at most -r i, so the scan stops once that is
+        # no larger than the best term so far.
         p = self.prime
         if not a.c:
             return NormValue.zero(p)
         r = self.radius_exp
         exp = padic_valuation(a.c.denominator, p) - padic_valuation(a.c.numerator, p)
         if r:
-            exp += max(-padic_valuation(n, p) - r * i for i, n in enumerate(a.N) if n)
+            best = None
+            for i, n in enumerate(a.N):
+                if best is not None and -r * i <= best:
+                    break
+                if n:
+                    term = -padic_valuation(n, p) - r * i
+                    if best is None or term > best:
+                        best = term
+            exp += best
         return NormValue(p, exp)
 
     def derivation_norm(self) -> NormValue:

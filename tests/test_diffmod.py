@@ -1,4 +1,9 @@
+from fractions import Fraction
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from katzcyclic import (
     DifferentialModule,
@@ -13,8 +18,10 @@ from katzcyclic import (
     is_basis,
     iterated_matrices,
     linalg,
+    polys,
     rescale_derivation,
 )
+from katzcyclic.rings import RatFunc, Ring
 
 from _helpers import random_module, random_qx_poly, random_ratfunc, seeded
 
@@ -70,6 +77,111 @@ class TestIteratedMatrices:
         m = mk(qx, [["0", "1/x"], ["x^2", "3"]])
         assert iterated_matrices(m, 0) == [linalg.identity(qx, 2)]
         assert iterated_matrices(m, 1) == [linalg.identity(qx, 2), m.g1]
+
+
+QX = RationalFunctionField()
+QT = GaussPolynomialRing(5, 1)
+# Entries share a few denominators, as a module's entries usually do, so
+# that their lcm L and its powers L^s stay small enough for the loop.
+DENOMINATORS = [
+    (Fraction(1),),
+    (Fraction(1), Fraction(1)),
+    (Fraction(-3), Fraction(0), Fraction(2)),
+]
+small_polys = st.lists(
+    st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 25])),
+    min_size=0,
+    max_size=3,
+)
+
+
+@st.composite
+def qx_entries(draw):
+    """Zero a third of the time, else a quotient with a fractional scale
+    and often a nonconstant denominator."""
+    if draw(st.integers(0, 2)) == 0:
+        return QX.zero
+    return RatFunc(draw(small_polys), draw(st.sampled_from(DENOMINATORS)))
+
+
+@st.composite
+def gauss_entries(draw):
+    """p^k times a polynomial with a fractional scale, or zero."""
+    if draw(st.integers(0, 2)) == 0:
+        return QT.zero
+    poly = RatFunc(draw(small_polys), (Fraction(1),))
+    return QT.mul(QT.from_int(QT.prime ** draw(st.integers(0, 4))), poly)
+
+
+@st.composite
+def modules(draw, ring, entries):
+    n = draw(st.integers(1, 4))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["plain", "zero", "zero row"]))
+    if shape == "zero":
+        rows = [[ring.zero] * n for _ in range(n)]
+    elif shape == "zero row":
+        rows[draw(st.integers(0, n - 1))] = [ring.zero] * n
+    s_max = draw(st.sampled_from([0, 1, 2 * n - 2]))
+    return DifferentialModule(ring=ring, n=n, g1=linalg.freeze(rows)), s_max
+
+
+RECURRENCE_SETTINGS = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestIntegerRecurrence:
+    """Q(x) and Q[t] run G_{s+1} = d(G_s) + G_s G_1 on cleared integer
+    matrices; checked against nabla on the basis rows and against the
+    same module rescaled by 1, which takes the generic loop."""
+
+    def check(self, m, s_max):
+        gs = iterated_matrices(m, s_max)
+        assert gs == m.ring.iterated_matrices(m.g1, s_max)
+        assert len(gs) == s_max + 1
+        loop = rescale_derivation(m, m.ring.one)
+        assert not hasattr(loop.ring, "iterated_matrices")
+        assert iterated_matrices(loop, s_max) == gs
+        for k in range(m.n):
+            e_k = tuple(m.ring.one if i == k else m.ring.zero for i in range(m.n))
+            for s in range(s_max + 1):
+                assert apply_nabla(m, e_k, s) == gs[s][k]
+
+    @given(modules(QX, qx_entries()))
+    @RECURRENCE_SETTINGS
+    def test_qx_entries_with_denominators(self, case):
+        self.check(*case)
+
+    @given(modules(QT, gauss_entries()))
+    @RECURRENCE_SETTINGS
+    def test_gauss_entries(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("ring", [QX, QT], ids=["qx", "qt"])
+    def test_powers_of_the_variable_over_a_scale(self, ring):
+        """G_1 = t^2/3 Id + (1/(t+1) off the diagonal over Q(x)): m = 3 and,
+        over Q(x), L = t + 1, so every term of the recurrence is used."""
+        n = 3
+        diag = ring.div(ring.pow(ring.t, 2), ring.from_int(3))
+        off = ring.inv(ring.add(ring.t, ring.one)) if ring is QX else ring.from_int(2)
+        g1 = linalg.freeze([[diag if i == j else off for j in range(n)] for i in range(n)])
+        self.check(DifferentialModule(ring=ring, n=n, g1=g1), 2 * n - 2)
+
+    def test_other_rings_keep_the_loop(self):
+        ring = FiniteFieldPolyRing(5)
+        assert not hasattr(Ring, "iterated_matrices")
+        assert not hasattr(ring, "iterated_matrices")
+        m = mk(ring, [["x", "2"], ["x^2 + 1", "3*x"]])
+        gs = iterated_matrices(m, 2)
+        e_0 = (ring.one, ring.zero)
+        assert [gs[s][0] for s in range(3)] == [apply_nabla(m, e_0, s) for s in range(3)]
+
+    def test_gauss_takes_no_gcd(self):
+        m = mk(QT, [["t/5", "25*t^2 - 1"], ["3", "t + 1/2"]])
+        expected = iterated_matrices(rescale_derivation(m, QT.one), 6)
+        with mock.patch.object(polys, "gcd", side_effect=AssertionError("gcd on Q[t]")):
+            assert iterated_matrices(m, 6) == expected
 
 
 class TestApplyNabla:

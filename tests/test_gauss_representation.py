@@ -142,6 +142,31 @@ def test_norm_matches_the_coefficient_oracle(ring, f, g):
         assert ring.norm(total) == norm_oracle(ring, total.num)
 
 
+@st.composite
+def high_valuation_polynomials(draw, p):
+    """Coefficients that are often zero or divisible by a high power of p,
+    so that the largest term of the Gauss norm can sit at any degree."""
+    coeff = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(
+            lambda u, k, q: Fraction(u * p ** k, q),
+            st.integers(-30, 30),
+            st.integers(0, 8),
+            st.sampled_from([1, p, p ** 3, 7]),
+        ),
+    )
+    return draw(st.lists(coeff, min_size=1, max_size=8))
+
+
+@SETTINGS
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), r=st.integers(0, 3))
+def test_norm_stopping_early_matches_the_plain_maximum(data, p, r):
+    ring = GaussPolynomialRing(p, radius_exp=r)
+    f = data.draw(high_valuation_polynomials(p))
+    a = RatFunc(f, (Fraction(1),))
+    assert ring.norm(a) == norm_oracle(ring, trim(f))
+
+
 @SETTINGS
 @given(st.sampled_from(RINGS), polynomials)
 def test_zero_has_one_form(ring, f):

@@ -135,6 +135,32 @@ def test_power_size_cap_on_a_base_past_the_digit_limit():
         qx.parse(f"({huge})^2")
 
 
+@pytest.mark.parametrize(
+    "ring",
+    [
+        RationalFunctionField(),
+        GaussPolynomialRing(3, 1),
+        FiniteFieldPolyRing(5),
+        FiniteFieldPolyRing(7, 2),
+        ScaledDerivationRing(RationalFunctionField(), RationalFunctionField().from_int(3)),
+    ],
+    ids=["qx", "gauss", "f5", "f49", "scaled"],
+)
+def test_variable_prints_as_its_name(ring):
+    """The size cap counts a power of the variable by the name's length."""
+    assert ring.to_str(ring.var_element) == ring.variable
+
+
+def test_power_size_cap_on_a_long_variable():
+    accepted, refused = "v" * 16, "w" * 17
+    assert 16 * MAX_EXPONENT <= MAX_POWER_SIZE < 17 * MAX_EXPONENT
+    ring = RationalFunctionField(accepted)
+    assert ring.degree(ring.parse(f"{accepted}^{MAX_EXPONENT}")) == MAX_EXPONENT
+    ring = RationalFunctionField(refused)
+    with pytest.raises(ParseError, match="exceeds the maximum"):
+        ring.parse(f"{refused}^{MAX_EXPONENT}")
+
+
 def test_power_degree_cap_counts_denominators():
     qx = RationalFunctionField()
     assert qx.degree(qx.parse(f"(1/x^2)^{MAX_DEGREE // 2}")) == MAX_DEGREE

@@ -1,0 +1,33 @@
+"""Smoke test of tools/time_cli.py: one round of a small command against
+this checkout itself."""
+
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "time_cli.py"
+
+
+def run_tool(*args):
+    if not TOOL.is_file():
+        pytest.skip("needs the project checkout with tools/time_cli.py")
+    return subprocess.run(
+        [sys.executable, str(TOOL), "--base", str(ROOT), "--rounds", "1", *args],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_same_checkout_gives_identical_output():
+    proc = run_tool("--", "tables", "-n", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "stdout identical" in proc.stdout
+    assert proc.stdout.count("exit 0") == 2
+
+
+def test_empty_command_is_a_usage_error():
+    proc = run_tool("--")
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "no katzcyclic command given" in proc.stderr

@@ -2,10 +2,9 @@
 
 Computes the explicit candidate cyclic vector c(e, X) for a module given
 by its connection matrix, builds the base change H(X) = sum_s H_s(X) G_s
-as the derivative family nabla^i(c(e, X)) over ring[X] (with the
-universal tables H_s alongside) and its determinant P(X), and certifies
-cyclicity over p-adic Banach rings through exact ultrametric norm
-bounds.
+as the derivative family nabla^i(c(e, X)) over ring[X] and its
+determinant P(X), and certifies cyclicity over p-adic Banach rings
+through exact ultrametric norm bounds.
 """
 
 from .diffmod import (

@@ -33,8 +33,7 @@ from .ultranorm import MatrixNormKind
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CERTIFIED = 2
-# Largest rank accepted by cyclic, companion, certify and counterexample,
-# and the default --max-n of tables: the work grows steeply in the rank.
+# Largest rank accepted by every command: the work grows steeply in the rank.
 MAX_RANK = 8
 
 
@@ -72,19 +71,14 @@ def _tables_latex(n: int) -> str:
 def cmd_tables(args) -> int:
     n = args.n
     if n < 1:
-        print("error: n must be >= 1", file=sys.stderr)
-        return EXIT_ERROR
-    if n > args.max_n:
-        print(f"error: n exceeds configured maximum {args.max_n}", file=sys.stderr)
-        return EXIT_ERROR
+        raise PreconditionError("n must be >= 1")
+    if n > MAX_RANK:
+        raise PreconditionError(f"rank n = {n} exceeds the maximum {MAX_RANK}")
     if args.format == "latex":
         sys.stdout.write(_tables_latex(n))
         return EXIT_OK
     tables = [
-        [
-            [katz.qx_to_str(katz.h_entry(s, i, j, n)) for j in range(n)]
-            for i in range(n)
-        ]
+        [[katz.qx_to_str(f) for f in row] for row in katz.h_matrix(s, n)]
         for s in range(2 * n - 1)
     ]
     _emit({"command": "tables", "n": n, "H": tables})
@@ -103,10 +97,11 @@ def _load_module(path: str):
             doc = json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise PreconditionError("module file nests too deeply") from None
-    m = module_from_json(doc)
-    if m.n > MAX_RANK:
-        raise PreconditionError(f"rank n = {m.n} exceeds the maximum {MAX_RANK}")
-    return m
+    # The rank is checked before module_from_json parses a single entry.
+    n = doc.get("n") if isinstance(doc, dict) else None
+    if type(n) is int and n > MAX_RANK:
+        raise PreconditionError(f"rank n = {n} exceeds the maximum {MAX_RANK}")
+    return module_from_json(doc)
 
 
 def _parse_constants(m, spec: Optional[str]):
@@ -205,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="emit the universal base-change matrices")
     p.add_argument("-n", type=int, required=True, help="module rank")
     p.add_argument("--format", choices=("json", "latex"), default="json")
-    p.add_argument("--max-n", dest="max_n", type=int, default=MAX_RANK)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("cyclic", help="find a cyclic vector for a module file")

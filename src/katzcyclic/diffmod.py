@@ -33,12 +33,16 @@ class DifferentialModule:
     allow_small_factorial: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise PreconditionError("rank must be >= 1")
-        if len(self.g1) != self.n or any(len(r) != self.n for r in self.g1):
-            raise PreconditionError(f"connection matrix must be {self.n}x{self.n}")
+        _check_shape(self.n, self.g1)
         if not self.allow_small_factorial:
             check_factorial_invertible(self.ring, self.n)
+
+
+def _check_shape(n: int, rows: Sequence) -> None:
+    if n < 1:
+        raise PreconditionError("rank must be >= 1")
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise PreconditionError(f"connection matrix must be {n}x{n}")
 
 
 def check_factorial_invertible(ring: Ring, n: int) -> None:
@@ -65,6 +69,7 @@ def module_from_json(doc: dict) -> DifferentialModule:
         isinstance(row, list) and all(isinstance(e, str) for e in row) for row in rows
     ):
         raise PreconditionError("'G1' must be a list of rows of element strings")
+    _check_shape(n, rows)  # before parsing, so a matrix of the wrong size costs no parse
     g1 = linalg.freeze([[ring.parse(entry) for entry in row] for row in rows])
     return DifferentialModule(ring=ring, n=n, g1=g1)
 
@@ -115,6 +120,14 @@ def apply_nabla(m: DifferentialModule, v: Row, k: int = 1) -> Row:
             ring, linalg.row_derive(ring, v), linalg.row_mat_mul(ring, v, m.g1)
         )
     return v
+
+
+def nabla_family(m: DifferentialModule, v: Row, k: int) -> Tuple[Row, ...]:
+    """(v, nabla(v), ..., nabla^(k-1)(v)) for k >= 1, one nabla step per vector."""
+    family = [tuple(v)]
+    for _ in range(k - 1):
+        family.append(apply_nabla(m, family[-1]))
+    return tuple(family)
 
 
 def rescale_derivation(m: DifferentialModule, f) -> DifferentialModule:
@@ -172,11 +185,11 @@ class CharPReport:
         return asdict(self)
 
 
-def charp_counterexample(p: int, e: int, n: int, max_degree: int = 12) -> CharPReport:
+def charp_counterexample(p: int, e: int, n: int) -> CharPReport:
     """Exhibit that F_q[x]^n with the trivial connection has no cyclic vector.
 
-    Requires n > q = p^e.  Checks d^q = 0 on all monomials up to
-    ``max_degree`` (d^q kills x^m because the falling factorial
+    Requires n > q = p^e.  Checks d^q = 0 on all monomials of degree at
+    most 12 (d^q kills x^m because the falling factorial
     m(m-1)...(m-q+1) contains q consecutive integers, hence a multiple
     of p), then verifies on sampled vectors v that nabla^q(v) = 0, so
     the family {v, nabla v, ..., nabla^{n-1} v} contains the zero vector
@@ -184,6 +197,7 @@ def charp_counterexample(p: int, e: int, n: int, max_degree: int = 12) -> CharPR
     """
     from .rings import FiniteFieldPolyRing
 
+    max_degree = 12
     ring = FiniteFieldPolyRing(p, e)  # refuses q = p^e > 2^64 before computing it
     q = ring.field.q
     if n <= q:
@@ -197,8 +211,7 @@ def charp_counterexample(p: int, e: int, n: int, max_degree: int = 12) -> CharPR
 
     # d^q annihilates every monomial in the sampled degree range
     for deg in range(max_degree + 1):
-        mono = tuple([ring.field.zero] * deg + [ring.field.one])
-        a = mono
+        a = tuple([ring.field.zero] * deg + [ring.field.one])
         for _ in range(q):
             a = ring.derive(a)
         if not ring.is_zero(a):
@@ -217,10 +230,9 @@ def charp_counterexample(p: int, e: int, n: int, max_degree: int = 12) -> CharPR
 
     all_zero = True
     for v in samples:
-        w = apply_nabla(m, v, q)
-        if any(not ring.is_zero(c) for c in w):
+        family = nabla_family(m, v, n)  # n > q, so family[q] = nabla^q(v)
+        if any(not ring.is_zero(c) for c in family[q]):
             all_zero = False
-        family = [apply_nabla(m, v, k) for k in range(n)]
         d, ok = is_basis(m, family)
         if not ring.is_zero(d) or ok:
             all_zero = False

@@ -10,10 +10,11 @@ specializing X := t - a at n(n-1)+1 distinct constants a must hit a
 nonzero determinant over a field.
 
 ``assemble_h`` builds H(X) from that identity, as the family c,
-nabla(c), ..., nabla^(n-1)(c) over ring[X] with d extended by d(X) = 1,
-which needs only G_0 .. G_{n-1} and no product H_s G_s; the tables H_s
-are returned alongside, and the tests check that the sum over them
-agrees.
+nabla(c), ..., nabla^(n-1)(c) of :func:`~katzcyclic.diffmod.nabla_family`
+over ring[X] with d extended by d(X) = 1, which needs only G_0 .. G_{n-1}
+and no product H_s G_s.  The same family gives the cyclic basis at
+X := t - a (``find_cyclic``, after the one evaluation
+``specialize_vector``), the companion system, and H(t) in ultranorm.
 
 The tables H_s(X) (:func:`h_matrix`) and H_0(-X) H_s(X)
 (:func:`lemma_table`, the factor of G_s in lemma 2.1) depend on (s, n)
@@ -48,6 +49,7 @@ from .diffmod import (
     check_factorial_invertible,
     is_basis,
     iterated_matrices,
+    nabla_family,
 )
 from .errors import (
     InternalConsistencyError,
@@ -212,17 +214,13 @@ def _katz_vector_from(m: DifferentialModule, gs: Sequence[Matrix]) -> KatzVector
 
 
 def specialize_vector(m: DifferentialModule, v: KatzVector, a) -> Row:
-    """Coordinates of c(e, t - a) for a constant a."""
+    """Coordinates of c(e, t - a) for a constant a: coordinate k is the
+    X-polynomial sum_j coeffs[j][k] X^j at X := t - a."""
     ring = m.ring
     if not ring.is_constant(a):
         raise PreconditionError("specialization point must be a constant")
     point = ring.sub(ring.t, a)
-    acc = tuple(ring.zero for _ in range(m.n))
-    power = ring.one
-    for j in range(m.n):
-        acc = linalg.row_add(ring, acc, linalg.row_scale(ring, power, v.coeffs[j]))
-        power = ring.mul(power, point)
-    return acc
+    return tuple(xpoly.eval_at(ring, f, point) for f in zip(*v.coeffs))
 
 
 def derivative_coefficients(m: DifferentialModule, c0: Sequence[Row], i: int, j: int) -> Row:
@@ -277,30 +275,25 @@ class BaseChangeDecomposition:
     coefficients: Tuple  # r_0, ..., r_{n(n-1)} as ring elements
 
 
-def assemble_h(m: DifferentialModule):
-    """The matrix H(X) over ring[X], plus the tables H_0 .. H_{2n-2}.
+def assemble_h(m: DifferentialModule) -> Matrix:
+    """The matrix H(X) over ring[X].
 
     Row i of H(X) = sum_s H_s(X) G_s holds the coordinates of
-    nabla^i(c(e, X)) with d(X) = 1, so H(X) is built as that family:
-    row 0 is the candidate, and each further row nabla of the one
-    before, over ring[X] with G1 lifted to constants.  This needs only
+    nabla^i(c(e, X)) with d(X) = 1, so H(X) is built as that family
+    over ring[X], with G1 lifted to constants.  This needs only
     G_0 .. G_{n-1}, and no product of H_s with G_s.
     """
     ring = m.ring
-    n = m.n
-    rows = [tuple(xpoly.normalize(ring, c) for c in zip(*katz_vector(m).coeffs))]
+    c = tuple(xpoly.normalize(ring, f) for f in zip(*katz_vector(m).coeffs))
     g1 = tuple(tuple(xpoly.const(ring, x) for x in row) for row in m.g1)
-    xm = DifferentialModule(ring=XPolyRing(ring), n=n, g1=g1)
-    for _ in range(n - 1):
-        rows.append(apply_nabla(xm, rows[-1]))
-    return tuple(rows), tuple(h_matrix(s, n) for s in range(2 * n - 1))
+    return nabla_family(DifferentialModule(ring=XPolyRing(ring), n=m.n, g1=g1), c, m.n)
 
 
 def base_change(m: DifferentialModule) -> BaseChangeDecomposition:
     """Assemble H(X) = sum_s H_s(X) G_s and its determinant P(X)."""
     ring = m.ring
     n = m.n
-    h_assembled, tables = assemble_h(m)
+    h_assembled = assemble_h(m)
     det_poly = ring.xdet(h_assembled)
     max_deg = n * (n - 1)
     coeffs = tuple(
@@ -314,7 +307,7 @@ def base_change(m: DifferentialModule) -> BaseChangeDecomposition:
         raise InternalConsistencyError("P(0) != 1")
     return BaseChangeDecomposition(
         n=n,
-        h_tables=tables,
+        h_tables=tuple(h_matrix(s, n) for s in range(2 * n - 1)),
         h_assembled=h_assembled,
         det_poly=det_poly,
         coefficients=coeffs,
@@ -361,20 +354,16 @@ def find_cyclic(
             raise PreconditionError(
                 f"need at least {needed} distinct constants, got {len(candidates)}"
             )
-    for i in range(len(candidates)):
-        if not ring.is_constant(candidates[i]):
-            raise PreconditionError("candidates must be constants (d(a) = 0)")
-        for j in range(i + 1, len(candidates)):
-            if ring.eq(candidates[i], candidates[j]):
-                raise PreconditionError("candidate constants must be distinct")
+    if not all(ring.is_constant(a) for a in candidates):
+        raise PreconditionError("candidates must be constants (d(a) = 0)")
+    # Elements are canonical and hashable, so equal ones hash alike.
+    if len(set(candidates)) < len(candidates):
+        raise PreconditionError("candidate constants must be distinct")
 
     kv = katz_vector(m)
     for idx, a in enumerate(candidates):
         v0 = specialize_vector(m, kv, a)
-        family = [v0]
-        for _ in range(n - 1):
-            family.append(apply_nabla(m, family[-1], 1))
-        det, ok = is_basis(m, family)
+        det, ok = is_basis(m, nabla_family(m, v0, n))
         if ok:
             return CyclicSearchResult(
                 candidate_index=idx, a=a, vector=v0, determinant=det
@@ -393,7 +382,5 @@ def companion_form(m: DifferentialModule, c: Row) -> Tuple:
     if not m.ring.is_field:
         raise UnsupportedOperationError("companion form needs a field coefficient ring")
     n = m.n
-    family = [tuple(c)]
-    for _ in range(n):
-        family.append(apply_nabla(m, family[-1], 1))
+    family = nabla_family(m, c, n + 1)
     return linalg.solve_left(m.ring, linalg.freeze(family[:n]), family[n])

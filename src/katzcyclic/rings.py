@@ -53,7 +53,8 @@ from .normvalue import NormValue, padic_valuation
 
 
 class Ring:
-    """Common interface; see concrete subclasses."""
+    """Common interface; see concrete subclasses.  Elements are canonical
+    and hashable: equal in the ring exactly when equal as Python values."""
 
     kind: str
     variable: str

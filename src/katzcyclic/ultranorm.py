@@ -4,7 +4,8 @@ Two matrix norms are used: the sup-norm max |a_ij| and the rho-sup-norm
 max |a_ij| rho^(j-i), instantiated at rho = |t|^(-1) and rho = |d|.  A
 connection whose matrix is small enough in one of these norms is
 certified cyclic: the base-change matrix H(t) is then invertible by a
-Neumann series, because each H_0(-t) H_s(t) G_s has norm < 1.
+Neumann series, because each H_0(-t) H_s(t) G_s has norm < 1.  H(t)
+itself, for the witness norm, is the nabla-family of c(e, t) over the ring.
 
 All inequalities are strict and decided exactly on NormValue exponents;
 an equality boundary is reported as "not certified" with a flag.
@@ -16,12 +17,16 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from . import linalg, xpoly
-from .diffmod import DifferentialModule, check_factorial_invertible, iterated_matrices
+from . import linalg
+from .diffmod import (
+    DifferentialModule,
+    check_factorial_invertible,
+    iterated_matrices,
+    nabla_family,
+)
 from .errors import PreconditionError, UnsupportedOperationError
 from .katz import (
     _katz_vector_from,
-    assemble_h,
     h_matrix,
     h_matrix_at,
     lemma_table,
@@ -288,12 +293,12 @@ def certify_lemma_2_1(
 def invertibility_witness_norm(
     m: DifferentialModule, kind: Optional[MatrixNormKind] = None
 ) -> NormValue:
-    """||H0(-t) H(t) - Id||; < 1 makes H(t) explicitly invertible."""
+    """||H0(-t) H(t) - Id||; < 1 makes H(t) explicitly invertible.  X := t
+    is a map of differential rings (d(t) = 1), so row i of H(t) is nabla^i(c(e, t))."""
     _require_banach(m)
     ring = m.ring
     n = m.n
-    h_x, _ = assemble_h(m)
-    h_t = tuple(tuple(xpoly.eval_at(ring, f, ring.t) for f in row) for row in h_x)
+    h_t = nabla_family(m, _witness(m, iterated_matrices(m, n - 1)), n)
     h0_neg = h_matrix_at(ring, h_matrix(0, n), ring.neg(ring.t))
     delta = linalg.mat_sub(
         ring, linalg.mat_mul(ring, h0_neg, h_t), linalg.identity(ring, n)

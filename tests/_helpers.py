@@ -2,6 +2,7 @@
 symbolic-expansion route used as oracle for the base-change formulas."""
 
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from katzcyclic import (
     module_from_json,
     xpoly,
 )
-from katzcyclic.katz import embed_qx, h_matrix, katz_vector
+from katzcyclic.katz import assemble_h, embed_qx, h_matrix, katz_vector
 from katzcyclic.xpoly import XPolyRing
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -110,6 +111,49 @@ def decomposition_h(m):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# -- evaluation routes that production does not take ---------------------
+
+def specialize_by_powers(m, kv, a):
+    """c(e, t - a) as sum_j (t - a)^j kv.coeffs[j], with the powers of
+    t - a accumulated one by one (no Horner scheme, no xpoly)."""
+    ring = m.ring
+    point = ring.sub(ring.t, a)
+    acc = tuple(ring.zero for _ in range(m.n))
+    power = ring.one
+    for row in kv.coeffs:
+        acc = tuple(ring.add(x, ring.mul(power, c)) for x, c in zip(acc, row))
+        power = ring.mul(power, point)
+    return acc
+
+
+def witness_delta_from_h_of_x(m):
+    """H0(-t) H(t) - Id, with H(t) the matrix H(X) of
+    :func:`katzcyclic.katz.assemble_h` evaluated at X := t, and H0(-t)
+    written out as (-t)^(j-i)/(j-i)! on and above the diagonal; plain
+    loops, no matrix helper of the library."""
+    ring, n = m.ring, m.n
+    h_t = [[xpoly.eval_at(ring, f, ring.t) for f in row] for row in assemble_h(m)]
+    neg_t = ring.neg(ring.t)
+    h0_neg = [
+        [
+            ring.mul(ring.from_fraction(Fraction(1, math.factorial(j - i))), ring.pow(neg_t, j - i))
+            if j >= i else ring.zero
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    delta = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ring.neg(ring.one) if i == j else ring.zero
+            for k in range(n):
+                acc = ring.add(acc, ring.mul(h0_neg[i][k], h_t[k][j]))
+            row.append(acc)
+        delta.append(tuple(row))
+    return tuple(delta)
 
 
 # -- free-module oracle for the universal coefficients ------------------

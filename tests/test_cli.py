@@ -94,8 +94,6 @@ class TestTables:
     def test_rank_limit(self, capsys):
         code, out, err = run(capsys, ["tables", "-n", "9"])
         assert code == 1 and "maximum" in err
-        code, _, _ = run(capsys, ["tables", "-n", "9", "--max-n", "9"])
-        assert code == 0
 
     def test_rank_zero_rejected(self, capsys):
         code, _, err = run(capsys, ["tables", "-n", "0"])
@@ -243,6 +241,25 @@ def test_rank_above_cap_is_an_error(capsys, tmp_path, command):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"ring": ring, "n": n, "G1": [["0"] * n] * n}))
     code, out, err = run(capsys, command + ["-i", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"exceeds the maximum {MAX_RANK}" in err
+
+
+# No entry is parsed before the rank and the shape of G1 pass: a 7 MB
+# file of rank 2 with a 1000 x 1000 G1 took 20 s to be refused.
+def test_shape_is_checked_before_any_entry(capsys, tmp_path):
+    path = tmp_path / "wrong_shape.json"
+    path.write_text(json.dumps({**QX_DOC, "n": 2, "G1": [["?"] * 3] * 3}))
+    code, out, err = run(capsys, CYCLIC + ["-i", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "must be 2x2" in err
+
+
+def test_rank_is_checked_before_any_entry(capsys, tmp_path):
+    n = MAX_RANK + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**QX_DOC, "n": n, "G1": [["?"] * n] * n}))
+    code, out, err = run(capsys, CYCLIC + ["-i", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and f"exceeds the maximum {MAX_RANK}" in err
 

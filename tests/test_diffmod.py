@@ -21,6 +21,7 @@ from katzcyclic import (
     polys,
     rescale_derivation,
 )
+from katzcyclic.diffmod import nabla_family
 from katzcyclic.rings import RatFunc, Ring
 
 from _helpers import random_module, random_qx_poly, random_ratfunc, seeded
@@ -214,6 +215,29 @@ class TestApplyNabla:
                 linalg.row_scale(qx, a, apply_nabla(m, v, 1)),
             )
             assert all(qx.eq(x, y) for x, y in zip(lhs, rhs))
+
+
+class TestNablaFamily:
+    """nabla_family, one step per vector, against apply_nabla(m, v, i),
+    which takes i steps from v itself."""
+
+    @pytest.mark.parametrize("kind", ["qx", "gauss", "f5", "scaled"])
+    def test_rows_are_powers_of_nabla(self, kind):
+        ring = {
+            "qx": RationalFunctionField(),
+            "scaled": RationalFunctionField(),
+            "gauss": GaussPolynomialRing(3),
+            "f5": FiniteFieldPolyRing(5),
+        }[kind]
+        rng = seeded(90 + len(kind))
+        for n in (1, 2, 3, 4):
+            m = random_module(ring, rng, n, max_deg=2)
+            if kind == "scaled":
+                m = rescale_derivation(m, ring.parse("x^2 + 1"))
+            v = tuple(random_qx_poly(ring, rng) for _ in range(n))
+            for k in (1, 2, n + 1):
+                family = nabla_family(m, v, k)
+                assert family == tuple(apply_nabla(m, v, i) for i in range(k))
 
 
 class TestRescaleDerivation:

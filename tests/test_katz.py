@@ -1,6 +1,7 @@
 import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -46,6 +47,7 @@ from _helpers import (
     random_qx_poly,
     random_ratfunc,
     seeded,
+    specialize_by_powers,
 )
 
 
@@ -391,6 +393,7 @@ class TestBaseChange:
         )
         assert linalg.mat_eq(xr, bc.h_assembled, h0)
         assert bc.det_poly == (qx.one,)
+        assert bc.h_tables == tuple(h_matrix(s, 3) for s in range(5))
 
     def test_hand_computed_n2(self, qx):
         m = mk(qx, [["0", "0"], ["1", "0"]])
@@ -405,7 +408,7 @@ class TestBaseChange:
         rng = seeded(59)
         for n in (2, 3):
             m = random_module(qx, rng, n, max_deg=2)
-            H, _ = assemble_h(m)
+            H = assemble_h(m)
             rows = expanded_h_rows(m)
             for i in range(n):
                 for k in range(n):
@@ -459,9 +462,7 @@ class TestDecompositionOracle:
         rng = seeded(1000 * n + len(kind))
         for _ in range(2 if n < 4 else 1):
             m = oracle_module(kind, n, rng)
-            h, tables = assemble_h(m)
-            assert h == decomposition_h(m)
-            assert tables == tuple(h_matrix(s, n) for s in range(2 * n - 1))
+            assert assemble_h(m) == decomposition_h(m)
 
     def test_oracle_modules_have_denominators(self):
         m = oracle_module("qx", 3, seeded(7))
@@ -496,6 +497,26 @@ class TestSpecialize:
             assert all(qx.eq(x, y) for x, y in zip(lhs, rhs))
 
 
+class TestSpecializeVector:
+    """specialize_vector, one Horner evaluation per coordinate, against
+    the sum over running powers of t - a in tests/_helpers."""
+
+    @pytest.mark.parametrize("kind", ["qx", "gauss2", "gauss3", "f5", "f49"])
+    def test_matches_running_powers(self, kind):
+        rng = seeded(800 + len(kind))
+        for n in (1, 2, 3, 4):
+            m = oracle_module(kind, n, rng)
+            kv = katz_vector(m)
+            for a in (0, 1, -2, 7):
+                a = m.ring.from_int(a)
+                assert specialize_vector(m, kv, a) == specialize_by_powers(m, kv, a)
+
+    def test_non_constant_rejected(self, qx):
+        m = mk(qx, [["0", "0"], ["1", "0"]])
+        with pytest.raises(PreconditionError, match="must be a constant"):
+            specialize_vector(m, katz_vector(m), qx.parse("x"))
+
+
 class TestFindCyclic:
     def test_trivial_connection(self, qx):
         m = mk(qx, [["0"] * 3] * 3)
@@ -528,9 +549,20 @@ class TestFindCyclic:
 
     def test_duplicate_candidates_rejected(self, qx):
         m = mk(qx, [["0", "0"], ["1", "0"]])
-        cands = [qx.from_int(i) for i in (0, 1, 1)]
-        with pytest.raises(PreconditionError):
-            find_cyclic(m, cands)
+        for cands in ([0, 1, 1], [5, 0, 1, 2, 5]):
+            with pytest.raises(PreconditionError, match="must be distinct"):
+                find_cyclic(m, [qx.from_int(i) for i in cands])
+
+    def test_candidates_are_not_compared_pairwise(self, qx):
+        # 8,000 constants took about 30 s when every pair went through ring.eq
+        m = mk(qx, [["0", "0"], ["1", "0"]])
+        cands = [qx.from_int(i) for i in range(8000)]
+        with mock.patch.object(qx, "eq", side_effect=AssertionError("pairwise ring.eq")):
+            with pytest.raises(PreconditionError, match="must be distinct"):
+                find_cyclic(m, cands + [qx.from_int(4000)])
+            with pytest.raises(PreconditionError, match="must be constants"):
+                find_cyclic(m, cands + [qx.parse("x")])
+            assert find_cyclic(m, cands).candidate_index == 0
 
     def test_too_few_candidates_rejected(self, qx):
         m = mk(qx, [["0", "0"], ["1", "0"]])

@@ -24,12 +24,13 @@ from katzcyclic import (
     lemma_2_2_bound,
     linalg,
     matrix_norm,
+    rescale_derivation,
     specialize_vector,
 )
 from katzcyclic.katz import h_matrix, h_matrix_at
 from katzcyclic.ultranorm import h_norm_bounds, ring_norm_data
 
-from _helpers import load_corpus, seeded
+from _helpers import load_corpus, seeded, witness_delta_from_h_of_x
 
 
 def mk(ring, rows):
@@ -365,6 +366,29 @@ class TestLemma21:
                         assert certify_lemma_2_1(m, kind).per_s == expected
                         compared += 1
         assert compared == 3 * 3 * 2 * 3
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_witness_norm_matches_h_of_x_at_t(self, p):
+        """H(t) as the nabla-family of c(e, t) against H(X) over ring[X]
+        evaluated at X := t, in all three norms, on seeded modules and
+        on the same modules over the ring rescaled by p (where t is
+        t/p)."""
+        rng = seeded(500 + p)
+        compared = 0
+        for r in (0, 1, 2):
+            ring = GaussPolynomialRing(p, radius_exp=r)
+            for n in (1, 2, 3, 4):
+                g1 = random_gauss_matrix(ring, rng, n, max_scale=n)
+                plain = DifferentialModule(ring=ring, n=n, g1=g1)
+                for m in (plain, rescale_derivation(plain, ring.from_int(p))):
+                    delta = witness_delta_from_h_of_x(m)
+                    kinds = (None, MatrixNormKind.rho_t_inverse(m.ring),
+                             MatrixNormKind.rho_d(m.ring))
+                    for kind in kinds:
+                        expected = matrix_norm(m.ring, delta, kind)
+                        assert invertibility_witness_norm(m, kind) == expected
+                        compared += 1
+        assert compared == 3 * 4 * 2 * 3
 
     def test_witness_norm_small_when_certified(self):
         ring = GaussPolynomialRing(3)

@@ -6,7 +6,7 @@ Subcommands:
     cyclic         -i module.json [--constants 0,1,2]
     companion      -i module.json [--constants 0,1,2]
     certify        -i module.json --criterion prop2.3|prop2.5|prop2.8|lemma2.1
-                   [--norm sup|rho-t|rho-d]
+                   [--norm sup|rho-t|rho-d]   (lemma2.1 only; default sup)
     counterexample -p P -e E -n N
 
 Module files: {"ring": {...}, "n": 3, "G1": [["0","1"],["x","0"]]}.
@@ -155,6 +155,8 @@ def cmd_companion(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.norm is not None and args.criterion != "lemma2.1":
+        raise PreconditionError(f"{args.criterion} fixes its own norm; --norm is for lemma2.1")
     m = _load_module(args.input)
     if args.criterion == "prop2.3":
         cert = ultranorm.check_prop_2_3(m)
@@ -219,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("prop2.3", "prop2.5", "prop2.8", "lemma2.1"),
     )
-    p.add_argument("--norm", choices=("sup", "rho-t", "rho-d"), default="sup")
+    p.add_argument("--norm", choices=("sup", "rho-t", "rho-d"), default=None)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("counterexample", help="characteristic-p witness report")

@@ -7,7 +7,7 @@ nabla(f) = d(f) + f * G1, and the iterated matrices satisfy
 G_{s+1} = d(G_s) + G_s * G1 with G_0 = Id.  :func:`iterated_matrices`
 defers this recurrence to the ring where it has its own, as
 :func:`katzcyclic.linalg.mat_mul` defers products: Q(x) and Q[t] run it
-on cleared integer matrices, every other ring takes the generic loop.
+on cleared integer matrices, other rings apply nabla to each row of G_s.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ def iterated_matrices(m: DifferentialModule, s_max: int) -> List[Matrix]:
     own ``iterated_matrices`` runs the recurrence itself: Q(x) and Q[t]
     take it on cleared integer matrices
     (:meth:`~katzcyclic.rings.RationalFunctionField.iterated_matrices`).
-    F_q[x] and the scaled-derivation rings take the loop below.  G_1 =
-    d(Id) + Id G_1 is the connection matrix itself, so the loop starts
-    from it."""
+    F_q[x] and the scaled-derivation rings apply nabla to each row of
+    G_s.  G_1 = d(Id) + Id G_1 is the connection matrix itself, so the
+    loop starts from it."""
     if s_max < 0:
         raise PreconditionError("s_max must be >= 0")
     ring = m.ring
@@ -102,10 +102,7 @@ def iterated_matrices(m: DifferentialModule, s_max: int) -> List[Matrix]:
     if s_max:
         out.append(linalg.freeze(m.g1))
     for _ in range(s_max - 1):
-        g = out[-1]
-        out.append(
-            linalg.mat_add(ring, linalg.mat_derive(ring, g), linalg.mat_mul(ring, g, m.g1))
-        )
+        out.append(tuple(apply_nabla(m, row) for row in out[-1]))
     return out
 
 

@@ -7,7 +7,8 @@ derivatives nabla^i(c) in the basis e.  The universal matrices H_s(X)
 have monomial entries alpha(s;i,j) X^(s+j-i)/(s+j-i)! with integer
 alpha, and det H(X) =: P(X) satisfies P(0) = 1 and deg P <= n(n-1), so
 specializing X := t - a at n(n-1)+1 distinct constants a must hit a
-nonzero determinant over a field.
+nonzero determinant over a field.  H(0) = Id, so c is the inversion
+formula of :func:`invert_coefficients` on e; both read one private sum.
 
 ``assemble_h`` builds H(X) from that identity, as the family c,
 nabla(c), ..., nabla^(n-1)(c) of :func:`~katzcyclic.diffmod.nabla_family`
@@ -40,7 +41,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import linalg, polys, xpoly
 from .diffmod import (
@@ -160,11 +161,6 @@ def qx_to_str(f: QXPoly) -> str:
     return polys.to_str(QQ, f, "X")
 
 
-def embed_qx(ring, f: QXPoly) -> XPoly:
-    """Lift a Q[X] polynomial into ring[X] via the constant embedding."""
-    return xpoly.normalize(ring, [ring.from_fraction(c) for c in f])
-
-
 def h_matrix_at(ring, table: QXTable, value) -> Matrix:
     """A table of monomials over Q[X], such as :func:`h_matrix` or
     :func:`lemma_table`, evaluated at a ring element (e.g. X := t or
@@ -198,19 +194,30 @@ def katz_vector(m: DifferentialModule) -> KatzVector:
 
 
 def _katz_vector_from(m: DifferentialModule, gs: Sequence[Matrix]) -> KatzVector:
-    """c(e, X) from the iterated matrices G_0 .. G_{n-1} (or more)."""
-    ring = m.ring
-    coeffs: List[Row] = []
-    for j in range(m.n):
-        acc = tuple(ring.zero for _ in range(m.n))
-        for k in range(j + 1):
-            term = gs[k][j - k]  # row j-k of G_k = coords of nabla^k(e_{j-k})
-            c = Fraction((-1) ** k * math.comb(j, k), math.factorial(j))
-            acc = linalg.row_add(
-                ring, acc, linalg.row_scale(ring, ring.from_fraction(c), term)
-            )
-        coeffs.append(acc)
-    return KatzVector(n=m.n, coeffs=tuple(coeffs))
+    """c(e, X) from the iterated matrices G_0 .. G_{n-1} (or more): the
+    inversion formula on z = e, as H(0) = Id, with nabla^k(e_i) row i of G_k."""
+    return KatzVector(n=m.n, coeffs=_inversion(m.ring, m.n, m.n, lambda k, i: gs[k][i]))
+
+
+def _combination(ring, n: int, terms) -> Row:
+    """sum c * row over the (c, row) pairs of ``terms``, rows of length n."""
+    acc = tuple(ring.zero for _ in range(n))
+    for c, row in terms:
+        acc = linalg.row_add(ring, acc, linalg.row_scale(ring, c, row))
+    return acc
+
+
+def _inversion(ring, n: int, count: int, nabla) -> Tuple[Row, ...]:
+    """Rows j < count of (1/j!) sum_k (-1)^k C(j,k) nabla(k, j-k), where
+    nabla(k, i) is the row of nabla^k(z_i)."""
+    return tuple(
+        _combination(ring, n, (
+            (ring.from_fraction(Fraction((-1) ** k * math.comb(j, k), math.factorial(j))),
+             nabla(k, j - k))
+            for k in range(j + 1)
+        ))
+        for j in range(count)
+    )
 
 
 def specialize_vector(m: DifferentialModule, v: KatzVector, a) -> Row:
@@ -230,17 +237,12 @@ def derivative_coefficients(m: DifferentialModule, c0: Sequence[Row], i: int, j:
     """
     if i < 0 or j < 0:
         raise PreconditionError("indices must be >= 0")
-    ring = m.ring
-    acc = tuple(ring.zero for _ in range(m.n))
-    for k in range(i + 1):
-        if j + k >= len(c0):
-            continue
-        coeff = math.factorial(k) * math.comb(j + k, j) * math.comb(i, k)
-        term = apply_nabla(m, c0[j + k], i - k)
-        acc = linalg.row_add(
-            ring, acc, linalg.row_scale(ring, ring.from_int(coeff), term)
-        )
-    return acc
+    return _combination(m.ring, m.n, (
+        (m.ring.from_int(math.factorial(k) * math.comb(j + k, j) * math.comb(i, k)),
+         apply_nabla(m, c0[j + k], i - k))
+        for k in range(i + 1)
+        if j + k < len(c0)
+    ))
 
 
 def invert_coefficients(m: DifferentialModule, zero_components: Sequence[Row]) -> Tuple[Row, ...]:
@@ -249,19 +251,9 @@ def invert_coefficients(m: DifferentialModule, zero_components: Sequence[Row]) -
 
     c_{0,j} = (1/j!) sum_k (-1)^(j-k) C(j,k) nabla^(j-k)(c_{k,0}).
     """
-    check_factorial_invertible(m.ring, len(zero_components))
-    ring = m.ring
-    out: List[Row] = []
-    for j in range(len(zero_components)):
-        acc = tuple(ring.zero for _ in range(m.n))
-        for k in range(j + 1):
-            c = Fraction((-1) ** (j - k) * math.comb(j, k), math.factorial(j))
-            term = apply_nabla(m, zero_components[k], j - k)
-            acc = linalg.row_add(
-                ring, acc, linalg.row_scale(ring, ring.from_fraction(c), term)
-            )
-        out.append(acc)
-    return tuple(out)
+    zs = zero_components
+    check_factorial_invertible(m.ring, len(zs))
+    return _inversion(m.ring, m.n, len(zs), lambda k, i: apply_nabla(m, zs[i], k))
 
 
 @dataclass(frozen=True)

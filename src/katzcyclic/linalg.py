@@ -1,18 +1,18 @@
 """Matrices and row vectors over a ring.
 
 Matrices are tuples of tuples of ring elements; rows/vectors are tuples.
-``det`` is the package's one elimination routine: cofactor expansion
-along the first column, which never divides, so it works over any
-commutative ring and on polynomial entries makes no gcd.  Each minor on
-the trailing columns is named by the bitmask of its rows and computed
-once, which takes n * 2^(n-1) - n products, where the plain expansion
-takes about (e-1) * n! (1,016 against 69,280 at n = 8); the products
-and sums are those of the plain expansion, in the same order, so every
-ring gets the same result.  ``solve_left`` is Cramer's rule over ``det``
-with a single field inversion.  Fraction-free Bareiss elimination was
-measured as the alternative and rejected: each of its exact divisions
-costs two gcds in Q(x), which made P(X) = det H(X) over Q(x)[X] about
-1.5x slower.
+``det`` and ``solve_left`` read one private table of minors, the
+package's one elimination routine: cofactor expansion along the first
+column, which never divides, so it works over any commutative ring and
+makes no gcd.  Each minor on the trailing columns is named by the bitmask
+of its rows and computed once, in the plain expansion's order, so every
+ring gets the same result.  ``det`` takes n 2^(n-1) - n products (1,016
+at n = 8, where the plain expansion takes about 69,280).  ``solve_left``
+is Cramer's rule on one table over the rows [a; b] with one inversion:
+(n+1)(2^n - 2) + n products (2,294 at n = 8, where n + 1 determinants
+take (n+1) n (2^(n-1) - 1) + n = 9,152).  Fraction-free Bareiss
+elimination was rejected: its exact divisions cost two gcds each in
+Q(x), which made det H(X) over Q(x)[X] about 1.5x slower.
 
 ``mat_mul`` defers to the ring's own ``mat_mul`` where it has one: Q(x)
 and Q[t] take the product as one Kronecker-packed product of integer
@@ -48,12 +48,6 @@ def zeros(ring, n: int) -> Matrix:
     return tuple(tuple(ring.zero for _ in range(n)) for _ in range(n))
 
 
-def mat_add(ring, a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(ring.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def mat_sub(ring, a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(ring.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
@@ -81,22 +75,8 @@ def mat_scale(ring, c, a: Matrix) -> Matrix:
     return tuple(tuple(ring.mul(c, x) for x in row) for row in a)
 
 
-def mat_derive(ring, a: Matrix) -> Matrix:
-    return tuple(tuple(ring.derive(x) for x in row) for row in a)
-
-
-def mat_eq(ring, a: Matrix, b: Matrix) -> bool:
-    return all(
-        ring.eq(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
-
-
 def row_add(ring, a: Row, b: Row) -> Row:
     return tuple(ring.add(x, y) for x, y in zip(a, b))
-
-
-def row_sub(ring, a: Row, b: Row) -> Row:
-    return tuple(ring.sub(x, y) for x, y in zip(a, b))
 
 
 def row_scale(ring, c, a: Row) -> Row:
@@ -117,47 +97,52 @@ def row_mat_mul(ring, v: Row, a: Matrix) -> Row:
     return tuple(out)
 
 
-def det(ring, a: Matrix):
-    """Determinant by cofactor expansion along the first column, each
-    minor computed once.
+def _minors(ring, rows: Sequence[Row]):
+    """The minor of ``rows`` on the trailing columns, as a function of
+    the bitmask of its rows, each minor computed once."""
+    cols = len(rows[0])
+    table = {}
 
-    The minor on the trailing columns k..n-1 is named by the bitmask of
-    its n - k rows and stored the first time it is reached, so the
-    expansion takes n * 2^(n-1) - n products instead of about (e-1) * n!.
-    """
-    n = len(a)
-    minors = {}
-
-    def minor(rows: int):
-        col = n - rows.bit_count()
-        if col == n - 1:
-            return a[rows.bit_length() - 1][col]
-        acc = minors.get(rows)
+    def minor(mask: int):
+        col = cols - mask.bit_count()
+        if col == cols - 1:
+            return rows[mask.bit_length() - 1][col]
+        acc = table.get(mask)
         if acc is not None:
             return acc
         acc = ring.zero
         sign = 0
-        for i in range(n):
-            if not rows >> i & 1:
+        for i in range(len(rows)):
+            if not mask >> i & 1:
                 continue
-            if not ring.is_zero(a[i][col]):
-                cof = ring.mul(a[i][col], minor(rows & ~(1 << i)))
+            if not ring.is_zero(rows[i][col]):
+                cof = ring.mul(rows[i][col], minor(mask & ~(1 << i)))
                 acc = ring.sub(acc, cof) if sign else ring.add(acc, cof)
             sign ^= 1
-        minors[rows] = acc
+        table[mask] = acc
         return acc
 
-    return minor((1 << n) - 1)
+    return minor
+
+
+def det(ring, a: Matrix):
+    """Determinant: the minor of the table on all of the rows."""
+    return _minors(ring, a)((1 << len(a)) - 1)
 
 
 def solve_left(ring, a: Matrix, b: Row) -> Row:
-    """Solve x * a = b over a field (a square) by Cramer's rule:
-    x_i = det(a with row i replaced by b) / det(a)."""
-    d = det(ring, a)
+    """Solve x * a = b over a field (a square) by Cramer's rule on one
+    table over the rows [a; b]: d = det a, and x_i = (-1)^(n-1-i)
+    minor(rows of a but i, and b) / d, as b moves n - 1 - i rows down."""
+    n = len(a)
+    minor = _minors(ring, tuple(a) + (tuple(b),))
+    full = (1 << n) - 1
+    d = minor(full)
     if ring.is_zero(d):
         raise NotInvertibleError("singular matrix in linear solve")
     inv = ring.inv(d)
+    signed = (inv, ring.neg(inv))
     return tuple(
-        ring.mul(det(ring, [b if k == i else row for k, row in enumerate(a)]), inv)
-        for i in range(len(a))
+        ring.mul(minor(full & ~(1 << i) | 1 << n), signed[(n - 1 - i) % 2])
+        for i in range(n)
     )

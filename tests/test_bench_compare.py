@@ -1,0 +1,54 @@
+"""The pure parts of tools/bench_compare.py on hand-made runs: medians,
+quartile spreads and the metrics worse than their bound."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_compare.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    if not TOOL.is_file() or not (TOOL.parent.parent / "BENCHMARK.json").is_file():
+        pytest.skip("needs the project checkout with tools/bench_compare.py")
+    spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def runs(**series):
+    """One run per position: runs(a=[1, 2]) == [{"a": 1}, {"a": 2}]."""
+    return [dict(zip(series, values)) for values in zip(*series.values())]
+
+
+def test_medians_and_spreads(tool):
+    sample = runs(ops_per_s=[1.0, 2.0, 3.0, 4.0, 5.0])
+    assert tool.medians(sample) == {"ops_per_s": 3.0}
+    assert tool.quartile_spreads(sample) == {"ops_per_s": 3.0}
+
+
+def test_worse_beyond_bound_reads_direction_and_bound(tool):
+    base = {"ops_per_s": 100.0, "op_s.p50": 1.0, "ok_frac": 1.0, "peak_rss_mb": 30.0}
+    # inside every bound (25 %, 25 %, 1 % and 10 %)
+    same = {"ops_per_s": 76.0, "op_s.p50": 1.24, "ok_frac": 0.995, "peak_rss_mb": 32.9}
+    assert tool.worse_beyond_bound(base, same) == []
+    # just past each bound
+    worse = {"ops_per_s": 74.0, "op_s.p50": 1.26, "ok_frac": 0.98, "peak_rss_mb": 33.1}
+    assert tool.worse_beyond_bound(base, worse) == [
+        "ops_per_s", "op_s.p50", "ok_frac", "peak_rss_mb"]
+    # better by any amount is never worse
+    better = {"ops_per_s": 1000.0, "op_s.p50": 0.1, "ok_frac": 1.0, "peak_rss_mb": 1.0}
+    assert tool.worse_beyond_bound(base, better) == []
+
+
+def test_worse_beyond_bound_on_medians_of_runs(tool):
+    base = runs(**{"op_s.tail": [1.0, 1.0, 1.1], "setup_s": [0.5, 0.5, 0.5]})
+    change = runs(**{"op_s.tail": [2.0, 1.0, 2.0], "setup_s": [0.5, 0.9, 0.6]})
+    assert tool.worse_beyond_bound(tool.medians(base), tool.medians(change)) == ["op_s.tail"]
+
+
+def test_metrics_outside_the_benchmark_are_ignored(tool):
+    assert tool.worse_beyond_bound({"linalg.det.calls": 1}, {"linalg.det.calls": 9}) == []

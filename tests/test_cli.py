@@ -11,6 +11,8 @@ import katzcyclic
 from katzcyclic import GaussPolynomialRing, RationalFunctionField
 from katzcyclic.cli import MAX_RANK, main
 
+from _helpers import embed_qx, row_sub
+
 
 @pytest.fixture
 def qx_module(tmp_path):
@@ -63,7 +65,7 @@ class TestTables:
     def test_json_entries_reparse(self, capsys):
         # every printed entry is an expression the parser accepts, and the
         # round trip is the identity
-        from katzcyclic.katz import embed_qx, h_entry
+        from katzcyclic.katz import h_entry
         from katzcyclic import xpoly
 
         code, out, _ = run(capsys, ["tables", "-n", "4"])
@@ -404,7 +406,7 @@ class TestCompanion:
             family.append(apply_nabla(m, family[-1], 1))
         resid = family[2]
         for k in range(2):
-            resid = linalg.row_sub(ring, resid, linalg.row_scale(ring, b[k], family[k]))
+            resid = row_sub(ring, resid, linalg.row_scale(ring, b[k], family[k]))
         assert all(ring.is_zero(x) for x in resid)
 
 
@@ -446,6 +448,18 @@ class TestCertify:
             )
             assert code == 0
             assert "per_s_norms" in json.loads(out)
+
+    @pytest.mark.parametrize("criterion", ["prop2.3", "prop2.5", "prop2.8"])
+    @pytest.mark.parametrize("norm", ["sup", "rho-t", "rho-d"])
+    def test_norm_refused_for_prop_criteria(self, capsys, gauss_module, criterion, norm):
+        argv = ["certify", "-i", gauss_module, "--criterion", criterion, "--norm", norm]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--norm" in err
+
+    def test_lemma_without_norm_is_sup(self, capsys, gauss_module):
+        argv = ["certify", "-i", gauss_module, "--criterion", "lemma2.1"]
+        assert run(capsys, argv) == run(capsys, argv + ["--norm", "sup"])
 
     def test_non_banach_ring_rejected(self, capsys, qx_module):
         code, _, err = run(capsys, ["certify", "-i", qx_module, "--criterion", "prop2.3"])

@@ -5,6 +5,7 @@ over ring[X]."""
 
 import functools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,20 @@ def test_det_takes_one_product_per_minor_entry(n):
     d = linalg.det(ring, a)
     assert ring.products == n * 2 ** (n - 1) - n
     assert d == cofactor_det(ZZ, a)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_solve_left_reads_one_table(n):
+    """(n+1)(2^n - 2) + n products on a dense system: every minor of size
+    m >= 2 of the n + 1 rows [a; b], each once, then n products by 1/det a,
+    and no call of ``det``."""
+    ring = CountingRing(QQ)
+    a = linalg.freeze([[Fraction((i + 2) ** j) for j in range(n)] for i in range(n)])
+    b = tuple(Fraction(j + 1, 2) for j in range(n))
+    with mock.patch.object(linalg, "det", side_effect=AssertionError("det called")):
+        x = linalg.solve_left(ring, a, b)
+    assert ring.products == (n + 1) * (2 ** n - 2) + n
+    assert tuple(sum(x[i] * a[i][j] for i in range(n)) for j in range(n)) == b
 
 
 def test_det_skips_zero_entries():

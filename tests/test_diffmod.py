@@ -24,7 +24,14 @@ from katzcyclic import (
 from katzcyclic.diffmod import nabla_family
 from katzcyclic.rings import RatFunc, Ring
 
-from _helpers import random_module, random_qx_poly, random_ratfunc, seeded
+from _helpers import (
+    iterated_by_recurrence,
+    mat_eq,
+    random_module,
+    random_qx_poly,
+    random_ratfunc,
+    seeded,
+)
 
 
 @pytest.fixture
@@ -42,16 +49,16 @@ class TestIteratedMatrices:
     def test_trivial_connection(self, qx):
         m = mk(qx, [["0", "0"], ["0", "0"]])
         gs = iterated_matrices(m, 4)
-        assert linalg.mat_eq(qx, gs[0], linalg.identity(qx, 2))
+        assert mat_eq(qx, gs[0], linalg.identity(qx, 2))
         for s in range(1, 5):
-            assert linalg.mat_eq(qx, gs[s], linalg.zeros(qx, 2))
+            assert mat_eq(qx, gs[s], linalg.zeros(qx, 2))
 
     def test_constant_connection_collapses_to_powers(self, qx):
         m = mk(qx, [["1", "2"], ["3", "4"]])
         gs = iterated_matrices(m, 4)
         power = linalg.identity(qx, 2)
         for s in range(5):
-            assert linalg.mat_eq(qx, gs[s], power)
+            assert mat_eq(qx, gs[s], power)
             power = linalg.mat_mul(qx, power, m.g1)
 
     def test_hand_computed_g2(self, qx):
@@ -60,7 +67,7 @@ class TestIteratedMatrices:
         expected = linalg.freeze(
             [[qx.parse("x"), qx.parse("0")], [qx.parse("1"), qx.parse("x")]]
         )
-        assert linalg.mat_eq(qx, gs[2], expected)
+        assert mat_eq(qx, gs[2], expected)
 
     def test_rows_match_nabla_on_basis(self, qx):
         # row k of G_s = coordinates of nabla^s(e_k)
@@ -185,6 +192,29 @@ class TestIntegerRecurrence:
             assert iterated_matrices(m, 6) == expected
 
 
+class TestGenericIterate:
+    """Rings without their own recurrence apply nabla to each row of G_s;
+    checked against d(G_s) + G_s G1 written out entry by entry."""
+
+    @pytest.mark.parametrize("kind", ["f5", "f4", "scaled"])
+    def test_matches_the_written_out_recurrence(self, kind):
+        ring = {
+            "f5": FiniteFieldPolyRing(5),
+            "f4": FiniteFieldPolyRing(2, 2),
+            "scaled": RationalFunctionField(),
+        }[kind]
+        rng = seeded(170 + len(kind))
+        for n in (1, 2) if kind == "f4" else (1, 2, 3, 4):
+            m = random_module(ring, rng, n, max_deg=2)
+            if kind == "scaled":
+                m = rescale_derivation(m, ring.parse("x^2 + 1"))
+            assert not hasattr(m.ring, "iterated_matrices")
+            gs = iterated_matrices(m, n + 1)
+            expected = iterated_by_recurrence(m, n + 1)
+            assert len(gs) == len(expected) == n + 2
+            assert all(mat_eq(m.ring, g, h) for g, h in zip(gs, expected))
+
+
 class TestApplyNabla:
     def test_zeroth_power_is_identity(self, qx):
         m = mk(qx, [["0", "1"], ["x", "0"]])
@@ -244,14 +274,14 @@ class TestRescaleDerivation:
     def test_identity_rescale(self, qx):
         m = mk(qx, [["0", "1"], ["x", "0"]])
         m2 = rescale_derivation(m, qx.one)
-        assert linalg.mat_eq(m2.ring, m2.g1, m.g1)
+        assert mat_eq(m2.ring, m2.g1, m.g1)
 
     def test_round_trip(self, qx):
         m = mk(qx, [["0", "1"], ["x", "0"]])
         f = qx.parse("x")
         back = rescale_derivation(rescale_derivation(m, f), qx.inv(f))
         assert back.ring is qx
-        assert linalg.mat_eq(qx, back.g1, m.g1)
+        assert mat_eq(qx, back.g1, m.g1)
 
     def test_scaled_derivation_acts_scaled(self, qx):
         m = mk(qx, [["0", "1"], ["x", "0"]])

@@ -34,18 +34,21 @@ from katzcyclic import (
     xpoly,
 )
 from katzcyclic.fields import QQ
-from katzcyclic.katz import assemble_h, embed_qx, h_entry, h_matrix_at, qx_to_str
+from katzcyclic.katz import assemble_h, h_entry, h_matrix_at, qx_to_str
 from katzcyclic.xpoly import XPolyRing
 
 from _helpers import (
     decomposition_h,
+    embed_qx,
     expanded_h_rows,
     free_module_h_entries,
+    mat_eq,
     nabla_on_xpoly_row,
     katz_vector_xpoly_row,
     random_module,
     random_qx_poly,
     random_ratfunc,
+    row_sub,
     seeded,
     specialize_by_powers,
 )
@@ -366,6 +369,26 @@ class TestInvertCoefficients:
             for j in range(n):
                 assert out[j] == kv.coeffs[j]
 
+    @pytest.mark.parametrize("kind", ["qx", "qt", "f5", "f4", "scaled"])
+    def test_katz_vector_is_the_inversion_formula_on_e(self, kind):
+        """H(0) = Id, so nabla^i(c) at X = 0 is e_i and c(e, X) is the
+        inversion formula on the basis e, at every rank the ring admits."""
+        ring = {
+            "qx": RationalFunctionField(),
+            "qt": GaussPolynomialRing(3, 1),
+            "f5": FiniteFieldPolyRing(5),
+            "f4": FiniteFieldPolyRing(2, 2),
+            "scaled": RationalFunctionField(),
+        }[kind]
+        rng = seeded(140 + len(kind))
+        for n in (1, 2) if kind == "f4" else (1, 2, 3, 4):
+            m = random_module(ring, rng, n, max_deg=2)
+            if kind == "scaled":
+                m = rescale_derivation(m, ring.parse("x^2 + 1"))
+            out = invert_coefficients(m, linalg.identity(m.ring, n))
+            assert len(out) == n
+            assert mat_eq(m.ring, katz_vector(m).coeffs, out)
+
     def test_round_trip_random_vectors(self, qx):
         rng = seeded(53)
         n = 3
@@ -391,7 +414,7 @@ class TestBaseChange:
             )
             for row in h_matrix(0, 3)
         )
-        assert linalg.mat_eq(xr, bc.h_assembled, h0)
+        assert mat_eq(xr, bc.h_assembled, h0)
         assert bc.det_poly == (qx.one,)
         assert bc.h_tables == tuple(h_matrix(s, 3) for s in range(5))
 
@@ -626,7 +649,7 @@ class TestCompanionForm:
             family.append(apply_nabla(m, family[-1], 1))
         resid = family[m.n]
         for k in range(m.n):
-            resid = linalg.row_sub(qx, resid, linalg.row_scale(qx, b[k], family[k]))
+            resid = row_sub(qx, resid, linalg.row_scale(qx, b[k], family[k]))
         assert all(qx.is_zero(c_) for c_ in resid)
 
     def test_trivial_connection_residual(self, qx):

@@ -11,7 +11,9 @@ phases of a noisy machine.  Then it runs ``bench/run.py --trace 1`` once
 per side and workload on seed 0, whose counts repeat exactly.  The JSON
 written to the repository root holds every run's metrics, the
 per-metric medians of each side, the change/base ratio of the medians,
-the base's quartile spread, the number of pairs the change wins, both
+both sides' quartile spreads, the number of pairs the change wins, the
+end-to-end metrics whose change median is worse than the base median by
+more than their bound (``worse_beyond_bound``, also printed), both
 sides' per-layer metrics, and the machine and Python details.
 Standard library only.
 """
@@ -31,6 +33,7 @@ WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 SECONDS = SPEC["run_seconds"]
 SEEDS = range(1, 11)
 HIGHER_IS_BETTER = {m["name"]: m["better"] == "higher" for m in SPEC["end_to_end"]}
+BOUNDS = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -54,6 +57,20 @@ def quartile_spreads(runs):
         q1, _, q3 = statistics.quantiles([r[name] for r in runs], n=4)
         spreads[name] = q3 - q1
     return spreads
+
+
+def worse_beyond_bound(base: dict, change: dict) -> list:
+    """End-to-end metrics whose change median is worse than the base
+    median by more than the metric's bound, taken relative to the base
+    median."""
+    worse = []
+    for name, bound in BOUNDS.items():
+        if name not in base or name not in change:
+            continue
+        loss = base[name] - change[name] if HIGHER_IS_BETTER[name] else change[name] - base[name]
+        if loss > bound * abs(base[name]):
+            worse.append(name)
+    return worse
 
 
 def machine_info() -> dict:
@@ -95,11 +112,15 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: ops_per_s {base_runs[-1]['ops_per_s']:.2f} -> "
                   f"{change_runs[-1]['ops_per_s']:.2f}", file=sys.stderr)
         base, change = medians(base_runs), medians(change_runs)
+        worse = worse_beyond_bound(base, change)
+        print(f"{workload}: worse beyond bound: {', '.join(worse) or 'none'}", file=sys.stderr)
         doc["workloads"][workload] = {
             "base_median": base,
             "change_median": change,
             "ratio": {k: change[k] / base[k] if base[k] else None for k in base},
             "base_quartile_spread": quartile_spreads(base_runs),
+            "change_quartile_spread": quartile_spreads(change_runs),
+            "worse_beyond_bound": worse,
             "change_wins": {k: sum(c[k] > b[k] if HIGHER_IS_BETTER[k] else c[k] < b[k]
                                    for b, c in zip(base_runs, change_runs))
                             for k in base},

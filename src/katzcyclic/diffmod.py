@@ -8,11 +8,15 @@ G_{s+1} = d(G_s) + G_s * G1 with G_0 = Id.  :func:`iterated_matrices`
 defers this recurrence to the ring where it has its own, as
 :func:`katzcyclic.linalg.mat_mul` defers products: Q(x) and Q[t] run it
 on cleared integer matrices, other rings apply nabla to each row of G_s.
+
+A module may have any characteristic.  Only the Katz construction
+divides by (n-1)!, so its entry points, not the module, call
+:func:`check_factorial_invertible`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Sequence, Tuple
 
 from . import linalg
@@ -28,14 +32,9 @@ class DifferentialModule:
     ring: Ring
     n: int
     g1: Matrix
-    # The counterexample harness needs modules in characteristic p <= n-1,
-    # where (n-1)! is not invertible and the Katz construction is off-limits.
-    allow_small_factorial: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         _check_shape(self.n, self.g1)
-        if not self.allow_small_factorial:
-            check_factorial_invertible(self.ring, self.n)
 
 
 def _check_shape(n: int, rows: Sequence) -> None:
@@ -139,12 +138,7 @@ def rescale_derivation(m: DifferentialModule, f) -> DifferentialModule:
         new_ring: Ring = ring.base
     else:
         new_ring = ScaledDerivationRing(ring, f)
-    return DifferentialModule(
-        ring=new_ring,
-        n=m.n,
-        g1=linalg.mat_scale(new_ring, f, m.g1),
-        allow_small_factorial=m.allow_small_factorial,
-    )
+    return DifferentialModule(ring=new_ring, n=m.n, g1=linalg.mat_scale(new_ring, f, m.g1))
 
 
 def is_basis(m: DifferentialModule, vectors: Sequence[Row]):
@@ -199,12 +193,7 @@ def charp_counterexample(p: int, e: int, n: int) -> CharPReport:
     q = ring.field.q
     if n <= q:
         raise PreconditionError(f"need n > q = {q}, got n = {n}")
-    m = DifferentialModule(
-        ring=ring,
-        n=n,
-        g1=linalg.zeros(ring, n),
-        allow_small_factorial=True,
-    )
+    m = DifferentialModule(ring=ring, n=n, g1=linalg.zeros(ring, n))
 
     # d^q annihilates every monomial in the sampled degree range
     for deg in range(max_degree + 1):

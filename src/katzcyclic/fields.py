@@ -39,27 +39,21 @@ def power(mul, one, a, k: int):
 
 
 class RationalField:
-    """The field Q backed by fractions.Fraction."""
+    """The field Q on fractions.Fraction, written like ZZ; only inv and
+    div are methods, because they raise NotInvertibleError on zero."""
 
     characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
+    add = operator.add
+    sub = operator.sub
+    mul = operator.mul
+    neg = operator.neg
+    is_zero = operator.not_
+    eq = operator.eq
+    from_int = Fraction
+    from_fraction = Fraction
+    to_str = str
 
     @staticmethod
     def inv(a):
@@ -72,26 +66,6 @@ class RationalField:
         if b == 0:
             raise NotInvertibleError("division by zero")
         return a / b
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
-    @staticmethod
-    def eq(a, b) -> bool:
-        return a == b
-
-    @staticmethod
-    def from_int(n: int):
-        return Fraction(n)
-
-    @staticmethod
-    def from_fraction(q: Fraction):
-        return q
-
-    @staticmethod
-    def to_str(a) -> str:
-        return str(a)
 
 
 QQ = RationalField()
@@ -123,7 +97,7 @@ ZZ = IntegerRing()
 
 GFElem = Tuple[int, ...]
 
-# polys is built on QQ and ZZ above; F_{p^e} below is built on polys.
+# polys imports ZZ above; F_{p^e} below is built on polys.
 from . import polys  # noqa: E402
 
 

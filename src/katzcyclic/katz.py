@@ -15,7 +15,9 @@ nabla(c), ..., nabla^(n-1)(c) of :func:`~katzcyclic.diffmod.nabla_family`
 over ring[X] with d extended by d(X) = 1, which needs only G_0 .. G_{n-1}
 and no product H_s G_s.  The same family gives the cyclic basis at
 X := t - a (``find_cyclic``, after the one evaluation
-``specialize_vector``), the companion system, and H(t) in ultranorm.
+``specialize_vector``) and H(t) in ultranorm.  ``find_cyclic`` hands
+the family it tested on to ``companion_form``, which takes one more
+nabla step and solves, so the cyclic path builds each family once.
 
 The tables H_s(X) (:func:`h_matrix`) and H_0(-X) H_s(X)
 (:func:`lemma_table`, the factor of G_s in lemma 2.1) depend on (s, n)
@@ -322,8 +324,13 @@ def vandermonde_det(constants: Sequence, ring=QQ):
 class CyclicSearchResult:
     candidate_index: int
     a: object  # the constant, as a ring element
-    vector: Row
-    determinant: object  # P(t - a), nonzero
+    family: Tuple[Row, ...]  # c, nabla(c), ..., nabla^(n-1)(c)
+    determinant: object  # det of the family = P(t - a), nonzero
+
+    @property
+    def vector(self) -> Row:
+        """The cyclic vector c = c(e, t - a)."""
+        return self.family[0]
 
 
 def find_cyclic(
@@ -331,6 +338,7 @@ def find_cyclic(
 ) -> CyclicSearchResult:
     """Search the n(n-1)+1 specializations of the candidate vector for one
     with nonzero determinant; guaranteed to succeed over a char-0 field."""
+    check_factorial_invertible(m.ring, m.n)
     ring = m.ring
     n = m.n
     needed = n * (n - 1) + 1
@@ -354,11 +362,11 @@ def find_cyclic(
 
     kv = katz_vector(m)
     for idx, a in enumerate(candidates):
-        v0 = specialize_vector(m, kv, a)
-        det, ok = is_basis(m, nabla_family(m, v0, n))
+        family = nabla_family(m, specialize_vector(m, kv, a), n)
+        det, ok = is_basis(m, family)
         if ok:
             return CyclicSearchResult(
-                candidate_index=idx, a=a, vector=v0, determinant=det
+                candidate_index=idx, a=a, family=family, determinant=det
             )
     raise InternalConsistencyError(
         "no candidate produced a nonzero determinant; impossible over a field "
@@ -366,13 +374,15 @@ def find_cyclic(
     )
 
 
-def companion_form(m: DifferentialModule, c: Row) -> Tuple:
+def companion_form(m: DifferentialModule, family: Sequence[Row]) -> Tuple:
     """Coefficients b_0..b_{n-1} with nabla^n(c) = sum_k b_k nabla^k(c),
-    i.e. the scalar equation y^(n) = sum b_k y^(k) in the cyclic basis.
+    i.e. the scalar equation y^(n) = sum b_k y^(k) in the cyclic basis,
+    from the family c, ..., nabla^(n-1)(c) (``CyclicSearchResult.family``
+    or ``nabla_family(m, c, m.n)``) and one nabla step on its last row.
 
-    Raises NotInvertibleError when c, ..., nabla^(n-1)(c) is not a basis."""
+    Raises NotInvertibleError when the family is not a basis."""
     if not m.ring.is_field:
         raise UnsupportedOperationError("companion form needs a field coefficient ring")
-    n = m.n
-    family = nabla_family(m, c, n + 1)
-    return linalg.solve_left(m.ring, linalg.freeze(family[:n]), family[n])
+    if len(family) != m.n:
+        raise PreconditionError(f"expected a family of {m.n} vectors, got {len(family)}")
+    return linalg.solve_left(m.ring, linalg.freeze(family), apply_nabla(m, family[-1]))

@@ -14,7 +14,7 @@ takes the coefficient protocol object as first argument: a field from
 integer polynomials of Q(x) and Q[t], or any ring for the B[X] of
 :mod:`katzcyclic.xpoly`.  ``divmod_`` needs a field, or over ZZ an exact
 quotient (its steps divide by the divisor's leading coefficient).
-``gcd`` is the gcd of Z[x] and Q[x] only: it runs a primitive
+``gcd`` is the gcd of Z[x] only: it runs a primitive
 pseudo-remainder sequence over Z (Collins 1967; Brown 1971), which keeps
 the coefficients as small as the gcd's content allows instead of letting
 Euclid's remainders over Q grow.  ``pack`` and ``unpack`` are Kronecker
@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import NotInvertibleError, PreconditionError, UnsupportedOperationError
-from .fields import QQ, ZZ
+from .fields import ZZ
 
 Poly = Tuple
 
@@ -123,16 +122,11 @@ def divmod_(K, f: Poly, g: Poly):
 
 
 def gcd(K, f: Poly, g: Poly) -> Poly:
-    """gcd in Z[x] (K = ZZ) or Q[x] (K = QQ).
-
-    Over ZZ it is the primitive gcd with a positive leading coefficient,
-    over QQ the monic gcd; the gcd of two zeros is zero.
+    """gcd in Z[x] (K = ZZ): the primitive gcd with a positive leading
+    coefficient; the gcd of two zeros is zero.
     """
-    if K is QQ:
-        h = _int_gcd(clear_denominators(f)[1], clear_denominators(g)[1])
-        return tuple(Fraction(c, h[-1]) for c in h)
     if K is not ZZ:
-        raise TypeError(f"gcd works in Z[x] or Q[x] only, not over {K!r}")
+        raise TypeError(f"gcd works in Z[x] only, not over {K!r}")
     return tuple(_int_gcd(f, g))
 
 

@@ -213,9 +213,9 @@ def _smallness_certificate(
 
 
 def _require_banach(m: DifferentialModule) -> None:
+    check_factorial_invertible(m.ring, m.n)
     if not m.ring.is_banach:
         raise UnsupportedOperationError("certification needs a Banach ring")
-    check_factorial_invertible(m.ring, m.n)
 
 
 def check_prop_2_3(m: DifferentialModule) -> CyclicityCertificate:

@@ -1,5 +1,6 @@
 """The pure parts of tools/bench_compare.py on hand-made runs: medians,
-quartile spreads and the metrics worse than their bound."""
+quartile spreads, the metrics worse than their bound and the metrics
+the runs leave unresolved."""
 
 import importlib.util
 import pathlib
@@ -52,3 +53,28 @@ def test_worse_beyond_bound_on_medians_of_runs(tool):
 
 def test_metrics_outside_the_benchmark_are_ignored(tool):
     assert tool.worse_beyond_bound({"linalg.det.calls": 1}, {"linalg.det.calls": 9}) == []
+
+
+def test_unresolved_when_the_base_spread_is_wider_than_the_bound(tool):
+    # base op_s.p50: median 1.0, quartile spread 0.5 > 25 % of 1.0
+    base = runs(**{"op_s.p50": [0.6, 0.8, 1.0, 1.2, 1.4], "ops_per_s": [100.0] * 5})
+    change = runs(**{"op_s.p50": [0.7, 0.9, 1.0, 1.1, 1.3], "ops_per_s": [90.0] * 5})
+    assert tool.unresolved(base, change) == ["op_s.p50"]
+
+
+def test_narrow_base_spread_is_resolved(tool):
+    # spread 0.2 is within 25 % of the median 1.0, whatever the change reads
+    base = runs(**{"op_s.p50": [0.9, 0.95, 1.0, 1.05, 1.1]})
+    change = runs(**{"op_s.p50": [0.5, 2.0, 1.0, 3.0, 0.1]})
+    assert tool.unresolved(base, change) == []
+
+
+def test_change_beating_every_base_run_is_resolved(tool):
+    base = runs(**{"op_s.p50": [0.6, 0.8, 1.0, 1.2, 1.4], "ops_per_s": [60, 80, 100, 120, 140]})
+    # lower is better for op_s.p50, higher for ops_per_s
+    change = runs(**{"op_s.p50": [0.5, 0.55, 0.45, 0.58, 0.59],
+                     "ops_per_s": [141, 150, 160, 170, 200]})
+    assert tool.unresolved(base, change) == []
+    # one change run no better than the best base run leaves it unresolved
+    change[0] = {"op_s.p50": 0.6, "ops_per_s": 140}
+    assert tool.unresolved(base, change) == ["ops_per_s", "op_s.p50"]

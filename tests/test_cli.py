@@ -306,6 +306,45 @@ def with_entry(doc, entry):
     return {**doc, "G1": [[entry, doc["G1"][0][1]], doc["G1"][1]]}
 
 
+RANK3 = [["0", "1", "0"], ["0", "0", "1"], ["x", "0", "0"]]
+
+
+@pytest.mark.parametrize("command", ["cyclic", "companion"])
+def test_cyclic_path_takes_n_nabla_steps(capsys, tmp_path, monkeypatch, command):
+    # find_cyclic tests c, nabla(c), nabla^2(c) for candidate 0 and hands
+    # them to companion_form, which takes the one step to nabla^3(c).
+    from katzcyclic import diffmod, katz
+
+    steps = []
+    real = diffmod.apply_nabla
+
+    def counting(m, v, k=1):
+        steps.append(k)
+        return real(m, v, k)
+
+    monkeypatch.setattr(diffmod, "apply_nabla", counting)
+    monkeypatch.setattr(katz, "apply_nabla", counting)
+    code, out, _ = run_doc(capsys, tmp_path, [command], {**QX_DOC, "n": 3, "G1": RANK3})
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["a"] == "0" and len(doc["companion_coefficients"]) == 3
+    assert sum(steps) == 3
+
+
+F2_DOC = {"ring": {"kind": "finite_field_poly", "variable": "x", "p": 2, "q_exp": 1},
+          "n": 3, "G1": RANK3}
+
+
+@pytest.mark.parametrize("command", [
+    ["cyclic"], ["companion"], ["certify", "--criterion", "prop2.3"],
+    ["cyclic", "--constants", "0,1,2,3,4,5,6"],
+], ids=["cyclic", "companion", "certify", "constants"])
+def test_small_characteristic_is_refused_by_the_katz_entry_points(capsys, tmp_path, command):
+    # (3-1)! = 0 mod 2: the module reads, and each Katz entry point refuses it
+    code, out, err = run_doc(capsys, tmp_path, command, F2_DOC)
+    assert (code, out, err) == (1, "", "error: (3-1)! is not invertible in characteristic 2\n")
+
+
 # 5,000 parentheses or signs used to end in a RecursionError traceback.
 @pytest.mark.parametrize("entry", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"],
                          ids=["parens", "signs"])

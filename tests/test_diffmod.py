@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from katzcyclic import (
     DifferentialModule,
-    FactorialNotInvertibleError,
     FiniteFieldPolyRing,
     GaussPolynomialRing,
     NotInvertibleError,
@@ -361,10 +360,14 @@ class TestCharPCounterexample:
 
 
 class TestConstruction:
-    def test_factorial_check_char_p(self):
+    def test_small_characteristic_module_constructs(self):
+        # (3-1)! = 0 in characteristic 2: only the Katz entry points refuse
+        # the module (tests/test_katz.py::TestSmallCharacteristic).
         ring = FiniteFieldPolyRing(2)
-        with pytest.raises(FactorialNotInvertibleError):
-            DifferentialModule(ring=ring, n=3, g1=linalg.zeros(ring, 3))
+        m = mk(ring, [["0", "1", "0"], ["0", "0", "1"], ["x", "0", "0"]])
+        assert m.ring.characteristic == 2 and m.n == 3
+        scaled = rescale_derivation(m, ring.one)
+        assert scaled.n == 3 and scaled.ring.characteristic == 2
         # p > n-1 is fine
         ring5 = FiniteFieldPolyRing(5)
         DifferentialModule(ring=ring5, n=3, g1=linalg.zeros(ring5, 3))

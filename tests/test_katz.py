@@ -7,6 +7,7 @@ import pytest
 
 from katzcyclic import (
     DifferentialModule,
+    FactorialNotInvertibleError,
     FiniteFieldPolyRing,
     GaussPolynomialRing,
     InternalConsistencyError,
@@ -17,6 +18,7 @@ from katzcyclic import (
     alpha,
     apply_nabla,
     base_change,
+    check_prop_2_3,
     companion_form,
     epsilon,
     find_cyclic,
@@ -33,6 +35,7 @@ from katzcyclic import (
     vandermonde_det,
     xpoly,
 )
+from katzcyclic.diffmod import nabla_family
 from katzcyclic.fields import QQ
 from katzcyclic.katz import assemble_h, h_entry, h_matrix_at, qx_to_str
 from katzcyclic.xpoly import XPolyRing
@@ -600,6 +603,14 @@ class TestFindCyclic:
         with pytest.raises(UnsupportedOperationError):
             find_cyclic(m)
 
+    def test_family_is_the_tested_basis(self, qx):
+        rng = seeded(72)
+        for n in (1, 2, 3):
+            m = random_module(qx, rng, n, max_deg=1)
+            res = find_cyclic(m)
+            assert res.family == nabla_family(m, res.vector, n)
+            assert qx.eq(res.determinant, linalg.det(qx, res.family))
+
 
 class TestVandermonde:
     def test_small_cases(self):
@@ -639,12 +650,12 @@ class TestVandermonde:
 class TestCompanionForm:
     def test_rank_one(self, qx):
         m = mk(qx, [["x"]])
-        (b0,) = companion_form(m, (qx.one,))
+        (b0,) = companion_form(m, nabla_family(m, (qx.one,), m.n))
         assert qx.eq(b0, qx.parse("x"))
 
-    def residual_is_zero(self, qx, m, c):
-        b = companion_form(m, c)
-        family = [tuple(c)]
+    def residual_is_zero(self, qx, m, family):
+        b = companion_form(m, family)
+        family = [tuple(family[0])]
         for _ in range(m.n):
             family.append(apply_nabla(m, family[-1], 1))
         resid = family[m.n]
@@ -655,18 +666,18 @@ class TestCompanionForm:
     def test_trivial_connection_residual(self, qx):
         m = mk(qx, [["0", "0"], ["0", "0"]])
         res = find_cyclic(m)
-        self.residual_is_zero(qx, m, res.vector)
+        self.residual_is_zero(qx, m, res.family)
 
     def test_hand_example_residual(self, qx):
         m = mk(qx, [["0", "0"], ["1", "0"]])
-        self.residual_is_zero(qx, m, (qx.one, qx.parse("x")))
+        self.residual_is_zero(qx, m, nabla_family(m, (qx.one, qx.parse("x")), m.n))
 
     def test_random_residuals(self, qx):
         rng = seeded(73)
         for _ in range(5):
             m = random_module(qx, rng, 3, max_deg=2)
             res = find_cyclic(m)
-            self.residual_is_zero(qx, m, res.vector)
+            self.residual_is_zero(qx, m, res.family)
 
     def test_non_basis_rejected(self, qx):
         from katzcyclic import NotInvertibleError
@@ -675,7 +686,51 @@ class TestCompanionForm:
         # c = e0 has nabla(c) = e1? no: row convention gives nabla(e0) = e1;
         # pick c with nabla c parallel to c instead
         with pytest.raises(NotInvertibleError):
-            companion_form(m, (qx.zero, qx.one))
+            companion_form(m, nabla_family(m, (qx.zero, qx.one), m.n))
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_family_of_the_wrong_length_rejected(self, qx, length):
+        m = mk(qx, [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]])
+        family = nabla_family(m, find_cyclic(m).vector, length)
+        with pytest.raises(PreconditionError, match=f"family of 3 vectors, got {length}"):
+            companion_form(m, family)
+
+
+class TestSmallCharacteristic:
+    """A module in characteristic p <= n-1 constructs; every Katz entry
+    point, which divides by (n-1)!, refuses it."""
+
+    ROWS = [["0", "1", "0"], ["0", "0", "1"], ["x", "0", "0"]]
+
+    @pytest.fixture
+    def f2(self):
+        return mk(FiniteFieldPolyRing(2), self.ROWS)
+
+    @pytest.mark.parametrize("entry", [
+        katz_vector, find_cyclic, base_change, check_prop_2_3,
+        lambda m: invert_coefficients(m, linalg.zeros(m.ring, m.n)),
+    ], ids=["katz_vector", "find_cyclic", "base_change", "check_prop_2_3",
+            "invert_coefficients"])
+    def test_entry_points_refuse(self, f2, entry):
+        with pytest.raises(FactorialNotInvertibleError, match=r"\(3-1\)! is not invertible"):
+            entry(f2)
+
+    def test_find_cyclic_refuses_before_reading_candidates(self, f2):
+        with pytest.raises(FactorialNotInvertibleError):
+            find_cyclic(f2, [f2.ring.zero, f2.ring.one])
+        # over F_8[x] the seven candidates are distinct constants
+        ring = FiniteFieldPolyRing(2, 3)
+        m = mk(ring, self.ROWS)
+        cands = [ring.parse(a) for a in ("0", "1", "g", "g+1", "g^2", "g^2+1", "g^2+g")]
+        with pytest.raises(FactorialNotInvertibleError):
+            find_cyclic(m, cands)
+
+    def test_rescaled_module_is_refused_too(self):
+        ring = FiniteFieldPolyRing(2, 2)
+        scaled = rescale_derivation(mk(ring, self.ROWS), ring.parse("g"))
+        assert scaled.ring.eq(scaled.ring.derive(ring.parse("x")), ring.parse("g"))
+        with pytest.raises(FactorialNotInvertibleError):
+            katz_vector(scaled)
 
 
 class TestDerivationRescaling:

@@ -15,7 +15,7 @@ from katzcyclic import (
     ring_from_json,
 )
 from katzcyclic import polys
-from katzcyclic.fields import ZZ, FiniteField, is_prime
+from katzcyclic.fields import QQ, ZZ, FiniteField, is_prime
 
 from _helpers import random_qx_poly, random_ratfunc, seeded
 
@@ -286,10 +286,12 @@ def test_gcd_over_z_is_primitive_with_positive_lead():
     assert polys.gcd(ZZ, (-7,), g) == (1,)
 
 
-def test_gcd_is_over_q_only():
+def test_gcd_is_over_z_only():
     F5 = FiniteField(5)
-    with pytest.raises(TypeError, match="Q\\[x\\] only"):
+    with pytest.raises(TypeError, match="Z\\[x\\] only"):
         polys.gcd(F5, (F5.one, F5.one), (F5.one,))
+    with pytest.raises(TypeError, match="Z\\[x\\] only"):
+        polys.gcd(QQ, (QQ.one, QQ.one), (QQ.one,))
 
 
 class TestPrimality:

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from katzcyclic import DifferentialModule, NotInvertibleError, linalg
+from katzcyclic.diffmod import nabla_family
 from katzcyclic.katz import companion_form
 from katzcyclic.rings import RationalFunctionField
 
@@ -55,14 +56,14 @@ def check_against_sympy(g1, c):
         n=n,
         g1=linalg.freeze([[element(g1[i, j]) for j in range(n)] for i in range(n)]),
     )
-    vector = tuple(element(e) for e in c)
+    ours = nabla_family(m, tuple(element(e) for e in c), n)
     if f.det() == K.zero:
         with pytest.raises(NotInvertibleError):
-            companion_form(m, vector)
+            companion_form(m, ours)
         return
     # b * F = nabla^n(c)  <=>  F^T b^T = nabla^n(c)^T
     expected = f.transpose().lu_solve(family[n].transpose()).to_Matrix()
-    assert companion_form(m, vector) == tuple(element(e) for e in expected)
+    assert companion_form(m, ours) == tuple(element(e) for e in expected)
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,4 +1,4 @@
-"""Differential tests of Q[x] gcd, Q(x) arithmetic and primality against sympy.
+"""Differential tests of Z[x] gcd, Q(x) arithmetic and primality against sympy.
 
 sympy is an oracle here only; the package never imports it.  Inputs are
 built on the sympy side (``sympy.cancel``) and handed to the package as
@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from katzcyclic import polys
-from katzcyclic.fields import QQ, is_prime
+from katzcyclic.fields import QQ, ZZ, is_prime
 from katzcyclic.rings import RationalFunctionField, RatFunc
 
 sympy = pytest.importorskip("sympy")
@@ -37,6 +37,18 @@ def to_poly(coeffs):
 
 def to_sympy(f):
     return sympy.Poly(list(reversed(f)) or [0], X, domain=sympy.QQ)
+
+
+def to_sympy_z(f):
+    return sympy.Poly(list(reversed(f)) or [0], X, domain=sympy.ZZ)
+
+
+def primitive_from_sympy(p):
+    """The primitive part of a sympy Poly over ZZ, with positive lead."""
+    part = p.primitive()[1]
+    if part.LC() < 0:
+        part = -part
+    return polys.normalize(ZZ, [int(c) for c in reversed(part.all_coeffs())])
 
 
 def from_sympy(p):
@@ -79,10 +91,10 @@ def assert_canonical(a: RatFunc):
 @given(coeff_lists, coeff_lists, coeff_lists, st.integers(1, 10 ** 30))
 def test_gcd_of_multiples_matches_sympy(f, g, h, content):
     f, g, h = to_poly(f), to_poly(g), to_poly(h)
-    fh = polys.scale(QQ, Fraction(content), polys.mul(QQ, f, h))
-    gh = polys.mul(QQ, g, h)
-    expected = to_sympy(fh).gcd(to_sympy(gh))
-    assert polys.gcd(QQ, fh, gh) == from_sympy(expected)
+    fh = polys.clear_denominators(polys.scale(QQ, Fraction(content), polys.mul(QQ, f, h)))[1]
+    gh = polys.clear_denominators(polys.mul(QQ, g, h))[1]
+    expected = to_sympy_z(fh).gcd(to_sympy_z(gh))
+    assert polys.gcd(ZZ, fh, gh) == primitive_from_sympy(expected)
 
 
 @pytest.mark.parametrize(
@@ -98,8 +110,9 @@ def test_gcd_of_multiples_matches_sympy(f, g, h, content):
     ids=["zeros", "constant", "constant-second", "equal", "zero-first", "large-content"],
 )
 def test_gcd_edge_cases_match_sympy(f, g):
-    got = polys.gcd(QQ, f, g)
-    expected = () if not (f or g) else from_sympy(to_sympy(f).gcd(to_sympy(g)))
+    f, g = polys.clear_denominators(f)[1], polys.clear_denominators(g)[1]
+    got = polys.gcd(ZZ, f, g)
+    expected = () if not (f or g) else primitive_from_sympy(to_sympy_z(f).gcd(to_sympy_z(g)))
     assert got == expected
 
 

@@ -13,8 +13,10 @@ written to the repository root holds every run's metrics, the
 per-metric medians of each side, the change/base ratio of the medians,
 both sides' quartile spreads, the number of pairs the change wins, the
 end-to-end metrics whose change median is worse than the base median by
-more than their bound (``worse_beyond_bound``, also printed), both
-sides' per-layer metrics, and the machine and Python details.
+more than their bound (``worse_beyond_bound``, also printed), the
+end-to-end metrics the runs cannot settle (``unresolved``, also
+printed), both sides' per-layer metrics, and the machine and Python
+details.
 Standard library only.
 """
 
@@ -73,6 +75,22 @@ def worse_beyond_bound(base: dict, change: dict) -> list:
     return worse
 
 
+def unresolved(base_runs, change_runs) -> list:
+    """End-to-end metrics the runs cannot settle: the base runs' quartile
+    spread, relative to their median, is wider than the metric's bound,
+    and not every change run is better than every base run."""
+    base, spread = medians(base_runs), quartile_spreads(base_runs)
+    out = []
+    for name, bound in BOUNDS.items():
+        if name not in base or spread[name] <= bound * abs(base[name]):
+            continue
+        b = [r[name] for r in base_runs]
+        c = [r[name] for r in change_runs]
+        if not (min(c) > max(b) if HIGHER_IS_BETTER[name] else max(c) < min(b)):
+            out.append(name)
+    return out
+
+
 def machine_info() -> dict:
     cpu = platform.processor()
     try:
@@ -113,7 +131,9 @@ def main(argv=None) -> int:
                   f"{change_runs[-1]['ops_per_s']:.2f}", file=sys.stderr)
         base, change = medians(base_runs), medians(change_runs)
         worse = worse_beyond_bound(base, change)
-        print(f"{workload}: worse beyond bound: {', '.join(worse) or 'none'}", file=sys.stderr)
+        unsettled = unresolved(base_runs, change_runs)
+        print(f"{workload}: worse beyond bound: {', '.join(worse) or 'none'}; "
+              f"unresolved: {', '.join(unsettled) or 'none'}", file=sys.stderr)
         doc["workloads"][workload] = {
             "base_median": base,
             "change_median": change,
@@ -121,6 +141,7 @@ def main(argv=None) -> int:
             "base_quartile_spread": quartile_spreads(base_runs),
             "change_quartile_spread": quartile_spreads(change_runs),
             "worse_beyond_bound": worse,
+            "unresolved": unsettled,
             "change_wins": {k: sum(c[k] > b[k] if HIGHER_IS_BETTER[k] else c[k] < b[k]
                                    for b, c in zip(base_runs, change_runs))
                             for k in base},

@@ -28,7 +28,6 @@ from . import katz, ultranorm
 from .diffmod import charp_counterexample, module_from_json, module_to_json
 from .errors import KatzCyclicError, PreconditionError
 from .parser import MAX_LITERAL_DIGITS
-from .ultranorm import MatrixNormKind
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -165,12 +164,7 @@ def cmd_certify(args) -> int:
     elif args.criterion == "prop2.8":
         cert = ultranorm.check_prop_2_8(m)
     else:
-        kind = None
-        if args.norm == "rho-t":
-            kind = MatrixNormKind.rho_t_inverse(m.ring)
-        elif args.norm == "rho-d":
-            kind = MatrixNormKind.rho_d(m.ring)
-        cert = ultranorm.certify_lemma_2_1(m, kind)
+        cert = ultranorm.certify_lemma_2_1(m, ultranorm.norm_kind(m, args.norm))
     doc = cert.to_json(m.ring)
     doc["command"] = "certify"
     doc["input"] = module_to_json(m)

@@ -56,6 +56,7 @@ from .diffmod import (
 )
 from .errors import (
     InternalConsistencyError,
+    NotInvertibleError,
     PreconditionError,
     UnsupportedOperationError,
 )
@@ -337,7 +338,9 @@ def find_cyclic(
     m: DifferentialModule, candidates: Optional[Sequence] = None
 ) -> CyclicSearchResult:
     """Search the n(n-1)+1 specializations of the candidate vector for one
-    with nonzero determinant; guaranteed to succeed over a char-0 field."""
+    with nonzero determinant; guaranteed to succeed over a char-0 field.
+    Over a ring that is not a field the determinant must be a unit, and
+    NotInvertibleError says that none was."""
     check_factorial_invertible(m.ring, m.n)
     ring = m.ring
     n = m.n
@@ -368,6 +371,10 @@ def find_cyclic(
             return CyclicSearchResult(
                 candidate_index=idx, a=a, family=family, determinant=det
             )
+    if not ring.is_field:
+        raise NotInvertibleError(
+            f"no candidate's determinant is a unit in the ring ({ring.kind})"
+        )
     raise InternalConsistencyError(
         "no candidate produced a nonzero determinant; impossible over a field "
         "with n(n-1)+1 distinct constants"

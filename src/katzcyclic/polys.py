@@ -14,17 +14,17 @@ takes the coefficient protocol object as first argument: a field from
 integer polynomials of Q(x) and Q[t], or any ring for the B[X] of
 :mod:`katzcyclic.xpoly`.  ``divmod_`` needs a field, or over ZZ an exact
 quotient (its steps divide by the divisor's leading coefficient).
-``gcd`` is the gcd of Z[x] only: it runs a primitive
-pseudo-remainder sequence over Z (Collins 1967; Brown 1971), which keeps
-the coefficients as small as the gcd's content allows instead of letting
-Euclid's remainders over Q grow.  ``pack`` and ``unpack`` are Kronecker
-substitution for Z[x]: ``pack(f, k)`` is the int f(2^k), and
-``unpack(v, k)`` (k >= 2) reads the coefficients back as v's balanced
-base-2^k digits, which is exact when every coefficient lies in
-[-2^(k-1), 2^(k-1)).  The matrix products of Q(x) and Q[t]
-(:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul` and each step
-of :meth:`~katzcyclic.rings.RationalFunctionField.iterated_matrices`)
-use them at one level, for Z[x].  Their determinant over ring[X]
+``gcd`` is the gcd of Z[x] only: GCDHEU, the heuristic gcd of Char,
+Geddes & Gonnet, takes it from one integer gcd of the inputs packed at
+x = 2^k, and checks every answer by exact division.  ``pack`` and
+``unpack`` are Kronecker substitution for Z[x]: ``pack(f, k)`` is the
+int f(2^k), and ``unpack(v, k)`` (k >= 2) reads the coefficients back
+as v's balanced base-2^k digits, which is exact when every coefficient
+lies in [-2^(k-1), 2^(k-1)).  ``gcd`` and the matrix products of Q(x)
+and Q[t] (:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul` and
+each step of
+:meth:`~katzcyclic.rings.RationalFunctionField.iterated_matrices`) use
+them at one level, for Z[x].  Their determinant over ring[X]
 (:meth:`~katzcyclic.rings.RationalFunctionField.xdet`) uses them at two,
 with x -> 2^k inside X -> 2^(k (d+1)) for x-degrees at most d, which
 packs Z[x][X] and unpacks it again when every coefficient is below
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import NotInvertibleError, PreconditionError, UnsupportedOperationError
 from .fields import ZZ
@@ -124,24 +124,38 @@ def divmod_(K, f: Poly, g: Poly):
 def gcd(K, f: Poly, g: Poly) -> Poly:
     """gcd in Z[x] (K = ZZ): the primitive gcd with a positive leading
     coefficient; the gcd of two zeros is zero.
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989; Geddes,
+    Czapor & Labahn, *Algorithms for Computer Algebra*, ch. 7): for
+    primitive a, b and xi = 2^k >= 2 min(|a|, |b|) + 2 (max-norms), the
+    primitive part h of the balanced base-xi digits of gcd(a(xi), b(xi))
+    is gcd(a, b) if it divides both (their theorem).  Doubling k ends:
+    with a = G A, b = G B and G = gcd(a, b), gcd(a(xi), b(xi)) = |G(xi)| r
+    with r dividing Res(A, B), which does not depend on xi, so once
+    xi > 2 |Res(A, B)| |G| the digits spell +-r G and h = G.
     """
     if K is not ZZ:
         raise TypeError(f"gcd works in Z[x] only, not over {K!r}")
-    return tuple(_int_gcd(f, g))
-
-
-def _int_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
-    """Primitive gcd with a positive leading coefficient in Z[x]."""
-    if not a or not b:
-        return primitive(a or b)[1]
-    if len(a) == 1 or len(b) == 1:
+    if not f or not g:
+        return tuple(primitive(f or g)[1])
+    if len(f) == 1 or len(g) == 1:
         return (1,)
-    a, b = primitive(a)[1], primitive(b)[1]
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, primitive(_prem(a, b))[1]
-    return a
+    a, b = primitive(f)[1], primitive(g)[1]
+    # 2^k >= 4 max(|a|, |b|) + 4 >= 2 min(|a|, |b|) + 2, CGG's bound
+    k = max(map(abs, (*a, *b))).bit_length() + 2
+    while True:
+        h = primitive(unpack(math.gcd(pack(a, k), pack(b, k)), k))[1]
+        if _divides(h, a) and _divides(h, b):
+            return h
+        k *= 2
+
+
+def _divides(h: Poly, f: Poly) -> bool:
+    """Whether h divides f in Z[x]: an exact division leaves no remainder."""
+    try:
+        return not divmod_(ZZ, f, h)[1]
+    except PreconditionError:
+        return False
 
 
 def clear_denominators(f: Poly):
@@ -164,22 +178,6 @@ def primitive(f: Sequence[int]):
     # the interpreter's free list for the smaller size, so that hot loops
     # grow the process's memory
     return content, tuple([c // content for c in f])
-
-
-def _prem(a: List[int], b: List[int]) -> List[int]:
-    """Pseudo-remainder of a by b over Z, len(a) >= len(b) > 0: the
-    remainder of lead(b)^(deg a - deg b + 1) * a, with no trailing zeros."""
-    r = list(a)
-    lead = b[-1]
-    while len(r) >= len(b):
-        c = r.pop()
-        shift = len(r) + 1 - len(b)
-        r = [x * lead for x in r]
-        for i in range(len(b) - 1):
-            r[shift + i] -= c * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
 
 
 def pack(f: Sequence[int], k: int) -> int:

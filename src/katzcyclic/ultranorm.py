@@ -218,6 +218,18 @@ def _require_banach(m: DifferentialModule) -> None:
         raise UnsupportedOperationError("certification needs a Banach ring")
 
 
+def norm_kind(m: DifferentialModule, name: Optional[str]) -> Optional[MatrixNormKind]:
+    """The matrix norm named "sup" (or None), "rho-t" or "rho-d", for m's
+    ring.  m passes the certificates' own checks first, so a module that
+    cannot be certified is refused the same way under every name."""
+    _require_banach(m)
+    if name == "rho-t":
+        return MatrixNormKind.rho_t_inverse(m.ring)
+    if name == "rho-d":
+        return MatrixNormKind.rho_d(m.ring)
+    return None
+
+
 def check_prop_2_3(m: DifferentialModule) -> CyclicityCertificate:
     """Sup-norm smallness: |G1| < |H0(t)|^(-2) * min(1, 1/|d|^(2n-3))."""
     _require_banach(m)

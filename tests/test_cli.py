@@ -345,6 +345,13 @@ def test_small_characteristic_is_refused_by_the_katz_entry_points(capsys, tmp_pa
     assert (code, out, err) == (1, "", "error: (3-1)! is not invertible in characteristic 2\n")
 
 
+def test_failed_search_over_a_non_field_is_not_invertible(capsys, tmp_path):
+    doc = {"ring": {"kind": "gauss_padic", "p": 3}, "n": 2, "G1": [["t", "1"], ["t^2", "0"]]}
+    code, out, err = run_doc(capsys, tmp_path, ["cyclic", "--constants", "0,1,2"], doc)
+    assert (code, out) == (1, "")
+    assert err == "error: no candidate's determinant is a unit in the ring (gauss_padic)\n"
+
+
 # 5,000 parentheses or signs used to end in a RecursionError traceback.
 @pytest.mark.parametrize("entry", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"],
                          ids=["parens", "signs"])
@@ -499,6 +506,17 @@ class TestCertify:
     def test_lemma_without_norm_is_sup(self, capsys, gauss_module):
         argv = ["certify", "-i", gauss_module, "--criterion", "lemma2.1"]
         assert run(capsys, argv) == run(capsys, argv + ["--norm", "sup"])
+
+    @pytest.mark.parametrize("norm", [[], ["--norm", "sup"], ["--norm", "rho-t"],
+                                      ["--norm", "rho-d"]], ids=["none", "sup", "rho-t", "rho-d"])
+    @pytest.mark.parametrize("doc, message", [
+        (QX_DOC, "certification needs a Banach ring"),
+        (F2_DOC, "(3-1)! is not invertible in characteristic 2"),
+    ], ids=["qx", "f2"])
+    def test_refusal_does_not_depend_on_the_norm(self, capsys, tmp_path, norm, doc, message):
+        # the norm is built only after the module passes the certificate's checks
+        argv = ["certify", "--criterion", "lemma2.1"] + norm
+        assert run_doc(capsys, tmp_path, argv, doc) == (1, "", f"error: {message}\n")
 
     def test_non_banach_ring_rejected(self, capsys, qx_module):
         code, _, err = run(capsys, ["certify", "-i", qx_module, "--criterion", "prop2.3"])

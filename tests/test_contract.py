@@ -1,0 +1,63 @@
+"""The package's exactness and dependency contract, read from its source.
+
+The runtime stays dependency-free: every absolute import in
+``src/katzcyclic`` is a standard-library module.  Arithmetic stays exact:
+no float literal and no call to the builtin ``float`` appears, and of
+``math`` only the integer functions below are used.
+"""
+
+import ast
+import functools
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "katzcyclic"
+MATH_ALLOWED = {"gcd", "lcm", "comb", "factorial"}
+
+
+@functools.cache
+def trees():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no sources under {SRC}"
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in paths]
+
+
+def nodes(kind):
+    """(file name, line, node) for every node of the given kind."""
+    return [(name, node.lineno, node)
+            for name, tree in trees() for node in ast.walk(tree) if isinstance(node, kind)]
+
+
+def test_absolute_imports_are_standard_library():
+    found = []
+    for name, line, node in nodes((ast.Import, ast.ImportFrom)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                continue  # within the package
+            modules = [node.module]
+        else:
+            modules = [alias.name for alias in node.names]
+        for module in modules:
+            top = module.split(".")[0]
+            if top != "__future__" and top not in sys.stdlib_module_names:
+                found.append(f"{name}:{line} imports {module}")
+    assert found == []
+
+
+def test_no_floats():
+    found = [f"{name}:{line} {node.value!r}" for name, line, node in nodes(ast.Constant)
+             if isinstance(node.value, (float, complex))]
+    found += [f"{name}:{line} float(...)" for name, line, node in nodes(ast.Call)
+              if isinstance(node.func, ast.Name) and node.func.id == "float"]
+    assert found == []
+
+
+def test_math_is_used_only_for_integer_functions():
+    found = [f"{name}:{line} math.{node.attr}" for name, line, node in nodes(ast.Attribute)
+             if isinstance(node.value, ast.Name) and node.value.id == "math"
+             and node.attr not in MATH_ALLOWED]
+    found += [f"{name}:{line} from math import {alias.name}"
+              for name, line, node in nodes(ast.ImportFrom)
+              if node.module == "math" and not node.level
+              for alias in node.names if alias.name not in MATH_ALLOWED]
+    assert found == []

@@ -11,6 +11,7 @@ from katzcyclic import (
     FiniteFieldPolyRing,
     GaussPolynomialRing,
     InternalConsistencyError,
+    NotInvertibleError,
     PreconditionError,
     RationalFunctionField,
     ScaledDerivationRing,
@@ -602,6 +603,16 @@ class TestFindCyclic:
         m = DifferentialModule(ring=ring, n=2, g1=linalg.zeros(ring, 2))
         with pytest.raises(UnsupportedOperationError):
             find_cyclic(m)
+
+    def test_failed_search_over_a_non_field_is_not_invertible(self):
+        # over Q[t] the determinants are nonzero non-units, which the
+        # theory allows: no internal error, and no claim about fields
+        ring = GaussPolynomialRing(3)
+        m = mk(ring, [["t", "1"], ["t^2", "0"]])
+        cands = [ring.from_int(i) for i in range(3)]
+        with pytest.raises(NotInvertibleError) as info:
+            find_cyclic(m, cands)
+        assert str(info.value) == "no candidate's determinant is a unit in the ring (gauss_padic)"
 
     def test_family_is_the_tested_basis(self, qx):
         rng = seeded(72)

@@ -106,8 +106,13 @@ def test_gcd_of_multiples_matches_sympy(f, g, h, content):
         ((Fraction(-4), Fraction(0), Fraction(6)),) * 2,
         ((), (Fraction(2), Fraction(4, 3))),
         ((Fraction(10 ** 40), Fraction(10 ** 40)), (Fraction(-1), Fraction(0), Fraction(1))),
+        # 2(2x+1)(7x^3-3x^2-5) and (5x^2-3x+4)(7x^3-3x^2-5): at the first
+        # packing width, k = 8, the candidate x^4 - 67x^3 - 81x^2 - x + 121
+        # divides neither input, so the gcd is found only after doubling k
+        ((-10, -20, -6, 2, 28), (-20, 15, -37, 37, -36, 35)),
     ],
-    ids=["zeros", "constant", "constant-second", "equal", "zero-first", "large-content"],
+    ids=["zeros", "constant", "constant-second", "equal", "zero-first", "large-content",
+         "retry"],
 )
 def test_gcd_edge_cases_match_sympy(f, g):
     f, g = polys.clear_denominators(f)[1], polys.clear_denominators(g)[1]

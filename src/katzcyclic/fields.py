@@ -1,10 +1,12 @@
 """Coefficient rings: the rationals Q, the integers Z, and the finite
 fields F_p and F_{p^e}.
 
-QQ, ZZ and FiniteField expose the same small protocol (zero, one, add,
-sub, mul, neg, div, is_zero, eq, from_int, characteristic, to_str; the
-fields also inv) so that the dense polynomial helpers in
-:mod:`katzcyclic.polys` stay generic.
+QQ and FiniteField expose the same small protocol (zero, one, add, sub,
+mul, neg, div, inv, is_zero, eq, from_int, characteristic, to_str) so
+that the dense polynomial helpers in :mod:`katzcyclic.polys` stay
+generic.  ZZ holds only the ring part that :mod:`katzcyclic.linalg`
+reads: ``polys`` runs Z[x] on plain ints, with ZZ as the tag of that
+branch.
 
 The layers run ZZ, QQ, F_p -> :mod:`katzcyclic.polys` -> F_{p^e}, F_q[x],
 Q(x), Q[t].  F_p is the private ``_IntegersModP``; :class:`FiniteField`
@@ -75,22 +77,17 @@ class IntegerRing:
     """The ring Z on Python ints; its methods are the builtin operators.
 
     It is the coefficient ring of the primitive numerators and
-    denominators of Q(x) and Q[t].  ``div`` is floor division, which the
-    polynomial helpers use only where the quotient is exact.
+    denominators of Q(x) and Q[t].  The :mod:`katzcyclic.polys` helpers
+    take Z[x] on plain ints when passed ZZ, so it carries only what
+    :func:`~katzcyclic.linalg.det` and :func:`~katzcyclic.linalg.mat_mul`
+    read of a ring.
     """
 
-    characteristic = 0
     zero = 0
-    one = 1
     add = operator.add
     sub = operator.sub
     mul = operator.mul
-    neg = operator.neg
-    div = operator.floordiv
     is_zero = operator.not_
-    eq = operator.eq
-    from_int = int
-    to_str = str
 
 
 ZZ = IntegerRing()

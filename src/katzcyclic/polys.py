@@ -12,8 +12,12 @@ trailing zeros; the zero polynomial is the empty tuple.  Every function
 takes the coefficient protocol object as first argument: a field from
 :mod:`katzcyclic.fields` for K[x], :data:`~katzcyclic.fields.ZZ` for the
 integer polynomials of Q(x) and Q[t], or any ring for the B[X] of
-:mod:`katzcyclic.xpoly`.  ``divmod_`` needs a field, or over ZZ an exact
-quotient (its steps divide by the divisor's leading coefficient).
+:mod:`katzcyclic.xpoly`.  Over ZZ, ``add``, ``sub``, ``neg``, ``mul``,
+``derive``, ``scale`` and ``divmod_`` take one branch on plain ints,
+with no method call per coefficient; every other K takes the generic
+path through K's methods.  ``divmod_`` needs a field, or over ZZ an
+exact quotient: each step divides the top coefficient by the divisor's
+leading one, and raises PreconditionError when that leaves a remainder.
 ``gcd`` is the gcd of Z[x] only: GCDHEU, the heuristic gcd of Char,
 Geddes & Gonnet, takes it from one integer gcd of the inputs packed at
 x = 2^k, and checks every answer by exact division.  ``pack`` and
@@ -64,6 +68,12 @@ def is_zero(f: Poly) -> bool:
 
 
 def add(K, f: Poly, g: Poly) -> Poly:
+    if K is ZZ:
+        if len(f) < len(g):
+            f, g = g, f
+        out = [a + b for a, b in zip(f, g)]
+        out += f[len(g):]
+        return normalize(ZZ, out)
     n = max(len(f), len(g))
     out = []
     for i in range(n):
@@ -74,16 +84,29 @@ def add(K, f: Poly, g: Poly) -> Poly:
 
 
 def neg(K, f: Poly) -> Poly:
+    if K is ZZ:
+        return tuple([-c for c in f])
     return tuple(K.neg(c) for c in f)
 
 
 def sub(K, f: Poly, g: Poly) -> Poly:
+    if K is ZZ:
+        out = [a - b for a, b in zip(f, g)]
+        out += f[len(g):] if len(f) > len(g) else [-b for b in g[len(f):]]
+        return normalize(ZZ, out)
     return add(K, f, neg(K, g))
 
 
 def mul(K, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
+    if K is ZZ:
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g, i):
+                    out[j] += a * b
+        return normalize(ZZ, out)
     out = [K.zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if K.is_zero(a):
@@ -94,6 +117,10 @@ def mul(K, f: Poly, g: Poly) -> Poly:
 
 
 def scale(K, c, f: Poly) -> Poly:
+    if K is ZZ:
+        if c == 1:
+            return tuple(f)
+        return tuple([c * a for a in f]) if c else ()
     return normalize(K, [K.mul(c, a) for a in f])
 
 
@@ -105,17 +132,30 @@ def divmod_(K, f: Poly, g: Poly):
     q = [K.zero] * max(0, len(f) - len(g) + 1)
     r = list(f)
     lead = g[-1]
+    if K is ZZ:
+        low = g[:-1]
+        while len(r) >= len(g):
+            c, rem = divmod(r[-1], lead)
+            if rem:
+                raise PreconditionError(
+                    "inexact polynomial division: the divisor's leading coefficient"
+                    " does not divide the dividend's"
+                )
+            shift = len(r) - len(g)
+            q[shift] = c
+            for i, gc in enumerate(low, shift):
+                r[i] -= c * gc
+            r.pop()  # r[-1] - c * lead, which is zero
+            while r and not r[-1]:
+                r.pop()
+        return tuple(q), tuple(r)
     while len(r) >= len(g) and r:
         c = K.div(r[-1], lead)
         shift = len(r) - len(g)
         q[shift] = c
         for i, gc in enumerate(g):
             r[shift + i] = K.sub(r[shift + i], K.mul(c, gc))
-        if not K.is_zero(r.pop()):  # over ZZ: lead does not divide the top
-            raise PreconditionError(
-                "inexact polynomial division: the divisor's leading coefficient"
-                " does not divide the dividend's"
-            )
+        r.pop()  # zero over a field
         while r and K.is_zero(r[-1]):
             r.pop()
     return normalize(K, q), normalize(K, r)
@@ -208,6 +248,8 @@ def unpack(v: int, k: int) -> Poly:
 
 
 def derive(K, f: Poly) -> Poly:
+    if K is ZZ:
+        return tuple([i * f[i] for i in range(1, len(f))])
     out = [K.mul(K.from_int(i), f[i]) for i in range(1, len(f))]
     return normalize(K, out)
 

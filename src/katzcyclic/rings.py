@@ -11,17 +11,19 @@ Three concrete kinds are provided:
   no norm).
 
 Q(x) and Q[t] share one representation, :class:`RatFunc`: an element is
-c * N/D, one rational scale c times coprime primitive integer
-polynomials N and D with positive leading coefficients, and an element
-of Q[t] is one with D = (1,).  The form is unique, so equality is
-structural, and all polynomial work runs in Z[x] with
-:data:`~katzcyclic.fields.ZZ` as coefficient ring, with no Fraction
-arithmetic per coefficient.  One arithmetic in a private base serves
-both kinds.  Its branch for constant denominators takes no gcd of
+(p/q) * N/D, a rational scale held as a reduced pair of ints p, q times
+coprime primitive integer polynomials N and D with positive leading
+coefficients, and an element of Q[t] is one with D = (1,).  The form is
+unique, so equality is structural, and all work runs on plain ints:
+the scale by integer gcds, the polynomials in Z[x] through the
+:data:`~katzcyclic.fields.ZZ` branches of :mod:`katzcyclic.polys`.  A
+Fraction is built only where a value leaves the ring, in ``num`` and
+``den`` for printing.  One arithmetic in a private base serves both
+kinds.  Its branch for constant denominators takes no gcd of
 polynomials (by Gauss's lemma a product of primitive polynomials is
 primitive), so neither Q[t] nor a polynomial element of Q(x) takes one.
-The Gauss norm of Q[t] is read off c and the p-adic valuations of N's
-integer coefficients.  The integer core holds three matrix routines,
+The Gauss norm of Q[t] is read off the p-adic valuations of p, q and
+N's integer coefficients.  The integer core holds three matrix routines,
 each of which clears its input into Z[x] by one helper, :func:`_clear`,
 and takes the rest on Kronecker-packed ints: matrix products
 (``mat_mul``), the determinant of a matrix over ring[X] (``xdet``), and
@@ -149,20 +151,20 @@ class Ring:
 
 
 class RatFunc:
-    """An element c * N/D of Q(x) or Q[t] in its unique canonical form.
+    """An element (p/q) * N/D of Q(x) or Q[t] in its unique canonical form.
 
-    ``c`` is a nonzero Fraction; ``N`` and ``D`` are coprime primitive
-    integer coefficient tuples (lowest degree first) with positive
-    leading coefficients.  Zero is c = 0, N = (), D = (1,).  An element
-    of Q[t] is one with D = (1,).  As the form is unique, elements
-    compare structurally.
+    ``p`` and ``q`` are ints with q > 0 and gcd(p, q) = 1, p nonzero;
+    ``N`` and ``D`` are coprime primitive integer coefficient tuples
+    (lowest degree first) with positive leading coefficients.  Zero is
+    (p, q, N, D) = (0, 1, (), (1,)).  An element of Q[t] is one with
+    D = (1,).  As the form is unique, elements compare structurally.
 
     ``RatFunc(num, den)`` builds an element of Q(x) from Fraction
     coefficient tuples, and ``num``/``den`` give it back as the reduced
     fraction with a monic denominator.
     """
 
-    __slots__ = ("c", "N", "D")
+    __slots__ = ("p", "q", "N", "D")
 
     def __init__(self, num, den):
         num, den = polys.normalize(QQ, num), polys.normalize(QQ, den)
@@ -171,25 +173,28 @@ class RatFunc:
         dn, N = polys.clear_denominators(num)
         dd, D = polys.clear_denominators(den)
         a = _canonical(dd, dn, N, D)
-        self.c, self.N, self.D = a.c, a.N, a.D
+        self.p, self.q, self.N, self.D = a.p, a.q, a.N, a.D
 
     @property
     def num(self) -> Tuple[Fraction, ...]:
-        lead = self.D[-1]
-        return tuple(self.c * n / lead for n in self.N)
+        q = self.q * self.D[-1]
+        return tuple([Fraction(self.p * n, q) for n in self.N])
 
     @property
     def den(self) -> Tuple[Fraction, ...]:
         lead = self.D[-1]
-        return tuple(Fraction(d, lead) for d in self.D)
+        return tuple([Fraction(d, lead) for d in self.D])
 
     def __eq__(self, other):
         if type(other) is not RatFunc:
             return NotImplemented
-        return self.c == other.c and self.N == other.N and self.D == other.D
+        return (
+            self.p == other.p and self.q == other.q and self.N == other.N
+            and self.D == other.D
+        )
 
     def __hash__(self):
-        return hash((self.c, self.N, self.D))
+        return hash((self.p, self.q, self.N, self.D))
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"
@@ -198,14 +203,14 @@ class RatFunc:
 _ONE = (1,)
 
 
-def _ratfunc(c: Fraction, N, D) -> RatFunc:
-    """The element c * N/D, with (c, N, D) already canonical."""
+def _ratfunc(p: int, q: int, N, D) -> RatFunc:
+    """The element (p/q) * N/D, with (p, q, N, D) already canonical."""
     a = object.__new__(RatFunc)
-    a.c, a.N, a.D = c, N, D
+    a.p, a.q, a.N, a.D = p, q, N, D
     return a
 
 
-_ZERO = _ratfunc(Fraction(0), (), _ONE)
+_ZERO = _ratfunc(0, 1, (), _ONE)
 
 
 def _cancel(N, D):
@@ -217,17 +222,23 @@ def _cancel(N, D):
 
 
 def _canonical(p: int, q: int, N, D) -> RatFunc:
-    """The element (p/q) * N/D for N, D in Z[x], D nonzero."""
+    """The element (p/q) * N/D for ints p and q > 0 and N, D in Z[x], D
+    nonzero."""
     if not p or not N:
         return _ZERO
     cn, N = polys.primitive(N)
     cd, D = polys.primitive(D)
     N, D = _cancel(N, D)
-    return _ratfunc(Fraction(p * cn, q * cd), N, D)
+    p, q = p * cn, q * cd
+    if q < 0:  # D's leading coefficient was negative
+        p, q = -p, -q
+    g = math.gcd(p, q)
+    return _ratfunc(p // g, q // g, N, D)
 
 
 def _scaled(p: int, q: int, N: Tuple[int, ...]) -> RatFunc:
-    """The polynomial (p/q) * N for N in Z[x] with no trailing zeros.
+    """The polynomial (p/q) * N for ints p and q > 0 and N in Z[x] with
+    no trailing zeros.
 
     Only N's content is taken out; with D = (1,) there is nothing to
     cancel, so no gcd of polynomials is due.
@@ -235,7 +246,9 @@ def _scaled(p: int, q: int, N: Tuple[int, ...]) -> RatFunc:
     if not p or not N:
         return _ZERO
     cn, N = polys.primitive(N)
-    return _ratfunc(Fraction(p * cn, q), N, _ONE)
+    p *= cn
+    g = math.gcd(p, q)
+    return _ratfunc(p // g, q // g, N, _ONE)
 
 
 def _clear(elements) -> Tuple[int, Tuple[int, ...], list]:
@@ -243,7 +256,7 @@ def _clear(elements) -> Tuple[int, Tuple[int, ...], list]:
     the lcm of their scales' denominators and L the lcm of their
     denominators D, so that every m L a lies in Z[x].  With every D =
     (1,), L = (1,) and no gcd of polynomials is taken."""
-    qs = [a.c.denominator for a in elements]
+    qs = [a.q for a in elements]
     m = math.lcm(*qs)
     dens = {a.D for a in elements}
     L = _ONE
@@ -252,8 +265,7 @@ def _clear(elements) -> Tuple[int, Tuple[int, ...], list]:
     cofactor = {D: polys.divmod_(ZZ, L, D)[0] for D in dens if D != L}
     out = []
     for a, q in zip(elements, qs):
-        f = m // q * a.c.numerator
-        N = a.N if f == 1 else tuple([f * c for c in a.N])
+        N = polys.scale(ZZ, m // q * a.p, a.N)
         out.append(polys.mul(ZZ, N, cofactor[a.D]) if a.D != L else N)
     return m, L, out
 
@@ -285,8 +297,8 @@ def _zx_mat_mul(a, b):
 class _IntegerCoreRing(Ring):
     """The arithmetic of Q(x) and Q[t]: elements are :class:`RatFunc`,
     all polynomial work is in Z[x] with :data:`~katzcyclic.fields.ZZ` as
-    the coefficient ring of the :mod:`katzcyclic.polys` helpers, and only
-    the scale c is a Fraction.  Each operation has one branch for
+    the coefficient ring of the :mod:`katzcyclic.polys` helpers, and the
+    scale is the reduced int pair p/q.  Each operation has one branch for
     D = (1,), which takes no gcd; the subclasses add only their units,
     norms and descriptors."""
 
@@ -295,51 +307,45 @@ class _IntegerCoreRing(Ring):
     def __init__(self, variable: str = "x"):
         self.variable = variable
         self.zero = _ZERO
-        self.one = _ratfunc(Fraction(1), _ONE, _ONE)
-        self.t = _ratfunc(Fraction(1), (0, 1), _ONE)
+        self.one = _ratfunc(1, 1, _ONE, _ONE)
+        self.t = _ratfunc(1, 1, (0, 1), _ONE)
         self.var_element = self.t
 
     def neg(self, a: RatFunc) -> RatFunc:
-        return _ratfunc(-a.c, a.N, a.D)
+        return _ratfunc(-a.p, a.q, a.N, a.D)
 
     def pow(self, a: RatFunc, k: int) -> RatFunc:
         # Powers of coprime primitive polynomials are again coprime and
         # primitive, so a^k needs no gcd at all.
-        if not a.c:
+        if not a.p:
             return self.one if k == 0 else self.zero
         zmul = functools.partial(polys.mul, ZZ)
         D = a.D if len(a.D) == 1 else power(zmul, _ONE, a.D, k)
-        return _ratfunc(a.c ** k, power(zmul, _ONE, a.N, k), D)
+        return _ratfunc(a.p ** k, a.q ** k, power(zmul, _ONE, a.N, k), D)
 
     def is_zero(self, a: RatFunc) -> bool:
-        return not a.c
+        return not a.p
 
     def eq(self, a: RatFunc, b: RatFunc) -> bool:
         return a == b
 
     def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        if not a.c:
+        if not a.p:
             return b
-        if not b.c:
+        if not b.p:
             return a
-        # a + b = (ma aN/aD + mb bN/bD) / lcm, with integer multipliers
-        qa, qb = a.c.denominator, b.c.denominator
-        q = qa * qb // math.gcd(qa, qb)
-        ma, mb = a.c.numerator * (q // qa), b.c.numerator * (q // qb)
-        f, g, D = a.N, b.N, a.D
+        # a + b = (ma aN/aD + mb bN/bD) / q, q the lcm of the scales' q
+        g = math.gcd(a.q, b.q)
+        q = a.q // g * b.q
+        ma, mb = a.p * (b.q // g), b.p * (a.q // g)
+        f, h, D = a.N, b.N, a.D
         if a.D != b.D:
-            f, g = polys.mul(ZZ, a.N, b.D), polys.mul(ZZ, b.N, a.D)
+            f, h = polys.mul(ZZ, a.N, b.D), polys.mul(ZZ, b.N, a.D)
             D = polys.mul(ZZ, a.D, b.D)
-        if len(f) < len(g):
-            f, g, ma, mb = g, f, mb, ma
-        num = [ma * x for x in f]
-        for i, y in enumerate(g):
-            num[i] += mb * y
-        while num and not num[-1]:
-            num.pop()
+        num = polys.add(ZZ, polys.scale(ZZ, ma, f), polys.scale(ZZ, mb, h))
         if len(D) == 1:
-            return _scaled(1, q, tuple(num))
-        return _canonical(1, q, tuple(num), D)
+            return _scaled(1, q, num)
+        return _canonical(1, q, num, D)
 
     def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
         """a * b.  Polynomial operands need no gcd: N_a N_b is primitive
@@ -347,39 +353,42 @@ class _IntegerCoreRing(Ring):
         (Henrici; Knuth TAOCP 2, 4.5.1); with a and b canonical the
         cross-cancelled products are again coprime and primitive, so no
         gcd of the product is due."""
-        if not a.c or not b.c:
+        if not a.p or not b.p:
             return self.zero
+        # the scales cross-cancel the same way, on ints
+        g, h = math.gcd(a.p, b.q), math.gcd(b.p, a.q)
+        p, q = (a.p // g) * (b.p // h), (a.q // h) * (b.q // g)
         if len(a.D) == len(b.D) == 1:
-            return _ratfunc(a.c * b.c, polys.mul(ZZ, a.N, b.N), _ONE)
+            return _ratfunc(p, q, polys.mul(ZZ, a.N, b.N), _ONE)
         a_num, b_den = _cancel(a.N, b.D)
         b_num, a_den = _cancel(b.N, a.D)
-        return _ratfunc(
-            a.c * b.c, polys.mul(ZZ, a_num, b_num), polys.mul(ZZ, a_den, b_den)
-        )
+        return _ratfunc(p, q, polys.mul(ZZ, a_num, b_num), polys.mul(ZZ, a_den, b_den))
 
     def inv(self, a: RatFunc) -> RatFunc:
         if not self.is_invertible(a):
             raise NotInvertibleError(f"not a unit in {self.kind}")
-        return _ratfunc(1 / a.c, a.D, a.N)
+        if a.p < 0:
+            return _ratfunc(-a.q, -a.p, a.D, a.N)
+        return _ratfunc(a.q, a.p, a.D, a.N)
 
     def derive(self, a: RatFunc) -> RatFunc:
         if len(a.D) == 1:
-            return _scaled(a.c.numerator, a.c.denominator, polys.derive(ZZ, a.N))
+            return _scaled(a.p, a.q, polys.derive(ZZ, a.N))
         # d(c N/D) = c (N' D - N D') / D^2
         num = polys.sub(
             ZZ,
             polys.mul(ZZ, polys.derive(ZZ, a.N), a.D),
             polys.mul(ZZ, a.N, polys.derive(ZZ, a.D)),
         )
-        return _canonical(a.c.numerator, a.c.denominator, num, polys.mul(ZZ, a.D, a.D))
+        return _canonical(a.p, a.q, num, polys.mul(ZZ, a.D, a.D))
 
     def from_int(self, n: int) -> RatFunc:
-        return _ratfunc(Fraction(n), _ONE, _ONE) if n else self.zero
+        return _ratfunc(n, 1, _ONE, _ONE) if n else self.zero
 
     def from_fraction(self, q: Fraction) -> RatFunc:
-        if q == 0:
+        if not q:
             return self.zero
-        return _ratfunc(Fraction(q), _ONE, _ONE)
+        return _ratfunc(q.numerator, q.denominator, _ONE, _ONE)
 
     def mat_mul(self, a, b):
         """a * b for matrices over the ring, taken as one product of
@@ -427,20 +436,11 @@ class _IntegerCoreRing(Ring):
         dL = polys.derive(ZZ, L)
 
         def step(s, f, p):
-            """m (L f' - s L' f) + p: an entry of A_{s+1} from A_s and A_s A.
-
-            f' and the sum are plain int loops: through polys.derive and
-            polys.add, which call ZZ's methods per coefficient, the whole
-            recurrence took about 1.7x as long on rank-2..4 Q[t] modules."""
-            d = [i * c for i, c in enumerate(f)][1:]
+            """m (L f' - s L' f) + p: an entry of A_{s+1} from A_s and A_s A."""
+            d = polys.derive(ZZ, f)
             if dL:
-                d = polys.sub(ZZ, polys.mul(ZZ, L, d), polys.mul(ZZ, [s * c for c in dL], f))
-            acc = list(p) + [0] * (len(d) - len(p))
-            for i, c in enumerate(d):
-                acc[i] += m * c
-            while acc and not acc[-1]:
-                acc.pop()
-            return tuple(acc)
+                d = polys.sub(ZZ, polys.mul(ZZ, L, d), polys.mul(ZZ, polys.scale(ZZ, s, dL), f))
+            return polys.add(ZZ, p, polys.scale(ZZ, m, d))
 
         A_s, scale, den = A, m, L
         for s in range(1, s_max):
@@ -506,14 +506,14 @@ class _IntegerCoreRing(Ring):
         # c * sum N_i t^(i+1)/(i+1) = (c/m) * sum N_i (m/(i+1)) t^(i+1)
         m = math.lcm(*range(1, len(a.N) + 1))
         num = (0,) + tuple(n * (m // (i + 1)) for i, n in enumerate(a.N))
-        return _scaled(a.c.numerator, a.c.denominator * m, num)
+        return _scaled(a.p, a.q * m, num)
 
     def is_constant(self, a: RatFunc) -> bool:
         return len(a.N) <= 1 and len(a.D) == 1
 
     def degree(self, a: RatFunc) -> int:
         """The larger of the numerator's and the denominator's degree."""
-        return -1 if not a.c else max(len(a.N), len(a.D)) - 1
+        return -1 if not a.p else max(len(a.N), len(a.D)) - 1
 
     def to_str(self, a: RatFunc) -> str:
         num = polys.to_str(QQ, a.num, self.variable)
@@ -563,15 +563,15 @@ class GaussPolynomialRing(_IntegerCoreRing):
         return len(a.N) == 1
 
     def norm(self, a: RatFunc) -> NormValue:
-        # |c N| = |c|_p max_i |N_i|_p p^(-r i); N is primitive, so at
-        # r = 0 the maximum is |N_i|_p = 1 and |c N| = |c|_p.  For r > 0
-        # the term at i is at most -r i, so the scan stops once that is
-        # no larger than the best term so far.
+        # |c N| = |c|_p max_i |N_i|_p p^(-r i) for the scale c = a.p/a.q;
+        # N is primitive, so at r = 0 the maximum is |N_i|_p = 1 and
+        # |c N| = |c|_p.  For r > 0 the term at i is at most -r i, so the
+        # scan stops once that is no larger than the best term so far.
         p = self.prime
-        if not a.c:
+        if not a.p:
             return NormValue.zero(p)
         r = self.radius_exp
-        exp = padic_valuation(a.c.denominator, p) - padic_valuation(a.c.numerator, p)
+        exp = padic_valuation(a.q, p) - padic_valuation(a.p, p)
         if r:
             best = None
             for i, n in enumerate(a.N):

@@ -145,8 +145,6 @@ class CountingRing:
 
     def __init__(self, ring):
         self.ring = ring
-        self.zero = ring.zero
-        self.one = ring.one
         self.products = 0
 
     def mul(self, a, b):

@@ -3,7 +3,9 @@
 The runtime stays dependency-free: every absolute import in
 ``src/katzcyclic`` is a standard-library module.  Arithmetic stays exact:
 no float literal and no call to the builtin ``float`` appears, and of
-``math`` only the integer functions below are used.
+``math`` only the integer functions below are used.  The integer core
+of Q(x) and Q[t] in ``rings`` stays on plain ints: Fraction is named
+there only where a value enters or leaves the ring.
 """
 
 import ast
@@ -60,4 +62,33 @@ def test_math_is_used_only_for_integer_functions():
               for name, line, node in nodes(ast.ImportFrom)
               if node.module == "math" and not node.level
               for alias in node.names if alias.name not in MATH_ALLOWED]
+    assert found == []
+
+
+# Where rings.py may name Fraction: RatFunc's constructor from Fraction
+# coefficients and its num/den for printing, and from_fraction.
+FRACTION_ALLOWED = {("RatFunc", "__init__"), ("RatFunc", "num"), ("RatFunc", "den")}
+
+
+def test_rings_names_fraction_only_where_values_enter_or_leave():
+    tree = dict(trees())["rings.py"]
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Import):
+            found.extend(f"{node.lineno}: import {a.name}" for a in node.names
+                         if a.name.split(".")[0] == "fractions")
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            if scope or [(a.name, a.asname) for a in node.names] != [("Fraction", None)]:
+                found.append(f"{node.lineno}: from fractions import ...")
+        elif (isinstance(node, ast.Name) and node.id == "Fraction"
+              or isinstance(node, ast.Attribute) and node.attr == "Fraction"):
+            if scope[-1:] != ("from_fraction",) and scope[-2:] not in FRACTION_ALLOWED:
+                found.append(f"{node.lineno}: Fraction in {'.'.join(scope) or 'module'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
     assert found == []

@@ -1,8 +1,9 @@
 """The canonical form c * N of Q[t] elements (``gauss_padic``).
 
-An element is a ``rings.RatFunc`` with D = (1,): c is a nonzero Fraction
-and N a primitive integer coefficient tuple with a positive leading
-coefficient; zero is c = 0, N = (), D = (1,).  Values are checked
+An element is a ``rings.RatFunc`` with D = (1,): its scale is the
+reduced int pair p/q, with q > 0 and gcd(p, q) = 1, and N a primitive
+integer coefficient tuple with a positive leading coefficient; zero is
+(p, q, N, D) = (0, 1, (), (1,)).  Values are checked
 against plain Fraction coefficient lists (``a.num``), and the Gauss
 norm against a valuation computed here from those coefficients.  No
 Gauss operation may take a gcd of polynomials: the guard below makes
@@ -60,10 +61,11 @@ def trim(coeffs):
 
 
 def assert_canonical(a):
-    assert type(a) is RatFunc and type(a.c) is Fraction
+    assert type(a) is RatFunc and type(a.p) is int and type(a.q) is int
+    assert a.q > 0 and math.gcd(a.p, a.q) == 1
     assert a.D == (1,)
-    if not a.c:
-        assert a.N == ()
+    assert (not a.p) == ((a.p, a.q, a.N, a.D) == (0, 1, (), (1,)))
+    if not a.p:
         return
     assert a.N and all(type(x) is int for x in a.N)
     assert math.gcd(*a.N) == 1 and a.N[-1] > 0
@@ -182,7 +184,8 @@ def test_zero_has_one_form(ring, f):
             ring.parse("t - t"),
         ]
     for z in zeros:
-        assert (z.c, z.N, z.D) == (0, (), (1,))
+        assert (z.p, z.q, z.N, z.D) == (0, 1, (), (1,))
+        assert_canonical(z)
         assert z == ring.zero and ring.is_zero(z)
     assert ring.pow(ring.zero, 0) == ring.one
 
@@ -200,7 +203,7 @@ def test_units_are_the_nonzero_constants():
 def test_scale_and_sign_are_taken_out():
     ring = GaussPolynomialRing(2)
     a = ring.parse("-6*t^2 - 4/3")  # -2/3 (9 t^2 + 2)
-    assert (a.c, a.N, a.D) == (Fraction(-2, 3), (2, 0, 9), (1,))
+    assert (a.p, a.q, a.N, a.D) == (-2, 3, (2, 0, 9), (1,))
     assert ring.to_str(a) == "-6*t^2 - 4/3"
     assert ring.norm(a) == NormValue(2, -1)
 

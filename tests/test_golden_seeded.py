@@ -191,7 +191,7 @@ OTHER_P_DIGESTS = (
 def test_qx_modules_have_denominators():
     ms = qx_modules()
     assert any(len(x.D) > 1 for m in ms for row in m.g1 for x in row)
-    assert any(x.c.denominator > 1 for m in ms for row in m.g1 for x in row)
+    assert any(x.q > 1 for m in ms for row in m.g1 for x in row)
 
 
 def test_golden_qx_base_change_det():

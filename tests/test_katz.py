@@ -494,7 +494,7 @@ class TestDecompositionOracle:
     def test_oracle_modules_have_denominators(self):
         m = oracle_module("qx", 3, seeded(7))
         assert any(len(x.D) > 1 for row in m.g1 for x in row)
-        assert any(x.c.denominator > 1 for row in m.g1 for x in row)
+        assert any(x.q > 1 for row in m.g1 for x in row)
 
 
 class TestSpecialize:

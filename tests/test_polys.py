@@ -1,4 +1,8 @@
-"""Kronecker packing of Z[x] and exact division over Z in ``polys``."""
+"""Kronecker packing of Z[x], exact division over Z, and the plain-int
+branches that ``polys`` takes over ZZ, each against the generic path
+over QQ."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,7 @@ from hypothesis import strategies as st
 
 from katzcyclic import polys
 from katzcyclic.errors import PreconditionError
-from katzcyclic.fields import ZZ
+from katzcyclic.fields import QQ, ZZ
 
 widths = st.integers(min_value=2, max_value=80)
 
@@ -76,3 +80,87 @@ def test_exact_integer_division_keeps_its_remainder():
     # each step divides by the monic divisor exactly; the remainder is 2
     assert polys.divmod_(ZZ, (1, 0, 1), (1, 1)) == ((-1, 1), (2,))
     assert polys.divmod_(ZZ, (2, 6, 4), (1, 2)) == ((2, 2), ())
+
+
+# -- the ZZ branches against the generic path over QQ -----------------------
+
+small = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10 ** 9), 10 ** 9))
+zx = st.lists(small, max_size=6).map(lambda cs: polys.normalize(ZZ, cs))
+
+
+@st.composite
+def zx_pairs(draw):
+    """(f, g) in Z[x], g often -f or f with only its low coefficients
+    changed, so that sums and differences lose their top terms."""
+    f = draw(zx)
+    low = draw(st.lists(small, max_size=len(f)))
+    g = draw(st.sampled_from([
+        draw(zx),
+        polys.normalize(ZZ, low + [-c for c in f[len(low):]]),
+        polys.normalize(ZZ, low + list(f[len(low):])),
+    ]))
+    return f, g
+
+
+def qq(f):
+    return tuple(Fraction(c) for c in f)
+
+
+def assert_same(got, expected):
+    """An int polynomial equal to the QQ result, with no trailing zero."""
+    assert all(type(c) is int for c in got)
+    assert got == expected and (not got or got[-1])
+
+
+@given(zx_pairs())
+@settings(max_examples=300)
+def test_zz_add_sub_mul_match_qq(pair):
+    f, g = pair
+    for op in (polys.add, polys.sub, polys.mul):
+        assert_same(op(ZZ, f, g), op(QQ, qq(f), qq(g)))
+
+
+@given(zx, small)
+def test_zz_neg_derive_scale_match_qq(f, c):
+    assert_same(polys.neg(ZZ, f), polys.neg(QQ, qq(f)))
+    assert_same(polys.derive(ZZ, f), polys.derive(QQ, qq(f)))
+    for k in (c, 0, 1, -1):
+        assert_same(polys.scale(ZZ, k, f), polys.scale(QQ, Fraction(k), qq(f)))
+
+
+def test_zz_branches_on_zero_and_cancelling_tops():
+    f = (1, -2, 5)
+    assert polys.add(ZZ, f, (4, 2, -5)) == (5,)
+    assert polys.sub(ZZ, f, (0, -2, 5)) == (1,)
+    assert polys.add(ZZ, f, polys.neg(ZZ, f)) == () == polys.sub(ZZ, f, f)
+    assert polys.mul(ZZ, f, ()) == () == polys.scale(ZZ, 0, f)
+    assert polys.derive(ZZ, (7,)) == () == polys.derive(ZZ, ())
+
+
+@st.composite
+def zx_divisions(draw):
+    """(f, g), g nonzero, where f = q g + r is often an exact division."""
+    g = draw(zx.filter(bool))
+    q = draw(zx)
+    r = draw(st.lists(small, max_size=max(0, len(g) - 1)))
+    f = draw(st.sampled_from([
+        draw(zx),
+        polys.mul(ZZ, q, g),
+        polys.add(ZZ, polys.mul(ZZ, q, g), polys.normalize(ZZ, r)),
+    ]))
+    return f, g
+
+
+@given(zx_divisions())
+@settings(max_examples=300)
+def test_zz_divmod_matches_qq_or_raises(case):
+    """PreconditionError exactly when the QQ quotient is not integral."""
+    f, g = case
+    q, r = polys.divmod_(QQ, qq(f), qq(g))
+    if all(c.denominator == 1 for c in q):
+        got_q, got_r = polys.divmod_(ZZ, f, g)
+        assert_same(got_q, q)
+        assert_same(got_r, r)
+    else:
+        with pytest.raises(PreconditionError):
+            polys.divmod_(ZZ, f, g)

@@ -1,9 +1,9 @@
-"""The canonical form c * N/D of Q(x) elements (``rings.RatFunc``).
+"""The canonical form (p/q) * N/D of Q(x) elements (``rings.RatFunc``).
 
 N and D are coprime primitive integer polynomials with positive leading
-coefficients and c is a nonzero Fraction; zero is c = 0, N = (), D = (1,).
-Equality is structural, so every route to one value must end in the
-same triple.
+coefficients, and the scale is the reduced int pair p/q: q > 0 and
+gcd(p, q) = 1.  Zero is (p, q, N, D) = (0, 1, (), (1,)).  Equality is
+structural, so every route to one value must end in the same quadruple.
 """
 
 import math
@@ -39,9 +39,10 @@ def elements(draw, nonzero=False):
 
 
 def assert_canonical(a: RatFunc):
-    assert type(a.c) is Fraction
-    if not a.c:
-        assert (a.N, a.D) == ((), (1,))
+    assert type(a.p) is int and type(a.q) is int
+    assert a.q > 0 and math.gcd(a.p, a.q) == 1
+    assert (not a.p) == ((a.p, a.q, a.N, a.D) == (0, 1, (), (1,)))
+    if not a.p:
         return
     for f in (a.N, a.D):
         assert f and all(type(x) is int for x in f)
@@ -73,7 +74,7 @@ def test_results_stay_normalised(a, b):
     for value in (QX.add(a, b), QX.sub(a, b), QX.mul(a, b), QX.neg(a), QX.derive(a),
                   QX.pow(a, 3)):
         assert_canonical(value)
-    if a.c:
+    if a.p:
         assert_canonical(QX.inv(a))
 
 
@@ -91,14 +92,15 @@ def test_zero_has_one_form(a):
         RatFunc((Fraction(0), Fraction(0)), (Fraction(5),)),
     ]
     for z in zeros:
-        assert (z.c, z.N, z.D) == (0, (), (1,))
+        assert (z.p, z.q, z.N, z.D) == (0, 1, (), (1,))
+        assert_canonical(z)
         assert z == QX.zero and QX.is_zero(z)
     assert QX.pow(QX.zero, 0) == QX.one
 
 
 def test_scale_and_sign_are_taken_out():
     a = QX.parse("(-6*x - 4)/(9*x^2 - 3)")  # -2(3x + 2) / (3(3x^2 - 1))
-    assert (a.c, a.N, a.D) == (Fraction(-2, 3), (2, 3), (-1, 0, 3))
+    assert (a.p, a.q, a.N, a.D) == (-2, 3, (2, 3), (-1, 0, 3))
     assert a.num == (Fraction(-4, 9), Fraction(-2, 3))
     assert a.den == (Fraction(-1, 3), Fraction(0), Fraction(1))
     assert QX.to_str(a) == "(-2/3*x - 4/9)/(x^2 - 1/3)"
@@ -116,7 +118,7 @@ def as_sympy(a: RatFunc):
     def expr(f):
         return sum(c * X ** i for i, c in enumerate(f))
 
-    return sympy.Rational(a.c.numerator, a.c.denominator) * expr(a.N) / expr(a.D)
+    return sympy.Rational(a.p, a.q) * expr(a.N) / expr(a.D)
 
 
 def assert_equals_sympy(value, expected):

@@ -67,12 +67,16 @@ def _tables_latex(n: int) -> str:
     return "H(X) =\n" + "\n+\n".join(blocks) + "\n"
 
 
+def _check_rank(n) -> None:
+    if type(n) is int and n > MAX_RANK:
+        raise PreconditionError(f"rank n = {n} exceeds the maximum {MAX_RANK}")
+
+
 def cmd_tables(args) -> int:
     n = args.n
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    if n > MAX_RANK:
-        raise PreconditionError(f"rank n = {n} exceeds the maximum {MAX_RANK}")
+    _check_rank(n)
     if args.format == "latex":
         sys.stdout.write(_tables_latex(n))
         return EXIT_OK
@@ -97,9 +101,7 @@ def _load_module(path: str):
         except RecursionError:
             raise PreconditionError("module file nests too deeply") from None
     # The rank is checked before module_from_json parses a single entry.
-    n = doc.get("n") if isinstance(doc, dict) else None
-    if type(n) is int and n > MAX_RANK:
-        raise PreconditionError(f"rank n = {n} exceeds the maximum {MAX_RANK}")
+    _check_rank(doc.get("n") if isinstance(doc, dict) else None)
     return module_from_json(doc)
 
 
@@ -173,8 +175,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if args.n > MAX_RANK:
-        raise PreconditionError(f"rank n = {args.n} exceeds the maximum {MAX_RANK}")
+    _check_rank(args.n)
     report = charp_counterexample(args.p, args.e, args.n)
     doc = report.to_json()
     doc["command"] = "counterexample"

@@ -18,17 +18,17 @@ with no method call per coefficient; every other K takes the generic
 path through K's methods.  ``divmod_`` needs a field, or over ZZ an
 exact quotient: each step divides the top coefficient by the divisor's
 leading one, and raises PreconditionError when that leaves a remainder.
-``gcd`` is the gcd of Z[x] only: GCDHEU, the heuristic gcd of Char,
-Geddes & Gonnet, takes it from one integer gcd of the inputs packed at
-x = 2^k, and checks every answer by exact division.  ``pack`` and
-``unpack`` are Kronecker substitution for Z[x]: ``pack(f, k)`` is the
-int f(2^k), and ``unpack(v, k)`` (k >= 2) reads the coefficients back
-as v's balanced base-2^k digits, which is exact when every coefficient
-lies in [-2^(k-1), 2^(k-1)).  ``gcd`` and the matrix products of Q(x)
-and Q[t] (:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul` and
-each step of
-:meth:`~katzcyclic.rings.RationalFunctionField.iterated_matrices`) use
-them at one level, for Z[x].  Their determinant over ring[X]
+``gcd`` is the gcd of Z[x] only, with its cofactors: GCDHEU (Char,
+Geddes & Gonnet) takes it from one integer gcd of the inputs packed at
+x = 2^k, and the exact divisions that check it give the cofactors.
+``pack`` and ``unpack`` are Kronecker substitution for Z[x]:
+``pack(f, k)`` is the int f(2^k), and ``unpack(v, k)`` (k >= 2) reads
+the coefficients back as v's balanced base-2^k digits, which is exact
+when every coefficient lies in [-2^(k-1), 2^(k-1)).  ``gcd`` and the
+matrix products of Q(x) and Q[t]
+(:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul` and each step
+of :meth:`~katzcyclic.rings.RationalFunctionField.iterated_matrices`)
+use them at one level, for Z[x].  Their determinant over ring[X]
 (:meth:`~katzcyclic.rings.RationalFunctionField.xdet`) uses them at two,
 with x -> 2^k inside X -> 2^(k (d+1)) for x-degrees at most d, which
 packs Z[x][X] and unpacks it again when every coefficient is below
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import NotInvertibleError, PreconditionError, UnsupportedOperationError
 from .fields import ZZ
@@ -161,9 +161,9 @@ def divmod_(K, f: Poly, g: Poly):
     return normalize(K, q), normalize(K, r)
 
 
-def gcd(K, f: Poly, g: Poly) -> Poly:
-    """gcd in Z[x] (K = ZZ): the primitive gcd with a positive leading
-    coefficient; the gcd of two zeros is zero.
+def gcd(K, f: Poly, g: Poly) -> Tuple[Poly, Poly, Poly]:
+    """(h, f/h, g/h) for f, g in Z[x] (K = ZZ), h the primitive gcd with a
+    positive leading coefficient; the gcd of two zeros is ((), (), ()).
 
     GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989; Geddes,
     Czapor & Labahn, *Algorithms for Computer Algebra*, ch. 7): for
@@ -172,30 +172,33 @@ def gcd(K, f: Poly, g: Poly) -> Poly:
     is gcd(a, b) if it divides both (their theorem).  Doubling k ends:
     with a = G A, b = G B and G = gcd(a, b), gcd(a(xi), b(xi)) = |G(xi)| r
     with r dividing Res(A, B), which does not depend on xi, so once
-    xi > 2 |Res(A, B)| |G| the digits spell +-r G and h = G.
+    xi > 2 |Res(A, B)| |G| the digits spell +-r G and h = G.  The exact
+    divisions that check h are the cofactors.
     """
     if K is not ZZ:
         raise TypeError(f"gcd works in Z[x] only, not over {K!r}")
     if not f or not g:
-        return tuple(primitive(f or g)[1])
+        c, h = primitive(f or g)
+        return h, (c,) if f else (), (c,) if g else ()
     if len(f) == 1 or len(g) == 1:
-        return (1,)
-    a, b = primitive(f)[1], primitive(g)[1]
+        return (1,), f, g
+    (ca, a), (cb, b) = primitive(f), primitive(g)
     # 2^k >= 4 max(|a|, |b|) + 4 >= 2 min(|a|, |b|) + 2, CGG's bound
     k = max(map(abs, (*a, *b))).bit_length() + 2
     while True:
         h = primitive(unpack(math.gcd(pack(a, k), pack(b, k)), k))[1]
-        if _divides(h, a) and _divides(h, b):
-            return h
+        if (qa := _exact_quotient(a, h)) and (qb := _exact_quotient(b, h)):
+            return h, scale(ZZ, ca, qa), scale(ZZ, cb, qb)
         k *= 2
 
 
-def _divides(h: Poly, f: Poly) -> bool:
-    """Whether h divides f in Z[x]: an exact division leaves no remainder."""
+def _exact_quotient(f: Poly, h: Poly) -> Optional[Poly]:
+    """f/h in Z[x] if h divides f, else None."""
     try:
-        return not divmod_(ZZ, f, h)[1]
+        q, r = divmod_(ZZ, f, h)
     except PreconditionError:
-        return False
+        return None
+    return None if r else q
 
 
 def clear_denominators(f: Poly):

@@ -19,7 +19,9 @@ the scale by integer gcds, the polynomials in Z[x] through the
 :data:`~katzcyclic.fields.ZZ` branches of :mod:`katzcyclic.polys`.  A
 Fraction is built only where a value leaves the ring, in ``num`` and
 ``den`` for printing.  One arithmetic in a private base serves both
-kinds.  Its branch for constant denominators takes no gcd of
+kinds.  Each reduction takes one ``polys.gcd``, whose cofactors are the
+reduced numerator and denominator; sums and products cross-cancel first
+(Henrici).  Its branch for constant denominators takes no gcd of
 polynomials (by Gauss's lemma a product of primitive polynomials is
 primitive), so neither Q[t] nor a polynomial element of Q(x) takes one.
 The Gauss norm of Q[t] is read off the p-adic valuations of p, q and
@@ -213,14 +215,6 @@ def _ratfunc(p: int, q: int, N, D) -> RatFunc:
 _ZERO = _ratfunc(0, 1, (), _ONE)
 
 
-def _cancel(N, D):
-    """N and D divided by their gcd; primitive in, primitive out."""
-    g = polys.gcd(ZZ, N, D)
-    if len(g) == 1:
-        return N, D
-    return polys.divmod_(ZZ, N, g)[0], polys.divmod_(ZZ, D, g)[0]
-
-
 def _canonical(p: int, q: int, N, D) -> RatFunc:
     """The element (p/q) * N/D for ints p and q > 0 and N, D in Z[x], D
     nonzero."""
@@ -228,7 +222,7 @@ def _canonical(p: int, q: int, N, D) -> RatFunc:
         return _ZERO
     cn, N = polys.primitive(N)
     cd, D = polys.primitive(D)
-    N, D = _cancel(N, D)
+    _, N, D = polys.gcd(ZZ, N, D)
     p, q = p * cn, q * cd
     if q < 0:  # D's leading coefficient was negative
         p, q = -p, -q
@@ -261,7 +255,7 @@ def _clear(elements) -> Tuple[int, Tuple[int, ...], list]:
     dens = {a.D for a in elements}
     L = _ONE
     for D in dens - {_ONE}:
-        L = polys.divmod_(ZZ, polys.mul(ZZ, L, D), polys.gcd(ZZ, L, D))[0]
+        L = polys.mul(ZZ, L, polys.gcd(ZZ, L, D)[2])  # lcm(L, D) = L (D/g)
     cofactor = {D: polys.divmod_(ZZ, L, D)[0] for D in dens if D != L}
     out = []
     for a, q in zip(elements, qs):
@@ -338,14 +332,16 @@ class _IntegerCoreRing(Ring):
         g = math.gcd(a.q, b.q)
         q = a.q // g * b.q
         ma, mb = a.p * (b.q // g), b.p * (a.q // g)
-        f, h, D = a.N, b.N, a.D
-        if a.D != b.D:
-            f, h = polys.mul(ZZ, a.N, b.D), polys.mul(ZZ, b.N, a.D)
-            D = polys.mul(ZZ, a.D, b.D)
-        num = polys.add(ZZ, polys.scale(ZZ, ma, f), polys.scale(ZZ, mb, h))
-        if len(D) == 1:
-            return _scaled(1, q, num)
-        return _canonical(1, q, num, D)
+        if a.D == b.D:
+            num = polys.add(ZZ, polys.scale(ZZ, ma, a.N), polys.scale(ZZ, mb, b.N))
+            return _scaled(1, q, num) if len(a.D) == 1 else _canonical(1, q, num, a.D)
+        # Henrici (Knuth TAOCP 2, 4.5.1): aD = d1 a1, bD = d1 b1, and t is prime
+        # to a1 b1, so only t/d1 is reduced; t != 0, as a + b = 0 makes aD = bD
+        d1, a1, b1 = polys.gcd(ZZ, a.D, b.D)
+        t = polys.add(ZZ, polys.scale(ZZ, ma, polys.mul(ZZ, a.N, b1)),
+                      polys.scale(ZZ, mb, polys.mul(ZZ, b.N, a1)))
+        s = _canonical(1, q, t, d1)
+        return _ratfunc(s.p, s.q, s.N, polys.mul(ZZ, s.D, polys.mul(ZZ, a1, b1)))
 
     def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
         """a * b.  Polynomial operands need no gcd: N_a N_b is primitive
@@ -360,8 +356,8 @@ class _IntegerCoreRing(Ring):
         p, q = (a.p // g) * (b.p // h), (a.q // h) * (b.q // g)
         if len(a.D) == len(b.D) == 1:
             return _ratfunc(p, q, polys.mul(ZZ, a.N, b.N), _ONE)
-        a_num, b_den = _cancel(a.N, b.D)
-        b_num, a_den = _cancel(b.N, a.D)
+        _, a_num, b_den = polys.gcd(ZZ, a.N, b.D)
+        _, b_num, a_den = polys.gcd(ZZ, b.N, a.D)
         return _ratfunc(p, q, polys.mul(ZZ, a_num, b_num), polys.mul(ZZ, a_den, b_den))
 
     def inv(self, a: RatFunc) -> RatFunc:

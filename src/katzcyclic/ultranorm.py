@@ -150,7 +150,7 @@ def ring_norm_data(ring, n: int):
 class CyclicityCertificate:
     """Self-checking record of a cyclicity criterion evaluation."""
 
-    criterion: str  # prop2.3 | prop2.5 | prop2.8 | lemma2.1 | field-determinant
+    criterion: str  # prop2.3 | prop2.5 | prop2.8 | lemma2.1
     certified: bool
     norms: Dict[str, NormValue]
     per_s: Tuple[NormValue, ...] = ()

@@ -149,6 +149,28 @@ class TestCanonicalForm:
     def test_equality_decidable(self, qx):
         assert qx.eq(qx.parse("(x+1)/(x-1)"), qx.parse("(x^2+2*x+1)/(x^2-1)"))
 
+    def test_sum_reduces_by_the_shared_factor(self, qx):
+        # d1 = gcd(x^2 + x, x^2 - x) = x and t = (x - 1) + (x + 1) = 2x:
+        # the sum is canonical only once t/d1 is reduced
+        got = qx.add(qx.parse("1/(x^2+x)"), qx.parse("1/(x^2-x)"))
+        assert (got.p, got.q, got.N, got.D) == (2, 1, (1,), (-1, 0, 1))
+        assert qx.to_str(got) == "(2)/(x^2 - 1)"
+
+    def test_sum_takes_no_gcd_at_the_product_degree(self, qx, monkeypatch):
+        # Henrici: the denominators' gcd and the reduction of t/d1 work at
+        # degree 20; only the denominator of the sum has degree 40
+        a, b = qx.parse("1/(x+1)^20"), qx.parse("1/(x^20 + 3)")
+        expected = qx.parse("((x+1)^20 + x^20 + 3)/((x+1)^20*(x^20 + 3))")
+        degrees, gcd = [], polys.gcd
+
+        def recording_gcd(K, f, g):
+            degrees.append(max(len(f), len(g)) - 1)
+            return gcd(K, f, g)
+
+        monkeypatch.setattr(polys, "gcd", recording_gcd)
+        assert qx.add(a, b) == expected
+        assert degrees and max(degrees) < 40
+
     def test_print_parse_roundtrip(self, qx):
         rng = seeded(17)
         for _ in range(200):
@@ -280,10 +302,13 @@ class TestPow:
 def test_gcd_over_z_is_primitive_with_positive_lead():
     f = (-6, 0, 6)  # -6 (x - 1)(x + 1)
     g = (4, -8, 4)  # 4 (x - 1)^2
-    assert polys.gcd(ZZ, f, g) == (-1, 1)
-    assert polys.gcd(ZZ, f, ()) == (-1, 0, 1)
-    assert polys.gcd(ZZ, (), ()) == ()
-    assert polys.gcd(ZZ, (-7,), g) == (1,)
+    assert polys.gcd(ZZ, f, g) == ((-1, 1), (6, 6), (-4, 4))
+    assert polys.gcd(ZZ, f, ()) == ((-1, 0, 1), (6,), ())
+    assert polys.gcd(ZZ, (), ()) == ((), (), ())
+    assert polys.gcd(ZZ, (-7,), g) == ((1,), (-7,), g)
+    for a, b in ((f, g), (f, ()), ((), ()), ((-7,), g), ((), g)):
+        h, ca, cb = polys.gcd(ZZ, a, b)
+        assert polys.mul(ZZ, h, ca) == a and polys.mul(ZZ, h, cb) == b
 
 
 def test_gcd_is_over_z_only():

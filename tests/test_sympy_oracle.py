@@ -31,6 +31,13 @@ small_fractions = st.builds(
 coeff_lists = st.lists(small_fractions, min_size=0, max_size=5)
 
 
+def polys_of_degree(low):
+    """Polynomials over Q of degree low..4, with a nonzero top coefficient."""
+    top = st.builds(Fraction, st.integers(1, 40) | st.integers(-40, -1), st.integers(1, 9))
+    lower = st.lists(small_fractions, min_size=low, max_size=4)
+    return st.builds(lambda c, t: tuple(c) + (t,), lower, top)
+
+
 def to_poly(coeffs):
     return polys.normalize(QQ, coeffs)
 
@@ -94,7 +101,9 @@ def test_gcd_of_multiples_matches_sympy(f, g, h, content):
     fh = polys.clear_denominators(polys.scale(QQ, Fraction(content), polys.mul(QQ, f, h)))[1]
     gh = polys.clear_denominators(polys.mul(QQ, g, h))[1]
     expected = to_sympy_z(fh).gcd(to_sympy_z(gh))
-    assert polys.gcd(ZZ, fh, gh) == primitive_from_sympy(expected)
+    h, cf, cg = polys.gcd(ZZ, fh, gh)
+    assert h == primitive_from_sympy(expected)
+    assert polys.mul(ZZ, h, cf) == fh and polys.mul(ZZ, h, cg) == gh
 
 
 @pytest.mark.parametrize(
@@ -116,9 +125,10 @@ def test_gcd_of_multiples_matches_sympy(f, g, h, content):
 )
 def test_gcd_edge_cases_match_sympy(f, g):
     f, g = polys.clear_denominators(f)[1], polys.clear_denominators(g)[1]
-    got = polys.gcd(ZZ, f, g)
+    got, cf, cg = polys.gcd(ZZ, f, g)
     expected = () if not (f or g) else primitive_from_sympy(to_sympy_z(f).gcd(to_sympy_z(g)))
     assert got == expected
+    assert polys.mul(ZZ, got, cf) == f and polys.mul(ZZ, got, cg) == g
 
 
 @SETTINGS
@@ -129,6 +139,26 @@ def test_add_and_mul_match_sympy_cancel(a, b):
                       (QX.add(a, a), 2 * expr_of(a))):
         assert_canonical(got)
         assert got == canonical(expr)
+
+
+@SETTINGS
+@given(st.sampled_from(["coprime", "shared", "cancelling"]), polys_of_degree(1),
+       polys_of_degree(0), polys_of_degree(0), polys_of_degree(0), polys_of_degree(0))
+def test_distinct_denominator_add_matches_sympy_cancel(kind, g, e1, e2, n1, n2):
+    # a = n1/(g e1), and b is n2/e2 with e1, e2 coprime and g = 1
+    # ("coprime"), n2/(g e2) with g nonconstant ("shared"), or n2/(e1 e2) - a
+    # ("cancelling"), whose sum with a cancels the factor g of both
+    # denominators
+    if kind == "coprime":
+        g = (Fraction(1),)
+        assume(to_sympy(e1).gcd(to_sympy(e2)).degree() == 0)
+    g_, e1_, e2_, n1_, n2_ = (to_sympy(f).as_expr() for f in (g, e1, e2, n1, n2))
+    a = canonical(n1_ / (g_ * e1_))
+    b = canonical(n2_ / (e1_ * e2_) - expr_of(a) if kind == "cancelling" else n2_ / (g_ * e2_))
+    assume(a.D != b.D)
+    got = QX.add(a, b)
+    assert_canonical(got)
+    assert got == canonical(expr_of(a) + expr_of(b))
 
 
 @SETTINGS

@@ -19,8 +19,10 @@ and Q[t] take the product as one Kronecker-packed product of integer
 matrices (:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul`),
 which comes back here over :data:`~katzcyclic.fields.ZZ`.  So does
 each step of their iterated matrices G_s
-(:meth:`~katzcyclic.rings.RationalFunctionField.iterated_matrices`),
-through the same packed kernel.  F_q[x], ring[X], the scaled-derivation
+(:meth:`~katzcyclic.rings.RationalFunctionField.integer_iterates`), and
+each product of Lemma 2.1 over Q[t]
+(:meth:`~katzcyclic.rings.GaussPolynomialRing.lemma_norms`), through the
+same packed kernel.  F_q[x], ring[X], the scaled-derivation
 rings and ZZ itself take the entry-wise loop.
 """
 

@@ -26,8 +26,9 @@ x = 2^k, and the exact divisions that check it give the cofactors.
 the coefficients back as v's balanced base-2^k digits, which is exact
 when every coefficient lies in [-2^(k-1), 2^(k-1)).  ``gcd`` and the
 matrix products of Q(x) and Q[t]
-(:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul` and each step
-of :meth:`~katzcyclic.rings.RationalFunctionField.iterated_matrices`)
+(:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul`, each step
+of :meth:`~katzcyclic.rings.RationalFunctionField.integer_iterates` and
+the products of :meth:`~katzcyclic.rings.GaussPolynomialRing.lemma_norms`)
 use them at one level, for Z[x].  Their determinant over ring[X]
 (:meth:`~katzcyclic.rings.RationalFunctionField.xdet`) uses them at two,
 with x -> 2^k inside X -> 2^(k (d+1)) for x-degrees at most d, which

@@ -30,9 +30,12 @@ each of which clears its input into Z[x] by one helper, :func:`_clear`,
 and takes the rest on Kronecker-packed ints: matrix products
 (``mat_mul``), the determinant of a matrix over ring[X] (``xdet``), and
 the recurrence G_{s+1} = d(G_s) + G_s G_1 of the iterated matrices
-(``iterated_matrices``), which clears G_1 once and runs on integer
-matrices.  The products of ``mat_mul`` and of the recurrence share one
-kernel, :func:`_zx_mat_mul`.
+(``integer_iterates``), which clears G_1 once and runs on integer
+matrices A_s with G_s = A_s/(m^s L^s); ``iterated_matrices`` is their
+canonical forms.  Q[t] adds a fourth, ``lemma_norms``, the norms of
+Lemma 2.1 read off the products of cleared tables with the A_s, with
+nothing put in canonical form.  All the products share one kernel,
+:func:`_zx_mat_mul`.
 
 F_q[x] stores dense coefficient tuples over
 :class:`~katzcyclic.fields.FiniteField` and runs on the
@@ -230,11 +233,12 @@ def _canonical(p: int, q: int, N, D) -> RatFunc:
     return _ratfunc(p // g, q // g, N, D)
 
 
-def _scaled(p: int, q: int, N: Tuple[int, ...]) -> RatFunc:
-    """The polynomial (p/q) * N for ints p and q > 0 and N in Z[x] with
-    no trailing zeros.
+def _scaled(p: int, q: int, N: Tuple[int, ...], D: Tuple[int, ...] = _ONE) -> RatFunc:
+    """The element (p/q) * N/D for ints p and q > 0, N in Z[x] with no
+    trailing zeros, and D primitive, prime to N, with a positive leading
+    coefficient.
 
-    Only N's content is taken out; with D = (1,) there is nothing to
+    Only N's content is taken out; with N prime to D there is nothing to
     cancel, so no gcd of polynomials is due.
     """
     if not p or not N:
@@ -242,7 +246,7 @@ def _scaled(p: int, q: int, N: Tuple[int, ...]) -> RatFunc:
     cn, N = polys.primitive(N)
     p *= cn
     g = math.gcd(p, q)
-    return _ratfunc(p // g, q // g, N, _ONE)
+    return _ratfunc(p // g, q // g, N, D)
 
 
 def _clear(elements) -> Tuple[int, Tuple[int, ...], list]:
@@ -368,15 +372,18 @@ class _IntegerCoreRing(Ring):
         return _ratfunc(a.q, a.p, a.D, a.N)
 
     def derive(self, a: RatFunc) -> RatFunc:
+        """d(a).  With (h, D1, E) = gcd(D, D'), so that D = h D1 and
+        D' = h E, d(c N/D) = c (N' D1 - N E)/(D1 D), which in
+        characteristic 0 is already reduced: a prime factor of D divides
+        D1 once and divides neither N nor E.  D1 D is primitive by Gauss's
+        lemma, so only the numerator's content is left to take out."""
         if len(a.D) == 1:
             return _scaled(a.p, a.q, polys.derive(ZZ, a.N))
-        # d(c N/D) = c (N' D - N D') / D^2
+        _, D1, E = polys.gcd(ZZ, a.D, polys.derive(ZZ, a.D))
         num = polys.sub(
-            ZZ,
-            polys.mul(ZZ, polys.derive(ZZ, a.N), a.D),
-            polys.mul(ZZ, a.N, polys.derive(ZZ, a.D)),
+            ZZ, polys.mul(ZZ, polys.derive(ZZ, a.N), D1), polys.mul(ZZ, a.N, E)
         )
-        return _canonical(a.p, a.q, num, polys.mul(ZZ, a.D, a.D))
+        return _scaled(a.p, a.q, num, polys.mul(ZZ, D1, a.D))
 
     def from_int(self, n: int) -> RatFunc:
         return _ratfunc(n, 1, _ONE, _ONE) if n else self.zero
@@ -407,26 +414,21 @@ class _IntegerCoreRing(Ring):
             for out, (m, L, _) in zip(prod, rows)
         )
 
-    def iterated_matrices(self, g1, s_max: int):
-        """[G_0, ..., G_{s_max}] with G_0 = Id and G_{s+1} = d(G_s) + G_s G_1,
-        run on integer matrices.
+    def integer_iterates(self, g1, s_max: int):
+        """(m, L, [A_1, ..., A_{s_max}]) with the iterated matrices of
+        G_{s+1} = d(G_s) + G_s G_1 written as G_s = A_s/(m^s L^s), every
+        A_s over Z[x].
 
         :func:`_clear` writes G_1 once as A/(m L) with A over Z[x].  Then
-        G_s = A_s/(m^s L^s), where A_0 = Id, A_1 = A and
+        A_1 = A and
 
             A_{s+1} = m (L A_s' - s L' A_s) + A_s A,
 
         since d(A_s/(m^s L^s)) = (L A_s' - s L' A_s)/(m^s L^(s+1)).  Each
-        step takes one packed product A_s A (:func:`_zx_mat_mul`) and one
-        canonical form per entry of G_{s+1}; with L = (1,), as in Q[t],
-        the derivative term is m A_s' and no gcd is taken.
+        step takes one packed product A_s A (:func:`_zx_mat_mul`); with
+        L = (1,), as in Q[t], the derivative term is m A_s'.
         """
         n = len(g1)
-        out = [linalg.identity(self, n)]
-        if s_max:
-            out.append(linalg.freeze(g1))
-        if s_max < 2:
-            return out
         m, L, flat = _clear([x for row in g1 for x in row])
         A = [flat[i * n:(i + 1) * n] for i in range(n)]
         dL = polys.derive(ZZ, L)
@@ -438,14 +440,29 @@ class _IntegerCoreRing(Ring):
                 d = polys.sub(ZZ, polys.mul(ZZ, L, d), polys.mul(ZZ, polys.scale(ZZ, s, dL), f))
             return polys.add(ZZ, p, polys.scale(ZZ, m, d))
 
-        A_s, scale, den = A, m, L
+        out = [A] if s_max else []
         for s in range(1, s_max):
-            prod = _zx_mat_mul(A_s, A)
-            A_s = [[step(s, f, p) for f, p in zip(row, prow)] for row, prow in zip(A_s, prod)]
+            prod = _zx_mat_mul(out[-1], A)
+            out.append([[step(s, f, p) for f, p in zip(row, prow)]
+                        for row, prow in zip(out[-1], prod)])
+        return m, L, out
+
+    def iterated_matrices(self, g1, s_max: int, iterates=None):
+        """[G_0, ..., G_{s_max}] with G_0 = Id and G_{s+1} = d(G_s) + G_s G_1:
+        one canonical form per entry of :meth:`integer_iterates`, or of
+        ``iterates`` when it holds them already (for s_max or more)."""
+        out = [linalg.identity(self, len(g1))]
+        if s_max:
+            out.append(linalg.freeze(g1))
+        if s_max < 2:
+            return out
+        m, L, As = iterates or self.integer_iterates(g1, s_max)
+        scale, den = m, L
+        for A_s in As[1:s_max]:
             scale, den = scale * m, polys.mul(ZZ, den, L)
             out.append(tuple(
                 tuple(
-                    _scaled(1, scale, f) if not dL else _canonical(1, scale, f, den)
+                    _scaled(1, scale, f) if len(L) == 1 else _canonical(1, scale, f, den)
                     for f in row
                 )
                 for row in A_s
@@ -559,26 +576,67 @@ class GaussPolynomialRing(_IntegerCoreRing):
         return len(a.N) == 1
 
     def norm(self, a: RatFunc) -> NormValue:
-        # |c N| = |c|_p max_i |N_i|_p p^(-r i) for the scale c = a.p/a.q;
-        # N is primitive, so at r = 0 the maximum is |N_i|_p = 1 and
-        # |c N| = |c|_p.  For r > 0 the term at i is at most -r i, so the
-        # scan stops once that is no larger than the best term so far.
+        # |c N| = |c|_p |N| for the scale c = a.p/a.q; N is primitive, so
+        # at r = 0 its norm is 1
         p = self.prime
         if not a.p:
             return NormValue.zero(p)
-        r = self.radius_exp
         exp = padic_valuation(a.q, p) - padic_valuation(a.p, p)
-        if r:
-            best = None
-            for i, n in enumerate(a.N):
-                if best is not None and -r * i <= best:
-                    break
-                if n:
-                    term = -padic_valuation(n, p) - r * i
-                    if best is None or term > best:
-                        best = term
-            exp += best
+        if self.radius_exp:
+            exp += self._scan_exp(a.N)
         return NormValue(p, exp)
+
+    def _scan_exp(self, N, g: int = 1) -> int:
+        """The exponent of |N/g| = max_i |N_i/g|_p p^(-r i) for r > 0, a
+        nonzero N in Z[t] and g dividing every N_i.  The term at i is at
+        most -r i, so the scan stops once that is no larger than the best
+        term so far."""
+        p, r = self.prime, self.radius_exp
+        best = None
+        for i, n in enumerate(N):
+            if best is not None and -r * i <= best:
+                break
+            if n:
+                term = -padic_valuation(n // g, p) - r * i
+                if best is None or term > best:
+                    best = term
+        return best
+
+    def lemma_norms(self, g1, factors, k: int):
+        """([|F_1 G_1|, ..., |F_S G_S|], iterates) for the S matrices F_s
+        of ``factors``, with |a| = max_ij |a_ij| p^(k (j - i)), G_s the
+        iterated matrices of g1 and iterates = ``integer_iterates(g1, S)``,
+        from which :meth:`iterated_matrices` takes canonical G_s.
+
+        :func:`_clear` writes row i of F_s as R_i/m_i once, and
+        G_s = A_s/m^s, so (F_s G_s)_ij = (R A_s)_ij/(m_i m^s): one packed
+        product R A_s (:func:`_zx_mat_mul`) per s.  Each entry's exponent
+        is that of the integer polynomial (R A_s)_ij plus
+        v_p(m_i) + s v_p(m) + k (j - i), and no G_s, product entry or norm
+        is put in canonical form.
+        """
+        p, r = self.prime, self.radius_exp
+        iterates = self.integer_iterates(g1, len(factors))
+        m, _, As = iterates
+        vm = padic_valuation(m, p)
+        out = []
+        for s, (F, A_s) in enumerate(zip(factors, As), 1):
+            rows = [_clear(row) for row in F]
+            prod = _zx_mat_mul([R for _, _, R in rows], A_s)
+            best = None
+            for i, ((mi, _, _), prow) in enumerate(zip(rows, prod)):
+                shift = padic_valuation(mi, p) + s * vm - k * i
+                for j, f in enumerate(prow):
+                    if f:
+                        # |f| = |g|_p |f/g| for f's content g, and |f/g| = 1 at r = 0
+                        g = math.gcd(*f)
+                        e = shift + k * j - padic_valuation(g, p)
+                        if r:
+                            e += self._scan_exp(f, g)
+                        if best is None or e > best:
+                            best = e
+            out.append(NormValue(p, best))
+        return out, iterates
 
     def derivation_norm(self) -> NormValue:
         # |d(t^i)| / |t^i| = |i|_p * p^r, maximal at i = 1.

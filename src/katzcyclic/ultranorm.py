@@ -7,6 +7,12 @@ certified cyclic: the base-change matrix H(t) is then invertible by a
 Neumann series, because each H_0(-t) H_s(t) G_s has norm < 1.  H(t)
 itself, for the witness norm, is the nabla-family of c(e, t) over the ring.
 
+Over Q[t], Lemma 2.1 takes its norms from the ring's ``lemma_norms``:
+each product H_0(-t) H_s(t) G_s is taken on the integer iterates behind
+G_s and its norm read off the integer coefficients, so no G_s is put in
+canonical form unless a certified module needs its witness.  Other
+Banach rings multiply canonical matrices and take :func:`matrix_norm`.
+
 All inequalities are strict and decided exactly on NormValue exponents;
 an equality boundary is reported as "not certified" with a flag.
 """
@@ -63,12 +69,7 @@ def matrix_norm(ring, a: Matrix, kind: Optional[MatrixNormKind] = None) -> NormV
     the nonzero entries, taken on exponents, and 0 for a zero matrix."""
     if not ring.is_banach:
         raise UnsupportedOperationError("matrix norms need a Banach ring")
-    p = ring.prime
-    k = 0
-    if kind is not None:
-        if kind.rho.p != p:
-            raise ValueError(f"norm values over different primes: {p} vs {kind.rho.p}")
-        k = kind.rho.exp
+    k = _rho_exp(ring, kind)
     best = None
     for i, row in enumerate(a):
         for j, entry in enumerate(row):
@@ -77,7 +78,17 @@ def matrix_norm(ring, a: Matrix, kind: Optional[MatrixNormKind] = None) -> NormV
                 e += k * (j - i)
                 if best is None or e > best:
                     best = e
-    return NormValue(p, best)
+    return NormValue(ring.prime, best)
+
+
+def _rho_exp(ring, kind: Optional[MatrixNormKind]) -> int:
+    """k with rho = p^k for the matrix norm ``kind`` over ring; 0 for the
+    sup-norm."""
+    if kind is None:
+        return 0
+    if kind.rho.p != ring.prime:
+        raise ValueError(f"norm values over different primes: {ring.prime} vs {kind.rho.p}")
+    return kind.rho.exp
 
 
 def lemma_2_2_bound(g1_norm: NormValue, d_norm: NormValue, s: int) -> NormValue:
@@ -278,19 +289,29 @@ def certify_lemma_2_1(
     vector specialized at X := t is cyclic.  The prop-2.x checks are
     sufficient conditions for this one.  H0(-t) H_s(t) is the universal
     table :func:`~katzcyclic.katz.lemma_table` evaluated at t, so each s
-    takes one matrix product.
+    takes one matrix product with G_s.  A ring with its own
+    ``lemma_norms`` (Q[t]) takes it on the integer iterates behind G_s
+    and reads its norm off the integer coefficients.
     """
     _require_banach(m)
     ring = m.ring
     n = m.n
     one = NormValue.one(ring.prime)
-    gs = iterated_matrices(m, 2 * n - 2)
-    per_s = []
-    for s in range(1, 2 * n - 1):
-        factor = h_matrix_at(ring, lemma_table(s, n), ring.t)
-        per_s.append(matrix_norm(ring, linalg.mat_mul(ring, factor, gs[s]), kind))
+    factors = [h_matrix_at(ring, lemma_table(s, n), ring.t) for s in range(1, 2 * n - 1)]
+    lemma_norms = getattr(ring, "lemma_norms", None)
+    if lemma_norms is None:
+        gs = iterated_matrices(m, 2 * n - 2)
+        per_s = [
+            matrix_norm(ring, linalg.mat_mul(ring, f, g), kind)
+            for f, g in zip(factors, gs[1:])
+        ]
+    else:
+        per_s, iterates = lemma_norms(m.g1, factors, _rho_exp(ring, kind))
     certified = all(v < one for v in per_s)
     boundary = (not certified) and all(v <= one for v in per_s)
+    if certified and lemma_norms is not None:
+        # the witness's canonical G_0 .. G_{n-1}, from the same iterates
+        gs = ring.iterated_matrices(m.g1, n - 1, iterates)
     g1_norm = matrix_norm(ring, m.g1, kind)
     return CyclicityCertificate(
         criterion="lemma2.1",

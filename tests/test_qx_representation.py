@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from katzcyclic import NotInvertibleError, polys
-from katzcyclic.rings import GaussPolynomialRing, RationalFunctionField, RatFunc
+from katzcyclic.fields import QQ, ZZ
+from katzcyclic.rings import GaussPolynomialRing, RationalFunctionField, RatFunc, _canonical
 
 sympy = pytest.importorskip("sympy")
 
@@ -149,6 +150,35 @@ def test_mixed_operands_match_sympy(a, b):
     assert_equals_sympy(QX.sub(a, b), sa - sb)
     assert_equals_sympy(QX.mul(a, b), sa * sb)
     assert_equals_sympy(QX.derive(a), sympy.diff(sa, X))
+
+
+@st.composite
+def repeated_factor_elements(draw):
+    """c N/D whose D has a repeated factor: the numerator over f^e g, f of
+    degree >= 1 and e = 2 or 3 (N and D are what is left after the
+    reduction)."""
+    f = draw(st.lists(coeffs, min_size=2, max_size=3).filter(lambda c: c[-1]))
+    g = draw(polynomials.filter(any))
+    den = g
+    for _ in range(draw(st.integers(2, 3))):
+        den = polys.mul(QQ, den, f)
+    return RatFunc(draw(polynomials), den)
+
+
+@SETTINGS
+@given(repeated_factor_elements())
+def test_derive_takes_one_gcd_at_the_degree_of_d(a):
+    """d(c N/D) = c (N' D1 - N E)/(D1 D) with (h, D1, E) = gcd(D, D'),
+    against c (N' D - N D')/D^2 reduced by a gcd at twice the degree,
+    and against sympy's diff."""
+    with mock.patch.object(polys, "gcd", wraps=polys.gcd) as gcd:
+        value = QX.derive(a)
+    degrees = [max(len(f), len(g)) - 1 for (_, f, g), _ in gcd.call_args_list]
+    assert degrees == ([len(a.D) - 1] if len(a.D) > 1 else [])
+    num = polys.sub(ZZ, polys.mul(ZZ, polys.derive(ZZ, a.N), a.D),
+                    polys.mul(ZZ, a.N, polys.derive(ZZ, a.D)))
+    assert value == _canonical(a.p, a.q, num, polys.mul(ZZ, a.D, a.D))
+    assert_equals_sympy(value, sympy.diff(as_sympy(a), X))
 
 
 def test_polynomial_path_with_zero():

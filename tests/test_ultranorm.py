@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -336,36 +337,55 @@ class TestLemma21:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_per_s_norms_match_the_two_product_path(self, p):
         """Against H0(-t) (H_s(t) G_s) taken as two products of the
-        evaluated tables, on seeded modules plain and with G1 times p."""
+        evaluated tables, with each norm by ``matrix_norm``: on seeded
+        modules with G1 times p^e for e = -2..1 (so that the iterates'
+        denominator m is not always a p-adic unit), on each plain module
+        over the ring rescaled by p (which has no ``lemma_norms`` of its
+        own), and on modules whose products F_s G_s vanish for some or
+        every s.  A certified module's witness is c(e, t) built from
+        G_0 .. G_{n-1} the usual way."""
         rng = seeded(300 + p)
         compared = 0
         for r in (0, 1, 2):
             ring = GaussPolynomialRing(p, radius_exp=r)
+            modules = [
+                # G1 nilpotent and constant: G_s = G1^s vanishes for s >= 2
+                mk(ring, [["0", "1"], ["0", "0"]]),
+                DifferentialModule(ring=ring, n=3, g1=linalg.zeros(ring, 3)),
+            ]
             for n in (2, 3, 4):
                 g1 = random_gauss_matrix(ring, rng, n, max_scale=2 * n)
-                for scale in (1, p):
-                    c = ring.from_int(scale)
-                    m = DifferentialModule(
+                for e in (-2, -1, 0, 1):
+                    c = ring.from_fraction(Fraction(p) ** e)
+                    modules.append(DifferentialModule(
                         ring=ring,
                         n=n,
                         g1=linalg.freeze([[ring.mul(c, x) for x in row] for row in g1]),
+                    ))
+                modules.append(rescale_derivation(modules[-2], ring.from_int(p)))
+            for m in modules:
+                n, mring = m.n, m.ring
+                gs = iterated_matrices(m, 2 * n - 2)
+                h0_neg = h_matrix_at(mring, h_matrix(0, n), mring.neg(mring.t))
+                products = [
+                    linalg.mat_mul(
+                        mring,
+                        linalg.mat_mul(mring, h0_neg, h_matrix_at(mring, h_matrix(s, n), mring.t)),
+                        gs[s],
                     )
-                    gs = iterated_matrices(m, 2 * n - 2)
-                    h0_neg = h_matrix_at(ring, h_matrix(0, n), ring.neg(ring.t))
-                    products = [
-                        linalg.mat_mul(
-                            ring,
-                            linalg.mat_mul(ring, h0_neg, h_matrix_at(ring, h_matrix(s, n), ring.t)),
-                            gs[s],
+                    for s in range(1, 2 * n - 1)
+                ]
+                kinds = (None, MatrixNormKind.rho_t_inverse(mring), MatrixNormKind.rho_d(mring))
+                for kind in kinds:
+                    expected = tuple(matrix_norm(mring, prod, kind) for prod in products)
+                    cert = certify_lemma_2_1(m, kind)
+                    assert cert.per_s == expected
+                    if cert.certified:
+                        assert cert.witness == specialize_vector(
+                            m, katz_vector(m), mring.from_int(0)
                         )
-                        for s in range(1, 2 * n - 1)
-                    ]
-                    kinds = (None, MatrixNormKind.rho_t_inverse(ring), MatrixNormKind.rho_d(ring))
-                    for kind in kinds:
-                        expected = tuple(matrix_norm(ring, prod, kind) for prod in products)
-                        assert certify_lemma_2_1(m, kind).per_s == expected
-                        compared += 1
-        assert compared == 3 * 3 * 2 * 3
+                    compared += 1
+        assert compared == 3 * (2 + 3 * 5) * 3
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_witness_norm_matches_h_of_x_at_t(self, p):

@@ -5,9 +5,9 @@ matrix G1 whose row i holds the coordinates of nabla(e_i) in the basis
 e.  Coordinates act on the right, so for a row vector f one has
 nabla(f) = d(f) + f * G1, and the iterated matrices satisfy
 G_{s+1} = d(G_s) + G_s * G1 with G_0 = Id.  :func:`iterated_matrices`
-defers this recurrence to the ring where it has its own, as
-:func:`katzcyclic.linalg.mat_mul` defers products: Q(x) and Q[t] run it
-on cleared integer matrices, other rings apply nabla to each row of G_s.
+defers this recurrence to the ring where it has its own: Q(x) and Q[t]
+run it on cleared integer matrices, other rings apply nabla to each row
+of G_s.
 
 A module may have any characteristic.  Only the Katz construction
 divides by (n-1)!, so its entry points, not the module, call

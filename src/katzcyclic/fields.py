@@ -80,7 +80,7 @@ class IntegerRing:
     denominators of Q(x) and Q[t].  The :mod:`katzcyclic.polys` helpers
     take Z[x] on plain ints when passed ZZ, so it carries only what
     :func:`~katzcyclic.linalg.det` and :func:`~katzcyclic.linalg.mat_mul`
-    read of a ring.
+    read of a ring, for the packed ints of :mod:`katzcyclic.rings`.
     """
 
     zero = 0

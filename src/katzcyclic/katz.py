@@ -25,16 +25,10 @@ alone: each is built once per process, in a bounded cache, and shared
 by every module of that rank; :func:`h_matrix_at` evaluates either kind
 at a ring element through one table of powers.
 
-Over Q(x) and Q[t], ``base_change`` takes P(X) as one determinant over
-Z (:meth:`~katzcyclic.rings.RationalFunctionField.xdet`): each row of
-H(X) is cleared of denominators into Z[x][X], each entry packed into one
-int by Kronecker substitution x -> 2^k, X -> 2^(k (d+1)), with d the sum
-of the rows' largest x-degrees and k one bit more than the bound
-prod_i sum_j |h_ij|_1 on the coefficients of the determinant; the
-determinant's balanced base-2^k digits, over the rows' multipliers, are
-P's coefficients.  No gcd is taken during the elimination, and one
-canonical form per coefficient of P after it.  Other rings (F_q[x], the
-scaled-derivation rings) take det H(X) over ring[X].
+Over Q(x) and Q[t], ``base_change`` takes P(X) as one determinant of
+Kronecker-packed integers, derived in
+:meth:`~katzcyclic.rings._IntegerCoreRing.xdet`.  Other rings (F_q[x],
+the scaled-derivation rings) take det H(X) over ring[X].
 """
 
 from __future__ import annotations

@@ -14,16 +14,10 @@ take (n+1) n (2^(n-1) - 1) + n = 9,152).  Fraction-free Bareiss
 elimination was rejected: its exact divisions cost two gcds each in
 Q(x), which made det H(X) over Q(x)[X] about 1.5x slower.
 
-``mat_mul`` defers to the ring's own ``mat_mul`` where it has one: Q(x)
-and Q[t] take the product as one Kronecker-packed product of integer
-matrices (:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul`),
-which comes back here over :data:`~katzcyclic.fields.ZZ`.  So does
-each step of their iterated matrices G_s
-(:meth:`~katzcyclic.rings.RationalFunctionField.integer_iterates`), and
-each product of Lemma 2.1 over Q[t]
-(:meth:`~katzcyclic.rings.GaussPolynomialRing.lemma_norms`), through the
-same packed kernel.  F_q[x], ring[X], the scaled-derivation
-rings and ZZ itself take the entry-wise loop.
+``mat_mul`` is the entry-wise sum of ``ring.mul`` products over every
+ring.  Which routines of Q(x) and Q[t] pack their products into
+integers instead is :mod:`katzcyclic.rings`'s decision; their integer
+products come back here over :data:`~katzcyclic.fields.ZZ`.
 """
 
 from __future__ import annotations
@@ -57,9 +51,6 @@ def mat_sub(ring, a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_mul(ring, a: Matrix, b: Matrix) -> Matrix:
-    packed = getattr(ring, "mat_mul", None)
-    if packed is not None:
-        return packed(a, b)
     n, k, m = len(a), len(b), len(b[0])
     out = []
     for i in range(n):

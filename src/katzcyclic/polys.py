@@ -24,16 +24,9 @@ x = 2^k, and the exact divisions that check it give the cofactors.
 ``pack`` and ``unpack`` are Kronecker substitution for Z[x]:
 ``pack(f, k)`` is the int f(2^k), and ``unpack(v, k)`` (k >= 2) reads
 the coefficients back as v's balanced base-2^k digits, which is exact
-when every coefficient lies in [-2^(k-1), 2^(k-1)).  ``gcd`` and the
-matrix products of Q(x) and Q[t]
-(:meth:`~katzcyclic.rings.RationalFunctionField.mat_mul`, each step
-of :meth:`~katzcyclic.rings.RationalFunctionField.integer_iterates` and
-the products of :meth:`~katzcyclic.rings.GaussPolynomialRing.lemma_norms`)
-use them at one level, for Z[x].  Their determinant over ring[X]
-(:meth:`~katzcyclic.rings.RationalFunctionField.xdet`) uses them at two,
-with x -> 2^k inside X -> 2^(k (d+1)) for x-degrees at most d, which
-packs Z[x][X] and unpacks it again when every coefficient is below
-2^(k-1) in absolute value.
+when every coefficient lies in [-2^(k-1), 2^(k-1)).  ``gcd`` uses them
+at one level, for Z[x]; the matrix routines of Q(x) and Q[t] that use
+them are listed in :mod:`katzcyclic.rings`.
 """
 
 from __future__ import annotations

@@ -25,17 +25,18 @@ reduced numerator and denominator; sums and products cross-cancel first
 polynomials (by Gauss's lemma a product of primitive polynomials is
 primitive), so neither Q[t] nor a polynomial element of Q(x) takes one.
 The Gauss norm of Q[t] is read off the p-adic valuations of p, q and
-N's integer coefficients.  The integer core holds three matrix routines,
-each of which clears its input into Z[x] by one helper, :func:`_clear`,
-and takes the rest on Kronecker-packed ints: matrix products
-(``mat_mul``), the determinant of a matrix over ring[X] (``xdet``), and
-the recurrence G_{s+1} = d(G_s) + G_s G_1 of the iterated matrices
+N's integer coefficients.  This module decides which matrix routines
+pack.  Each clears its input into Z[x] by one helper, :func:`_clear`,
+and takes the rest on Kronecker-packed ints: the recurrence
+G_{s+1} = d(G_s) + G_s G_1 of the iterated matrices
 (``integer_iterates``), which clears G_1 once and runs on integer
-matrices A_s with G_s = A_s/(m^s L^s); ``iterated_matrices`` is their
-canonical forms.  Q[t] adds a fourth, ``lemma_norms``, the norms of
-Lemma 2.1 read off the products of cleared tables with the A_s, with
-nothing put in canonical form.  All the products share one kernel,
-:func:`_zx_mat_mul`.
+matrices A_s with G_s = A_s/(m^s L^s), ``iterated_matrices`` being
+their canonical forms; Q[t]'s ``lemma_norms``, the norms of Lemma 2.1
+read off the products of cleared tables with the A_s, with nothing put
+in canonical form; and the determinant of a matrix over ring[X]
+(``xdet``), packed at two levels.  The products of the first two share
+one kernel, :func:`_zx_mat_mul`.  Every other matrix product, over any
+ring, is the entry-wise loop of :func:`katzcyclic.linalg.mat_mul`.
 
 F_q[x] stores dense coefficient tuples over
 :class:`~katzcyclic.fields.FiniteField` and runs on the
@@ -392,27 +393,6 @@ class _IntegerCoreRing(Ring):
         if not q:
             return self.zero
         return _ratfunc(q.numerator, q.denominator, _ONE, _ONE)
-
-    def mat_mul(self, a, b):
-        """a * b for matrices over the ring, taken as one product of
-        integer matrices by :func:`_zx_mat_mul`.
-
-        :func:`_clear` takes row i of a to Z[x] over m_i L_i and column
-        j of b over m'_j L'_j; entry (i, j) of the product of the
-        cleared rows and columns, over m_i m'_j L_i L'_j, is (a b)_ij.
-        """
-        rows = [_clear(row) for row in a]
-        cols = [_clear(col) for col in zip(*b)]
-        prod = _zx_mat_mul([A for _, _, A in rows], list(zip(*(B for _, _, B in cols))))
-        return tuple(
-            tuple(
-                _scaled(1, m * mb, v)
-                if len(L) == len(Lb) == 1
-                else _canonical(1, m * mb, v, polys.mul(ZZ, L, Lb))
-                for v, (mb, Lb, _) in zip(out, cols)
-            )
-            for out, (m, L, _) in zip(prod, rows)
-        )
 
     def integer_iterates(self, g1, s_max: int):
         """(m, L, [A_1, ..., A_{s_max}]) with the iterated matrices of

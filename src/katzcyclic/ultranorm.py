@@ -254,30 +254,27 @@ def check_prop_2_3(m: DifferentialModule) -> CyclicityCertificate:
     return _smallness_certificate(m, "prop2.3", g1_norm, bound)
 
 
-def _rho_bound(m: DifferentialModule) -> NormValue:
-    """|(n-1)!|^2 |d| / (|d||t|)^(2n-2), shared by both rho criteria."""
+def _rho_certificate(m: DifferentialModule, criterion: str, kind_of) -> CyclicityCertificate:
+    """The one body of both rho criteria: |G1|^(rho) in the norm
+    kind_of(ring) against |(n-1)!|^2 |d| / (|d||t|)^(2n-2)."""
+    _require_banach(m)
     ring = m.ring
     n = m.n
     d_norm = ring.derivation_norm()
-    t_norm = ring.norm(ring.t)
     fact = NormValue.of_int(math.factorial(n - 1), ring.prime)
-    return fact ** 2 * d_norm / (d_norm * t_norm) ** (2 * n - 2)
+    bound = fact ** 2 * d_norm / (d_norm * ring.norm(ring.t)) ** (2 * n - 2)
+    g1_norm = matrix_norm(ring, m.g1, kind_of(ring))
+    return _smallness_certificate(m, criterion, g1_norm, bound)
 
 
 def check_prop_2_5(m: DifferentialModule) -> CyclicityCertificate:
     """rho = |t|^(-1) smallness: |G1|^(rho) < |(n-1)!|^2 |d| / (|d||t|)^(2n-2)."""
-    _require_banach(m)
-    kind = MatrixNormKind.rho_t_inverse(m.ring)
-    g1_norm = matrix_norm(m.ring, m.g1, kind)
-    return _smallness_certificate(m, "prop2.5", g1_norm, _rho_bound(m))
+    return _rho_certificate(m, "prop2.5", MatrixNormKind.rho_t_inverse)
 
 
 def check_prop_2_8(m: DifferentialModule) -> CyclicityCertificate:
     """rho = |d| smallness: |G1|^(rho) < |(n-1)!|^2 |d| / (|d||t|)^(2n-2)."""
-    _require_banach(m)
-    kind = MatrixNormKind.rho_d(m.ring)
-    g1_norm = matrix_norm(m.ring, m.g1, kind)
-    return _smallness_certificate(m, "prop2.8", g1_norm, _rho_bound(m))
+    return _rho_certificate(m, "prop2.8", MatrixNormKind.rho_d)
 
 
 def certify_lemma_2_1(

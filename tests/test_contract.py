@@ -5,7 +5,8 @@ The runtime stays dependency-free: every absolute import in
 no float literal and no call to the builtin ``float`` appears, and of
 ``math`` only the integer functions below are used.  The integer core
 of Q(x) and Q[t] in ``rings`` stays on plain ints: Fraction is named
-there only where a value enters or leaves the ring.
+there only where a value enters or leaves the ring.  ``linalg`` takes
+one path for every ring: it never probes a ring with ``getattr``.
 """
 
 import ast
@@ -92,3 +93,9 @@ def test_rings_names_fraction_only_where_values_enter_or_leave():
 
     visit(tree, ())
     assert found == []
+
+
+def test_linalg_never_probes_the_ring():
+    """A ``getattr`` probe in ``linalg`` would let a ring swap in its own
+    routine, as a packed ``mat_mul`` once did, unseen by its callers."""
+    assert "getattr(" not in (SRC / "linalg.py").read_text(encoding="utf-8")

@@ -1,23 +1,28 @@
-"""Matrix products over Q(x) and Q[t] as one Kronecker-packed product of
-integer matrices (``rings`` ``mat_mul``), against the entry-wise sum of
-``ring.mul`` products kept here, which shares no code with it."""
+"""The packed Z[x] product of Q(x) and Q[t] (``rings._zx_mat_mul``),
+checked through its callers' public API: the iterated matrices G_s of
+``diffmod.iterated_matrices`` and the per-s norms of
+``GaussPolynomialRing.lemma_norms``.  The reference is the recurrence
+G_{s+1} = d(G_s) + G_s G_1 with each product by ``linalg.mat_mul``,
+the entry-wise loop of every ring, which shares no code with the kernel.
+"""
 
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from katzcyclic import linalg, polys
+from katzcyclic import linalg, rings, xpoly
+from katzcyclic.diffmod import DifferentialModule, iterated_matrices
+from katzcyclic.normvalue import NormValue
 from katzcyclic.rings import (
     FiniteFieldPolyRing,
     GaussPolynomialRing,
     RationalFunctionField,
     RatFunc,
-    Ring,
     ScaledDerivationRing,
 )
+from katzcyclic.ultranorm import MatrixNormKind, matrix_norm
 from katzcyclic.xpoly import XPolyRing
 
 QX = RationalFunctionField()
@@ -68,47 +73,68 @@ def entrywise(ring, a, b):
     return tuple(out)
 
 
-def check(ring, a, b):
-    got = ring.mat_mul(a, b)
-    assert got == entrywise(ring, a, b)
-    assert linalg.mat_mul(ring, a, b) == got
+def loop_iterates(ring, g1, s_max):
+    """[G_0, ..., G_{s_max}], each G_{s+1} = d(G_s) + G_s G_1 by ``linalg.mat_mul``."""
+    out = [linalg.identity(ring, len(g1)), g1]
+    for _ in range(s_max - 1):
+        g = out[-1]
+        out.append(tuple(
+            tuple(ring.add(ring.derive(x), y) for x, y in zip(row, prow))
+            for row, prow in zip(g, linalg.mat_mul(ring, g, g1))
+        ))
+    return out[:s_max + 1]
+
+
+def check_iterates(ring, g1, s_max):
+    got = iterated_matrices(DifferentialModule(ring=ring, n=len(g1), g1=g1), s_max)
+    assert got == loop_iterates(ring, g1, s_max)
+    return got
 
 
 @pytest.mark.parametrize("name", sorted(ELEMENTS))
-@given(data=st.data(), shape=st.tuples(*[st.integers(1, 4)] * 3))
+@given(data=st.data(), n=st.integers(1, 4))
 @SETTINGS
-def test_packed_product_matches_entrywise(name, data, shape):
+def test_packed_product_matches_entrywise(name, data, n):
+    """G_2 and G_3 take one packed product each, A_s A."""
     ring, elements = ELEMENTS[name]
-    r, k, c = shape
-    check(ring, data.draw(matrices(elements, r, k)), data.draw(matrices(elements, k, c)))
+    check_iterates(ring, data.draw(matrices(elements, n, n)), 3)
 
 
-@pytest.mark.parametrize("name", sorted(ELEMENTS))
-@given(data=st.data(), n=st.integers(1, 5))
+@pytest.mark.parametrize("name", ["qt"])
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(-1, 1))
 @SETTINGS
-def test_row_times_square(name, data, n):
+def test_row_times_square(name, data, n, k):
+    """Lemma 2.1's products: each factor's rows, one to n of them, each
+    cleared over its own denominator, times the square G_s, for s = 1, 2,
+    against the norm of the entry-wise product in the weight p^(k (j - i))."""
     ring, elements = ELEMENTS[name]
-    check(ring, data.draw(matrices(elements, 1, n)), data.draw(matrices(elements, n, n)))
+    g1 = data.draw(matrices(elements, n, n))
+    factors = [data.draw(matrices(elements, data.draw(st.integers(1, n)), n)) for _ in range(2)]
+    kind = MatrixNormKind("rho", NormValue(ring.prime, k))
+    expected = [
+        matrix_norm(ring, linalg.mat_mul(ring, f, g), kind)
+        for f, g in zip(factors, loop_iterates(ring, g1, 2)[1:])
+    ]
+    assert ring.lemma_norms(g1, factors, k)[0] == expected
 
 
 @pytest.mark.parametrize("name", sorted(ELEMENTS))
 @given(data=st.data(), n=st.integers(1, 4))
 @SETTINGS
 def test_zero_rows_and_columns(name, data, n):
+    """A zero row i and a zero column j of G_1 stay zero in every G_s,
+    s >= 1; the zero G_1 takes the kernel's branch for a zero bound."""
     ring, elements = ELEMENTS[name]
-    a = [list(row) for row in data.draw(matrices(elements, n, n))]
-    b = [list(row) for row in data.draw(matrices(elements, n, n))]
+    g1 = [list(row) for row in data.draw(matrices(elements, n, n))]
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    a[i] = [ring.zero] * n
-    for row in b:
+    g1[i] = [ring.zero] * n
+    for row in g1:
         row[j] = ring.zero
-    a, b = linalg.freeze(a), linalg.freeze(b)
-    check(ring, a, b)
-    product = ring.mat_mul(a, b)
-    assert all(ring.is_zero(x) for x in product[i])
-    assert all(ring.is_zero(row[j]) for row in product)
+    for g in check_iterates(ring, linalg.freeze(g1), 3)[1:]:
+        assert all(ring.is_zero(x) for x in g[i])
+        assert all(ring.is_zero(row[j]) for row in g)
     zero = linalg.zeros(ring, n)
-    assert ring.mat_mul(zero, b) == ring.mat_mul(a, zero) == zero
+    assert check_iterates(ring, zero, 3)[1:] == [zero] * 3
 
 
 @pytest.mark.parametrize("name", sorted(ELEMENTS))
@@ -120,35 +146,36 @@ def test_zero_rows_and_columns(name, data, n):
 )
 @SETTINGS
 def test_product_where_the_bound_is_tight(name, n, top, q, degree):
-    """Every entry (top/q) x^degree, squared: each coefficient of the
-    cleared product is n top^2, the bound itself, so a digit width one
-    bit short misreads it."""
+    """Every entry of G_1 (top/q) x^degree, over Q(x) also divided by
+    x + 1, so that G_1 clears to the matrix A with every entry
+    top' x^degree, top' = top/gcd(top, q).  Each coefficient of A A is
+    then n top'^2, the kernel's bound itself, so a digit width one bit
+    short misreads G_2."""
     ring = ELEMENTS[name][0]
     x = ring.mul(ring.from_fraction(Fraction(top, q)), ring.pow(ring.t, degree))
     if ring is QX:
         x = ring.div(x, ring.add(ring.t, ring.one))
-    a = tuple(tuple(x for _ in range(n)) for _ in range(n))
-    check(ring, a, a)
-
-
-def test_gauss_products_take_no_gcd():
-    """Q[t] clears rows and columns with D = (1,) only."""
-    a = ((QT.t, QT.from_int(3)), (QT.pow(QT.t, 2), QT.from_fraction(Fraction(-1, 9))))
-    expected = entrywise(QT, a, a)
-    with mock.patch.object(polys, "gcd", side_effect=AssertionError("gcd on Q[t]")):
-        assert QT.mat_mul(a, a) == expected
+    check_iterates(ring, tuple(tuple(x for _ in range(n)) for _ in range(n)), 2)
 
 
 @pytest.mark.parametrize(
     "ring",
     [
+        QX,
+        QT,
         FiniteFieldPolyRing(5),
         XPolyRing(QX),
         ScaledDerivationRing(QT, QT.from_int(3)),
     ],
-    ids=["F5[x]", "Q(x)[X]", "scaled"],
+    ids=["Q(x)", "Q[t]", "F5[x]", "Q(x)[X]", "scaled"],
 )
 def test_other_rings_keep_the_loop(ring):
-    assert not hasattr(Ring, "mat_mul") and not hasattr(ring, "mat_mul")
-    a = ((ring.one, ring.from_int(2)), (ring.zero, ring.from_int(-1)))
-    assert linalg.mat_mul(ring, a, a) == entrywise(ring, a, a)
+    """No ring defines a ``mat_mul`` of its own, so ``linalg.mat_mul`` is
+    the entry-wise sum for every ring."""
+    classes = [c for module in (rings, xpoly) for c in vars(module).values()
+               if isinstance(c, type) and c.__module__ == module.__name__]
+    assert XPolyRing in classes and rings.Ring in classes
+    assert [c for c in classes if hasattr(c, "mat_mul")] == []
+    a = ((ring.one, ring.from_int(2), ring.zero), (ring.from_int(-1), ring.zero, ring.one))
+    b = tuple((ring.from_int(c), ring.from_int(c - 2)) for c in (3, 0, 5))
+    assert linalg.mat_mul(ring, a, b) == entrywise(ring, a, b)

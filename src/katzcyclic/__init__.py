@@ -60,9 +60,7 @@ from .ultranorm import (
     check_prop_2_3,
     check_prop_2_5,
     check_prop_2_8,
-    h_norm_bounds,
     invertibility_witness_norm,
-    lemma_2_2_bound,
     matrix_norm,
 )
 

@@ -220,11 +220,7 @@ def _inversion(ring, n: int, count: int, nabla) -> Tuple[Row, ...]:
 def specialize_vector(m: DifferentialModule, v: KatzVector, a) -> Row:
     """Coordinates of c(e, t - a) for a constant a: coordinate k is the
     X-polynomial sum_j coeffs[j][k] X^j at X := t - a."""
-    ring = m.ring
-    if not ring.is_constant(a):
-        raise PreconditionError("specialization point must be a constant")
-    point = ring.sub(ring.t, a)
-    return tuple(xpoly.eval_at(ring, f, point) for f in zip(*v.coeffs))
+    return tuple(xpoly.specialize(m.ring, f, a) for f in zip(*v.coeffs))
 
 
 def derivative_coefficients(m: DifferentialModule, c0: Sequence[Row], i: int, j: int) -> Row:

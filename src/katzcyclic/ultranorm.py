@@ -7,6 +7,19 @@ certified cyclic: the base-change matrix H(t) is then invertible by a
 Neumann series, because each H_0(-t) H_s(t) G_s has norm < 1.  H(t)
 itself, for the witness norm, is the nabla-family of c(e, t) over the ring.
 
+The four criteria, each a strict inequality on exact norms:
+
+- prop2.3: |G1| < |H_0(t)|^(-2) min(1, |d|^(-(2n-3))) in the sup-norm;
+- prop2.5 and prop2.8: |G1| < |(n-1)!|^2 |d| / (|d||t|)^(2n-2) in the
+  rho-sup-norm at rho = |t|^(-1) and at rho = |d|;
+- lemma2.1: ||H_0(-t) H_s(t) G_s|| < 1 for s = 1..2n-2, in the sup-norm
+  or either rho-sup-norm.
+
+The prop-2.x bounds follow from closed-form bounds on the norms of
+H_0(+-t) and H_s(t) and from |G_s| <= |G1| max(|G1|, |d|)^(s-1) (Lemma
+2.2).  No certificate reads those bounds, so they live in the tests
+(``tests/_helpers.py``), which check them against materialized norms.
+
 Over Q[t], Lemma 2.1 takes its norms from the ring's ``lemma_norms``:
 each product H_0(-t) H_s(t) G_s is taken on the integer iterates behind
 G_s and its norm read off the integer coefficients, so no G_s is put in
@@ -91,75 +104,9 @@ def _rho_exp(ring, kind: Optional[MatrixNormKind]) -> int:
     return kind.rho.exp
 
 
-def lemma_2_2_bound(g1_norm: NormValue, d_norm: NormValue, s: int) -> NormValue:
-    """Upper bound |G_1| * max(|G_1|, |d|)^(s-1) for |G_s|."""
-    if s < 1:
-        raise PreconditionError("s must be >= 1")
-    return g1_norm * max(g1_norm, d_norm) ** (s - 1)
-
-
-@dataclass(frozen=True)
-class HNormBounds:
-    """Closed-form upper bounds for the norms of H_0(+-t) and H_s(t)."""
-
-    sup_h0: NormValue
-    rho_t_h0: NormValue
-    rho_t_hs: Tuple[NormValue, ...]  # index s = 0 .. 2n-2
-    rho_d_h0: NormValue
-    rho_d_hs: Tuple[NormValue, ...]
-
-
-def h_norm_bounds(
-    n: int,
-    t_pow_norms: Tuple[NormValue, ...],
-    d_norm: NormValue,
-    factorial_norms: Tuple[NormValue, ...],
-) -> HNormBounds:
-    """Bounds from |alpha| <= 1 plus monotonicity of i -> rho^i/|(s+i)!|.
-
-    ``t_pow_norms[i]`` must be |t^i| for i = 0..2n-2 and
-    ``factorial_norms[i]`` must be |i!| for i = 0..n-1.
-    """
-    t_norm = t_pow_norms[1] if n > 1 else t_pow_norms[0]
-    fact_last = factorial_norms[n - 1]
-    sup_h0 = max(t_pow_norms[i] / factorial_norms[i] for i in range(n))
-    rho_t_h0 = fact_last.inverse()
-    rho_t_hs = tuple(
-        (t_pow_norms[s] / fact_last) if s >= 1 else rho_t_h0
-        for s in range(2 * n - 1)
-    )
-    dt = d_norm * t_norm
-    rho_d_h0 = dt ** (n - 1) / fact_last
-    rho_d_hs = tuple(
-        (t_pow_norms[s] * dt ** (n - 1 - s) / fact_last) if s >= 1 else rho_d_h0
-        for s in range(2 * n - 1)
-    )
-    return HNormBounds(
-        sup_h0=sup_h0,
-        rho_t_h0=rho_t_h0,
-        rho_t_hs=rho_t_hs,
-        rho_d_h0=rho_d_h0,
-        rho_d_hs=rho_d_hs,
-    )
-
-
-def ring_norm_data(ring, n: int):
-    """(|t^i| for i=0..2n-2, |d|, |i!| for i=0..n-1), all exact."""
-    t_pows = []
-    acc = ring.one
-    for _ in range(2 * n - 1):
-        t_pows.append(ring.norm(acc))
-        acc = ring.mul(acc, ring.t)
-    d_norm = ring.derivation_norm()
-    fact = tuple(
-        NormValue.of_int(math.factorial(i), ring.prime) for i in range(n)
-    )
-    return tuple(t_pows), d_norm, fact
-
-
 @dataclass(frozen=True)
 class CyclicityCertificate:
-    """Self-checking record of a cyclicity criterion evaluation."""
+    """Record of a cyclicity criterion evaluation: its exact norms and verdict."""
 
     criterion: str  # prop2.3 | prop2.5 | prop2.8 | lemma2.1
     certified: bool
@@ -167,15 +114,6 @@ class CyclicityCertificate:
     per_s: Tuple[NormValue, ...] = ()
     boundary: bool = False
     witness: Optional[Row] = None
-
-    def recheck(self) -> bool:
-        """Re-derive the verdict from the stored exact values."""
-        if self.criterion in ("prop2.3", "prop2.5", "prop2.8"):
-            return self.norms["G1"] < self.norms["bound"]
-        if self.criterion == "lemma2.1":
-            one = NormValue.one(self.norms["d"].p)
-            return all(v < one for v in self.per_s)
-        return self.certified
 
     def to_json(self, ring=None) -> dict:
         doc = {
@@ -196,6 +134,7 @@ class CyclicityCertificate:
 
 
 def _base_norms(m: DifferentialModule) -> Dict[str, NormValue]:
+    """|t|, |d| and |(n-1)!|, printed by every certificate and read by each bound."""
     ring = m.ring
     return {
         "t": ring.norm(ring.t),
@@ -210,14 +149,14 @@ def _witness(m: DifferentialModule, gs: Sequence[Matrix]) -> Row:
 
 
 def _smallness_certificate(
-    m: DifferentialModule, criterion: str, g1_norm: NormValue, bound: NormValue
+    m: DifferentialModule, criterion: str, base: dict, g1_norm: NormValue, bound: NormValue
 ) -> CyclicityCertificate:
     certified = g1_norm < bound
     boundary = (not certified) and g1_norm == bound
     return CyclicityCertificate(
         criterion=criterion,
         certified=certified,
-        norms={**_base_norms(m), "G1": g1_norm, "bound": bound},
+        norms={**base, "G1": g1_norm, "bound": bound},
         boundary=boundary,
         witness=_witness(m, iterated_matrices(m, m.n - 1)) if certified else None,
     )
@@ -232,39 +171,44 @@ def _require_banach(m: DifferentialModule) -> None:
 def norm_kind(m: DifferentialModule, name: Optional[str]) -> Optional[MatrixNormKind]:
     """The matrix norm named "sup" (or None), "rho-t" or "rho-d", for m's
     ring.  m passes the certificates' own checks first, so a module that
-    cannot be certified is refused the same way under every name."""
+    cannot be certified is refused the same way under every name; any
+    other name is refused too."""
     _require_banach(m)
+    if name is None or name == "sup":
+        return None
     if name == "rho-t":
         return MatrixNormKind.rho_t_inverse(m.ring)
     if name == "rho-d":
         return MatrixNormKind.rho_d(m.ring)
-    return None
+    raise PreconditionError(f"unknown matrix norm {name!r}: use sup, rho-t or rho-d")
 
 
 def check_prop_2_3(m: DifferentialModule) -> CyclicityCertificate:
-    """Sup-norm smallness: |G1| < |H0(t)|^(-2) * min(1, 1/|d|^(2n-3))."""
+    """Sup-norm smallness: |G1| < |H0(t)|^(-2) * min(1, 1/|d|^(2n-3)).
+
+    |H0(t)|^(-1) = min_i |i!| / |t|^i, since |t^i| = |t|^i: the Gauss
+    norm is multiplicative, and a rescaled ring keeps its base's norm."""
     _require_banach(m)
     ring = m.ring
     n = m.n
-    one = NormValue.one(ring.prime)
-    t_pows, d_norm, fact = ring_norm_data(ring, n)
-    h0_inv = min(fact[i] / t_pows[i] for i in range(n))  # |H0(t)|^(-1)
-    bound = h0_inv ** 2 * min(one, d_norm ** -(2 * n - 3))
+    base = _base_norms(m)
+    h0_inv = min(
+        NormValue.of_int(math.factorial(i), ring.prime) / base["t"] ** i for i in range(n)
+    )
+    bound = h0_inv ** 2 * min(NormValue.one(ring.prime), base["d"] ** -(2 * n - 3))
     g1_norm = matrix_norm(ring, m.g1)
-    return _smallness_certificate(m, "prop2.3", g1_norm, bound)
+    return _smallness_certificate(m, "prop2.3", base, g1_norm, bound)
 
 
 def _rho_certificate(m: DifferentialModule, criterion: str, kind_of) -> CyclicityCertificate:
     """The one body of both rho criteria: |G1|^(rho) in the norm
     kind_of(ring) against |(n-1)!|^2 |d| / (|d||t|)^(2n-2)."""
     _require_banach(m)
-    ring = m.ring
-    n = m.n
-    d_norm = ring.derivation_norm()
-    fact = NormValue.of_int(math.factorial(n - 1), ring.prime)
-    bound = fact ** 2 * d_norm / (d_norm * ring.norm(ring.t)) ** (2 * n - 2)
-    g1_norm = matrix_norm(ring, m.g1, kind_of(ring))
-    return _smallness_certificate(m, criterion, g1_norm, bound)
+    base = _base_norms(m)
+    d_norm = base["d"]
+    bound = base["factorial"] ** 2 * d_norm / (d_norm * base["t"]) ** (2 * m.n - 2)
+    g1_norm = matrix_norm(m.ring, m.g1, kind_of(m.ring))
+    return _smallness_certificate(m, criterion, base, g1_norm, bound)
 
 
 def check_prop_2_5(m: DifferentialModule) -> CyclicityCertificate:

@@ -7,8 +7,13 @@ import pathlib
 import random
 from fractions import Fraction
 
+from dataclasses import dataclass
+from typing import Tuple
+
 from katzcyclic import (
     DifferentialModule,
+    NormValue,
+    PreconditionError,
     iterated_matrices,
     linalg,
     module_from_json,
@@ -193,6 +198,80 @@ def witness_delta_from_h_of_x(m):
             row.append(acc)
         delta.append(tuple(row))
     return tuple(delta)
+
+
+# -- the paper's norm bounds, which no certificate reads ------------------
+
+def lemma_2_2_bound(g1_norm, d_norm, s):
+    """Upper bound |G_1| * max(|G_1|, |d|)^(s-1) for |G_s|."""
+    if s < 1:
+        raise PreconditionError("s must be >= 1")
+    return g1_norm * max(g1_norm, d_norm) ** (s - 1)
+
+
+@dataclass(frozen=True)
+class HNormBounds:
+    """Closed-form upper bounds for the norms of H_0(+-t) and H_s(t)."""
+
+    sup_h0: NormValue
+    rho_t_h0: NormValue
+    rho_t_hs: Tuple[NormValue, ...]  # index s = 0 .. 2n-2
+    rho_d_h0: NormValue
+    rho_d_hs: Tuple[NormValue, ...]
+
+
+def h_norm_bounds(n, t_pow_norms, d_norm, factorial_norms):
+    """Bounds from |alpha| <= 1 plus monotonicity of i -> rho^i/|(s+i)!|.
+
+    ``t_pow_norms[i]`` must be |t^i| for i = 0..2n-2 and
+    ``factorial_norms[i]`` must be |i!| for i = 0..n-1.
+    """
+    t_norm = t_pow_norms[1] if n > 1 else t_pow_norms[0]
+    fact_last = factorial_norms[n - 1]
+    sup_h0 = max(t_pow_norms[i] / factorial_norms[i] for i in range(n))
+    rho_t_h0 = fact_last.inverse()
+    rho_t_hs = tuple(
+        (t_pow_norms[s] / fact_last) if s >= 1 else rho_t_h0
+        for s in range(2 * n - 1)
+    )
+    dt = d_norm * t_norm
+    rho_d_h0 = dt ** (n - 1) / fact_last
+    rho_d_hs = tuple(
+        (t_pow_norms[s] * dt ** (n - 1 - s) / fact_last) if s >= 1 else rho_d_h0
+        for s in range(2 * n - 1)
+    )
+    return HNormBounds(
+        sup_h0=sup_h0,
+        rho_t_h0=rho_t_h0,
+        rho_t_hs=rho_t_hs,
+        rho_d_h0=rho_d_h0,
+        rho_d_hs=rho_d_hs,
+    )
+
+
+def ring_norm_data(ring, n):
+    """(|t^i| for i=0..2n-2, |d|, |i!| for i=0..n-1), all exact; the powers
+    of t are built by ``ring.mul``, so no multiplicativity is assumed."""
+    t_pows = []
+    acc = ring.one
+    for _ in range(2 * n - 1):
+        t_pows.append(ring.norm(acc))
+        acc = ring.mul(acc, ring.t)
+    d_norm = ring.derivation_norm()
+    fact = tuple(
+        NormValue.of_int(math.factorial(i), ring.prime) for i in range(n)
+    )
+    return tuple(t_pows), d_norm, fact
+
+
+def recheck(cert):
+    """Re-derive a certificate's verdict from its stored exact values."""
+    if cert.criterion in ("prop2.3", "prop2.5", "prop2.8"):
+        return cert.norms["G1"] < cert.norms["bound"]
+    if cert.criterion == "lemma2.1":
+        one = NormValue.one(cert.norms["d"].p)
+        return all(v < one for v in cert.per_s)
+    return cert.certified
 
 
 # -- free-module oracle for the universal coefficients ------------------

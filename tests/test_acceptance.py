@@ -30,7 +30,6 @@ from katzcyclic import (
     invertibility_witness_norm,
     is_basis,
     iterated_matrices,
-    lemma_2_2_bound,
     linalg,
     matrix_norm,
     polys,
@@ -42,7 +41,14 @@ from katzcyclic.katz import alpha, assemble_h, h_matrix, qx_to_str
 from katzcyclic.xpoly import XPolyRing
 
 from _genericring import GenericConnectionRing
-from _helpers import decomposition_h, expanded_h_rows, load_corpus, random_module, seeded
+from _helpers import (
+    decomposition_h,
+    expanded_h_rows,
+    lemma_2_2_bound,
+    load_corpus,
+    random_module,
+    seeded,
+)
 
 
 def report(number, text):

@@ -22,16 +22,24 @@ from katzcyclic import (
     is_basis,
     iterated_matrices,
     katz_vector,
-    lemma_2_2_bound,
     linalg,
     matrix_norm,
     rescale_derivation,
     specialize_vector,
 )
 from katzcyclic.katz import h_matrix, h_matrix_at
-from katzcyclic.ultranorm import h_norm_bounds, ring_norm_data
+from katzcyclic.ultranorm import norm_kind
 
-from _helpers import load_corpus, mat_add, seeded, witness_delta_from_h_of_x
+from _helpers import (
+    h_norm_bounds,
+    lemma_2_2_bound,
+    load_corpus,
+    mat_add,
+    recheck,
+    ring_norm_data,
+    seeded,
+    witness_delta_from_h_of_x,
+)
 
 
 def mk(ring, rows):
@@ -51,6 +59,14 @@ def random_gauss_matrix(ring, rng, n, max_scale=3):
         return ring.mul(scale, acc)
 
     return linalg.freeze([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def prop_2_3_bound_by_powers(ring, n):
+    """prop2.3's bound |H0(t)|^(-2) min(1, |d|^(-(2n-3))), with |H0(t)|^(-1)
+    = min_i |i!|/|t^i| read off powers of t built by ``ring.mul``."""
+    t_pows, d_norm, fact = ring_norm_data(ring, n)
+    h0_inv = min(fact[i] / t_pows[i] for i in range(n))
+    return h0_inv ** 2 * min(NormValue.one(ring.prime), d_norm ** -(2 * n - 3))
 
 
 class TestMatrixNorm:
@@ -183,6 +199,26 @@ class TestMatrixNormDefinition:
             matrix_norm(ring, a, MatrixNormKind("rho", NormValue(3, 1)))
 
 
+class TestNormKind:
+    def test_known_names(self):
+        ring = GaussPolynomialRing(3, radius_exp=1)
+        m = mk(ring, [["0", "3"], ["3*t", "0"]])
+        assert norm_kind(m, None) is None and norm_kind(m, "sup") is None
+        assert norm_kind(m, "rho-t") == MatrixNormKind.rho_t_inverse(ring)
+        assert norm_kind(m, "rho-d") == MatrixNormKind.rho_d(ring)
+        # the rho-d norm weighs G1 = [[0, 3], [3t, 0]] differently from sup
+        assert certify_lemma_2_1(m, norm_kind(m, "rho-d")).norms["G1"] == NormValue(3, 0)
+        assert certify_lemma_2_1(m, norm_kind(m, "sup")).norms["G1"] == NormValue(3, -1)
+
+    @pytest.mark.parametrize("name", ["rho_d", "rho", "", "SUP", "rho-t "])
+    def test_unknown_name_refused(self, name):
+        # an unknown name once meant the sup-norm without a word
+        ring = GaussPolynomialRing(3, radius_exp=1)
+        m = mk(ring, [["0", "3"], ["3*t", "0"]])
+        with pytest.raises(PreconditionError, match="unknown matrix norm"):
+            norm_kind(m, name)
+
+
 class TestLemma22Bound:
     def test_s1_is_g1_norm(self):
         g1 = NormValue(3, -2)
@@ -264,7 +300,7 @@ class TestProp23:
         assert cert.norms["G1"] == NormValue(3, -1)
         assert cert.norms["bound"] == NormValue(3, 0)
         assert cert.witness is not None
-        assert cert.recheck()
+        assert recheck(cert)
 
     def test_boundary_reported(self):
         ring = GaussPolynomialRing(3)
@@ -292,13 +328,31 @@ class TestProp23:
         with pytest.raises(UnsupportedOperationError):
             check_prop_2_3(m)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_bound_matches_powers_of_t_on_corpus(self, p):
+        for m in load_corpus(f"gauss_corpus_p{p}.json"):
+            assert check_prop_2_3(m).norms["bound"] == prop_2_3_bound_by_powers(m.ring, m.n)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_bound_matches_powers_of_t_by_rank(self, p, r):
+        # rescaling by p moves t to t/p, so the shortcut |t^i| = |t|^i is
+        # checked on the scaled ring's own t as well
+        ring = GaussPolynomialRing(p, radius_exp=r)
+        rng = seeded(100 * p + r)
+        for n in range(1, 5):
+            m = DifferentialModule(ring=ring, n=n, g1=random_gauss_matrix(ring, rng, n))
+            for mod in (m, rescale_derivation(m, ring.from_int(p))):
+                bound = check_prop_2_3(mod).norms["bound"]
+                assert bound == prop_2_3_bound_by_powers(mod.ring, n)
+
 
 class TestRhoCriteria:
     def test_certified_example_p5_r1(self):
         ring = GaussPolynomialRing(5, radius_exp=1)
         m = mk(ring, [["0", "25"], ["25*t", "0"]])
         cert = check_prop_2_5(m)
-        assert cert.certified and cert.recheck()
+        assert cert.certified and recheck(cert)
 
     def test_rho_criteria_agree_on_gauss_rings(self):
         # |d| = |t|^(-1) on these rings, so the two rho-sup-norms and the
@@ -486,7 +540,7 @@ class TestCertificateRecord:
             m = mk(ring, rows)
             for check in (check_prop_2_3, check_prop_2_5, check_prop_2_8, certify_lemma_2_1):
                 cert = check(m)
-                assert cert.recheck() == cert.certified
+                assert recheck(cert) == cert.certified
 
     def test_json_serialization(self):
         ring = GaussPolynomialRing(3)

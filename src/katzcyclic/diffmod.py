@@ -144,8 +144,8 @@ def rescale_derivation(m: DifferentialModule, f) -> DifferentialModule:
 def is_basis(m: DifferentialModule, vectors: Sequence[Row]):
     """Determinant of the coordinate matrix and whether it certifies a basis.
 
-    Over a field the answer is exact (det != 0).  Over a non-field ring
-    this only reports unit determinants; invertibility of a
+    It is whether det is a unit, which over a field is exactly det != 0.
+    Over a non-field ring this only reports unit determinants; invertibility of a
     non-unit-but-Neumann-invertible determinant is the business of the
     norm certificates in :mod:`katzcyclic.ultranorm`.
     """
@@ -153,8 +153,6 @@ def is_basis(m: DifferentialModule, vectors: Sequence[Row]):
         raise PreconditionError(f"expected exactly {m.n} vectors, got {len(vectors)}")
     mat = linalg.freeze(vectors)
     d = linalg.det(m.ring, mat)
-    if m.ring.is_field:
-        return d, not m.ring.is_zero(d)
     return d, m.ring.is_invertible(d)
 
 

@@ -2,11 +2,10 @@
 fields F_p and F_{p^e}.
 
 QQ and FiniteField expose the same small protocol (zero, one, add, sub,
-mul, neg, div, inv, is_zero, eq, from_int, characteristic, to_str) so
-that the dense polynomial helpers in :mod:`katzcyclic.polys` stay
-generic.  ZZ holds only the ring part that :mod:`katzcyclic.linalg`
-reads: ``polys`` runs Z[x] on plain ints, with ZZ as the tag of that
-branch.
+mul, neg, div, inv, is_zero, from_int, characteristic, to_str) so that
+the dense polynomial helpers in :mod:`katzcyclic.polys` stay generic.
+ZZ holds only the ring part that :mod:`katzcyclic.linalg` reads:
+``polys`` runs Z[x] on plain ints, with ZZ as the tag of that branch.
 
 The layers run ZZ, QQ, F_p -> :mod:`katzcyclic.polys` -> F_{p^e}, F_q[x],
 Q(x), Q[t].  F_p is the private ``_IntegersModP``; :class:`FiniteField`
@@ -52,7 +51,6 @@ class RationalField:
     mul = operator.mul
     neg = operator.neg
     is_zero = operator.not_
-    eq = operator.eq
     from_int = Fraction
     from_fraction = Fraction
     to_str = str
@@ -101,7 +99,7 @@ from . import polys  # noqa: E402
 class _IntegersModP:
     """The ring F_p on Python ints, in the style of ZZ: an int stands for
     its residue mod p, so add, sub, mul and neg are the builtin
-    operators, and is_zero and eq compare mod p.  It is the coefficient
+    operators, and is_zero compares mod p.  It is the coefficient
     ring of the :mod:`katzcyclic.polys` helpers behind F_{p^e}.
     """
 
@@ -121,9 +119,6 @@ class _IntegersModP:
 
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0
-
-    def eq(self, a: int, b: int) -> bool:
-        return (a - b) % self.p == 0
 
 
 def _mulmod(Fp: _IntegersModP, a, b, m) -> Tuple[int, ...]:
@@ -257,9 +252,6 @@ class FiniteField:
 
     def is_zero(self, a: GFElem) -> bool:
         return all(x == 0 for x in a)
-
-    def eq(self, a: GFElem, b: GFElem) -> bool:
-        return a == b
 
     def from_int(self, n: int) -> GFElem:
         return (n % self.p,) + (0,) * (self.e - 1)

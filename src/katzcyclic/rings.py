@@ -44,7 +44,8 @@ F_q[x] stores dense coefficient tuples over
 
 Every ring carries a distinguished element ``t`` with d(t) = 1 and exposes
 arithmetic through methods; elements themselves are plain data that no
-operation mutates (coefficient tuples, or :class:`RatFunc`).
+operation mutates (coefficient tuples, or :class:`RatFunc`), each in
+its ring's unique canonical form, so that equality in every ring is ``==``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ from .normvalue import NormValue, padic_valuation
 
 class Ring:
     """Common interface; see concrete subclasses.  Elements are canonical
-    and hashable: equal in the ring exactly when equal as Python values."""
+    and hashable: equal in the ring exactly when equal as Python values,
+    so ``eq`` and ``is_zero`` below serve every subclass."""
 
     kind: str
     variable: str
@@ -91,10 +93,10 @@ class Ring:
         return power(self.mul, self.one, a, k)
 
     def is_zero(self, a) -> bool:
-        raise NotImplementedError
+        return a == self.zero
 
     def eq(self, a, b) -> bool:
-        raise NotImplementedError
+        return a == b
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -324,9 +326,6 @@ class _IntegerCoreRing(Ring):
 
     def is_zero(self, a: RatFunc) -> bool:
         return not a.p
-
-    def eq(self, a: RatFunc, b: RatFunc) -> bool:
-        return a == b
 
     def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
         if not a.p:
@@ -664,12 +663,6 @@ class FiniteFieldPolyRing(Ring):
     def mul(self, a, b):
         return polys.mul(self.field, a, b)
 
-    def is_zero(self, a) -> bool:
-        return polys.is_zero(a)
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def from_int(self, n: int):
         return polys.const(self.field, self.field.from_int(n))
 
@@ -760,12 +753,6 @@ class ScaledDerivationRing(Ring):
     def pow(self, a, k: int):
         return self.base.pow(a, k)
 
-    def is_zero(self, a):
-        return self.base.is_zero(a)
-
-    def eq(self, a, b):
-        return self.base.eq(a, b)
-
     def from_int(self, n):
         return self.base.from_int(n)
 
@@ -800,35 +787,38 @@ class ScaledDerivationRing(Ring):
         return d
 
 
-# Types of the optional descriptor fields; bool is rejected where int is due.
-_DESCRIPTOR_TYPES = {"p": int, "radius_exp": int, "q_exp": int, "variable": str}
+# The keys each kind reads, with their types; bool is rejected where int is due.
+_DESCRIPTOR_KEYS = {
+    "rational_function": {"kind": str, "variable": str},
+    "gauss_padic": {"kind": str, "variable": str, "p": int, "radius_exp": int},
+    "finite_field_poly": {"kind": str, "variable": str, "p": int, "q_exp": int},
+}
 
 
 def ring_from_json(desc: dict) -> Ring:
-    """Build a ring from its JSON descriptor fragment."""
+    """Build a ring from its JSON descriptor fragment.  A key that its
+    kind does not read is refused, so no descriptor reads back as another
+    ring (a rescaled ring's ``scaled_by``, say, as its base)."""
     if not isinstance(desc, dict):
         raise PreconditionError(f"ring descriptor must be an object, got {desc!r}")
-    for key, typ in _DESCRIPTOR_TYPES.items():
-        if key in desc and type(desc[key]) is not typ:
+    kind = desc.get("kind")
+    keys = _DESCRIPTOR_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise PreconditionError(f"unknown ring kind: {kind!r}")
+    for key, value in desc.items():
+        if key not in keys:
+            raise PreconditionError(f"ring descriptor of kind '{kind}' has unknown key '{key}'")
+        if type(value) is not keys[key]:
             raise PreconditionError(
-                f"ring field '{key}' must be of type {typ.__name__}, got {desc[key]!r}"
+                f"ring field '{key}' must be of type {keys[key].__name__}, got {value!r}"
             )
     variable = desc.get("variable", "x")
     if not (variable.isidentifier() and variable.isascii()):
         raise PreconditionError(f"ring variable {variable!r} must match [A-Za-z_][A-Za-z_0-9]*")
-    kind = desc.get("kind")
-    if kind in ("gauss_padic", "finite_field_poly") and "p" not in desc:
+    if "p" in keys and "p" not in desc:
         raise PreconditionError(f"ring descriptor of kind '{kind}' lacks key 'p'")
     if kind == "rational_function":
-        return RationalFunctionField(desc.get("variable", "x"))
+        return RationalFunctionField(variable)
     if kind == "gauss_padic":
-        return GaussPolynomialRing(
-            p=desc["p"],
-            radius_exp=desc.get("radius_exp", 0),
-            variable=desc.get("variable", "t"),
-        )
-    if kind == "finite_field_poly":
-        return FiniteFieldPolyRing(
-            p=desc["p"], e=desc.get("q_exp", 1), variable=desc.get("variable", "x")
-        )
-    raise PreconditionError(f"unknown ring kind: {kind!r}")
+        return GaussPolynomialRing(desc["p"], desc.get("radius_exp", 0), desc.get("variable", "t"))
+    return FiniteFieldPolyRing(desc["p"], desc.get("q_exp", 1), variable)

@@ -10,7 +10,7 @@ An XPoly is a tuple of ring elements, lowest X-degree first, no
 trailing zeros: the dense representation of :mod:`katzcyclic.polys`,
 whose helpers take any ring protocol as coefficient domain.  The
 arithmetic (``normalize``, ``const``, ``degree``, ``is_zero``, ``add``,
-``neg``, ``sub``, ``scale``, ``eq``) is therefore re-exported from there;
+``sub``, ``scale``, ``eq``) is therefore re-exported from there;
 only the derivation, evaluation and substitution are specific to B[X].
 ``mul`` stays a function defined here, delegating to ``polys.mul``, so
 that products in B[X] remain countable apart from products in K[x].
@@ -22,7 +22,7 @@ from typing import Tuple
 
 from . import polys
 from .errors import PreconditionError
-from .polys import add, const, degree, eq, is_zero, neg, normalize, scale, sub
+from .polys import add, const, degree, eq, is_zero, normalize, scale, sub
 
 XPoly = Tuple
 
@@ -60,16 +60,16 @@ def specialize(ring, f: XPoly, a):
 
 class XPolyRing:
     """Ring-protocol adapter for ring[X], so matrices of X-polynomials can
-    reuse the generic linear algebra helpers."""
+    reuse the generic linear algebra helpers.
 
-    is_field = False
-    is_banach = False
+    It supplies what its callers read: ``zero``, ``add``, ``sub``,
+    ``mul`` and ``is_zero`` for ``linalg.det`` (:meth:`Ring.xdet
+    <katzcyclic.rings.Ring.xdet>`), ``derive`` with d(X) = 1 for the
+    nabla-family of :func:`katzcyclic.katz.assemble_h`, and ``one``,
+    ``from_int`` and ``eq`` for the tests."""
 
     def __init__(self, base):
         self.base = base
-        self.kind = f"xpoly:{base.kind}"
-        self.variable = "X"
-        self.characteristic = base.characteristic
         self.zero: XPoly = ()
         self.one: XPoly = (base.one,)
 
@@ -78,9 +78,6 @@ class XPolyRing:
 
     def sub(self, f, g):
         return sub(self.base, f, g)
-
-    def neg(self, f):
-        return neg(self.base, f)
 
     def mul(self, f, g):
         return mul(self.base, f, g)
@@ -93,9 +90,6 @@ class XPolyRing:
 
     def from_int(self, n: int):
         return const(self.base, self.base.from_int(n))
-
-    def from_fraction(self, q):
-        return const(self.base, self.base.from_fraction(q))
 
     def derive(self, f):
         return derive(self.base, f)

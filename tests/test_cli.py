@@ -184,7 +184,9 @@ CERTIFY = ["certify", "--criterion", "prop2.3"]
 
 
 # Each document would otherwise crash with a traceback or run on a
-# misread value ("01" as two entries, 2.0 as a prime, true as rank 1).
+# misread value ("01" as two entries, 2.0 as a prime, true as rank 1),
+# or on a ring key its kind does not read (a rescaled module's
+# "scaled_by" was dropped, and the unscaled module answered).
 @pytest.mark.parametrize(
     "command, doc",
     [
@@ -196,9 +198,12 @@ CERTIFY = ["certify", "--criterion", "prop2.3"]
         (CYCLIC, {**QX_DOC, "G1": ["01", "x0"]}),
         (CERTIFY, {**GAUSS_DOC, "ring": {**GAUSS_DOC["ring"], "p": 2.0}}),
         (CYCLIC, {**QX_DOC, "n": True, "G1": [["x"]]}),
+        (CYCLIC, {**QX_DOC, "ring": {**QX_DOC["ring"], "scaled_by": "x^2 + 1"}}),
+        (CYCLIC, {**QX_DOC, "ring": {"kind": "rational_function", "p": 5}}),
+        (CERTIFY, {**GAUSS_DOC, "ring": {**GAUSS_DOC["ring"], "q_exp": 1}}),
     ],
     ids=["n-str", "G1-ints", "top-level-list", "ring-str", "p-str", "G1-strings",
-         "p-float", "n-bool"],
+         "p-float", "n-bool", "scaled_by", "qx-p", "gauss-q_exp"],
 )
 def test_malformed_module_json_is_an_error(capsys, tmp_path, command, doc):
     path = tmp_path / "malformed.json"

@@ -7,6 +7,8 @@ no float literal and no call to the builtin ``float`` appears, and of
 of Q(x) and Q[t] in ``rings`` stays on plain ints: Fraction is named
 there only where a value enters or leaves the ring.  ``linalg`` takes
 one path for every ring: it never probes a ring with ``getattr``.
+Equality is the canonical form: the ring classes leave ``eq`` and
+``is_zero`` to ``Ring``'s defaults.
 """
 
 import ast
@@ -99,3 +101,17 @@ def test_linalg_never_probes_the_ring():
     """A ``getattr`` probe in ``linalg`` would let a ring swap in its own
     routine, as a packed ``mat_mul`` once did, unseen by its callers."""
     assert "getattr(" not in (SRC / "linalg.py").read_text(encoding="utf-8")
+
+
+def test_equality_is_left_to_the_ring_protocol():
+    """Elements are canonical, so ``Ring.eq`` (``==``) and ``Ring.is_zero``
+    (``== zero``) serve every ring.  ``XPolyRing`` is no ``Ring``, and the
+    integer core keeps ``is_zero`` as ``not a.p`` for ``linalg``'s minors."""
+    from katzcyclic import fields, rings, xpoly
+
+    classes = [c for module in (fields, rings, xpoly) for c in vars(module).values()
+               if isinstance(c, type) and c.__module__ == module.__name__]
+    assert rings.ScaledDerivationRing in classes and fields.FiniteField in classes
+    assert sorted(c.__name__ for c in classes if "eq" in vars(c)) == ["Ring", "XPolyRing"]
+    assert [c.__name__ for c in classes if issubclass(c, rings.Ring) and c is not rings.Ring
+            and "is_zero" in vars(c)] == ["_IntegerCoreRing"]

@@ -17,6 +17,8 @@ from katzcyclic import (
     is_basis,
     iterated_matrices,
     linalg,
+    module_from_json,
+    module_to_json,
     polys,
     rescale_derivation,
 )
@@ -288,6 +290,15 @@ class TestRescaleDerivation:
         m2 = rescale_derivation(m, f)
         a = qx.parse("x^2")
         assert m2.ring.eq(m2.ring.derive(a), qx.parse("2*x^2"))
+
+    def test_json_round_trip_refuses_the_scale(self, qx):
+        # reading used to drop "scaled_by" and return the unscaled module
+        m = rescale_derivation(mk(qx, [["0", "1"], ["x", "0"]]), qx.parse("x^2 + 1"))
+        doc = module_to_json(m)
+        assert doc["ring"] == {"kind": "rational_function", "variable": "x",
+                               "scaled_by": "x^2 + 1"}
+        with pytest.raises(PreconditionError, match="unknown key 'scaled_by'"):
+            module_from_json(doc)
 
     def test_non_invertible_rejected(self, qx):
         m = mk(qx, [["0", "1"], ["x", "0"]])

@@ -1,6 +1,8 @@
-"""Smoke test of tools/time_cli.py: one round of a small command against
-this checkout itself."""
+"""Tests of tools/time_cli.py: one round of a small command against this
+checkout itself, and the processes that a round starts."""
 
+import compileall
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -31,3 +33,20 @@ def test_empty_command_is_a_usage_error():
     proc = run_tool("--")
     assert proc.returncode == 2
     assert "usage:" in proc.stderr and "no katzcyclic command given" in proc.stderr
+
+
+def test_rounds_k_starts_2k_processes(monkeypatch):
+    """Each side's sources are byte-compiled in this process, not by an
+    untimed warm-up run, so one round starts exactly two processes."""
+    if not TOOL.is_file():
+        pytest.skip("needs the project checkout with tools/time_cli.py")
+    spec = importlib.util.spec_from_file_location("time_cli", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs, compiled = [], []
+    monkeypatch.setattr(tool, "run_once",
+                        lambda checkout, argv: runs.append(argv) or (0.0, 0, "0"))
+    monkeypatch.setattr(compileall, "compile_dir", lambda path, **kw: compiled.append(path))
+    assert tool.main(["--base", str(ROOT), "--rounds", "1", "--", "tables", "-n", "2"]) == 0
+    assert runs == [["tables", "-n", "2"]] * 2
+    assert compiled == [ROOT / "src"] * 2

@@ -7,11 +7,12 @@
 Every run is a new ``python3`` process that imports katzcyclic from the
 ``src/`` of its checkout and calls the CLI with the arguments after
 ``--``; relative paths in them are read from the current directory.
-Each side first runs once untimed, which also writes its bytecode
-unless PYTHONDONTWRITEBYTECODE is set (then every run compiles the
-sources, and the times include that).  Then, for each of ``--rounds``
-rounds, both sides run once, and the side that goes first alternates
-from round to round.  The wall time covers the whole process,
+Each side's ``src`` is first byte-compiled by :mod:`compileall`, so no
+timed run compiles the sources (unless the checkout cannot be written
+to; then every run compiles them, and the times include that).  Then,
+for each of ``--rounds`` rounds, both sides run once, and the side that
+goes first alternates from round to round: ``--rounds k`` starts 2k
+processes.  The wall time covers the whole process,
 interpreter start included.
 
 Prints each side's best and median wall time, its exit status and the
@@ -21,6 +22,7 @@ Standard library only.
 """
 
 import argparse
+import compileall
 import hashlib
 import os
 import statistics
@@ -63,7 +65,7 @@ def main(argv=None) -> int:
 
     runs = {name: [] for name in sides}
     for checkout in sides.values():
-        run_once(checkout, command)
+        compileall.compile_dir(checkout / "src", quiet=1)
     order = list(sides)
     for k in range(args.rounds):
         for name in order[::-1] if k % 2 else order:

@@ -29,13 +29,27 @@ the base and the exponent, before any multiplication:
 '/' is accepted only where the ring can actually divide (fields, or
 division by a unit); in characteristic p, integer literals reduce
 silently.
+
+The text is split into tokens by one regular-expression pass, and a
+token's position in the text is worked out only when an error reports
+it.  One grammar serves every ring; only the arithmetic under it
+differs.  In characteristic 0 (Q(x), Q[t] and the rings rescaled from
+them) a value is a Z[x] coefficient tuple, taken through ``+``, ``-``,
+``*``, unary ``-`` and ``^`` on plain ints, and it becomes a ring
+element by the ring's ``from_integer_poly`` in three places only: at
+``/``, at a power whose caps need the ring's degree or canonical string
+(any base but the bare variable), and once at the end.  F_q[x] runs on
+the ring's operations throughout, because its caps read the reduced
+element: over F_5, ``(5*x^2+1)^200`` has a base of degree 0.
 """
 
 from __future__ import annotations
 
 import re
 
+from . import polys
 from .errors import NotInvertibleError, ParseError, UnsupportedOperationError
+from .fields import ZZ
 
 MAX_EXPONENT = 256
 MAX_DEGREE = 256
@@ -43,153 +57,243 @@ MAX_POWER_SIZE = 4300
 MAX_LITERAL_DIGITS = 4300
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+# An integer, a name, an operator, or any other visible character (an error).
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S))")
+_OPERATORS = frozenset("+-*/^()")
+_X = (0, 1)  # the variable, in Z[x]
+
+
+def _tokenize(text: str) -> list:
+    """The tokens of ``text``, ints for literals and strings for names and
+    operators, then None for the end."""
+    tokens = []
+    for index, (digits, name, op, bad) in enumerate(_TOKEN.findall(text)):
+        if digits:
+            if len(digits) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal exceeds the maximum {MAX_LITERAL_DIGITS} digits",
+                    _position(text, index),
+                )
+            tokens.append(int(digits))
+        elif bad:
+            raise ParseError(f"unexpected character {bad!r}", _position(text, index))
+        else:
+            tokens.append(name or op)
+    tokens.append(None)
+    return tokens
+
+
+def _position(text: str, index: int) -> int:
+    """Where token ``index`` of ``text`` starts; the end of the text for
+    the end token."""
+    for i, m in enumerate(_TOKEN.finditer(text)):
+        if i == index:
+            return m.start(m.lastindex)
+    return len(text)
 
 
 class _Parser:
+    """The grammar, with values taken through the ring's own operations."""
+
     def __init__(self, text: str, ring):
         self.text = text
         self.ring = ring
-        self.depth = 0
-        self.tokens = []
-        self._tokenize()
+        self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
 
-    def _tokenize(self):
-        pos = 0
-        while pos < len(self.text):
-            m = _TOKEN.match(self.text, pos)
-            if not m:
-                stripped = self.text[pos:].lstrip()
-                if stripped == "":
-                    break
-                bad = pos + (len(self.text) - pos - len(stripped))
-                raise ParseError(f"unexpected character {self.text[bad]!r}", bad)
-            group = m.lastindex
-            text, start = m.group(group), m.start(group)
-            if group == 1:
-                if len(text) > MAX_LITERAL_DIGITS:
-                    raise ParseError(
-                        f"integer literal exceeds the maximum {MAX_LITERAL_DIGITS} digits",
-                        start,
-                    )
-                self.tokens.append(("int", int(text), start))
-            elif group == 2:
-                self.tokens.append(("name", text, start))
-            else:
-                self.tokens.append(("op", text, start))
-            pos = m.end()
-
-    def _peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else (None, None, len(self.text))
-
-    def _next(self):
-        tok = self._peek()
-        self.idx += 1
-        return tok
+    def _error(self, message: str, index: int) -> ParseError:
+        return ParseError(message, _position(self.text, index))
 
     def parse(self):
         value = self.expr()
-        kind, val, pos = self._peek()
-        if kind is not None:
-            raise ParseError(f"unexpected token {val!r}", pos)
-        return value
+        tok = self.tokens[self.idx]
+        if tok is not None:
+            raise self._error(f"unexpected token {tok!r}", self.idx)
+        return self.lift(value)
 
     def expr(self):
         value = self.term()
+        tokens = self.tokens
         while True:
-            kind, val, _ = self._peek()
-            if kind == "op" and val in "+-":
-                self._next()
-                rhs = self.term()
-                value = self.ring.add(value, rhs) if val == "+" else self.ring.sub(value, rhs)
+            tok = tokens[self.idx]
+            if tok == "+":
+                self.idx += 1
+                value = self.add(value, self.term())
+            elif tok == "-":
+                self.idx += 1
+                value = self.sub(value, self.term())
             else:
                 return value
 
     def term(self):
         value = self.factor()
+        tokens = self.tokens
         while True:
-            kind, val, pos = self._peek()
-            if kind == "op" and val in "*/":
-                self._next()
+            tok = tokens[self.idx]
+            if tok == "*":
+                self.idx += 1
+                value = self.mul(value, self.factor())
+            elif tok == "/":
+                at = self.idx
+                self.idx += 1
                 rhs = self.factor()
-                if val == "*":
-                    value = self.ring.mul(value, rhs)
-                else:
-                    try:
-                        value = self.ring.div(value, rhs)
-                    except NotInvertibleError:
-                        raise ParseError("division by a non-invertible element", pos) from None
+                try:
+                    value = self.div(value, rhs)
+                except NotInvertibleError:
+                    raise self._error("division by a non-invertible element", at) from None
             else:
                 return value
 
     def factor(self):
-        kind, val, pos = self._peek()
-        if kind == "op" and val in "+-":
-            self._next()
-            self._enter(pos)
+        tok = self.tokens[self.idx]
+        if tok == "+" or tok == "-":
+            self._enter()
             value = self.factor()
             self.depth -= 1
-            return self.ring.neg(value) if val == "-" else value
+            return self.neg(value) if tok == "-" else value
         return self.power()
 
-    def _enter(self, pos):
+    def _enter(self):
+        """Step over a sign or '(' one level deeper."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting exceeds the maximum depth {MAX_NESTING}", pos)
+            raise self._error(f"nesting exceeds the maximum depth {MAX_NESTING}", self.idx)
+        self.idx += 1
 
     def power(self):
         base = self.atom()
-        kind, val, pos = self._peek()
-        if kind == "op" and val == "^":
-            self._next()
-            ekind, exp, epos = self._next()
-            if ekind != "int":
-                raise ParseError("exponent must be a nonnegative integer", epos)
-            if exp > MAX_EXPONENT:
-                raise ParseError(f"exponent {exp} exceeds the maximum {MAX_EXPONENT}", epos)
-            degree = exp * self.ring.degree(base)
-            if degree > MAX_DEGREE:
-                raise ParseError(f"power of degree {degree} exceeds the maximum {MAX_DEGREE}", epos)
-            if exp > 1:
-                self._check_size(base, exp, epos)
-            return self.ring.pow(base, exp)
-        return base
+        if self.tokens[self.idx] != "^":
+            return base
+        at = self.idx + 1
+        self.idx += 2
+        exp = self.tokens[at]
+        if type(exp) is not int:
+            raise self._error("exponent must be a nonnegative integer", at)
+        if exp > MAX_EXPONENT:
+            raise self._error(f"exponent {exp} exceeds the maximum {MAX_EXPONENT}", at)
+        return self.pow(base, exp, at)
 
-    def _check_size(self, base, exp, pos):
-        if base is self.ring.var_element:  # it prints as the variable's name
+    def _check_caps(self, base, exp: int, at: int, degree: int, name_size: bool):
+        """The degree and size caps on base^exp, base of ``degree``; its
+        printed length is the variable's when ``name_size``."""
+        degree *= exp
+        if degree > MAX_DEGREE:
+            raise self._error(f"power of degree {degree} exceeds the maximum {MAX_DEGREE}", at)
+        if exp < 2:
+            return
+        if name_size:  # it prints as the variable's name
             size = exp * len(self.ring.variable)
         else:
             try:
                 size = exp * len(self.ring.to_str(base))
             except UnsupportedOperationError:  # the base alone is too long to print
-                raise ParseError(
-                    f"power base exceeds the maximum size {MAX_POWER_SIZE}", pos
+                raise self._error(
+                    f"power base exceeds the maximum size {MAX_POWER_SIZE}", at
                 ) from None
         if size > MAX_POWER_SIZE:
-            raise ParseError(f"power of size {size} exceeds the maximum {MAX_POWER_SIZE}", pos)
+            raise self._error(f"power of size {size} exceeds the maximum {MAX_POWER_SIZE}", at)
 
     def atom(self):
-        kind, val, pos = self._next()
-        if kind == "int":
-            return self.ring.from_int(val)
-        if kind == "name":
-            if val == self.ring.variable:
-                return self.ring.var_element
-            if val == "g" and self.ring.generator is not None:
-                return self.ring.generator
-            raise ParseError(f"unknown symbol {val!r}", pos)
-        if kind == "op" and val == "(":
-            self._enter(pos)
+        at = self.idx
+        tok = self.tokens[at]
+        if type(tok) is int:
+            self.idx += 1
+            return self.from_int(tok)
+        if tok == "(":
+            self._enter()
             value = self.expr()
-            ckind, cval, cpos = self._next()
-            if not (ckind == "op" and cval == ")"):
-                raise ParseError("expected ')'", cpos)
+            if self.tokens[self.idx] != ")":
+                raise self._error("expected ')'", self.idx)
+            self.idx += 1
             self.depth -= 1
             return value
-        raise ParseError("expected a number, variable, or '('", pos)
+        if tok is None or tok in _OPERATORS:
+            raise self._error("expected a number, variable, or '('", at)
+        self.idx += 1
+        if tok == self.ring.variable:
+            return self.variable()
+        if tok == "g" and self.ring.generator is not None:
+            return self.ring.generator
+        raise self._error(f"unknown symbol {tok!r}", at)
+
+    # -- arithmetic: the ring's own ------------------------------------
+    def add(self, a, b):
+        return self.ring.add(a, b)
+
+    def sub(self, a, b):
+        return self.ring.sub(a, b)
+
+    def mul(self, a, b):
+        return self.ring.mul(a, b)
+
+    def div(self, a, b):
+        return self.ring.div(a, b)
+
+    def neg(self, a):
+        return self.ring.neg(a)
+
+    def from_int(self, n: int):
+        return self.ring.from_int(n)
+
+    def variable(self):
+        return self.ring.var_element
+
+    def pow(self, base, exp: int, at: int):
+        ring = self.ring
+        self._check_caps(base, exp, at, ring.degree(base), base is ring.var_element)
+        return ring.pow(base, exp)
+
+    def lift(self, value):
+        return value
+
+
+class _IntegerPolyParser(_Parser):
+    """The grammar over a ring of characteristic 0: a value is a Z[x]
+    coefficient tuple (lowest degree first, no trailing zeros) until it
+    meets '/', a power of anything but the variable, or the end, where
+    the ring's ``from_integer_poly`` makes it a ring element.  Ring
+    elements are never tuples, so the two kinds of value stay apart."""
+
+    def lift(self, value):
+        return self.ring.from_integer_poly(value) if type(value) is tuple else value
+
+    def add(self, a, b):
+        if type(a) is tuple and type(b) is tuple:
+            return polys.add(ZZ, a, b)
+        return self.ring.add(self.lift(a), self.lift(b))
+
+    def sub(self, a, b):
+        if type(a) is tuple and type(b) is tuple:
+            return polys.sub(ZZ, a, b)
+        return self.ring.sub(self.lift(a), self.lift(b))
+
+    def mul(self, a, b):
+        if type(a) is tuple and type(b) is tuple:
+            return polys.mul(ZZ, a, b)
+        return self.ring.mul(self.lift(a), self.lift(b))
+
+    def div(self, a, b):
+        return self.ring.div(self.lift(a), self.lift(b))
+
+    def neg(self, a):
+        return polys.neg(ZZ, a) if type(a) is tuple else self.ring.neg(a)
+
+    def from_int(self, n: int):
+        return (n,) if n else ()
+
+    def variable(self):
+        return _X
+
+    def pow(self, base, exp: int, at: int):
+        if type(base) is tuple and base == _X:
+            # x^exp has degree exp and prints as the variable's name
+            self._check_caps(base, exp, at, 1, True)
+            return (0,) * exp + (1,)
+        return super().pow(self.lift(base), exp, at)
 
 
 def parse_element(text: str, ring):
     """Parse ``text`` into a canonical element of ``ring``."""
-    return _Parser(text, ring).parse()
+    parser = _IntegerPolyParser if ring.characteristic == 0 else _Parser
+    return parser(text, ring).parse()

@@ -16,14 +16,20 @@ coprime primitive integer polynomials N and D with positive leading
 coefficients, and an element of Q[t] is one with D = (1,).  The form is
 unique, so equality is structural, and all work runs on plain ints:
 the scale by integer gcds, the polynomials in Z[x] through the
-:data:`~katzcyclic.fields.ZZ` branches of :mod:`katzcyclic.polys`.  A
-Fraction is built only where a value leaves the ring, in ``num`` and
-``den`` for printing.  One arithmetic in a private base serves both
-kinds.  Each reduction takes one ``polys.gcd``, whose cofactors are the
-reduced numerator and denominator; sums and products cross-cancel first
-(Henrici).  Its branch for constant denominators takes no gcd of
-polynomials (by Gauss's lemma a product of primitive polynomials is
-primitive), so neither Q[t] nor a polynomial element of Q(x) takes one.
+:data:`~katzcyclic.fields.ZZ` branches of :mod:`katzcyclic.polys`.
+Values cross into the form at three places: a parsed entry is built in
+Z[x] by :mod:`katzcyclic.parser` and enters by ``from_integer_poly``
+(or a ring operation at '/'), a rational constant enters by
+``from_fraction``, and a matrix cleared into Z[x] comes back by one
+canonical form per entry.  A Fraction is built only where a value
+leaves the ring, in ``num`` and ``den``, which ``to_str`` reads only for
+a coefficient that is not an integer.  One arithmetic in a private base
+serves both kinds.  Each reduction takes one ``polys.gcd``, whose
+cofactors are the reduced numerator and denominator; sums and products
+cross-cancel first (Henrici).  Its branch for constant denominators
+takes no gcd of polynomials (by Gauss's lemma a product of primitive
+polynomials is primitive), so neither Q[t] nor a polynomial element of
+Q(x) takes one.
 The Gauss norm of Q[t] is read off the p-adic valuations of p, q and
 N's integer coefficients.  This module decides which matrix routines
 pack.  Each clears its input into Z[x] by one helper, :func:`_clear`,
@@ -33,7 +39,9 @@ G_{s+1} = d(G_s) + G_s G_1 of the iterated matrices
 matrices A_s with G_s = A_s/(m^s L^s), ``iterated_matrices`` being
 their canonical forms; Q[t]'s ``lemma_norms``, the norms of Lemma 2.1
 read off the products of cleared tables with the A_s, with nothing put
-in canonical form; and the determinant of a matrix over ring[X]
+in canonical form; ``katz_vector_at_t``, Katz's candidate c(e, t) as
+one integer combination of the rows of the A_s, with one canonical
+form per coordinate; and the determinant of a matrix over ring[X]
 (``xdet``), packed at two levels.  The products of the first two share
 one kernel, :func:`_zx_mat_mul`.  Every other matrix product, over any
 ring, is the entry-wise loop of :func:`katzcyclic.linalg.mat_mul`.
@@ -59,6 +67,7 @@ from . import linalg, polys
 from .errors import NotInvertibleError, PreconditionError, UnsupportedOperationError
 from .fields import QQ, ZZ, FiniteField, is_prime, power
 from .normvalue import NormValue, padic_valuation
+from .parser import parse_element
 
 
 class Ring:
@@ -104,6 +113,12 @@ class Ring:
     def from_fraction(self, q: Fraction):
         raise NotImplementedError
 
+    def from_integer_poly(self, coeffs):
+        """The element with the integer coefficients ``coeffs`` (lowest
+        degree first, no trailing zeros), in characteristic 0; the parser
+        builds an expression in Z[x] and hands it over here."""
+        raise NotImplementedError
+
     def is_invertible(self, a) -> bool:
         raise NotImplementedError
 
@@ -147,8 +162,6 @@ class Ring:
         raise NotImplementedError
 
     def parse(self, text: str):
-        from .parser import parse_element
-
         return parse_element(text, self)
 
     def descriptor(self) -> dict:
@@ -393,6 +406,9 @@ class _IntegerCoreRing(Ring):
             return self.zero
         return _ratfunc(q.numerator, q.denominator, _ONE, _ONE)
 
+    def from_integer_poly(self, coeffs) -> RatFunc:
+        return _scaled(1, 1, coeffs)
+
     def integer_iterates(self, g1, s_max: int):
         """(m, L, [A_1, ..., A_{s_max}]) with the iterated matrices of
         G_{s+1} = d(G_s) + G_s G_1 written as G_s = A_s/(m^s L^s), every
@@ -426,16 +442,15 @@ class _IntegerCoreRing(Ring):
                         for row, prow in zip(out[-1], prod)])
         return m, L, out
 
-    def iterated_matrices(self, g1, s_max: int, iterates=None):
+    def iterated_matrices(self, g1, s_max: int):
         """[G_0, ..., G_{s_max}] with G_0 = Id and G_{s+1} = d(G_s) + G_s G_1:
-        one canonical form per entry of :meth:`integer_iterates`, or of
-        ``iterates`` when it holds them already (for s_max or more)."""
+        one canonical form per entry of :meth:`integer_iterates`."""
         out = [linalg.identity(self, len(g1))]
         if s_max:
             out.append(linalg.freeze(g1))
         if s_max < 2:
             return out
-        m, L, As = iterates or self.integer_iterates(g1, s_max)
+        m, L, As = self.integer_iterates(g1, s_max)
         scale, den = m, L
         for A_s in As[1:s_max]:
             scale, den = scale * m, polys.mul(ZZ, den, L)
@@ -447,6 +462,46 @@ class _IntegerCoreRing(Ring):
                 for row in A_s
             ))
         return out
+
+    def katz_vector_at_t(self, n: int, iterates):
+        """The coordinates of Katz's candidate at X := t,
+        c(e, t) = sum_j t^j/j! sum_k (-1)^k C(j, k) (row j - k of G_k),
+        from ``iterates`` = (m, L, [A_1, ...]) of :meth:`integer_iterates`
+        with at least n - 1 matrices.
+
+        With G_0 = Id = A_0 and G_k = A_k/(m^k L^k), coordinate i times
+        (n-1)! m^(n-1) L^(n-1) is the integer polynomial
+
+            sum_{j, k} (-1)^k C(j, k) (n-1)!/j! m^(n-1-k) L^(n-1-k) t^j A_k[j-k][i],
+
+        so each coordinate takes one canonical form, and no G_k is built.
+        """
+        m, L, As = iterates
+        top = n - 1
+        Ls = [_ONE]  # L^0, ..., L^(n-1), when L != (1,)
+        for _ in range(top if len(L) > 1 else 0):
+            Ls.append(polys.mul(ZZ, Ls[-1], L))
+        acc = [[] for _ in range(n)]
+        for j in range(n):
+            fj = math.factorial(top) // math.factorial(j)
+            for k in range(j + 1):
+                c = (-1) ** k * math.comb(j, k) * fj * m ** (top - k)
+                # (i, coordinate i of row j - k of A_k), with A_0 = Id
+                terms = enumerate(As[k - 1][j - k]) if k else [(j, _ONE)]
+                for i, f in terms:
+                    if not f:
+                        continue
+                    if len(L) > 1:
+                        f = polys.mul(ZZ, f, Ls[top - k])
+                    a = acc[i]
+                    if len(a) < j + len(f):
+                        a.extend([0] * (j + len(f) - len(a)))
+                    for e, x in enumerate(f, j):  # c t^j f
+                        a[e] += c * x
+        den = math.factorial(top) * m ** top
+        if len(L) == 1:
+            return tuple(_scaled(1, den, polys.normalize(ZZ, a)) for a in acc)
+        return tuple(_canonical(1, den, polys.normalize(ZZ, a), Ls[top]) for a in acc)
 
     def xdet(self, h):
         """det h for a square matrix h over ring[X], taken as one
@@ -508,10 +563,16 @@ class _IntegerCoreRing(Ring):
         return -1 if not a.p else max(len(a.N), len(a.D)) - 1
 
     def to_str(self, a: RatFunc) -> str:
-        num = polys.to_str(QQ, a.num, self.variable)
+        """The canonical string.  With integer coefficients (q D[-1] = 1)
+        the numerator prints from the ints p N_i, and a monic denominator
+        from D itself, with no Fraction built: ``QQ.to_str`` writes an
+        int as it writes the equal Fraction."""
+        lead = a.D[-1]
+        coeffs = tuple([a.p * c for c in a.N]) if a.q * lead == 1 else a.num
+        num = polys.to_str(QQ, coeffs, self.variable)
         if len(a.D) == 1:
             return num
-        den = polys.to_str(QQ, a.den, self.variable)
+        den = polys.to_str(QQ, a.D if lead == 1 else a.den, self.variable)
         return f"({num})/({den})"
 
 
@@ -731,7 +792,7 @@ class ScaledDerivationRing(Ring):
         self.zero = base.zero
         self.one = base.one
         self.var_element = base.var_element
-        self._t = base.antiderivative(base.inv(f))
+        self._t = self.antiderivative(base.one)
 
     @property
     def t(self):
@@ -759,6 +820,9 @@ class ScaledDerivationRing(Ring):
     def from_fraction(self, q):
         return self.base.from_fraction(q)
 
+    def from_integer_poly(self, coeffs):
+        return self.base.from_integer_poly(coeffs)
+
     def is_invertible(self, a):
         return self.base.is_invertible(a)
 
@@ -770,6 +834,11 @@ class ScaledDerivationRing(Ring):
 
     def degree(self, a) -> int:
         return self.base.degree(a)
+
+    def antiderivative(self, a):
+        """F with f d(F) = a: the base's antiderivative of a/f."""
+        base = self.base
+        return base.antiderivative(base.mul(a, base.inv(self.factor)))
 
     def norm(self, a) -> NormValue:
         return self.base.norm(a)

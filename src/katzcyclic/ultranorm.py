@@ -22,9 +22,13 @@ H_0(+-t) and H_s(t) and from |G_s| <= |G1| max(|G1|, |d|)^(s-1) (Lemma
 
 Over Q[t], Lemma 2.1 takes its norms from the ring's ``lemma_norms``:
 each product H_0(-t) H_s(t) G_s is taken on the integer iterates behind
-G_s and its norm read off the integer coefficients, so no G_s is put in
-canonical form unless a certified module needs its witness.  Other
-Banach rings multiply canonical matrices and take :func:`matrix_norm`.
+G_s and its norm read off the integer coefficients.  A certified
+module's witness c(e, t) is read off integer iterates too, by the ring's
+``katz_vector_at_t``: lemma 2.1 hands over the iterates its norms were
+taken on, and a prop-2.x certificate takes G_1 .. G_{n-1} as integer
+iterates, so no G_s is put in canonical form.  Other Banach rings (the
+rescaled ones) multiply canonical matrices, take :func:`matrix_norm`,
+and build c(e, X) from canonical G_0 .. G_{n-1} before setting X := t.
 
 All inequalities are strict and decided exactly on NormValue exponents;
 an equality boundary is reported as "not certified" with a flag.
@@ -143,9 +147,21 @@ def _base_norms(m: DifferentialModule) -> Dict[str, NormValue]:
     }
 
 
-def _witness(m: DifferentialModule, gs: Sequence[Matrix]) -> Row:
-    """c(e, t), built from the iterated matrices G_0 .. G_{n-1} (or more)."""
-    return specialize_vector(m, _katz_vector_from(m, gs), m.ring.from_int(0))
+def _witness(
+    m: DifferentialModule, iterates=None, gs: Optional[Sequence[Matrix]] = None
+) -> Row:
+    """c(e, t).  Over Q(x) and Q[t] it is read off the integer iterates
+    (``iterates``, or the ring's own for G_1 .. G_{n-1}) by the ring's
+    ``katz_vector_at_t``; over other rings it is built from the iterated
+    matrices G_0 .. G_{n-1} (``gs``, or more of them) and specialized at
+    X := t."""
+    ring = m.ring
+    integer_iterates = getattr(ring, "integer_iterates", None)
+    if integer_iterates is not None:
+        return ring.katz_vector_at_t(m.n, iterates or integer_iterates(m.g1, m.n - 1))
+    if gs is None:
+        gs = iterated_matrices(m, m.n - 1)
+    return specialize_vector(m, _katz_vector_from(m, gs), ring.from_int(0))
 
 
 def _smallness_certificate(
@@ -158,7 +174,7 @@ def _smallness_certificate(
         certified=certified,
         norms={**base, "G1": g1_norm, "bound": bound},
         boundary=boundary,
-        witness=_witness(m, iterated_matrices(m, m.n - 1)) if certified else None,
+        witness=_witness(m) if certified else None,
     )
 
 
@@ -232,7 +248,8 @@ def certify_lemma_2_1(
     table :func:`~katzcyclic.katz.lemma_table` evaluated at t, so each s
     takes one matrix product with G_s.  A ring with its own
     ``lemma_norms`` (Q[t]) takes it on the integer iterates behind G_s
-    and reads its norm off the integer coefficients.
+    and reads its norm off the integer coefficients; a certified
+    module's witness is read off the same iterates.
     """
     _require_banach(m)
     ring = m.ring
@@ -240,6 +257,7 @@ def certify_lemma_2_1(
     one = NormValue.one(ring.prime)
     factors = [h_matrix_at(ring, lemma_table(s, n), ring.t) for s in range(1, 2 * n - 1)]
     lemma_norms = getattr(ring, "lemma_norms", None)
+    iterates = gs = None
     if lemma_norms is None:
         gs = iterated_matrices(m, 2 * n - 2)
         per_s = [
@@ -250,9 +268,6 @@ def certify_lemma_2_1(
         per_s, iterates = lemma_norms(m.g1, factors, _rho_exp(ring, kind))
     certified = all(v < one for v in per_s)
     boundary = (not certified) and all(v <= one for v in per_s)
-    if certified and lemma_norms is not None:
-        # the witness's canonical G_0 .. G_{n-1}, from the same iterates
-        gs = ring.iterated_matrices(m.g1, n - 1, iterates)
     g1_norm = matrix_norm(ring, m.g1, kind)
     return CyclicityCertificate(
         criterion="lemma2.1",
@@ -260,7 +275,7 @@ def certify_lemma_2_1(
         norms={**_base_norms(m), "G1": g1_norm},
         per_s=tuple(per_s),
         boundary=boundary,
-        witness=_witness(m, gs) if certified else None,
+        witness=_witness(m, iterates, gs) if certified else None,
     )
 
 
@@ -272,7 +287,7 @@ def invertibility_witness_norm(
     _require_banach(m)
     ring = m.ring
     n = m.n
-    h_t = nabla_family(m, _witness(m, iterated_matrices(m, n - 1)), n)
+    h_t = nabla_family(m, _witness(m), n)
     h0_neg = h_matrix_at(ring, h_matrix(0, n), ring.neg(ring.t))
     delta = linalg.mat_sub(
         ring, linalg.mat_mul(ring, h0_neg, h_t), linalg.identity(ring, n)

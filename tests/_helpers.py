@@ -1,10 +1,12 @@
-"""Shared test utilities: seeded element generators and the direct
-symbolic-expansion route used as oracle for the base-change formulas."""
+"""Shared test utilities: seeded element generators, the direct
+symbolic-expansion route used as oracle for the base-change formulas,
+and the reference element parser that the parser is checked against."""
 
 import json
 import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 from dataclasses import dataclass
@@ -13,13 +15,23 @@ from typing import Tuple
 from katzcyclic import (
     DifferentialModule,
     NormValue,
+    ParseError,
     PreconditionError,
+    UnsupportedOperationError,
     iterated_matrices,
     linalg,
     module_from_json,
     xpoly,
 )
+from katzcyclic.errors import NotInvertibleError
 from katzcyclic.katz import assemble_h, h_matrix, katz_vector
+from katzcyclic.parser import (
+    MAX_DEGREE,
+    MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
+    MAX_NESTING,
+    MAX_POWER_SIZE,
+)
 from katzcyclic.xpoly import XPolyRing
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -311,3 +323,162 @@ def free_module_h_entries(n):
             padd(nxt, (s + 1, j), f)
         current = nxt
     return out
+
+
+# -- the reference parser ----------------------------------------------
+#
+# The element parser as it was when every value went through the ring's
+# own operations: one token list with positions, and ring arithmetic at
+# every step.  The tests compare katzcyclic.parser against it, element
+# for element and error for error.
+
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+
+
+class ReferenceParser:
+    def __init__(self, text: str, ring):
+        self.text = text
+        self.ring = ring
+        self.depth = 0
+        self.tokens = []
+        self._tokenize()
+        self.idx = 0
+
+    def _tokenize(self):
+        pos = 0
+        while pos < len(self.text):
+            m = _REFERENCE_TOKEN.match(self.text, pos)
+            if not m:
+                stripped = self.text[pos:].lstrip()
+                if stripped == "":
+                    break
+                bad = pos + (len(self.text) - pos - len(stripped))
+                raise ParseError(f"unexpected character {self.text[bad]!r}", bad)
+            group = m.lastindex
+            text, start = m.group(group), m.start(group)
+            if group == 1:
+                if len(text) > MAX_LITERAL_DIGITS:
+                    raise ParseError(
+                        f"integer literal exceeds the maximum {MAX_LITERAL_DIGITS} digits",
+                        start,
+                    )
+                self.tokens.append(("int", int(text), start))
+            elif group == 2:
+                self.tokens.append(("name", text, start))
+            else:
+                self.tokens.append(("op", text, start))
+            pos = m.end()
+
+    def _peek(self):
+        return self.tokens[self.idx] if self.idx < len(self.tokens) else (None, None, len(self.text))
+
+    def _next(self):
+        tok = self._peek()
+        self.idx += 1
+        return tok
+
+    def parse(self):
+        value = self.expr()
+        kind, val, pos = self._peek()
+        if kind is not None:
+            raise ParseError(f"unexpected token {val!r}", pos)
+        return value
+
+    def expr(self):
+        value = self.term()
+        while True:
+            kind, val, _ = self._peek()
+            if kind == "op" and val in "+-":
+                self._next()
+                rhs = self.term()
+                value = self.ring.add(value, rhs) if val == "+" else self.ring.sub(value, rhs)
+            else:
+                return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            kind, val, pos = self._peek()
+            if kind == "op" and val in "*/":
+                self._next()
+                rhs = self.factor()
+                if val == "*":
+                    value = self.ring.mul(value, rhs)
+                else:
+                    try:
+                        value = self.ring.div(value, rhs)
+                    except NotInvertibleError:
+                        raise ParseError("division by a non-invertible element", pos) from None
+            else:
+                return value
+
+    def factor(self):
+        kind, val, pos = self._peek()
+        if kind == "op" and val in "+-":
+            self._next()
+            self._enter(pos)
+            value = self.factor()
+            self.depth -= 1
+            return self.ring.neg(value) if val == "-" else value
+        return self.power()
+
+    def _enter(self, pos):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting exceeds the maximum depth {MAX_NESTING}", pos)
+
+    def power(self):
+        base = self.atom()
+        kind, val, pos = self._peek()
+        if kind == "op" and val == "^":
+            self._next()
+            ekind, exp, epos = self._next()
+            if ekind != "int":
+                raise ParseError("exponent must be a nonnegative integer", epos)
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} exceeds the maximum {MAX_EXPONENT}", epos)
+            degree = exp * self.ring.degree(base)
+            if degree > MAX_DEGREE:
+                raise ParseError(f"power of degree {degree} exceeds the maximum {MAX_DEGREE}", epos)
+            if exp > 1:
+                self._check_size(base, exp, epos)
+            return self.ring.pow(base, exp)
+        return base
+
+    def _check_size(self, base, exp, pos):
+        if base is self.ring.var_element:  # it prints as the variable's name
+            size = exp * len(self.ring.variable)
+        else:
+            try:
+                size = exp * len(self.ring.to_str(base))
+            except UnsupportedOperationError:  # the base alone is too long to print
+                raise ParseError(
+                    f"power base exceeds the maximum size {MAX_POWER_SIZE}", pos
+                ) from None
+        if size > MAX_POWER_SIZE:
+            raise ParseError(f"power of size {size} exceeds the maximum {MAX_POWER_SIZE}", pos)
+
+    def atom(self):
+        kind, val, pos = self._next()
+        if kind == "int":
+            return self.ring.from_int(val)
+        if kind == "name":
+            if val == self.ring.variable:
+                return self.ring.var_element
+            if val == "g" and self.ring.generator is not None:
+                return self.ring.generator
+            raise ParseError(f"unknown symbol {val!r}", pos)
+        if kind == "op" and val == "(":
+            self._enter(pos)
+            value = self.expr()
+            ckind, cval, cpos = self._next()
+            if not (ckind == "op" and cval == ")"):
+                raise ParseError("expected ')'", cpos)
+            self.depth -= 1
+            return value
+        raise ParseError("expected a number, variable, or '('", pos)
+
+
+def reference_parse(text, ring):
+    """``text`` parsed by :class:`ReferenceParser` over ``ring``."""
+    return ReferenceParser(text, ring).parse()

@@ -219,3 +219,48 @@ def test_unit_times_inverse_is_one(ring, units):
         inv = ring.inv(a)
         assert_canonical(inv)
         assert ring.mul(a, inv) == ring.one == ring.mul(inv, a)
+
+
+def fraction_printer(ring, a: RatFunc) -> str:
+    """The canonical string printed from the Fraction coefficients of
+    ``a.num`` and ``a.den``."""
+    num = polys.to_str(QQ, a.num, ring.variable)
+    if len(a.D) == 1:
+        return num
+    return f"({num})/({polys.to_str(QQ, a.den, ring.variable)})"
+
+
+int_polys = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=4).map(
+    lambda c: polys.normalize(ZZ, c)
+)
+monic_polys = st.lists(st.integers(-9, 9), max_size=3).map(lambda c: tuple(c) + (1,))
+scales = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 12))
+
+
+@SETTINGS
+@given(elements(), int_polys, monic_polys, scales)
+def test_to_str_matches_the_fraction_printer(a, n, d, c):
+    """Integer coefficients (q D[-1] = 1) print from ints, the others from
+    Fractions; both give the string the Fractions alone give, with
+    scales p/q and denominators D other than (1,), monic or not."""
+    integral = QX.div(QX.from_integer_poly(n), QX.from_integer_poly(d))
+    polynomial = QX.from_integer_poly(n)
+    for value in (a, QX.mul(a, QX.from_fraction(c)), integral,
+                  QX.mul(integral, QX.from_fraction(c)), polynomial,
+                  QX.mul(polynomial, QX.from_fraction(c))):
+        assert QX.to_str(value) == fraction_printer(QX, value)
+    for value in (polynomial, QX.mul(polynomial, QX.from_fraction(c))):
+        assert QT.to_str(value) == fraction_printer(QT, value)
+
+
+def test_integer_coefficients_print_without_fractions():
+    def refuse(self):
+        raise AssertionError("a Fraction coefficient was built")
+
+    a = QX.parse("(18*x^2 - 18*x + 9)/(x + 1)")
+    b = QT.parse("18*t^2 - 18*t + 9")
+    with mock.patch.object(RatFunc, "num", property(refuse)), \
+            mock.patch.object(RatFunc, "den", property(refuse)):
+        assert QX.to_str(a) == "(18*x^2 - 18*x + 9)/(x + 1)"
+        assert QT.to_str(b) == "18*t^2 - 18*t + 9"
+        assert QX.to_str(QX.zero) == "0"

@@ -1,9 +1,12 @@
 """Tests of tools/time_cli.py: one round of a small command against this
-checkout itself, and the processes that a round starts."""
+checkout itself, the processes that a round starts, and the bytecode it
+leaves (none, in the checkouts it times)."""
 
 import compileall
 import importlib.util
+import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -50,3 +53,24 @@ def test_rounds_k_starts_2k_processes(monkeypatch):
     assert tool.main(["--base", str(ROOT), "--rounds", "1", "--", "tables", "-n", "2"]) == 0
     assert runs == [["tables", "-n", "2"]] * 2
     assert compiled == [ROOT / "src"] * 2
+
+
+def test_leaves_no_bytecode_in_the_checkout(tmp_path):
+    """Both sides compile into a temporary cache directory, so a run
+    leaves no ``__pycache__`` under the checkout it times."""
+    if not TOOL.is_file():
+        pytest.skip("needs the project checkout with tools/time_cli.py")
+    checkout = tmp_path / "checkout"
+    shutil.copytree(ROOT / "src", checkout / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (checkout / "tools").mkdir()
+    shutil.copy(TOOL, checkout / "tools" / TOOL.name)
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "tools" / TOOL.name), "--base", str(checkout),
+         "--rounds", "1", "--", "tables", "-n", "2"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "stdout identical" in proc.stdout
+    assert list(checkout.rglob("__pycache__")) == []

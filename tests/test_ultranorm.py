@@ -35,6 +35,7 @@ from _helpers import (
     lemma_2_2_bound,
     load_corpus,
     mat_add,
+    random_ratfunc,
     recheck,
     ring_norm_data,
     seeded,
@@ -531,6 +532,102 @@ class TestLemma21:
             family.append(apply_nabla(m, family[-1], 1))
         det, _ = is_basis(m, family)
         assert ring.norm(ring.sub(det, ring.one)) < NormValue.one(3)
+
+    def test_rescaled_twice_matches_rescaled_once(self):
+        """A ring rescaled by 2 and then by 5 has t = t/10, as the ring
+        rescaled once by 10 does, so both certify alike; neither has
+        integer iterates, so the witness takes the path through the
+        iterated matrices."""
+        ring = GaussPolynomialRing(3, 1)
+        m = mk(ring, [["0", "3"], ["3*t", "0"]])
+        twice = rescale_derivation(rescale_derivation(m, ring.from_int(2)), ring.from_int(5))
+        once = rescale_derivation(m, ring.from_int(10))
+        assert twice.ring.t == once.ring.t == ring.div(ring.t, ring.from_int(10))
+        assert not hasattr(twice.ring, "integer_iterates")
+        for kind in (None, MatrixNormKind.rho_t_inverse(ring), MatrixNormKind.rho_d(ring)):
+            a, b = certify_lemma_2_1(twice, kind), certify_lemma_2_1(once, kind)
+            assert a.per_s == b.per_s and a.certified == b.certified
+            assert a.witness == b.witness
+        assert a.witness == specialize_vector(once, katz_vector(once), ring.zero)
+
+
+def _candidate_at_zero(m):
+    return specialize_vector(m, katz_vector(m), m.ring.from_int(0))
+
+
+def _certificates(m):
+    """Every certificate of m: the three prop2.x and lemma2.1 under each norm."""
+    kinds = (None, MatrixNormKind.rho_t_inverse(m.ring), MatrixNormKind.rho_d(m.ring))
+    return [check_prop_2_3(m), check_prop_2_5(m), check_prop_2_8(m)] + [
+        certify_lemma_2_1(m, kind) for kind in kinds
+    ]
+
+
+class TestIntegerWitness:
+    """Over Q[t], c(e, t) is read off the integer iterates A_s, with
+    G_s = A_s/m^s, by ``katz_vector_at_t``; it must be the candidate
+    vector of ``katz_vector`` specialized at 0."""
+
+    def assert_witnesses(self, m):
+        ring, n = m.ring, m.n
+        expected = _candidate_at_zero(m)
+        for s_max in (n - 1, 2 * n - 2):
+            iterates = ring.integer_iterates(m.g1, s_max)
+            assert ring.katz_vector_at_t(n, iterates) == expected
+        certified = 0
+        for cert in _certificates(m):
+            if cert.certified:
+                assert cert.witness == expected
+                certified += 1
+        return certified
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_corpus(self, p):
+        certified = sum(
+            self.assert_witnesses(m) for m in load_corpus(f"gauss_corpus_p{p}.json")
+        )
+        assert certified > 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_seeded_ranks_1_to_5_with_scales(self, p):
+        """G1 times p^e for e = -2..1, so the iterates' denominator m is
+        not always a p-adic unit, at every radius 0..2."""
+        rng = seeded(700 + p)
+        certified = 0
+        for r in (0, 1, 2):
+            ring = GaussPolynomialRing(p, radius_exp=r)
+            for n in range(1, 6):
+                g1 = random_gauss_matrix(ring, rng, n, max_scale=n + 1)
+                for e in (-2, -1, 0, 1):
+                    c = ring.from_fraction(Fraction(p) ** e)
+                    m = DifferentialModule(
+                        ring=ring, n=n, g1=linalg.mat_scale(ring, c, g1)
+                    )
+                    certified += self.assert_witnesses(m)
+        assert certified > 0
+
+    def test_rational_entries_over_qx(self):
+        """Over Q(x) the iterates carry a denominator L, and the witness
+        is taken over (n-1)! m^(n-1) L^(n-1)."""
+        ring = RationalFunctionField()
+        rng = seeded(710)
+        for n in range(1, 5):
+            g1 = linalg.freeze(
+                [[random_ratfunc(ring, rng) for _ in range(n)] for _ in range(n)]
+            )
+            m = DifferentialModule(ring=ring, n=n, g1=g1)
+            iterates = ring.integer_iterates(g1, n - 1)
+            assert n == 1 or len(iterates[1]) > 1
+            assert ring.katz_vector_at_t(n, iterates) == _candidate_at_zero(m)
+
+    def test_zero_and_nilpotent_connections(self):
+        ring = GaussPolynomialRing(3)
+        for m in (
+            DifferentialModule(ring=ring, n=3, g1=linalg.zeros(ring, 3)),
+            mk(ring, [["0", "1/3"], ["0", "0"]]),
+            mk(ring, [["0"]]),
+        ):
+            self.assert_witnesses(m)
 
 
 class TestCertificateRecord:

@@ -7,12 +7,12 @@
 Every run is a new ``python3`` process that imports katzcyclic from the
 ``src/`` of its checkout and calls the CLI with the arguments after
 ``--``; relative paths in them are read from the current directory.
-Each side's ``src`` is first byte-compiled by :mod:`compileall`, so no
-timed run compiles the sources (unless the checkout cannot be written
-to; then every run compiles them, and the times include that).  Then,
-for each of ``--rounds`` rounds, both sides run once, and the side that
-goes first alternates from round to round: ``--rounds k`` starts 2k
-processes.  The wall time covers the whole process,
+Each side's ``src`` is first byte-compiled by :mod:`compileall` into a
+temporary ``PYTHONPYCACHEPREFIX`` directory, which every run is given,
+so that no timed run compiles the sources and no checkout is left with
+a ``__pycache__``.  Then, for each of ``--rounds`` rounds, both sides
+run once, and the side that goes first alternates from round to round:
+``--rounds k`` starts 2k processes.  The wall time covers the whole process,
 interpreter start included.
 
 Prints each side's best and median wall time, its exit status and the
@@ -28,6 +28,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,8 +37,11 @@ LAUNCH = "import sys; from katzcyclic.cli import main; sys.exit(main(sys.argv[1:
 
 
 def run_once(checkout: Path, argv):
-    """(wall seconds, exit status, stdout sha256) of one fresh process."""
+    """(wall seconds, exit status, stdout sha256) of one fresh process,
+    which reads its bytecode under this process's ``sys.pycache_prefix``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    if sys.pycache_prefix:
+        env["PYTHONPYCACHEPREFIX"] = sys.pycache_prefix
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", LAUNCH, *argv], env=env, capture_output=True
@@ -64,12 +68,18 @@ def main(argv=None) -> int:
             ap.error(f"{name}: no src/katzcyclic in {checkout}")
 
     runs = {name: [] for name in sides}
-    for checkout in sides.values():
-        compileall.compile_dir(checkout / "src", quiet=1)
-    order = list(sides)
-    for k in range(args.rounds):
-        for name in order[::-1] if k % 2 else order:
-            runs[name].append(run_once(sides[name], command))
+    saved = sys.pycache_prefix
+    with tempfile.TemporaryDirectory(prefix="time_cli-") as cache:
+        sys.pycache_prefix = cache
+        try:
+            for checkout in sides.values():
+                compileall.compile_dir(checkout / "src", quiet=1)
+            order = list(sides)
+            for k in range(args.rounds):
+                for name in order[::-1] if k % 2 else order:
+                    runs[name].append(run_once(sides[name], command))
+        finally:
+            sys.pycache_prefix = saved
 
     digests = {}
     print(f"katzcyclic {' '.join(command)}: {args.rounds} rounds")

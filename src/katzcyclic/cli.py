@@ -132,7 +132,7 @@ def cmd_cyclic(args) -> int:
         "determinant": ring.to_str(result.determinant),
     }
     if ring.is_field:
-        b = katz.companion_form(m, result.family)
+        b = katz.companion_form(m, result.family, result.minors)
         payload["companion_coefficients"] = [ring.to_str(c) for c in b]
     _emit(payload)
     return EXIT_OK
@@ -141,7 +141,7 @@ def cmd_cyclic(args) -> int:
 def cmd_companion(args) -> int:
     m = _load_module(args.input)
     result = katz.find_cyclic(m, _parse_constants(m, args.constants))
-    b = katz.companion_form(m, result.family)
+    b = katz.companion_form(m, result.family, result.minors)
     ring = m.ring
     _emit(
         {

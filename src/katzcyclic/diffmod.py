@@ -17,7 +17,7 @@ divides by (n-1)!, so its entry points, not the module, call
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import FactorialNotInvertibleError, NotInvertibleError, PreconditionError
@@ -111,10 +111,10 @@ def apply_nabla(m: DifferentialModule, v: Row, k: int = 1) -> Row:
         raise PreconditionError("k must be >= 0")
     ring = m.ring
     v = tuple(v)
+    cols = tuple(zip(*m.g1))
     for _ in range(k):
-        v = linalg.row_add(
-            ring, linalg.row_derive(ring, v), linalg.row_mat_mul(ring, v, m.g1)
-        )
+        # nabla(v)_j = d(v_j) + sum_i v_i (G1)_ij, one dot started at d(v_j)
+        v = tuple(ring.dot(v, col, ring.derive(x)) for x, col in zip(v, cols))
     return v
 
 
@@ -127,32 +127,39 @@ def nabla_family(m: DifferentialModule, v: Row, k: int) -> Tuple[Row, ...]:
 
 
 def rescale_derivation(m: DifferentialModule, f) -> DifferentialModule:
-    """The module (M, f*nabla) over (B, f*d), for an invertible f."""
+    """The module (M, f*nabla) over (B, f*d), for an invertible f.
+
+    Over a ring already rescaled by f0 the new ring is the base rescaled
+    once by f f0, or the base itself when f f0 = 1, so its descriptor
+    states the whole factor."""
     if not m.ring.is_invertible(f):
         raise NotInvertibleError("rescaling element must be invertible")
     ring = m.ring
-    if isinstance(ring, ScaledDerivationRing) and ring.base.eq(
-        ring.base.mul(ring.factor, f), ring.base.one
-    ):
-        # f = old factor inverse: undo the wrapper instead of stacking two
-        new_ring: Ring = ring.base
+    new_ring: Ring
+    if isinstance(ring, ScaledDerivationRing):
+        # f (f0 d) = (f f0) d: one wrapper with the product of the factors,
+        # and none when that product is 1
+        base, factor = ring.base, ring.base.mul(ring.factor, f)
+        new_ring = base if base.eq(factor, base.one) else ScaledDerivationRing(base, factor)
     else:
         new_ring = ScaledDerivationRing(ring, f)
     return DifferentialModule(ring=new_ring, n=m.n, g1=linalg.mat_scale(new_ring, f, m.g1))
 
 
-def is_basis(m: DifferentialModule, vectors: Sequence[Row]):
+def is_basis(m: DifferentialModule, vectors: Sequence[Row], minors: Optional[dict] = None):
     """Determinant of the coordinate matrix and whether it certifies a basis.
 
     It is whether det is a unit, which over a field is exactly det != 0.
     Over a non-field ring this only reports unit determinants; invertibility of a
     non-unit-but-Neumann-invertible determinant is the business of the
-    norm certificates in :mod:`katzcyclic.ultranorm`.
+    norm certificates in :mod:`katzcyclic.ultranorm`.  A dict passed as
+    ``minors`` is filled with the determinant's table of minors
+    (:func:`katzcyclic.linalg.det`).
     """
     if len(vectors) != m.n:
         raise PreconditionError(f"expected exactly {m.n} vectors, got {len(vectors)}")
     mat = linalg.freeze(vectors)
-    d = linalg.det(m.ring, mat)
+    d = linalg.det(m.ring, mat, minors)
     return d, m.ring.is_invertible(d)
 
 

@@ -6,12 +6,17 @@ mul, neg, div, inv, is_zero, from_int, characteristic, to_str) so that
 the dense polynomial helpers in :mod:`katzcyclic.polys` stay generic.
 ZZ holds only the ring part that :mod:`katzcyclic.linalg` reads:
 ``polys`` runs Z[x] on plain ints, with ZZ as the tag of that branch.
+Each of the three also has the ``dot`` that :mod:`katzcyclic.linalg`
+takes every sum of products by: :func:`dot`, the loop over ``add`` and
+``mul``, for F_{p^e}, and the builtin ``sum`` of the products for ZZ
+and QQ.
 
 The layers run ZZ, QQ, F_p -> :mod:`katzcyclic.polys` -> F_{p^e}, F_q[x],
 Q(x), Q[t].  F_p is the private ``_IntegersModP``; :class:`FiniteField`
 with e > 1 multiplies, and searches for its irreducible modulus, with
 ``polys`` over it.  :func:`power` is the package's one
-square-and-multiply loop.
+square-and-multiply loop, and :func:`dot` its one loop of sums of
+products.
 
 Rational elements are :class:`fractions.Fraction`; integers are Python
 ints; finite-field elements are tuples of e ints in [0, p), coordinates
@@ -39,6 +44,16 @@ def power(mul, one, a, k: int):
     return out
 
 
+def dot(ring, u, v, start=None):
+    """start + sum_i u_i v_i over ``ring``, one ``add`` per ``mul``, with
+    ``start`` zero by default.  The ``dot`` of every ring protocol object
+    that has no faster one."""
+    acc = ring.zero if start is None else start
+    for a, b in zip(u, v):
+        acc = ring.add(acc, ring.mul(a, b))
+    return acc
+
+
 class RationalField:
     """The field Q on fractions.Fraction, written like ZZ; only inv and
     div are methods, because they raise NotInvertibleError on zero."""
@@ -54,6 +69,10 @@ class RationalField:
     from_int = Fraction
     from_fraction = Fraction
     to_str = str
+
+    @staticmethod
+    def dot(u, v, start=None):
+        return sum(map(operator.mul, u, v), Fraction(0) if start is None else start)
 
     @staticmethod
     def inv(a):
@@ -78,14 +97,21 @@ class IntegerRing:
     denominators of Q(x) and Q[t].  The :mod:`katzcyclic.polys` helpers
     take Z[x] on plain ints when passed ZZ, so it carries only what
     :func:`~katzcyclic.linalg.det` and :func:`~katzcyclic.linalg.mat_mul`
-    read of a ring, for the packed ints of :mod:`katzcyclic.rings`.
+    read of a ring (``is_zero``, ``neg`` and ``dot``), for the packed
+    ints of :mod:`katzcyclic.rings`, and the ``zero``, ``add``, ``sub``
+    and ``mul`` that ``dot`` stands for.
     """
 
     zero = 0
     add = operator.add
     sub = operator.sub
     mul = operator.mul
+    neg = operator.neg
     is_zero = operator.not_
+
+    @staticmethod
+    def dot(u, v, start=None):
+        return sum(map(operator.mul, u, v), 0 if start is None else start)
 
 
 ZZ = IntegerRing()
@@ -249,6 +275,9 @@ class FiniteField:
 
     def div(self, a: GFElem, b: GFElem) -> GFElem:
         return self.mul(a, self.inv(b))
+
+    def dot(self, u, v, start=None) -> GFElem:
+        return dot(self, u, v, start)
 
     def is_zero(self, a: GFElem) -> bool:
         return all(x == 0 for x in a)

@@ -16,8 +16,10 @@ over ring[X] with d extended by d(X) = 1, which needs only G_0 .. G_{n-1}
 and no product H_s G_s.  The same family gives the cyclic basis at
 X := t - a (``find_cyclic``, after the one evaluation
 ``specialize_vector``) and H(t) in ultranorm.  ``find_cyclic`` hands
-the family it tested on to ``companion_form``, which takes one more
-nabla step and solves, so the cyclic path builds each family once.
+the family it tested on to ``companion_form``, with the table of minors
+its determinant filled, and ``companion_form`` takes one more nabla
+step and solves from that table, so the cyclic path builds each family
+and each of its minors once.
 
 The tables H_s(X) (:func:`h_matrix`) and H_0(-X) H_s(X)
 (:func:`lemma_table`, the factor of G_s in lemma 2.1) depend on (s, n)
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -317,6 +319,9 @@ class CyclicSearchResult:
     a: object  # the constant, as a ring element
     family: Tuple[Row, ...]  # c, nabla(c), ..., nabla^(n-1)(c)
     determinant: object  # det of the family = P(t - a), nonzero
+    # the family's table of minors, which its determinant filled, for
+    # companion_form; read, never changed
+    minors: Optional[dict] = field(default=None, compare=False, repr=False)
 
     @property
     def vector(self) -> Row:
@@ -356,10 +361,11 @@ def find_cyclic(
     kv = katz_vector(m)
     for idx, a in enumerate(candidates):
         family = nabla_family(m, specialize_vector(m, kv, a), n)
-        det, ok = is_basis(m, family)
+        minors = {}
+        det, ok = is_basis(m, family, minors)
         if ok:
             return CyclicSearchResult(
-                candidate_index=idx, a=a, family=family, determinant=det
+                candidate_index=idx, a=a, family=family, determinant=det, minors=minors
             )
     if not ring.is_field:
         raise NotInvertibleError(
@@ -371,15 +377,22 @@ def find_cyclic(
     )
 
 
-def companion_form(m: DifferentialModule, family: Sequence[Row]) -> Tuple:
+def companion_form(
+    m: DifferentialModule, family: Sequence[Row], minors: Optional[dict] = None
+) -> Tuple:
     """Coefficients b_0..b_{n-1} with nabla^n(c) = sum_k b_k nabla^k(c),
     i.e. the scalar equation y^(n) = sum b_k y^(k) in the cyclic basis,
     from the family c, ..., nabla^(n-1)(c) (``CyclicSearchResult.family``
     or ``nabla_family(m, c, m.n)``) and one nabla step on its last row.
+    ``minors`` is the family's table of minors, ``CyclicSearchResult.minors``
+    for its ``family``: Cramer's rule then takes only the minors that
+    hold nabla^n(c), and not det F again.
 
     Raises NotInvertibleError when the family is not a basis."""
     if not m.ring.is_field:
         raise UnsupportedOperationError("companion form needs a field coefficient ring")
     if len(family) != m.n:
         raise PreconditionError(f"expected a family of {m.n} vectors, got {len(family)}")
-    return linalg.solve_left(m.ring, linalg.freeze(family), apply_nabla(m, family[-1]))
+    return linalg.solve_left(
+        m.ring, linalg.freeze(family), apply_nabla(m, family[-1]), minors
+    )

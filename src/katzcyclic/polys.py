@@ -15,7 +15,9 @@ integer polynomials of Q(x) and Q[t], or any ring for the B[X] of
 :mod:`katzcyclic.xpoly`.  Over ZZ, ``add``, ``sub``, ``neg``, ``mul``,
 ``derive``, ``scale`` and ``divmod_`` take one branch on plain ints,
 with no method call per coefficient; every other K takes the generic
-path through K's methods.  ``divmod_`` needs a field, or over ZZ an
+path through K's methods.  ``add_mul`` is ``mul``'s loop over ZZ,
+adding c f g into a list of ints in place, so that a sum of such
+products takes one list and one ``normalize``.  ``divmod_`` needs a field, or over ZZ an
 exact quotient: each step divides the top coefficient by the divisor's
 leading one, and raises PreconditionError when that leaves a remainder.
 ``gcd`` is the gcd of Z[x] only, with its cofactors: GCDHEU (Char,
@@ -96,10 +98,7 @@ def mul(K, f: Poly, g: Poly) -> Poly:
         return ()
     if K is ZZ:
         out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a:
-                for j, b in enumerate(g, i):
-                    out[j] += a * b
+        add_mul(out, 1, f, g)
         return normalize(ZZ, out)
     out = [K.zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
@@ -108,6 +107,18 @@ def mul(K, f: Poly, g: Poly) -> Poly:
         for j, b in enumerate(g):
             out[i + j] = K.add(out[i + j], K.mul(a, b))
     return normalize(K, out)
+
+
+def add_mul(acc: list, c: int, f: Poly, g: Poly) -> None:
+    """acc += c f g in Z[x], in place, on a list of at least
+    len(f) + len(g) - 1 ints, which it leaves unnormalized: the schoolbook
+    loop of :func:`mul` over ZZ, and of each term of a sum of products
+    (:meth:`katzcyclic.rings._IntegerCoreRing.dot`)."""
+    for i, a in enumerate(f):
+        if a:
+            a *= c
+            for j, b in enumerate(g, i):
+                acc[j] += a * b
 
 
 def scale(K, c, f: Poly) -> Poly:
@@ -167,7 +178,8 @@ def gcd(K, f: Poly, g: Poly) -> Tuple[Poly, Poly, Poly]:
     with a = G A, b = G B and G = gcd(a, b), gcd(a(xi), b(xi)) = |G(xi)| r
     with r dividing Res(A, B), which does not depend on xi, so once
     xi > 2 |Res(A, B)| |G| the digits spell +-r G and h = G.  The exact
-    divisions that check h are the cofactors.
+    divisions that check h are the cofactors; a candidate h = 1 divides
+    both without a division, and f and g are then its cofactors.
     """
     if K is not ZZ:
         raise TypeError(f"gcd works in Z[x] only, not over {K!r}")
@@ -181,6 +193,8 @@ def gcd(K, f: Poly, g: Poly) -> Tuple[Poly, Poly, Poly]:
     k = max(map(abs, (*a, *b))).bit_length() + 2
     while True:
         h = primitive(unpack(math.gcd(pack(a, k), pack(b, k)), k))[1]
+        if h == (1,):  # divides both, so it is the gcd, and f, g are the cofactors
+            return h, f, g
         if (qa := _exact_quotient(a, h)) and (qb := _exact_quotient(b, h)):
             return h, scale(ZZ, ca, qa), scale(ZZ, cb, qb)
         k *= 2

@@ -29,7 +29,12 @@ cofactors are the reduced numerator and denominator; sums and products
 cross-cancel first (Henrici).  Its branch for constant denominators
 takes no gcd of polynomials (by Gauss's lemma a product of primitive
 polynomials is primitive), so neither Q[t] nor a polynomial element of
-Q(x) takes one.
+Q(x) takes one.  A sum of products, ``dot``, has the same branch: when
+every nonzero term has D = (1,), the products (p_a p_b/q_a q_b) N_a N_b
+are summed in Z[x] over Q, the lcm of the q_a q_b, by ``polys.add_mul``
+into one list of ints, and the sum takes one
+canonical form, where the loop of ``add`` would take one per partial
+sum; a term with D != (1,) sends the whole sum to that loop.
 The Gauss norm of Q[t] is read off the p-adic valuations of p, q and
 N's integer coefficients.  This module decides which matrix routines
 pack.  Each clears its input into Z[x] by one helper, :func:`_clear`,
@@ -44,7 +49,7 @@ one integer combination of the rows of the A_s, with one canonical
 form per coordinate; and the determinant of a matrix over ring[X]
 (``xdet``), packed at two levels.  The products of the first two share
 one kernel, :func:`_zx_mat_mul`.  Every other matrix product, over any
-ring, is the entry-wise loop of :func:`katzcyclic.linalg.mat_mul`.
+ring, is :func:`katzcyclic.linalg.mat_mul`, one ``dot`` per entry.
 
 F_q[x] stores dense coefficient tuples over
 :class:`~katzcyclic.fields.FiniteField` and runs on the
@@ -65,7 +70,7 @@ from typing import Optional, Tuple
 
 from . import linalg, polys
 from .errors import NotInvertibleError, PreconditionError, UnsupportedOperationError
-from .fields import QQ, ZZ, FiniteField, is_prime, power
+from .fields import QQ, ZZ, FiniteField, dot, is_prime, power
 from .normvalue import NormValue, padic_valuation
 from .parser import parse_element
 
@@ -100,6 +105,14 @@ class Ring:
     def pow(self, a, k: int):
         """a^k for k >= 0."""
         return power(self.mul, self.one, a, k)
+
+    def dot(self, u, v, start=None):
+        """start + sum_i u_i v_i for two sequences of equal length, with
+        ``start`` zero by default: every sum of products of
+        :mod:`katzcyclic.linalg`, and each coordinate of a nabla step,
+        which starts at d(v_j) and so saves Q(x) the canonical form of
+        one more ``add``."""
+        return dot(self, u, v, start)
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -376,6 +389,27 @@ class _IntegerCoreRing(Ring):
         _, a_num, b_den = polys.gcd(ZZ, a.N, b.D)
         _, b_num, a_den = polys.gcd(ZZ, b.N, a.D)
         return _ratfunc(p, q, polys.mul(ZZ, a_num, b_num), polys.mul(ZZ, a_den, b_den))
+
+    def dot(self, u, v, start: Optional[RatFunc] = None) -> RatFunc:
+        """start + sum_i u_i v_i.  When every nonzero term has D = (1,),
+        the products are summed in Z[x] over Q, the lcm of the terms'
+        q_a q_b (start counting as start * 1), by ``polys.add_mul`` into
+        one list, and the sum takes one
+        canonical form and no gcd of polynomials; otherwise it is the
+        loop over ``add`` and ``mul``."""
+        terms = [(a, b) for a, b in zip(u, v) if a.p and b.p]
+        if start is not None and start.p:
+            terms.append((start, self.one))
+        if any(len(a.D) > 1 or len(b.D) > 1 for a, b in terms):
+            return dot(self, u, v, start)
+        Q = math.lcm(*[a.q * b.q for a, b in terms])
+        acc = []
+        for a, b in terms:
+            top = len(a.N) + len(b.N) - 1
+            if len(acc) < top:
+                acc.extend([0] * (top - len(acc)))
+            polys.add_mul(acc, Q // (a.q * b.q) * a.p * b.p, a.N, b.N)
+        return _scaled(1, Q, polys.normalize(ZZ, acc))
 
     def inv(self, a: RatFunc) -> RatFunc:
         if not self.is_invertible(a):
@@ -813,6 +847,9 @@ class ScaledDerivationRing(Ring):
 
     def pow(self, a, k: int):
         return self.base.pow(a, k)
+
+    def dot(self, u, v, start=None):
+        return self.base.dot(u, v, start)
 
     def from_int(self, n):
         return self.base.from_int(n)

@@ -10,7 +10,7 @@ An XPoly is a tuple of ring elements, lowest X-degree first, no
 trailing zeros: the dense representation of :mod:`katzcyclic.polys`,
 whose helpers take any ring protocol as coefficient domain.  The
 arithmetic (``normalize``, ``const``, ``degree``, ``is_zero``, ``add``,
-``sub``, ``scale``, ``eq``) is therefore re-exported from there;
+``scale``, ``eq``) is therefore re-exported from there;
 only the derivation, evaluation and substitution are specific to B[X].
 ``mul`` stays a function defined here, delegating to ``polys.mul``, so
 that products in B[X] remain countable apart from products in K[x].
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from . import polys
+from . import fields, polys
 from .errors import PreconditionError
-from .polys import add, const, degree, eq, is_zero, normalize, scale, sub
+from .polys import add, const, degree, eq, is_zero, normalize, scale
 
 XPoly = Tuple
 
@@ -62,11 +62,12 @@ class XPolyRing:
     """Ring-protocol adapter for ring[X], so matrices of X-polynomials can
     reuse the generic linear algebra helpers.
 
-    It supplies what its callers read: ``zero``, ``add``, ``sub``,
-    ``mul`` and ``is_zero`` for ``linalg.det`` (:meth:`Ring.xdet
-    <katzcyclic.rings.Ring.xdet>`), ``derive`` with d(X) = 1 for the
-    nabla-family of :func:`katzcyclic.katz.assemble_h`, and ``one``,
-    ``from_int`` and ``eq`` for the tests."""
+    It supplies what its callers read: ``is_zero``, ``neg`` and ``dot``
+    for ``linalg.det`` (:meth:`Ring.xdet <katzcyclic.rings.Ring.xdet>`),
+    ``dot`` and ``derive`` with d(X) = 1 for the nabla-family of
+    :func:`katzcyclic.katz.assemble_h`, the ``zero``, ``add`` and ``mul``
+    that its ``dot`` loops over, and ``one``, ``from_int`` and ``eq`` for
+    the tests."""
 
     def __init__(self, base):
         self.base = base
@@ -76,11 +77,14 @@ class XPolyRing:
     def add(self, f, g):
         return add(self.base, f, g)
 
-    def sub(self, f, g):
-        return sub(self.base, f, g)
+    def neg(self, f):
+        return polys.neg(self.base, f)
 
     def mul(self, f, g):
         return mul(self.base, f, g)
+
+    def dot(self, u, v, start=None):
+        return fields.dot(self, u, v, start)
 
     def is_zero(self, f) -> bool:
         return is_zero(f)

@@ -13,6 +13,8 @@ for hashability-free equality.
 
 from fractions import Fraction
 
+from katzcyclic.fields import dot
+
 
 class GPoly:
     __slots__ = ("terms",)
@@ -92,6 +94,9 @@ class GenericConnectionRing:
                     out.pop(mono, None)
         return GPoly(out)
 
+    def dot(self, u, v, start=None):
+        return dot(self, u, v, start)
+
     def is_zero(self, a):
         return not a.terms
 
@@ -141,7 +146,8 @@ class GenericConnectionRing:
 
 class CountingRing:
     """A ring protocol object that delegates to ``ring`` and counts the
-    products it is asked for."""
+    products it is asked for, one per ``mul`` and one per term of a
+    ``dot``."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -150,6 +156,11 @@ class CountingRing:
     def mul(self, a, b):
         self.products += 1
         return self.ring.mul(a, b)
+
+    def dot(self, u, v, start=None):
+        u, v = list(u), list(v)
+        self.products += len(u)
+        return self.ring.dot(u, v, start)
 
     def __getattr__(self, name):
         return getattr(self.ring, name)

@@ -103,6 +103,37 @@ def test_solve_left_reads_one_table(n):
     assert tuple(sum(x[i] * a[i][j] for i in range(n)) for j in range(n)) == b
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_solve_left_from_det_table_takes_only_the_minors_with_b(n):
+    """Seeded with the table ``det`` filled for a, ``solve_left`` takes
+    the unseeded count less det's n 2^(n-1) - n products (18, not 27, at
+    n = 3), leaves the seed as it was, and solves alike."""
+    a = linalg.freeze([[Fraction((i + 2) ** j) for j in range(n)] for i in range(n)])
+    b = tuple(Fraction(j + 1, 2) for j in range(n))
+    table = {}
+    d = linalg.det(QQ, a, table)
+    seed = dict(table)
+    assert table[(1 << n) - 1] == d
+    ring = CountingRing(QQ)
+    x = linalg.solve_left(ring, a, b, table)
+    assert ring.products == (n + 1) * (2 ** n - 2) + n - (n * 2 ** (n - 1) - n)
+    assert n != 3 or ring.products == 18
+    assert table == seed
+    assert x == linalg.solve_left(QQ, a, b)
+
+
+def test_det_fills_the_table_it_is_given():
+    """Every minor on the trailing columns of two or more rows, by the
+    bitmask of its rows, each the determinant of those rows."""
+    a = linalg.freeze([[2, 1, 1], [4, 3, 1], [1, 7, 5]])
+    table = {}
+    assert linalg.det(ZZ, a, table) == cofactor_det(ZZ, a)
+    assert sorted(table) == [0b011, 0b101, 0b110, 0b111]
+    for mask, value in table.items():
+        rows = tuple(a[i][3 - bin(mask).count("1"):] for i in range(3) if mask >> i & 1)
+        assert value == cofactor_det(ZZ, rows)
+
+
 def test_det_skips_zero_entries():
     ring = CountingRing(ZZ)
     a = linalg.freeze([[2, 1, 1], [0, 3, 1], [0, 0, 5]])

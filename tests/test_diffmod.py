@@ -300,6 +300,21 @@ class TestRescaleDerivation:
         with pytest.raises(PreconditionError, match="unknown key 'scaled_by'"):
             module_from_json(doc)
 
+    def test_rescaled_twice_is_described_by_the_product(self):
+        """Rescaled by 2 and then by 5, the ring is the base rescaled once
+        by 10, and its descriptor says so; rescaled back by 1/10 it is the
+        base itself."""
+        ring = GaussPolynomialRing(3, 1)
+        m = mk(ring, [["0", "3"], ["3*t", "0"]])
+        twice = rescale_derivation(rescale_derivation(m, ring.from_int(2)), ring.from_int(5))
+        once = rescale_derivation(m, ring.from_int(10))
+        assert twice.ring.base is ring
+        assert module_to_json(twice) == module_to_json(once)
+        assert module_to_json(twice)["ring"]["scaled_by"] == "10"
+        assert twice.g1 == once.g1
+        back = rescale_derivation(twice, ring.from_fraction(Fraction(1, 10)))
+        assert back.ring is ring and back.g1 == m.g1
+
     def test_non_invertible_rejected(self, qx):
         m = mk(qx, [["0", "1"], ["x", "0"]])
         with pytest.raises(NotInvertibleError):

@@ -1,0 +1,98 @@
+"""Tests of tools/interleave.py: one small rep against this checkout
+itself, a base whose output differs, the two package copies it loads,
+and the bytecode it leaves (none, in the checkouts it times)."""
+
+import importlib.util
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "interleave.py"
+
+
+def needs_tool():
+    if not (TOOL.is_file() and (ROOT / "bench" / "workloads.py").is_file()):
+        pytest.skip("needs the project checkout with tools/interleave.py and bench/")
+
+
+def tool_module():
+    needs_tool()
+    spec = importlib.util.spec_from_file_location("interleave", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def run_tool(base, *args, env=None):
+    needs_tool()
+    return subprocess.run(
+        [sys.executable, str(TOOL), "--base", str(base), "--workload", "qx-cyclic",
+         "--groups", "1", *args],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
+def copy_checkout(tmp_path):
+    checkout = tmp_path / "checkout"
+    shutil.copytree(ROOT / "src", checkout / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return checkout
+
+
+def test_same_checkout_gives_identical_output():
+    proc = run_tool(ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("  rep ") == tool_module().REPS
+    assert "median ratio" in proc.stdout and "outputs identical" in proc.stdout
+
+
+def test_a_base_with_other_output_fails(tmp_path):
+    checkout = copy_checkout(tmp_path)
+    cli = checkout / "src" / "katzcyclic" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert "indent=2" in text
+    cli.write_text(text.replace("indent=2", "indent=3"), encoding="utf-8")
+    proc = run_tool(checkout)
+    assert proc.returncode == 1, proc.stderr
+    assert "outputs DIFFER on 3 operations" in proc.stdout
+
+
+def test_unknown_workload_is_a_usage_error():
+    needs_tool()
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--base", str(ROOT), "--workload", "nope"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "unknown workload 'nope'" in proc.stderr
+
+
+def test_loads_two_copies_of_the_package(tmp_path):
+    """Each side is its own set of module objects, read from its own
+    checkout, under a name of its own."""
+    tool = tool_module()
+    checkout = copy_checkout(tmp_path)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        a = tool.load(ROOT, "katzcyclic_test_a")
+        b = tool.load(checkout, "katzcyclic_test_b")
+    finally:
+        sys.dont_write_bytecode = saved
+        for name in [m for m in sys.modules if m.startswith("katzcyclic_test_")]:
+            del sys.modules[name]
+    assert a.katz is not b.katz and a.katz.linalg is not b.katz.linalg
+    assert a.cli.__name__ == "katzcyclic_test_a.cli"
+    assert pathlib.Path(b.cli.__file__).is_relative_to(checkout)
+
+
+def test_leaves_no_bytecode_in_the_checkout(tmp_path):
+    checkout = copy_checkout(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    proc = run_tool(checkout, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert list(checkout.rglob("__pycache__")) == []

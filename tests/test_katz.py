@@ -49,6 +49,7 @@ from _helpers import (
     mat_eq,
     nabla_on_xpoly_row,
     katz_vector_xpoly_row,
+    load_corpus,
     random_module,
     random_qx_poly,
     random_ratfunc,
@@ -56,6 +57,7 @@ from _helpers import (
     seeded,
     specialize_by_powers,
 )
+from test_golden_seeded import qx_modules
 
 
 @pytest.fixture
@@ -327,7 +329,7 @@ class TestDerivativeCoefficients:
             got = derivative_coefficients(m, c0, 1, j)
             expected = linalg.row_add(
                 qx,
-                linalg.row_derive(qx, c0[j]),
+                tuple(qx.derive(x) for x in c0[j]),
                 linalg.row_scale(qx, qx.from_int(j + 1), c0[j + 1]),
             )
             assert got == expected
@@ -690,6 +692,24 @@ class TestCompanionForm:
             res = find_cyclic(m)
             self.residual_is_zero(qx, m, res.family)
 
+    def test_companion_form_from_the_search_table(self, qx):
+        """The search keeps the minor table of the family it returns, and the
+        companion form from that table is the one taken from a fresh table:
+        on the golden Q(x) corpora, and on two modules whose candidate a = 0
+        fails, so that the table of a rejected family could be kept."""
+        modules = [m for m in load_corpus("qx_corpus.json") if m.n <= 3] + qx_modules()
+        for rows in ([["0", "0"], ["0", "-1/x"]], [["0", "x"], ["1/x^2", "-1"]]):
+            modules.append(mk(qx, rows))
+        results = [find_cyclic(m) for m in modules]
+        assert any(r.candidate_index for r in results)
+        for m, result in zip(modules, results):
+            table = {}
+            assert linalg.det(m.ring, result.family, table) == result.determinant
+            assert result.minors == table
+            assert companion_form(m, result.family, result.minors) == companion_form(
+                m, result.family
+            )
+
     def test_non_basis_rejected(self, qx):
         from katzcyclic import NotInvertibleError
 
@@ -698,6 +718,17 @@ class TestCompanionForm:
         # pick c with nabla c parallel to c instead
         with pytest.raises(NotInvertibleError):
             companion_form(m, nabla_family(m, (qx.zero, qx.one), m.n))
+
+    def test_another_familys_table_changes_the_answer(self, qx):
+        """The seed is read, not recomputed: a table from another family
+        gives another (wrong) answer."""
+        rng = seeded(79)
+        m = random_module(qx, rng, 3, max_deg=2)
+        other = find_cyclic(random_module(qx, rng, 3, max_deg=2))
+        result = find_cyclic(m)
+        assert companion_form(m, result.family, other.minors) != companion_form(
+            m, result.family, result.minors
+        )
 
     @pytest.mark.parametrize("length", [2, 4])
     def test_family_of_the_wrong_length_rejected(self, qx, length):

@@ -1,8 +1,10 @@
-"""Kronecker packing of Z[x], exact division over Z, and the plain-int
+"""Kronecker packing of Z[x], exact division over Z, the plain-int
 branches that ``polys`` takes over ZZ, each against the generic path
-over QQ."""
+over QQ, and GCDHEU's gcd in Z[x] against Euclid over QQ."""
 
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,19 @@ def test_zz_add_sub_mul_match_qq(pair):
         assert_same(op(ZZ, f, g), op(QQ, qq(f), qq(g)))
 
 
+@given(zx_pairs(), small, st.lists(small, max_size=14))
+def test_add_mul_accumulates_in_place(pair, c, acc):
+    """acc += c f g on a list at least as long as the product, with the
+    list's other entries left as they were."""
+    f, g = pair
+    acc += [0] * (len(f) + len(g) - 1 - len(acc))
+    expected = polys.add(QQ, qq(acc), polys.scale(QQ, Fraction(c), polys.mul(QQ, qq(f), qq(g))))
+    out = list(acc)
+    polys.add_mul(out, c, f, g)
+    assert len(out) == len(acc) and all(type(x) is int for x in out)
+    assert polys.normalize(ZZ, out) == expected
+
+
 @given(zx, small)
 def test_zz_neg_derive_scale_match_qq(f, c):
     assert_same(polys.neg(ZZ, f), polys.neg(QQ, qq(f)))
@@ -164,3 +179,66 @@ def test_zz_divmod_matches_qq_or_raises(case):
     else:
         with pytest.raises(PreconditionError):
             polys.divmod_(ZZ, f, g)
+
+
+# -- gcd in Z[x] ---------------------------------------------------------------
+
+def euclid_gcd(f, g):
+    """The primitive gcd with a positive leading coefficient, by Euclid's
+    algorithm over QQ: shares no code with GCDHEU."""
+    a = tuple(Fraction(c) for c in f)
+    b = tuple(Fraction(c) for c in g)
+    while b:
+        a, b = b, polys.divmod_(QQ, a, b)[1]
+    if not a:
+        return ()
+    den = 1
+    for c in a:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return polys.primitive(tuple(int(c * den) for c in a))[1]
+
+
+small_zx = st.lists(st.integers(min_value=-9, max_value=9), max_size=6).map(
+    lambda cs: polys.normalize(ZZ, cs)
+)
+
+
+@given(small_zx, small_zx, small_zx)
+@settings(max_examples=200)
+def test_gcd_against_euclid(f, g, common):
+    """gcd(f c, g c) is the primitive gcd, and its cofactors multiply back."""
+    f, g = polys.mul(ZZ, f, common), polys.mul(ZZ, g, common)
+    h, cf, cg = polys.gcd(ZZ, f, g)
+    assert h == euclid_gcd(f, g)
+    if f or g:
+        assert polys.mul(ZZ, h, cf) == f and polys.mul(ZZ, h, cg) == g
+
+
+@pytest.mark.parametrize("f, g, first", [
+    ((1, 2, 3), (2, 2, -1, -3), (-7, 1)),
+    ((2, -2, -1, 1), (2, -2, 3, 2), (-6, 1)),
+    ((-3, -3, -3, -3, -2), (-1, -2, 2), (-1, -2, 2)),
+])
+def test_gcd_refuses_a_first_candidate_that_does_not_divide(f, g, first):
+    """Coprime pairs whose gcd at the first width 2^k, read as balanced
+    digits, spells a polynomial that divides neither: only the check by
+    division tells that it is not the gcd."""
+    (_, a), (_, b) = polys.primitive(f), polys.primitive(g)
+    k = max(map(abs, (*a, *b))).bit_length() + 2
+    digits = polys.unpack(math.gcd(polys.pack(a, k), polys.pack(b, k)), k)
+    assert polys.primitive(digits)[1] == first
+    assert polys.gcd(ZZ, f, g) == ((1,), f, g)
+
+
+@given(small_zx, small_zx)
+@settings(max_examples=200)
+def test_coprime_pairs_return_themselves_as_cofactors(f, g):
+    """A gcd of 1 has f and g themselves as cofactors, with no division."""
+    h, cf, cg = polys.gcd(ZZ, f, g)
+    if h == (1,):
+        assert cf == f and cg == g
+
+
+def test_candidate_one_takes_no_division():
+    with mock.patch.object(polys, "divmod_", side_effect=AssertionError("division")):
+        assert polys.gcd(ZZ, (1, 1), (-1, 1)) == ((1,), (1, 1), (-1, 1))

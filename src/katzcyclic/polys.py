@@ -113,7 +113,9 @@ def add_mul(acc: list, c: int, f: Poly, g: Poly) -> None:
     """acc += c f g in Z[x], in place, on a list of at least
     len(f) + len(g) - 1 ints, which it leaves unnormalized: the schoolbook
     loop of :func:`mul` over ZZ, and of each term of a sum of products
-    (:meth:`katzcyclic.rings._IntegerCoreRing.dot`)."""
+    (:meth:`katzcyclic.rings._IntegerCoreRing.dot` and the rows of
+    :meth:`katzcyclic.rings.GaussPolynomialRing.lemma_norms`).  It skips
+    f's zero coefficients, so c t^d g costs one pass over g."""
     for i, a in enumerate(f):
         if a:
             a *= c

@@ -37,19 +37,22 @@ canonical form, where the loop of ``add`` would take one per partial
 sum; a term with D != (1,) sends the whole sum to that loop.
 The Gauss norm of Q[t] is read off the p-adic valuations of p, q and
 N's integer coefficients.  This module decides which matrix routines
-pack.  Each clears its input into Z[x] by one helper, :func:`_clear`,
-and takes the rest on Kronecker-packed ints: the recurrence
-G_{s+1} = d(G_s) + G_s G_1 of the iterated matrices
+run on integers.  Two clear their input into Z[x] by one helper,
+:func:`_clear`, and take the rest on Kronecker-packed ints: the
+recurrence G_{s+1} = d(G_s) + G_s G_1 of the iterated matrices
 (``integer_iterates``), which clears G_1 once and runs on integer
-matrices A_s with G_s = A_s/(m^s L^s), ``iterated_matrices`` being
-their canonical forms; Q[t]'s ``lemma_norms``, the norms of Lemma 2.1
-read off the products of cleared tables with the A_s, with nothing put
-in canonical form; ``katz_vector_at_t``, Katz's candidate c(e, t) as
-one integer combination of the rows of the A_s, with one canonical
-form per coordinate; and the determinant of a matrix over ring[X]
-(``xdet``), packed at two levels.  The products of the first two share
-one kernel, :func:`_zx_mat_mul`.  Every other matrix product, over any
-ring, is :func:`katzcyclic.linalg.mat_mul`, one ``dot`` per entry.
+matrices A_s with G_s = A_s/(m^s L^s), one packed product
+(:func:`_zx_mat_mul`) per step, ``iterated_matrices`` being their
+canonical forms; and the determinant of a matrix over ring[X]
+(``xdet``), packed at two levels.  Two more read the A_s without
+packing: Q[t]'s ``lemma_norms``, the norms of Lemma 2.1, each row of
+F_s A_s summed in Z[t] by ``polys.add_mul`` (the factors F_s have one
+monomial per entry, which a packed product would spend its time
+packing and unpacking), with nothing put in canonical form; and
+``katz_vector_at_t``, Katz's candidate c(e, t) as one integer
+combination of the rows of the A_s, with one canonical form per
+coordinate.  Every other matrix product, over any ring, is
+:func:`katzcyclic.linalg.mat_mul`, one ``dot`` per entry.
 
 F_q[x] stores dense coefficient tuples over
 :class:`~katzcyclic.fields.FiniteField` and runs on the
@@ -300,7 +303,8 @@ def _clear(elements) -> Tuple[int, Tuple[int, ...], list]:
 def _zx_mat_mul(a, b):
     """a * b for matrices over Z[x], as one product of integer matrices
     by Kronecker substitution (von zur Gathen & Gerhard, *Modern
-    Computer Algebra*, 8.4).
+    Computer Algebra*, 8.4): the product A_s A of each step of
+    :meth:`_IntegerCoreRing.integer_iterates`.
 
     Every coefficient of sum_l a_il b_lj is at most max_i sum_l |a_il|_1
     * max_lj |b_lj|_1 =: B in absolute value, so with k = bitlen(B) + 1
@@ -680,14 +684,18 @@ class GaussPolynomialRing(_IntegerCoreRing):
         """([|F_1 G_1|, ..., |F_S G_S|], iterates) for the S matrices F_s
         of ``factors``, with |a| = max_ij |a_ij| p^(k (j - i)), G_s the
         iterated matrices of g1 and iterates = ``integer_iterates(g1, S)``,
-        from which :meth:`iterated_matrices` takes canonical G_s.
+        which :meth:`katz_vector_at_t` reads for Katz's candidate.
 
-        :func:`_clear` writes row i of F_s as R_i/m_i once, and
-        G_s = A_s/m^s, so (F_s G_s)_ij = (R A_s)_ij/(m_i m^s): one packed
-        product R A_s (:func:`_zx_mat_mul`) per s.  Each entry's exponent
-        is that of the integer polynomial (R A_s)_ij plus
-        v_p(m_i) + s v_p(m) + k (j - i), and no G_s, product entry or norm
-        is put in canonical form.
+        Row i of F_s has entries (p_l/q_l) N_l; with m_i the lcm of their
+        q_l and G_s = A_s/m^s,
+
+            (F_s G_s)_ij = sum_l (m_i/q_l) p_l N_l A_s[l][j] / (m_i m^s),
+
+        and the integer numerator is summed by ``polys.add_mul`` into one
+        list of ints, which skips N_l's zero coefficients, so a monomial
+        factor costs one pass over A_s[l][j].  Each entry's exponent is
+        that of the numerator plus v_p(m_i) + s v_p(m) + k (j - i), and
+        no G_s, product entry or norm is put in canonical form.
         """
         p, r = self.prime, self.radius_exp
         iterates = self.integer_iterates(g1, len(factors))
@@ -695,18 +703,24 @@ class GaussPolynomialRing(_IntegerCoreRing):
         vm = padic_valuation(m, p)
         out = []
         for s, (F, A_s) in enumerate(zip(factors, As), 1):
-            rows = [_clear(row) for row in F]
-            prod = _zx_mat_mul([R for _, _, R in rows], A_s)
+            width = max(len(f) for row in A_s for f in row)
             best = None
-            for i, ((mi, _, _), prow) in enumerate(zip(rows, prod)):
+            for i, row in enumerate(F):
+                nonzero = [(l, a) for l, a in enumerate(row) if a.p]
+                mi = math.lcm(*[a.q for _, a in nonzero])
+                terms = [(mi // a.q * a.p, a.N, A_s[l]) for l, a in nonzero]
+                size = max([len(N) for _, N, _ in terms], default=0) + width - 1
                 shift = padic_valuation(mi, p) + s * vm - k * i
-                for j, f in enumerate(prow):
-                    if f:
-                        # |f| = |g|_p |f/g| for f's content g, and |f/g| = 1 at r = 0
-                        g = math.gcd(*f)
+                for j in range(len(A_s[0])):
+                    acc = [0] * size
+                    for c, N, A_row in terms:
+                        polys.add_mul(acc, c, N, A_row[j])
+                    # |acc| = |g|_p |acc/g| for acc's content g, and |acc/g| = 1 at r = 0
+                    g = math.gcd(*acc)
+                    if g:
                         e = shift + k * j - padic_valuation(g, p)
                         if r:
-                            e += self._scan_exp(f, g)
+                            e += self._scan_exp(acc, g)
                         if best is None or e > best:
                             best = e
             out.append(NormValue(p, best))

@@ -46,8 +46,31 @@ def copy_checkout(tmp_path):
 def test_same_checkout_gives_identical_output():
     proc = run_tool(ROOT)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("qx-cyclic: seed 1, 1 groups, ")
     assert proc.stdout.count("  rep ") == tool_module().REPS
     assert "median ratio" in proc.stdout and "outputs identical" in proc.stdout
+
+
+def test_seed_option_times_other_inputs(tmp_path):
+    """``--seed N`` times the workload's groups of seed N, which are not
+    those of the default seed."""
+    tool = tool_module()
+    proc = run_tool(ROOT, "--seed", "7")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("qx-cyclic: seed 7, 1 groups, ")
+    assert "outputs identical" in proc.stdout
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    docs = {}
+    for seed in (tool.DEFAULT_SEED, 7):
+        workdir = tmp_path / str(seed)
+        workdir.mkdir()
+        ops = tool.write_inputs(WORKLOADS["qx-cyclic"], seed, 1, workdir)
+        docs[seed] = [pathlib.Path(path).read_text(encoding="utf-8") for _, path, _ in ops]
+    assert docs[tool.DEFAULT_SEED] != docs[7]
 
 
 def test_a_base_with_other_output_fails(tmp_path):

@@ -1,9 +1,11 @@
 """The packed Z[x] product of Q(x) and Q[t] (``rings._zx_mat_mul``),
-checked through its callers' public API: the iterated matrices G_s of
-``diffmod.iterated_matrices`` and the per-s norms of
-``GaussPolynomialRing.lemma_norms``.  The reference is the recurrence
-G_{s+1} = d(G_s) + G_s G_1 with each product by ``linalg.mat_mul``,
-the entry-wise loop of every ring, which shares no code with the kernel.
+checked through the iterated matrices G_s of
+``diffmod.iterated_matrices``, and the per-s norms of
+``GaussPolynomialRing.lemma_norms``, which sum each row of F_s G_s in
+Z[t] on the integer iterates behind G_s.  The reference is the
+recurrence G_{s+1} = d(G_s) + G_s G_1 with each product by
+``linalg.mat_mul``, the entry-wise loop of every ring, which shares no
+code with either.
 """
 
 from fractions import Fraction
@@ -104,16 +106,46 @@ def test_packed_product_matches_entrywise(name, data, n):
 @given(data=st.data(), n=st.integers(1, 4), k=st.integers(-1, 1))
 @SETTINGS
 def test_row_times_square(name, data, n, k):
-    """Lemma 2.1's products: each factor's rows, one to n of them, each
-    cleared over its own denominator, times the square G_s, for s = 1, 2,
-    against the norm of the entry-wise product in the weight p^(k (j - i))."""
+    """Lemma 2.1's products for arbitrary factors: each factor's rows,
+    one to n of them, each summed over the lcm of its own scales, times
+    the square G_s, for s = 1, 2, against the norm of the entry-wise
+    product in the weight p^(k (j - i))."""
     ring, elements = ELEMENTS[name]
     g1 = data.draw(matrices(elements, n, n))
     factors = [data.draw(matrices(elements, data.draw(st.integers(1, n)), n)) for _ in range(2)]
+    check_lemma_norms(ring, g1, factors, k)
+
+
+@st.composite
+def monomials(draw):
+    """Zero a third of the time; otherwise c t^d, as in the evaluated
+    tables H_0(-t) H_s(t), with a scale whose denominator is often
+    divisible by p = 3."""
+    if draw(st.integers(0, 2)) == 0:
+        return QT.zero
+    top = draw(st.integers(-50, 50).filter(bool))
+    c = Fraction(top, draw(st.sampled_from([1, 2, 3, 6, 9, 27, 40])))
+    return QT.mul(QT.from_fraction(c), QT.pow(QT.t, draw(st.integers(0, 6))))
+
+
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(-1, 1))
+@SETTINGS
+def test_monomial_factor_rows(data, n, k):
+    """Factors shaped like the real ones, one monomial or zero per entry,
+    for s = 1, 2, 3, with row 0 of the first factor all zero (its scale
+    is ``math.lcm()`` of no scales, 1, and its entries add nothing to the
+    norm)."""
+    g1 = data.draw(matrices(qt_elements(), n, n))
+    factors = [[list(row) for row in data.draw(matrices(monomials(), n, n))] for _ in range(3)]
+    factors[0][0] = [QT.zero] * n
+    check_lemma_norms(QT, g1, [linalg.freeze(f) for f in factors], k)
+
+
+def check_lemma_norms(ring, g1, factors, k):
     kind = MatrixNormKind("rho", NormValue(ring.prime, k))
     expected = [
         matrix_norm(ring, linalg.mat_mul(ring, f, g), kind)
-        for f, g in zip(factors, loop_iterates(ring, g1, 2)[1:])
+        for f, g in zip(factors, loop_iterates(ring, g1, len(factors))[1:])
     ]
     assert ring.lemma_norms(g1, factors, k)[0] == expected
 

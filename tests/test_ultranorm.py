@@ -397,12 +397,22 @@ class TestLemma21:
         denominator m is not always a p-adic unit), on each plain module
         over the ring rescaled by p (which has no ``lemma_norms`` of its
         own), and on modules whose products F_s G_s vanish for some or
-        every s.  A certified module's witness is c(e, t) built from
-        G_0 .. G_{n-1} the usual way."""
+        every s.  At p = 3, r = 1 one more module per rank 5..8, G1 times
+        1/3, takes s up to 14.  A certified module's witness is c(e, t)
+        built from G_0 .. G_{n-1} the usual way."""
         rng = seeded(300 + p)
         compared = 0
         for r in (0, 1, 2):
             ring = GaussPolynomialRing(p, radius_exp=r)
+
+            def scaled(g1, e):
+                c = ring.from_fraction(Fraction(p) ** e)
+                return DifferentialModule(
+                    ring=ring,
+                    n=len(g1),
+                    g1=linalg.freeze([[ring.mul(c, x) for x in row] for row in g1]),
+                )
+
             modules = [
                 # G1 nilpotent and constant: G_s = G1^s vanishes for s >= 2
                 mk(ring, [["0", "1"], ["0", "0"]]),
@@ -410,14 +420,14 @@ class TestLemma21:
             ]
             for n in (2, 3, 4):
                 g1 = random_gauss_matrix(ring, rng, n, max_scale=2 * n)
-                for e in (-2, -1, 0, 1):
-                    c = ring.from_fraction(Fraction(p) ** e)
-                    modules.append(DifferentialModule(
-                        ring=ring,
-                        n=n,
-                        g1=linalg.freeze([[ring.mul(c, x) for x in row] for row in g1]),
-                    ))
+                modules.extend(scaled(g1, e) for e in (-2, -1, 0, 1))
                 modules.append(rescale_derivation(modules[-2], ring.from_int(p)))
+            if (p, r) == (3, 1):
+                big = seeded(700)
+                modules.extend(
+                    scaled(random_gauss_matrix(ring, big, n, max_scale=2 * n), -1)
+                    for n in (5, 6, 7, 8)
+                )
             for m in modules:
                 n, mring = m.n, m.ring
                 gs = iterated_matrices(m, 2 * n - 2)
@@ -440,7 +450,7 @@ class TestLemma21:
                             m, katz_vector(m), mring.from_int(0)
                         )
                     compared += 1
-        assert compared == 3 * (2 + 3 * 5) * 3
+        assert compared == (3 * (2 + 3 * 5) + (4 if p == 3 else 0)) * 3
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_witness_norm_matches_h_of_x_at_t(self, p):

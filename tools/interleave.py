@@ -13,7 +13,8 @@ separate processes do not: the per-rep ratio of the two sides stays
 steady where the ratio of two separate benchmark runs swings.  One
 untimed pass over the first group comes first, so that each side's
 lazy set-up and caches are filled before timing.  The inputs are the
-workload's groups of seed 1, and there are five timed reps.
+workload's groups of seed 1, or of ``--seed N`` (to recheck a gain
+measured on one seed on a held-out one), and there are five timed reps.
 
 Prints each rep's operations per second on both sides and their ratio,
 change over base, and the median ratio.  Exits 1 if an operation's
@@ -34,7 +35,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM_MODULES = ("cli", "diffmod", "katz", "xpoly", "ultranorm", "normvalue")
-SEED = 1
+DEFAULT_SEED = 1
 REPS = 5
 
 
@@ -88,6 +89,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, help="a workload of bench/workloads.py")
     ap.add_argument("--groups", type=int, default=None,
                     help="input groups per rep (default: the workload's reference groups)")
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help=f"seed of the input groups (default: {DEFAULT_SEED})")
     args = ap.parse_args(argv)
     sides = {"base": args.base.resolve(), "change": ROOT}
     for name, checkout in sides.items():
@@ -109,10 +112,10 @@ def main(argv=None) -> int:
     mismatches = set()
     ratios = []
     with tempfile.TemporaryDirectory(prefix="interleave-") as workdir:
-        ops = write_inputs(workload, SEED, groups, Path(workdir))
-        warm = write_inputs(workload, SEED, 1, Path(workdir))
+        ops = write_inputs(workload, args.seed, groups, Path(workdir))
+        warm = write_inputs(workload, args.seed, 1, Path(workdir))
         run_pass(workload, programs, warm, dict.fromkeys(sides, 0.0), mismatches)
-        print(f"{workload.name}: seed {SEED}, {groups} groups, "
+        print(f"{workload.name}: seed {args.seed}, {groups} groups, "
               f"{len(ops)} operations per side per rep, {REPS} reps")
         for rep in range(REPS):
             busy = dict.fromkeys(sides, 0.0)

@@ -33,7 +33,10 @@ from .errors import InternalConsistencyError, NotInvertibleError, PreconditionEr
 
 
 def power(mul, one, a, k: int):
-    """a^k for k >= 0 by square-and-multiply with the product ``mul``."""
+    """a^k for k >= 0 by square-and-multiply with the product ``mul``;
+    PreconditionError for k < 0."""
+    if k < 0:
+        raise PreconditionError(f"negative exponent {k}")
     out = one
     while k:
         if k & 1:

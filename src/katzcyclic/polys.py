@@ -15,9 +15,11 @@ integer polynomials of Q(x) and Q[t], or any ring for the B[X] of
 :mod:`katzcyclic.xpoly`.  Over ZZ, ``add``, ``sub``, ``neg``, ``mul``,
 ``derive``, ``scale`` and ``divmod_`` take one branch on plain ints,
 with no method call per coefficient; every other K takes the generic
-path through K's methods.  ``add_mul`` is ``mul``'s loop over ZZ,
+path through K's methods.  ``mul`` by a factor of length 1, over
+any K, is ``scale``.  ``add_mul`` is ``mul``'s loop over ZZ,
 adding c f g into a list of ints in place, so that a sum of such
-products takes one list and one ``normalize``.  ``divmod_`` needs a field, or over ZZ an
+products takes one list and one ``normalize``; ``add_scaled`` is
+c f + d g in Z[x] in one pass.  ``divmod_`` needs a field, or over ZZ an
 exact quotient: each step divides the top coefficient by the divisor's
 leading one, and raises PreconditionError when that leaves a remainder.
 ``gcd`` is the gcd of Z[x] only, with its cofactors: GCDHEU (Char,
@@ -94,8 +96,14 @@ def sub(K, f: Poly, g: Poly) -> Poly:
 
 
 def mul(K, f: Poly, g: Poly) -> Poly:
+    """f g.  A factor of length 1 only scales the other, with no
+    schoolbook loop and no ``K.add`` onto zeros."""
     if not f or not g:
         return ()
+    if len(f) == 1:
+        return scale(K, f[0], g)
+    if len(g) == 1:
+        return scale(K, g[0], f)
     if K is ZZ:
         out = [0] * (len(f) + len(g) - 1)
         add_mul(out, 1, f, g)
@@ -121,6 +129,15 @@ def add_mul(acc: list, c: int, f: Poly, g: Poly) -> None:
             a *= c
             for j, b in enumerate(g, i):
                 acc[j] += a * b
+
+
+def add_scaled(c: int, f: Poly, d: int, g: Poly) -> Poly:
+    """c f + d g in Z[x], in one pass over the ints."""
+    if len(f) < len(g):
+        c, f, d, g = d, g, c, f
+    out = [c * a + d * b for a, b in zip(f, g)]
+    out += [c * a for a in f[len(g):]]
+    return normalize(ZZ, out)
 
 
 def scale(K, c, f: Poly) -> Poly:

@@ -29,12 +29,16 @@ cofactors are the reduced numerator and denominator; sums and products
 cross-cancel first (Henrici).  Its branch for constant denominators
 takes no gcd of polynomials (by Gauss's lemma a product of primitive
 polynomials is primitive), so neither Q[t] nor a polynomial element of
-Q(x) takes one.  A sum of products, ``dot``, has the same branch: when
-every nonzero term has D = (1,), the products (p_a p_b/q_a q_b) N_a N_b
-are summed in Z[x] over Q, the lcm of the q_a q_b, by ``polys.add_mul``
-into one list of ints, and the sum takes one
+Q(x) takes one.  A rational constant factor only rescales the
+other (no polynomial product), and a sum over a shared denominator is
+one pass over the ints.  A sum of products, ``dot``, takes one
 canonical form, where the loop of ``add`` would take one per partial
-sum; a term with D != (1,) sends the whole sum to that loop.
+sum: when every nonzero term has D = (1,), the products (p_a p_b/q_a
+q_b) N_a N_b are summed in Z[x] over Q, the lcm of the q_a q_b, by
+``polys.add_mul`` into one list of ints, with no gcd of polynomials;
+otherwise a sum of three or more terms is put over one denominator by
+:func:`_clear`, the helper of the matrix routines below, and a sum of
+two takes one Henrici ``add``.
 The Gauss norm of Q[t] is read off the p-adic valuations of p, q and
 N's integer coefficients.  This module decides which matrix routines
 run on integers.  Two clear their input into Z[x] by one helper,
@@ -106,7 +110,7 @@ class Ring:
         raise NotImplementedError
 
     def pow(self, a, k: int):
-        """a^k for k >= 0."""
+        """a^k for k >= 0; PreconditionError for k < 0."""
         return power(self.mul, self.one, a, k)
 
     def dot(self, u, v, start=None):
@@ -312,7 +316,7 @@ def _zx_mat_mul(a, b):
     packed ints, taken by ``linalg.mat_mul`` over ZZ, unpacks into the
     entry of a * b.
     """
-    row_sum = max(sum(abs(c) for f in row for c in f) for row in a)
+    row_sum = max(sum(sum(map(abs, f)) for f in row) for row in a)
     bound = row_sum * max(sum(map(abs, f)) for row in b for f in row)
     if not bound:
         return [[() for _ in b[0]] for _ in a]
@@ -348,6 +352,8 @@ class _IntegerCoreRing(Ring):
     def pow(self, a: RatFunc, k: int) -> RatFunc:
         # Powers of coprime primitive polynomials are again coprime and
         # primitive, so a^k needs no gcd at all.
+        if k < 0:
+            raise PreconditionError(f"negative exponent {k}")
         if not a.p:
             return self.one if k == 0 else self.zero
         zmul = functools.partial(polys.mul, ZZ)
@@ -358,6 +364,11 @@ class _IntegerCoreRing(Ring):
         return not a.p
 
     def add(self, a: RatFunc, b: RatFunc) -> RatFunc:
+        """a + b.  Over a shared denominator D the numerators are summed in
+        one pass over the ints (``polys.add_scaled``), and with D = (1,)
+        no gcd of polynomials is taken; otherwise the denominators
+        cross-cancel first (Henrici), so that only the part they share is
+        reduced."""
         if not a.p:
             return b
         if not b.p:
@@ -367,27 +378,31 @@ class _IntegerCoreRing(Ring):
         q = a.q // g * b.q
         ma, mb = a.p * (b.q // g), b.p * (a.q // g)
         if a.D == b.D:
-            num = polys.add(ZZ, polys.scale(ZZ, ma, a.N), polys.scale(ZZ, mb, b.N))
+            num = polys.add_scaled(ma, a.N, mb, b.N)
             return _scaled(1, q, num) if len(a.D) == 1 else _canonical(1, q, num, a.D)
         # Henrici (Knuth TAOCP 2, 4.5.1): aD = d1 a1, bD = d1 b1, and t is prime
         # to a1 b1, so only t/d1 is reduced; t != 0, as a + b = 0 makes aD = bD
         d1, a1, b1 = polys.gcd(ZZ, a.D, b.D)
-        t = polys.add(ZZ, polys.scale(ZZ, ma, polys.mul(ZZ, a.N, b1)),
-                      polys.scale(ZZ, mb, polys.mul(ZZ, b.N, a1)))
+        t = polys.add_scaled(ma, polys.mul(ZZ, a.N, b1), mb, polys.mul(ZZ, b.N, a1))
         s = _canonical(1, q, t, d1)
         return _ratfunc(s.p, s.q, s.N, polys.mul(ZZ, s.D, polys.mul(ZZ, a1, b1)))
 
     def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        """a * b.  Polynomial operands need no gcd: N_a N_b is primitive
-        by Gauss's lemma.  Otherwise the factors cross-cancel first
-        (Henrici; Knuth TAOCP 2, 4.5.1); with a and b canonical the
-        cross-cancelled products are again coprime and primitive, so no
-        gcd of the product is due."""
+        """a * b.  A rational constant (N = D = (1,)) only rescales the
+        other factor, whose N and D are kept.  Polynomial operands need no
+        gcd: N_a N_b is primitive by Gauss's lemma.  Otherwise the factors
+        cross-cancel first (Henrici; Knuth TAOCP 2, 4.5.1); with a and b
+        canonical the cross-cancelled products are again coprime and
+        primitive, so no gcd of the product is due."""
         if not a.p or not b.p:
             return self.zero
         # the scales cross-cancel the same way, on ints
         g, h = math.gcd(a.p, b.q), math.gcd(b.p, a.q)
         p, q = (a.p // g) * (b.p // h), (a.q // h) * (b.q // g)
+        if len(a.N) == len(a.D) == 1:  # a rational constant only rescales b
+            return _ratfunc(p, q, b.N, b.D)
+        if len(b.N) == len(b.D) == 1:
+            return _ratfunc(p, q, a.N, a.D)
         if len(a.D) == len(b.D) == 1:
             return _ratfunc(p, q, polys.mul(ZZ, a.N, b.N), _ONE)
         _, a_num, b_den = polys.gcd(ZZ, a.N, b.D)
@@ -395,17 +410,30 @@ class _IntegerCoreRing(Ring):
         return _ratfunc(p, q, polys.mul(ZZ, a_num, b_num), polys.mul(ZZ, a_den, b_den))
 
     def dot(self, u, v, start: Optional[RatFunc] = None) -> RatFunc:
-        """start + sum_i u_i v_i.  When every nonzero term has D = (1,),
-        the products are summed in Z[x] over Q, the lcm of the terms'
-        q_a q_b (start counting as start * 1), by ``polys.add_mul`` into
-        one list, and the sum takes one
-        canonical form and no gcd of polynomials; otherwise it is the
-        loop over ``add`` and ``mul``."""
+        """start + sum_i u_i v_i, with start counting as the term start * 1.
+
+        When every nonzero term has D = (1,), the products are summed in
+        Z[x] over Q, the lcm of the terms' q_a q_b, by ``polys.add_mul``
+        into one list, and the sum takes one canonical form and no gcd of
+        polynomials.  Otherwise, with three or more nonzero terms, each
+        product is (p_a p_b/q_a q_b) N_a N_b/(D_a D_b), not cross-cancelled;
+        :func:`_clear` puts them over one denominator, the lcm of the
+        D_a D_b (with cofactors by exact division), and their numerators'
+        sum takes one canonical form, where the loop would reduce every
+        partial sum.  One or two terms take the loop over ``add`` and
+        ``mul``: its one ``add`` reduces by the gcd of the two
+        denominators only, which costs less than reducing by their lcm."""
         terms = [(a, b) for a, b in zip(u, v) if a.p and b.p]
         if start is not None and start.p:
             terms.append((start, self.one))
         if any(len(a.D) > 1 or len(b.D) > 1 for a, b in terms):
-            return dot(self, u, v, start)
+            if len(terms) < 3:  # at most one add, which reduces by gcd(D_1, D_2) only
+                return dot(self, u, v, start)
+            m, L, nums = _clear([
+                _ratfunc(a.p * b.p, a.q * b.q, polys.mul(ZZ, a.N, b.N), polys.mul(ZZ, a.D, b.D))
+                for a, b in terms
+            ])
+            return _canonical(1, m, functools.reduce(functools.partial(polys.add, ZZ), nums), L)
         Q = math.lcm(*[a.q * b.q for a, b in terms])
         acc = []
         for a, b in terms:
@@ -459,7 +487,8 @@ class _IntegerCoreRing(Ring):
 
         since d(A_s/(m^s L^s)) = (L A_s' - s L' A_s)/(m^s L^(s+1)).  Each
         step takes one packed product A_s A (:func:`_zx_mat_mul`); with
-        L = (1,), as in Q[t], the derivative term is m A_s'.
+        L = (1,), as in Q[t], the derivative term is m A_s', and each
+        entry m A_s' + (A_s A) is taken in one pass over its ints.
         """
         n = len(g1)
         m, L, flat = _clear([x for row in g1 for x in row])
@@ -468,9 +497,14 @@ class _IntegerCoreRing(Ring):
 
         def step(s, f, p):
             """m (L f' - s L' f) + p: an entry of A_{s+1} from A_s and A_s A."""
+            if not dL:  # m f' + p, in one pass over f
+                acc = list(p)
+                acc += [0] * (len(f) - 1 - len(acc))
+                for i in range(1, len(f)):
+                    acc[i - 1] += m * i * f[i]
+                return polys.normalize(ZZ, acc)
             d = polys.derive(ZZ, f)
-            if dL:
-                d = polys.sub(ZZ, polys.mul(ZZ, L, d), polys.mul(ZZ, polys.scale(ZZ, s, dL), f))
+            d = polys.sub(ZZ, polys.mul(ZZ, L, d), polys.mul(ZZ, polys.scale(ZZ, s, dL), f))
             return polys.add(ZZ, p, polys.scale(ZZ, m, d))
 
         out = [A] if s_max else []

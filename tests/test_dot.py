@@ -2,7 +2,9 @@
 against the loop of ``add`` and ``mul`` it stands for, written out here,
 on every kind of ring protocol object ``linalg`` receives: Q(x) with
 nonconstant denominators, Q[t], a rescaled Q[t], F_5[x], F_9, ZZ, QQ and
-Q(x)[X]."""
+Q(x)[X].  Sums over Q(x) whose terms have equal, pairwise coprime or
+partly shared denominators, which ``dot`` puts over one denominator,
+are checked against sympy's ``cancel`` as well."""
 
 from fractions import Fraction
 from unittest import mock
@@ -130,3 +132,76 @@ def test_a_denominator_takes_the_loop():
     u = [QX.inv(QX.add(x, QX.one)), QX.from_int(2)]
     v = [x, QX.inv(x)]
     assert QX.dot(u, v) == QX.parse("x/(x + 1) + 2/x")
+
+
+def pole(ring, r, k):
+    """(x + r)^k."""
+    return ring.pow(ring.add(ring.t, ring.from_int(r)), k)
+
+
+def rational_family(kind, rng):
+    """An element maker for ``kind``: every denominator one D ("equal"),
+    pairwise coprime ones ("coprime"), or D times a factor of its own
+    ("shared"); each numerator a polynomial times a rational scale."""
+    base = QX.mul(pole(QX, 1, rng.randint(1, 2)), pole(QX, -2, rng.randint(0, 1)))
+    roots = iter(range(3, 40))
+
+    def make():
+        if kind == "equal":
+            den = base
+        elif kind == "coprime":
+            den = pole(QX, next(roots), rng.randint(1, 2))
+        else:
+            den = QX.mul(base, pole(QX, next(roots), rng.randint(0, 1)))
+        return QX.div(scaled_poly(QX, rng), den)
+
+    return make
+
+
+def expr_of(sympy, a):
+    x = sympy.Symbol("x")
+    num = sum(n * x**i for i, n in enumerate(a.N))
+    den = sum(d * x**i for i, d in enumerate(a.D))
+    return sympy.Rational(a.p, a.q) * num / den
+
+
+@pytest.mark.parametrize("kind", ["equal", "coprime", "shared"])
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    length=st.integers(min_value=2, max_value=5),
+    start_kind=st.sampled_from(["none", "zero", "rational"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_rational_terms_match_the_loop_and_sympy(kind, seed, length, start_kind):
+    """Sums of products whose factors have nonconstant denominators: each
+    u_i from the family, each v_i a scaled polynomial or another member,
+    about a fifth of the factors zero, and a ``start`` that is absent,
+    zero or rational.  Three or more nonzero terms are put over one
+    denominator; the result must equal the loop's and sympy's."""
+    sympy = pytest.importorskip("sympy")
+    rng = seeded(seed)
+    make = rational_family(kind, rng)
+    u = [QX.zero if rng.random() < 0.2 else make() for _ in range(length)]
+    v = [QX.zero if rng.random() < 0.2
+         else make() if rng.random() < 0.5 else scaled_poly(QX, rng) for _ in range(length)]
+    start = {"none": None, "zero": QX.zero, "rational": make()}[start_kind]
+    got = QX.dot(u, v, start)
+    assert got == loop(QX, u, v, start)
+    expected = sum((expr_of(sympy, a) * expr_of(sympy, b) for a, b in zip(u, v)),
+                   expr_of(sympy, start) if start is not None else 0)
+    assert sympy.cancel(expr_of(sympy, got) - expected) == 0
+
+
+def test_rational_terms_take_one_canonical_form():
+    """Three terms with denominators x + 1, x + 2 and (x + 1)(x + 2) are
+    put over their lcm and reduced once: 1/(x+1) + 1/(x+2) - (2x+3)/((x+1)(x+2))
+    cancels to zero, and 1/(x+1) + 1/(x+2) + 1/((x+1)(x+2)) to
+    (2x + 4)/((x+1)(x+2)) = 2/(x+1)."""
+    x1, x2 = pole(QX, 1, 1), pole(QX, 2, 1)
+    u = [QX.inv(x1), QX.inv(x2), QX.inv(QX.mul(x1, x2))]
+    ones = [QX.one] * 3
+    minus = QX.neg(QX.add(x1, x2))
+    with mock.patch.object(rings, "_canonical", wraps=rings._canonical) as canonical:
+        assert QX.dot(u, [QX.one, QX.one, minus]) == QX.zero
+        assert QX.dot(u, ones) == QX.div(QX.from_int(2), x1)
+    assert canonical.call_count == 2

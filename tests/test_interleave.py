@@ -1,13 +1,17 @@
 """Tests of tools/interleave.py: one small rep against this checkout
-itself, a base whose output differs, the two package copies it loads,
-and the bytecode it leaves (none, in the checkouts it times)."""
+itself, its report by rank, a base whose output differs, the two
+package copies it loads, and the bytecode it leaves (none, in the
+checkouts it times)."""
 
 import importlib.util
+import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -49,6 +53,44 @@ def test_same_checkout_gives_identical_output():
     assert proc.stdout.startswith("qx-cyclic: seed 1, 1 groups, ")
     assert proc.stdout.count("  rep ") == tool_module().REPS
     assert "median ratio" in proc.stdout and "outputs identical" in proc.stdout
+
+
+def test_report_by_rank_follows_the_median():
+    """After the median line, one line per rank of the group's modules
+    (qx-cyclic draws ranks 2 and 3), in rank order, each with its count of
+    operations over all reps and both sides' ops/s and their ratio."""
+    tool = tool_module()
+    proc = run_tool(ROOT)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    at = next(i for i, line in enumerate(lines) if "median ratio" in line)
+    ranks = lines[at + 1:at + 3]
+    assert lines[at + 3] == "  outputs identical"
+    pattern = (r"  rank (\d+): (\d+) operations  base [\d.e+]+ ops/s  "
+               r"change [\d.e+]+ ops/s  ratio \d+\.\d{4}")
+    matches = [re.fullmatch(pattern, line) for line in ranks]
+    assert all(matches), ranks
+    assert [int(m[1]) for m in matches] == [2, 3]
+    total = int(lines[0].split(", ")[2].split()[0])
+    assert sum(int(m[2]) for m in matches) == total * tool.REPS
+
+
+def test_rank_times_add_up_to_the_pass(tmp_path):
+    """``run_pass`` charges each operation to its module's rank and side,
+    so that the ranks' times sum to each side's total."""
+    tool = tool_module()
+
+    class Workload:
+        def run(self, program, path, op):
+            return 0, f"{program} {op}", None
+
+    ops = [(types.SimpleNamespace(n=n), str(tmp_path / f"m{k}"), "cyclic")
+           for k, n in enumerate([2, 3, 2, 5])]
+    busy, by_rank, mismatches = {"base": 0.0, "change": 0.0}, {}, set()
+    tool.run_pass(Workload(), {"base": "same", "change": "same"}, ops, busy, by_rank, mismatches)
+    assert sorted(by_rank) == [2, 3, 5] and mismatches == set()
+    for side in busy:
+        assert math.isclose(sum(spent[side] for spent in by_rank.values()), busy[side])
 
 
 def test_seed_option_times_other_inputs(tmp_path):

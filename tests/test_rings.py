@@ -15,7 +15,7 @@ from katzcyclic import (
     ring_from_json,
 )
 from katzcyclic import polys
-from katzcyclic.fields import QQ, ZZ, FiniteField, is_prime
+from katzcyclic.fields import QQ, ZZ, FiniteField, is_prime, power
 
 from _helpers import random_qx_poly, random_ratfunc, seeded
 
@@ -297,6 +297,40 @@ class TestPow:
             if k in (0, 1, 2, 5, 256):
                 assert ring.eq(ring.pow(a, k), expected)
             expected = ring.mul(expected, a)
+
+    @pytest.mark.parametrize(
+        "ring, a",
+        [
+            (RationalFunctionField(), "(2 - 4*x)/(3*x^2 + 1)"),
+            (GaussPolynomialRing(3), "t/3 - 2"),
+            (FiniteFieldPolyRing(5), "2*x + 3"),
+            (FiniteFieldPolyRing(3, 2), "g*x + 1"),
+            (ScaledDerivationRing(GaussPolynomialRing(3), GaussPolynomialRing(3).from_int(3)),
+             "t + 1"),
+        ],
+        ids=["qx", "gauss3", "f5", "f9", "scaled-gauss3"],
+    )
+    @pytest.mark.parametrize("k", [-1, -5])
+    def test_negative_exponent_is_a_precondition_error(self, ring, a, k):
+        """a^k for k < 0 raises at once, for a nonzero a and for zero,
+        rather than loop forever (or, over Q(x), return 0 for zero)."""
+        for base in (ring.parse(a), ring.zero, ring.one):
+            with pytest.raises(PreconditionError, match="negative exponent"):
+                ring.pow(base, k)
+
+    def test_power_checks_the_exponent_before_any_product(self):
+        calls = []
+
+        def mul(a, b):
+            calls.append(None)
+            if len(calls) > 50:
+                raise AssertionError("still multiplying")
+            return a * b
+
+        with pytest.raises(PreconditionError, match="negative exponent"):
+            power(mul, 1, 2, -1)
+        assert calls == []
+        assert power(mul, 1, 2, 10) == 1024
 
 
 def test_gcd_over_z_is_primitive_with_positive_lead():

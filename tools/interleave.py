@@ -17,8 +17,10 @@ workload's groups of seed 1, or of ``--seed N`` (to recheck a gain
 measured on one seed on a held-out one), and there are five timed reps.
 
 Prints each rep's operations per second on both sides and their ratio,
-change over base, and the median ratio.  Exits 1 if an operation's
-output differs between the two sides, else 0.  No bytecode is written
+change over base, and the median ratio; then, over all reps, one line
+per rank of the input modules with each side's operations per second
+and their ratio, so that a gain can be placed by rank.  Exits 1 if an
+operation's output differs between the two sides, else 0.  No bytecode is written
 into either checkout.  Standard library only.
 """
 
@@ -67,17 +69,20 @@ def write_inputs(workload, seed: int, groups: int, workdir: Path):
     return out
 
 
-def run_pass(workload, sides: dict, ops, busy: dict, mismatches: set, start: int = 0):
+def run_pass(workload, sides: dict, ops, busy: dict, by_rank: dict, mismatches: set,
+             start: int = 0):
     """Every operation on both sides, the first side alternating; adds
-    each side's operation time to ``busy`` and notes each operation whose
-    outputs differ."""
+    each side's operation time to ``busy`` and, for a module of rank n,
+    to ``by_rank[n]``, and notes each operation whose outputs differ."""
     names = list(sides)
-    for k, (_, path, op) in enumerate(ops, start):
+    for k, (module, path, op) in enumerate(ops, start):
         outs = {}
         for name in names[::-1] if k % 2 else names:
             t0 = perf_counter()
             rc, out, _ = workload.run(sides[name], path, op)
-            busy[name] += perf_counter() - t0
+            elapsed = perf_counter() - t0
+            busy[name] += elapsed
+            by_rank.setdefault(module.n, dict.fromkeys(names, 0.0))[name] += elapsed
             outs[name] = (rc, out)
         if len(set(outs.values())) > 1:
             mismatches.add(f"{Path(path).name} {op}")
@@ -111,19 +116,25 @@ def main(argv=None) -> int:
 
     mismatches = set()
     ratios = []
+    by_rank = {}
     with tempfile.TemporaryDirectory(prefix="interleave-") as workdir:
         ops = write_inputs(workload, args.seed, groups, Path(workdir))
         warm = write_inputs(workload, args.seed, 1, Path(workdir))
-        run_pass(workload, programs, warm, dict.fromkeys(sides, 0.0), mismatches)
+        run_pass(workload, programs, warm, dict.fromkeys(sides, 0.0), {}, mismatches)
         print(f"{workload.name}: seed {args.seed}, {groups} groups, "
               f"{len(ops)} operations per side per rep, {REPS} reps")
         for rep in range(REPS):
             busy = dict.fromkeys(sides, 0.0)
-            run_pass(workload, programs, ops, busy, mismatches, start=rep)
+            run_pass(workload, programs, ops, busy, by_rank, mismatches, start=rep)
             ratios.append(busy["base"] / busy["change"])
             print(f"  rep {rep + 1}: base {len(ops) / busy['base']:.4g} ops/s  "
                   f"change {len(ops) / busy['change']:.4g} ops/s  ratio {ratios[-1]:.4f}")
     print(f"  median ratio {statistics.median(ratios):.4f} (change ops/s over base ops/s)")
+    for n, spent in sorted(by_rank.items()):
+        count = REPS * sum(module.n == n for module, _, _ in ops)
+        base, change = spent["base"], spent["change"]
+        print(f"  rank {n}: {count} operations  base {count / base:.4g} ops/s  "
+              f"change {count / change:.4g} ops/s  ratio {base / change:.4f}")
     if mismatches:
         print(f"  outputs DIFFER on {len(mismatches)} operations, first: {min(mismatches)}")
         return 1

@@ -22,7 +22,8 @@ import functools
 import json
 import re
 import sys
-from typing import List, Optional
+from json.encoder import encode_basestring
+from typing import List, Optional, Tuple
 
 from . import katz, ultranorm
 from .diffmod import charp_counterexample, module_from_json, module_to_json
@@ -183,11 +184,72 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
+_INDENT = " " * 2  # json.dumps's indent=2
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
+    """Write ``doc`` as ``json.dumps(doc, indent=2, ensure_ascii=False)``
+    writes it, and a newline.
+
+    ``json.dumps`` takes its C encoder only without an indent, so with
+    one it runs the pure-Python ``_make_iterencode``: a generator per
+    container, its checks for types no report holds, and a chunk per
+    token.  :func:`_write_json` writes the same bytes in one recursive
+    pass over the types a report holds: str, int, bool, None, list,
+    tuple and dict with str keys."""
+    out = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _write_json(value, pad: str, out: list) -> None:
+    """Append the pieces of ``value``, anything but a str, as JSON to
+    ``out``, its nested lines indented by ``_INDENT`` past ``pad``, the
+    newline and indentation of its own line.  The strings in a container
+    are written in place, with no call of their own, and escaped by
+    ``json.encoder.encode_basestring``, as ``json.dumps`` escapes them
+    with ``ensure_ascii=False``; a type no report holds is a TypeError."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + _INDENT
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + encode_basestring(key) + ": ")
+            sep = "," + inner
+            if type(item) is str:
+                out.append(encode_basestring(item))
+            else:
+                _write_json(item, inner, out)
+        out.append(pad + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + _INDENT
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            if type(item) is str:
+                out.append(encode_basestring(item))
+            else:
+                _write_json(item, inner, out)
+        out.append(pad + "]")
+    elif kind is int:
+        out.append(str(value))
+    elif kind is bool or value is None:
+        out.append(_JSON_CONSTANTS[value])
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _build_parsers() -> Tuple[argparse.ArgumentParser, dict]:
+    """The top parser, and each subcommand's parser by name."""
     top = argparse.ArgumentParser(
         prog="katzcyclic",
         description="Cyclic vectors for differential modules, with exact arithmetic",
@@ -225,17 +287,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.set_defaults(func=cmd_counterexample)
 
-    return top
+    return top, sub.choices
 
 
-# Built on the first call and kept for the process: building the parser
+# Built on the first call and kept for the process: building the parsers
 # costs more than many commands, and importing the module should not pay
-# for it.  Parsing leaves the parser unchanged, so every call can share it.
-_parser = functools.cache(build_parser)
+# for it.  Parsing leaves a parser unchanged, so every call can share them.
+_parsers = functools.cache(_build_parsers)
+
+
+def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
+    """What the top parser's ``parse_args`` returns for ``argv``.
+
+    When ``argv`` starts with a subcommand's name, the top parser's one
+    positional takes every later argument, options too, and hands them
+    to that subcommand's parser; the top parser then only refuses what
+    that parser leaves over.  So the subcommand's parser reads them
+    here itself, which gives the same namespace and the same usage
+    errors at well under half the cost.  Any other ``argv`` (empty, -h, an
+    unknown subcommand) goes to the top parser."""
+    top, subcommands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return top.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.subcommand = argv[0]
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except (KatzCyclicError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -1,21 +1,19 @@
 """Recursive-descent parser for ring element expressions.
 
-Grammar (whitespace insensitive):
+Grammar (whitespace insensitive), in three levels:
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := '-' factor | power
-    power  := atom ('^' INT)?
-    atom   := INT | VAR | '(' expr ')'
+    factor := ('+' | '-') factor | (INT | VAR | '(' expr ')') ('^' INT)?
 
 INT is a nonnegative decimal literal of at most MAX_LITERAL_DIGITS
 digits; VAR is the ring's variable name or, in F_{p^e}[x] with e > 1,
 g, the generator of F_{p^e} in which its coefficients print.
 Parentheses and unary signs nest at most MAX_NESTING deep, far below
-Python's recursion limit (each parenthesis costs five frames of the
-descent, each sign one).  Three
-bounds keep a power from building a huge element; each is checked from
-the base and the exponent, before any multiplication:
+Python's recursion limit (each parenthesis costs three frames of the
+descent, each sign one).  Three bounds keep a power from building a
+huge element; each is checked from the base and the exponent, before
+any multiplication:
 
 * the exponent is an integer in [0, MAX_EXPONENT];
 * the power's degree in the variable is at most MAX_DEGREE, so that
@@ -30,22 +28,29 @@ the base and the exponent, before any multiplication:
 division by a unit); in characteristic p, integer literals reduce
 silently.
 
-The text is split into tokens by one regular-expression pass, and a
-token's position in the text is worked out only when an error reports
-it.  One grammar serves every ring; only the arithmetic under it
-differs.  In characteristic 0 (Q(x), Q[t] and the rings rescaled from
-them) a value is a Z[x] coefficient tuple, taken through ``+``, ``-``,
-``*``, unary ``-`` and ``^`` on plain ints, and it becomes a ring
-element by the ring's ``from_integer_poly`` in three places only: at
-``/``, at a power whose caps need the ring's degree or canonical string
-(any base but the bare variable), and once at the end.  F_q[x] runs on
-the ring's operations throughout, because its caps read the reduced
-element: over F_5, ``(5*x^2+1)^200`` has a base of degree 0.
+The text is split into tokens by one regular-expression pass with a
+single capture group, and each token is told by its first character:
+an ASCII letter or '_' starts a name and an operator stands for itself,
+both kept as strings; a decimal digit starts an int; anything else is
+an unexpected character.  A token's position in the text is worked out
+only when an error reports it.
+
+One grammar serves every ring; only the arithmetic under it differs.
+In characteristic 0 (Q(x), Q[t] and the rings rescaled from them) a
+value is a Z[x] coefficient tuple, taken through ``+``, ``-``, ``*``
+(a constant factor only scales the other tuple), unary ``-`` and ``^``
+on plain ints, and it becomes a ring element by the ring's
+``from_integer_poly`` in three places only: at ``/``, at a power whose
+caps need the ring's degree or canonical string (any base but the bare
+variable), and once at the end.  F_q[x] runs on the ring's operations
+throughout, because its caps read the reduced element: over F_5,
+``(5*x^2+1)^200`` has a base of degree 0.
 """
 
 from __future__ import annotations
 
 import re
+import string
 
 from . import polys
 from .errors import NotInvertibleError, ParseError, UnsupportedOperationError
@@ -57,28 +62,33 @@ MAX_POWER_SIZE = 4300
 MAX_LITERAL_DIGITS = 4300
 MAX_NESTING = 100
 
-# An integer, a name, an operator, or any other visible character (an error).
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S))")
+# One token, captured after any whitespace: an operator (the commonest
+# token, tried first), an integer, a name, or any other visible
+# character (an error).
+_TOKEN = re.compile(r"\s*([-+*/^()]|\d+|[A-Za-z_][A-Za-z_0-9]*|\S)")
 _OPERATORS = frozenset("+-*/^()")
+# What a token starts with when it is kept as it is: an operator or a name
+_KEPT = _OPERATORS | frozenset(string.ascii_letters + "_")
 _X = (0, 1)  # the variable, in Z[x]
 
 
 def _tokenize(text: str) -> list:
     """The tokens of ``text``, ints for literals and strings for names and
-    operators, then None for the end."""
-    tokens = []
-    for index, (digits, name, op, bad) in enumerate(_TOKEN.findall(text)):
-        if digits:
-            if len(digits) > MAX_LITERAL_DIGITS:
-                raise ParseError(
-                    f"integer literal exceeds the maximum {MAX_LITERAL_DIGITS} digits",
-                    _position(text, index),
-                )
-            tokens.append(int(digits))
-        elif bad:
-            raise ParseError(f"unexpected character {bad!r}", _position(text, index))
-        else:
-            tokens.append(name or op)
+    operators, then None for the end.  A token is told by its first
+    character, and only a literal is replaced in the list: ``\\d``
+    matches exactly the characters for which ``str.isdecimal`` holds."""
+    tokens = _TOKEN.findall(text)
+    for index, tok in enumerate(tokens):
+        if tok[0] in _KEPT:
+            continue
+        if not tok[0].isdecimal():
+            raise ParseError(f"unexpected character {tok!r}", _position(text, index))
+        if len(tok) > MAX_LITERAL_DIGITS:
+            raise ParseError(
+                f"integer literal exceeds the maximum {MAX_LITERAL_DIGITS} digits",
+                _position(text, index),
+            )
+        tokens[index] = int(tok)
     tokens.append(None)
     return tokens
 
@@ -88,7 +98,7 @@ def _position(text: str, index: int) -> int:
     the end token."""
     for i, m in enumerate(_TOKEN.finditer(text)):
         if i == index:
-            return m.start(m.lastindex)
+            return m.start(1)
     return len(text)
 
 
@@ -146,13 +156,46 @@ class _Parser:
                 return value
 
     def factor(self):
-        tok = self.tokens[self.idx]
-        if tok == "+" or tok == "-":
+        """A signed factor, or an atom (an int, a name or a parenthesised
+        expr) with its optional '^' exponent."""
+        tokens = self.tokens
+        at = self.idx
+        tok = tokens[at]
+        if type(tok) is int:
+            self.idx = at + 1
+            value = self.from_int(tok)
+        elif tok == "+" or tok == "-":
             self._enter()
             value = self.factor()
             self.depth -= 1
             return self.neg(value) if tok == "-" else value
-        return self.power()
+        elif tok == "(":
+            self._enter()
+            value = self.expr()
+            if tokens[self.idx] != ")":
+                raise self._error("expected ')'", self.idx)
+            self.idx += 1
+            self.depth -= 1
+        elif tok is None or tok in _OPERATORS:
+            raise self._error("expected a number, variable, or '('", at)
+        else:
+            self.idx = at + 1
+            if tok == self.ring.variable:
+                value = self.variable()
+            elif tok == "g" and self.ring.generator is not None:
+                value = self.ring.generator
+            else:
+                raise self._error(f"unknown symbol {tok!r}", at)
+        if tokens[self.idx] != "^":
+            return value
+        at = self.idx + 1
+        self.idx += 2
+        exp = tokens[at]
+        if type(exp) is not int:
+            raise self._error("exponent must be a nonnegative integer", at)
+        if exp > MAX_EXPONENT:
+            raise self._error(f"exponent {exp} exceeds the maximum {MAX_EXPONENT}", at)
+        return self.pow(value, exp, at)
 
     def _enter(self):
         """Step over a sign or '(' one level deeper."""
@@ -160,19 +203,6 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise self._error(f"nesting exceeds the maximum depth {MAX_NESTING}", self.idx)
         self.idx += 1
-
-    def power(self):
-        base = self.atom()
-        if self.tokens[self.idx] != "^":
-            return base
-        at = self.idx + 1
-        self.idx += 2
-        exp = self.tokens[at]
-        if type(exp) is not int:
-            raise self._error("exponent must be a nonnegative integer", at)
-        if exp > MAX_EXPONENT:
-            raise self._error(f"exponent {exp} exceeds the maximum {MAX_EXPONENT}", at)
-        return self.pow(base, exp, at)
 
     def _check_caps(self, base, exp: int, at: int, degree: int, name_size: bool):
         """The degree and size caps on base^exp, base of ``degree``; its
@@ -193,29 +223,6 @@ class _Parser:
                 ) from None
         if size > MAX_POWER_SIZE:
             raise self._error(f"power of size {size} exceeds the maximum {MAX_POWER_SIZE}", at)
-
-    def atom(self):
-        at = self.idx
-        tok = self.tokens[at]
-        if type(tok) is int:
-            self.idx += 1
-            return self.from_int(tok)
-        if tok == "(":
-            self._enter()
-            value = self.expr()
-            if self.tokens[self.idx] != ")":
-                raise self._error("expected ')'", self.idx)
-            self.idx += 1
-            self.depth -= 1
-            return value
-        if tok is None or tok in _OPERATORS:
-            raise self._error("expected a number, variable, or '('", at)
-        self.idx += 1
-        if tok == self.ring.variable:
-            return self.variable()
-        if tok == "g" and self.ring.generator is not None:
-            return self.ring.generator
-        raise self._error(f"unknown symbol {tok!r}", at)
 
     # -- arithmetic: the ring's own ------------------------------------
     def add(self, a, b):
@@ -270,6 +277,13 @@ class _IntegerPolyParser(_Parser):
 
     def mul(self, a, b):
         if type(a) is tuple and type(b) is tuple:
+            if len(b) == 1:
+                a, b = b, a
+            if len(a) == 1:
+                # a nonzero constant times a tuple with no trailing zeros
+                # leaves none, so the scaled tuple needs no normalize
+                c = a[0]
+                return tuple([c * v for v in b])
             return polys.mul(ZZ, a, b)
         return self.ring.mul(self.lift(a), self.lift(b))
 

@@ -13,9 +13,10 @@ takes the coefficient protocol object as first argument: a field from
 :mod:`katzcyclic.fields` for K[x], :data:`~katzcyclic.fields.ZZ` for the
 integer polynomials of Q(x) and Q[t], or any ring for the B[X] of
 :mod:`katzcyclic.xpoly`.  Over ZZ, ``add``, ``sub``, ``neg``, ``mul``,
-``derive``, ``scale`` and ``divmod_`` take one branch on plain ints,
-with no method call per coefficient; every other K takes the generic
-path through K's methods.  ``mul`` by a factor of length 1, over
+``derive``, ``scale``, ``divmod_`` and ``to_str`` take one branch on
+plain ints, with no method call per coefficient (``to_str`` prints each
+int by ``str``, as ``QQ.to_str`` prints the equal Fraction); every
+other K takes the generic path through K's methods.  ``mul`` by a factor of length 1, over
 any K, is ``scale``.  ``add_mul`` is ``mul``'s loop over ZZ,
 adding c f g into a list of ints in place, so that a sum of such
 products takes one list and one ``normalize``; ``add_scaled`` is
@@ -290,9 +291,31 @@ def eq(K, f: Poly, g: Poly) -> bool:
 
 def to_str(K, f: Poly, var: str) -> str:
     """Canonical printer: descending degree, explicit signs, no spaces
-    around '*' or '^'.  Inverse of the expression grammar."""
+    around '*' or '^'.  Inverse of the expression grammar.  Over ZZ the
+    ints print by ``str``, as ``QQ.to_str`` prints the equal Fraction."""
     if not f:
         return "0"
+    if K is ZZ:  # ints, printed by str with no method call per coefficient
+        parts = []
+        try:
+            for i in range(len(f) - 1, -1, -1):
+                c = f[i]
+                if not c:
+                    continue
+                if c < 0:
+                    sign = " - " if parts else "-"
+                    c = -c
+                else:
+                    sign = " + " if parts else ""
+                if i == 0:
+                    parts.append(f"{sign}{c}")
+                elif c == 1:
+                    parts.append(f"{sign}{var}" if i == 1 else f"{sign}{var}^{i}")
+                else:
+                    parts.append(f"{sign}{c}*{var}" if i == 1 else f"{sign}{c}*{var}^{i}")
+        except ValueError:  # an int past the interpreter's limit for str()
+            raise _unprintable() from None
+        return "".join(parts)
     parts = []
     for i in range(len(f) - 1, -1, -1):
         c = f[i]
@@ -301,10 +324,7 @@ def to_str(K, f: Poly, var: str) -> str:
         try:
             s = K.to_str(c)
         except ValueError:  # an int past the interpreter's limit for str()
-            raise UnsupportedOperationError(
-                f"a coefficient has more than {sys.get_int_max_str_digits()} digits"
-                " and cannot be printed"
-            ) from None
+            raise _unprintable() from None
         negative = s.startswith("-")
         if negative:
             s = s[1:]
@@ -320,3 +340,11 @@ def to_str(K, f: Poly, var: str) -> str:
         else:
             parts.append((" - " if negative else " + ") + term)
     return "".join(parts)
+
+
+def _unprintable() -> UnsupportedOperationError:
+    return UnsupportedOperationError(
+        f"a coefficient has more than {sys.get_int_max_str_digits()} digits"
+        " and cannot be printed"
+    )
+

@@ -23,8 +23,11 @@ Z[x] by :mod:`katzcyclic.parser` and enters by ``from_integer_poly``
 ``from_fraction``, and a matrix cleared into Z[x] comes back by one
 canonical form per entry.  A Fraction is built only where a value
 leaves the ring, in ``num`` and ``den``, which ``to_str`` reads only for
-a coefficient that is not an integer.  One arithmetic in a private base
-serves both kinds.  Each reduction takes one ``polys.gcd``, whose
+a coefficient that is not an integer: integer coefficients (q D[-1] = 1
+for the numerator, a monic D for the denominator) print through the
+ZZ branch of ``polys.to_str``, and QQ prints only Fraction
+coefficients.  One arithmetic in a private base serves both kinds.
+Each reduction takes one ``polys.gcd``, whose
 cofactors are the reduced numerator and denominator; sums and products
 cross-cancel first (Henrici).  Its branch for constant denominators
 takes no gcd of polynomials (by Gauss's lemma a product of primitive
@@ -637,14 +640,19 @@ class _IntegerCoreRing(Ring):
     def to_str(self, a: RatFunc) -> str:
         """The canonical string.  With integer coefficients (q D[-1] = 1)
         the numerator prints from the ints p N_i, and a monic denominator
-        from D itself, with no Fraction built: ``QQ.to_str`` writes an
-        int as it writes the equal Fraction."""
+        from D itself, both through the ZZ branch of ``polys.to_str``,
+        with no Fraction built; QQ prints only Fraction coefficients."""
         lead = a.D[-1]
-        coeffs = tuple([a.p * c for c in a.N]) if a.q * lead == 1 else a.num
-        num = polys.to_str(QQ, coeffs, self.variable)
+        if a.q * lead == 1:
+            num = polys.to_str(ZZ, a.N if a.p == 1 else [a.p * c for c in a.N], self.variable)
+        else:
+            num = polys.to_str(QQ, a.num, self.variable)
         if len(a.D) == 1:
             return num
-        den = polys.to_str(QQ, a.D if lead == 1 else a.den, self.variable)
+        if lead == 1:
+            den = polys.to_str(ZZ, a.D, self.variable)
+        else:
+            den = polys.to_str(QQ, a.den, self.variable)
         return f"({num})/({den})"
 
 

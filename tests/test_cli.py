@@ -1,4 +1,6 @@
+import contextlib
 import importlib.metadata
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import katzcyclic
 from katzcyclic import GaussPolynomialRing, RationalFunctionField
-from katzcyclic.cli import MAX_RANK, main
+from katzcyclic.cli import MAX_RANK, _build_parsers, _emit, _parse_args, main
+from katzcyclic.diffmod import module_from_json, module_to_json
 
 from _helpers import embed_qx, row_sub
 
@@ -298,6 +303,26 @@ def test_prime_beyond_primality_range_is_an_error(capsys, tmp_path):
 
 FQ_DOC = {"ring": {"kind": "finite_field_poly", "variable": "x", "p": 5, "q_exp": 1},
           "n": 2, "G1": [["0", "1"], ["x", "0"]]}
+
+
+# F_9[x]: coefficients print in the generator g of F_9 = F_3[g]
+F9_DOC = {"ring": {"kind": "finite_field_poly", "p": 3, "q_exp": 2},
+          "n": 2, "G1": [["0", "g"], ["0", "0"]]}
+
+
+@pytest.mark.parametrize("doc", [FQ_DOC, F9_DOC], ids=["f5", "f9"])
+def test_cyclic_over_fq_prints_its_input_through_the_descriptor(capsys, tmp_path, doc):
+    """The report's "input" is the F_q[x] ring's descriptor and entries,
+    and reads back as the module that was given."""
+    code, out, err = run_doc(capsys, tmp_path, ["cyclic", "--constants", "0,1,2"], doc)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["determinant"] == "1"
+    assert report["input"]["ring"] == {"variable": "x", "q_exp": 1, **doc["ring"]}
+    given_module, read_back = module_from_json(doc), module_from_json(report["input"])
+    assert read_back.ring.descriptor() == given_module.ring.descriptor()
+    assert (read_back.n, read_back.g1) == (given_module.n, given_module.g1)
+    assert module_to_json(read_back) == report["input"]
 
 
 def run_doc(capsys, tmp_path, command, doc):
@@ -589,3 +614,71 @@ class TestEntryPoint:
         assert "katzcyclic" in eps
         assert eps["katzcyclic"].value == "katzcyclic.cli:main"
         assert eps["katzcyclic"].load() is main
+
+
+# Strings with the characters JSON escapes or keeps as they are
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u2028é✓😀'),
+                               st.characters()), max_size=12)
+_JSON_VALUES = st.recursive(
+    st.one_of(_JSON_TEXT, st.integers(), st.integers(2 ** 64, 2 ** 200),
+              st.integers(-(2 ** 200), -(2 ** 64)), st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+def emitted(doc) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(doc)
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=4))
+def test_emit_writes_what_json_dumps_writes(doc):
+    assert emitted(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, b"bytes"], ids=["float", "set", "bytes"])
+def test_emit_refuses_a_type_no_report_holds(value):
+    with pytest.raises(TypeError):
+        emitted({"value": value})
+
+
+_ARGV_WORDS = st.sampled_from([
+    "certify", "cyclic", "companion", "tables", "counterexample", "bogus", "", "-i", "--input",
+    "m.json", "-im.json", "--input=m.json", "--criterion", "--crit", "prop2.3", "lemma2.1",
+    "--norm", "rho-t", "nope", "--constants", "0,1", "-n", "3", "-2", "--format", "latex", "-p",
+    "5", "-e", "-h", "--help", "--he", "--", "-x", "--x",
+])
+
+
+def parse_outcome(parse, argv):
+    """The namespace ``parse`` returns for ``argv``, or its exit status,
+    with what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ARGV_WORDS, max_size=7))
+def test_parse_args_is_the_top_parsers(argv):
+    """A named subcommand is read by its own parser alone, with the same
+    namespace, help and usage errors as through the top parser."""
+    top = _build_parsers()[0]
+    assert parse_outcome(_parse_args, argv) == parse_outcome(top.parse_args, argv)
+    if argv[:1] == ["certify"]:
+        argv = ["certify", "-i", "m.json", "--criterion", "prop2.3", *argv[1:]]
+        assert parse_outcome(_parse_args, argv) == parse_outcome(top.parse_args, argv)
+
+
+def test_parse_args_reads_sys_argv_by_default(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["katzcyclic", "tables", "-n", "2"])
+    assert vars(_parse_args(None)) == vars(_build_parsers()[0].parse_args(["tables", "-n", "2"]))

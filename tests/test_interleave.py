@@ -1,7 +1,7 @@
 """Tests of tools/interleave.py: one small rep against this checkout
-itself, its report by rank, a base whose output differs, the two
-package copies it loads, and the bytecode it leaves (none, in the
-checkouts it times)."""
+itself, its report of median times and by rank, a base whose output
+differs, the two package copies it loads, and the bytecode it leaves
+(none, in the checkouts it times)."""
 
 import importlib.util
 import math
@@ -56,18 +56,22 @@ def test_same_checkout_gives_identical_output():
 
 
 def test_report_by_rank_follows_the_median():
-    """After the median line, one line per rank of the group's modules
-    (qx-cyclic draws ranks 2 and 3), in rank order, each with its count of
-    operations over all reps and both sides' ops/s and their ratio."""
+    """After the median line, each side's median operation time and their
+    ratio, then one line per rank of the group's modules (qx-cyclic draws
+    ranks 2 and 3), in rank order, each with its count of operations over
+    all reps, both sides' ops/s and their ratio, and both sides' median
+    operation time and their ratio."""
     tool = tool_module()
     proc = run_tool(ROOT)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     at = next(i for i, line in enumerate(lines) if "median ratio" in line)
-    ranks = lines[at + 1:at + 3]
-    assert lines[at + 3] == "  outputs identical"
+    medians = r"median base [\d.e+-]+ ms  change [\d.e+-]+ ms  ratio \d+\.\d{4}"
+    assert re.fullmatch(f"  operation time: {medians} \\(change over base\\)", lines[at + 1])
+    ranks = lines[at + 2:at + 4]
+    assert lines[at + 4] == "  outputs identical"
     pattern = (r"  rank (\d+): (\d+) operations  base [\d.e+]+ ops/s  "
-               r"change [\d.e+]+ ops/s  ratio \d+\.\d{4}")
+               r"change [\d.e+]+ ops/s  ratio \d+\.\d{4}  " + medians)
     matches = [re.fullmatch(pattern, line) for line in ranks]
     assert all(matches), ranks
     assert [int(m[1]) for m in matches] == [2, 3]
@@ -75,9 +79,17 @@ def test_report_by_rank_follows_the_median():
     assert sum(int(m[2]) for m in matches) == total * tool.REPS
 
 
+def test_medians_are_each_sides_middle_time():
+    """``medians`` prints each side's median operation time in ms and
+    their ratio, change over base, so that a ratio below 1 is a gain."""
+    tool = tool_module()
+    line = tool.medians({"base": [0.004, 0.001, 0.002], "change": [0.001, 0.0015, 0.003, 0.002]})
+    assert line == "median base 2 ms  change 1.75 ms  ratio 0.8750"
+
+
 def test_rank_times_add_up_to_the_pass(tmp_path):
-    """``run_pass`` charges each operation to its module's rank and side,
-    so that the ranks' times sum to each side's total."""
+    """``run_pass`` records each operation's time under its module's rank
+    and side, so that the ranks' times sum to each side's total."""
     tool = tool_module()
 
     class Workload:
@@ -90,7 +102,8 @@ def test_rank_times_add_up_to_the_pass(tmp_path):
     tool.run_pass(Workload(), {"base": "same", "change": "same"}, ops, busy, by_rank, mismatches)
     assert sorted(by_rank) == [2, 3, 5] and mismatches == set()
     for side in busy:
-        assert math.isclose(sum(spent[side] for spent in by_rank.values()), busy[side])
+        assert [len(by_rank[n][side]) for n in (2, 3, 5)] == [2, 1, 1]
+        assert math.isclose(sum(sum(times[side]) for times in by_rank.values()), busy[side])
 
 
 def test_seed_option_times_other_inputs(tmp_path):
@@ -119,8 +132,8 @@ def test_a_base_with_other_output_fails(tmp_path):
     checkout = copy_checkout(tmp_path)
     cli = checkout / "src" / "katzcyclic" / "cli.py"
     text = cli.read_text(encoding="utf-8")
-    assert "indent=2" in text
-    cli.write_text(text.replace("indent=2", "indent=3"), encoding="utf-8")
+    assert '_INDENT = " " * 2' in text
+    cli.write_text(text.replace('_INDENT = " " * 2', '_INDENT = " " * 3'), encoding="utf-8")
     proc = run_tool(checkout)
     assert proc.returncode == 1, proc.stderr
     assert "outputs DIFFER on 3 operations" in proc.stdout

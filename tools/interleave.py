@@ -17,9 +17,12 @@ workload's groups of seed 1, or of ``--seed N`` (to recheck a gain
 measured on one seed on a held-out one), and there are five timed reps.
 
 Prints each rep's operations per second on both sides and their ratio,
-change over base, and the median ratio; then, over all reps, one line
-per rank of the input modules with each side's operations per second
-and their ratio, so that a gain can be placed by rank.  Exits 1 if an
+change over base, and the median ratio; then, over all reps, each
+side's median operation time and their ratio, change over base, so that
+a claim on the median latency can be checked in one process; then one
+line per rank of the input modules with each side's operations per
+second and their ratio, and each side's median operation time and their
+ratio, so that a gain can be placed by rank.  Exits 1 if an
 operation's output differs between the two sides, else 0.  No bytecode is written
 into either checkout.  Standard library only.
 """
@@ -73,7 +76,8 @@ def run_pass(workload, sides: dict, ops, busy: dict, by_rank: dict, mismatches: 
              start: int = 0):
     """Every operation on both sides, the first side alternating; adds
     each side's operation time to ``busy`` and, for a module of rank n,
-    to ``by_rank[n]``, and notes each operation whose outputs differ."""
+    appends it to the list ``by_rank[n][side]``, and notes each operation
+    whose outputs differ."""
     names = list(sides)
     for k, (module, path, op) in enumerate(ops, start):
         outs = {}
@@ -82,10 +86,18 @@ def run_pass(workload, sides: dict, ops, busy: dict, by_rank: dict, mismatches: 
             rc, out, _ = workload.run(sides[name], path, op)
             elapsed = perf_counter() - t0
             busy[name] += elapsed
-            by_rank.setdefault(module.n, dict.fromkeys(names, 0.0))[name] += elapsed
+            by_rank.setdefault(module.n, {n: [] for n in names})[name].append(elapsed)
             outs[name] = (rc, out)
         if len(set(outs.values())) > 1:
             mismatches.add(f"{Path(path).name} {op}")
+
+
+def medians(times: dict) -> str:
+    """Each side's median of its operation times ``times[side]`` and
+    their ratio, change over base."""
+    base, change = statistics.median(times["base"]), statistics.median(times["change"])
+    return (f"median base {base * 1e3:.4g} ms  change {change * 1e3:.4g} ms  "
+            f"ratio {change / base:.4f}")
 
 
 def main(argv=None) -> int:
@@ -130,11 +142,14 @@ def main(argv=None) -> int:
             print(f"  rep {rep + 1}: base {len(ops) / busy['base']:.4g} ops/s  "
                   f"change {len(ops) / busy['change']:.4g} ops/s  ratio {ratios[-1]:.4f}")
     print(f"  median ratio {statistics.median(ratios):.4f} (change ops/s over base ops/s)")
-    for n, spent in sorted(by_rank.items()):
-        count = REPS * sum(module.n == n for module, _, _ in ops)
-        base, change = spent["base"], spent["change"]
+    overall = {name: [t for times in by_rank.values() for t in times[name]] for name in sides}
+    print(f"  operation time: {medians(overall)} (change over base)")
+    for n, times in sorted(by_rank.items()):
+        count = len(times["base"])
+        base, change = sum(times["base"]), sum(times["change"])
         print(f"  rank {n}: {count} operations  base {count / base:.4g} ops/s  "
-              f"change {count / change:.4g} ops/s  ratio {base / change:.4f}")
+              f"change {count / change:.4g} ops/s  ratio {base / change:.4f}  "
+              f"{medians(times)}")
     if mismatches:
         print(f"  outputs DIFFER on {len(mismatches)} operations, first: {min(mismatches)}")
         return 1

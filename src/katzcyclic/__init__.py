@@ -30,7 +30,6 @@ from .errors import (
 from .katz import (
     BaseChangeDecomposition,
     CyclicSearchResult,
-    KatzVector,
     alpha,
     base_change,
     companion_form,
@@ -42,7 +41,6 @@ from .katz import (
     katz_vector,
     lemma_table,
     specialize_vector,
-    vandermonde_det,
 )
 from .normvalue import NormValue
 from .rings import (

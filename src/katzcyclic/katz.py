@@ -7,8 +7,9 @@ derivatives nabla^i(c) in the basis e.  The universal matrices H_s(X)
 have monomial entries alpha(s;i,j) X^(s+j-i)/(s+j-i)! with integer
 alpha, and det H(X) =: P(X) satisfies P(0) = 1 and deg P <= n(n-1), so
 specializing X := t - a at n(n-1)+1 distinct constants a must hit a
-nonzero determinant over a field.  H(0) = Id, so c is the inversion
-formula of :func:`invert_coefficients` on e; both read one private sum.
+nonzero determinant over a field.  H(0) = Id, so c, held as its n
+X-coefficient rows, is the inversion formula of
+:func:`invert_coefficients` on e; both read one private sum.
 
 ``assemble_h`` builds H(X) from that identity, as the family c,
 nabla(c), ..., nabla^(n-1)(c) of :func:`~katzcyclic.diffmod.nabla_family`
@@ -178,24 +179,17 @@ def h_matrix_at(ring, table: QXTable, value) -> Matrix:
     return tuple(tuple(entry(f) for f in row) for row in table)
 
 
-@dataclass(frozen=True)
-class KatzVector:
-    """The candidate c(e, X): X-coefficient rows, lowest degree first."""
-
-    n: int
-    coeffs: Tuple[Row, ...]  # length n; coeffs[j] = X^j coefficient, a row
-
-
-def katz_vector(m: DifferentialModule) -> KatzVector:
-    """Build c(e, X) = sum_j (X^j/j!) sum_k (-1)^k C(j,k) nabla^k(e_{j-k})."""
+def katz_vector(m: DifferentialModule) -> Tuple[Row, ...]:
+    """c(e, X) = sum_j (X^j/j!) sum_k (-1)^k C(j,k) nabla^k(e_{j-k}) as n
+    rows, lowest degree first: row j is its X^j coefficient."""
     check_factorial_invertible(m.ring, m.n)
     return _katz_vector_from(m, iterated_matrices(m, m.n - 1))
 
 
-def _katz_vector_from(m: DifferentialModule, gs: Sequence[Matrix]) -> KatzVector:
-    """c(e, X) from the iterated matrices G_0 .. G_{n-1} (or more): the
+def _katz_vector_from(m: DifferentialModule, gs: Sequence[Matrix]) -> Tuple[Row, ...]:
+    """c(e, X)'s rows from the iterated matrices G_0 .. G_{n-1} (or more): the
     inversion formula on z = e, as H(0) = Id, with nabla^k(e_i) row i of G_k."""
-    return KatzVector(n=m.n, coeffs=_inversion(m.ring, m.n, m.n, lambda k, i: gs[k][i]))
+    return _inversion(m.ring, m.n, m.n, lambda k, i: gs[k][i])
 
 
 def _combination(ring, n: int, terms) -> Row:
@@ -219,10 +213,11 @@ def _inversion(ring, n: int, count: int, nabla) -> Tuple[Row, ...]:
     )
 
 
-def specialize_vector(m: DifferentialModule, v: KatzVector, a) -> Row:
-    """Coordinates of c(e, t - a) for a constant a: coordinate k is the
-    X-polynomial sum_j coeffs[j][k] X^j at X := t - a."""
-    return tuple(xpoly.specialize(m.ring, f, a) for f in zip(*v.coeffs))
+def specialize_vector(m: DifferentialModule, rows: Sequence[Row], a) -> Row:
+    """Coordinates of c(e, t - a) for a constant a, from the rows of
+    :func:`katz_vector`: coordinate k is the X-polynomial
+    sum_j rows[j][k] X^j at X := t - a."""
+    return tuple(xpoly.specialize(m.ring, f, a) for f in zip(*rows))
 
 
 def derivative_coefficients(m: DifferentialModule, c0: Sequence[Row], i: int, j: int) -> Row:
@@ -271,7 +266,7 @@ def assemble_h(m: DifferentialModule) -> Matrix:
     G_0 .. G_{n-1}, and no product of H_s with G_s.
     """
     ring = m.ring
-    c = tuple(xpoly.normalize(ring, f) for f in zip(*katz_vector(m).coeffs))
+    c = tuple(xpoly.normalize(ring, f) for f in zip(*katz_vector(m)))
     g1 = tuple(tuple(xpoly.const(ring, x) for x in row) for row in m.g1)
     return nabla_family(DifferentialModule(ring=XPolyRing(ring), n=m.n, g1=g1), c, m.n)
 
@@ -299,18 +294,6 @@ def base_change(m: DifferentialModule) -> BaseChangeDecomposition:
         det_poly=det_poly,
         coefficients=coeffs,
     )
-
-
-def vandermonde_det(constants: Sequence, ring=QQ):
-    """prod_{i<j} (a_j - a_i) over ``ring``: by default the rationals,
-    given as ints or Fractions, else elements of the ring supplied."""
-    if ring is QQ:
-        constants = [Fraction(c) for c in constants]
-    out = ring.one
-    for i in range(len(constants)):
-        for j in range(i + 1, len(constants)):
-            out = ring.mul(out, ring.sub(constants[j], constants[i]))
-    return out
 
 
 @dataclass(frozen=True)
@@ -358,9 +341,9 @@ def find_cyclic(
     if len(set(candidates)) < len(candidates):
         raise PreconditionError("candidate constants must be distinct")
 
-    kv = katz_vector(m)
+    rows = katz_vector(m)
     for idx, a in enumerate(candidates):
-        family = nabla_family(m, specialize_vector(m, kv, a), n)
+        family = nabla_family(m, specialize_vector(m, rows, a), n)
         minors = {}
         det, ok = is_basis(m, family, minors)
         if ok:

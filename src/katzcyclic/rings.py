@@ -22,43 +22,25 @@ Z[x] by :mod:`katzcyclic.parser` and enters by ``from_integer_poly``
 (or a ring operation at '/'), a rational constant enters by
 ``from_fraction``, and a matrix cleared into Z[x] comes back by one
 canonical form per entry.  A Fraction is built only where a value
-leaves the ring, in ``num`` and ``den``, which ``to_str`` reads only for
-a coefficient that is not an integer: integer coefficients (q D[-1] = 1
-for the numerator, a monic D for the denominator) print through the
-ZZ branch of ``polys.to_str``, and QQ prints only Fraction
-coefficients.  One arithmetic in a private base serves both kinds.
-Each reduction takes one ``polys.gcd``, whose
-cofactors are the reduced numerator and denominator; sums and products
-cross-cancel first (Henrici).  Its branch for constant denominators
-takes no gcd of polynomials (by Gauss's lemma a product of primitive
-polynomials is primitive), so neither Q[t] nor a polynomial element of
-Q(x) takes one.  A rational constant factor only rescales the
-other (no polynomial product), and a sum over a shared denominator is
-one pass over the ints.  A sum of products, ``dot``, takes one
-canonical form, where the loop of ``add`` would take one per partial
-sum: when every nonzero term has D = (1,), the products (p_a p_b/q_a
-q_b) N_a N_b are summed in Z[x] over Q, the lcm of the q_a q_b, by
-``polys.add_mul`` into one list of ints, with no gcd of polynomials;
-otherwise a sum of three or more terms is put over one denominator by
-:func:`_clear`, the helper of the matrix routines below, and a sum of
-two takes one Henrici ``add``.
-The Gauss norm of Q[t] is read off the p-adic valuations of p, q and
-N's integer coefficients.  This module decides which matrix routines
-run on integers.  Two clear their input into Z[x] by one helper,
-:func:`_clear`, and take the rest on Kronecker-packed ints: the
-recurrence G_{s+1} = d(G_s) + G_s G_1 of the iterated matrices
-(``integer_iterates``), which clears G_1 once and runs on integer
-matrices A_s with G_s = A_s/(m^s L^s), one packed product
-(:func:`_zx_mat_mul`) per step, ``iterated_matrices`` being their
-canonical forms; and the determinant of a matrix over ring[X]
-(``xdet``), packed at two levels.  Two more read the A_s without
-packing: Q[t]'s ``lemma_norms``, the norms of Lemma 2.1, each row of
-F_s A_s summed in Z[t] by ``polys.add_mul`` (the factors F_s have one
-monomial per entry, which a packed product would spend its time
-packing and unpacking), with nothing put in canonical form; and
-``katz_vector_at_t``, Katz's candidate c(e, t) as one integer
-combination of the rows of the A_s, with one canonical form per
-coordinate.  Every other matrix product, over any ring, is
+leaves the ring, in ``num`` and ``den``.  One arithmetic in a private
+base serves both kinds.  Each reduction takes one ``polys.gcd``, whose
+cofactors are the reduced numerator and denominator.  Its branch for
+constant denominators takes no gcd of polynomials (by Gauss's lemma a
+product of primitive polynomials is primitive), so neither Q[t] nor a
+polynomial element of Q(x) takes one.  A sum of products, ``dot``,
+takes one canonical form, where the loop of ``add`` would take one per
+partial sum.
+
+This module decides which matrix routines run on integers.  Two clear
+their input into Z[x] by one helper, :func:`_clear`, and take the rest
+on Kronecker-packed ints: the iterated matrices (``integer_iterates``,
+one packed product :func:`_zx_mat_mul` per step) and the determinant
+of a matrix over ring[X] (``xdet``).  Q[t] has two more, which read the
+integer iterates without packing: the norms of Lemma 2.1
+(``lemma_norms``, whose factors have one monomial per entry, which a
+packed product would spend its time packing and unpacking) and the
+witness routine ``katz_vector_at_t``, Katz's candidate c(e, t).
+Every other matrix product, over any ring, is
 :func:`katzcyclic.linalg.mat_mul`, one ``dot`` per entry.
 
 F_q[x] stores dense coefficient tuples over
@@ -337,8 +319,9 @@ class _IntegerCoreRing(Ring):
     all polynomial work is in Z[x] with :data:`~katzcyclic.fields.ZZ` as
     the coefficient ring of the :mod:`katzcyclic.polys` helpers, and the
     scale is the reduced int pair p/q.  Each operation has one branch for
-    D = (1,), which takes no gcd; the subclasses add only their units,
-    norms and descriptors."""
+    D = (1,), which takes no gcd; the subclasses add their units, norms
+    and descriptors, and Q[t] its two routines on the integer iterates,
+    ``lemma_norms`` and the witness routine ``katz_vector_at_t``."""
 
     characteristic = 0
 
@@ -538,46 +521,6 @@ class _IntegerCoreRing(Ring):
             ))
         return out
 
-    def katz_vector_at_t(self, n: int, iterates):
-        """The coordinates of Katz's candidate at X := t,
-        c(e, t) = sum_j t^j/j! sum_k (-1)^k C(j, k) (row j - k of G_k),
-        from ``iterates`` = (m, L, [A_1, ...]) of :meth:`integer_iterates`
-        with at least n - 1 matrices.
-
-        With G_0 = Id = A_0 and G_k = A_k/(m^k L^k), coordinate i times
-        (n-1)! m^(n-1) L^(n-1) is the integer polynomial
-
-            sum_{j, k} (-1)^k C(j, k) (n-1)!/j! m^(n-1-k) L^(n-1-k) t^j A_k[j-k][i],
-
-        so each coordinate takes one canonical form, and no G_k is built.
-        """
-        m, L, As = iterates
-        top = n - 1
-        Ls = [_ONE]  # L^0, ..., L^(n-1), when L != (1,)
-        for _ in range(top if len(L) > 1 else 0):
-            Ls.append(polys.mul(ZZ, Ls[-1], L))
-        acc = [[] for _ in range(n)]
-        for j in range(n):
-            fj = math.factorial(top) // math.factorial(j)
-            for k in range(j + 1):
-                c = (-1) ** k * math.comb(j, k) * fj * m ** (top - k)
-                # (i, coordinate i of row j - k of A_k), with A_0 = Id
-                terms = enumerate(As[k - 1][j - k]) if k else [(j, _ONE)]
-                for i, f in terms:
-                    if not f:
-                        continue
-                    if len(L) > 1:
-                        f = polys.mul(ZZ, f, Ls[top - k])
-                    a = acc[i]
-                    if len(a) < j + len(f):
-                        a.extend([0] * (j + len(f) - len(a)))
-                    for e, x in enumerate(f, j):  # c t^j f
-                        a[e] += c * x
-        den = math.factorial(top) * m ** top
-        if len(L) == 1:
-            return tuple(_scaled(1, den, polys.normalize(ZZ, a)) for a in acc)
-        return tuple(_canonical(1, den, polys.normalize(ZZ, a), Ls[top]) for a in acc)
-
     def xdet(self, h):
         """det h for a square matrix h over ring[X], taken as one
         determinant over Z by Kronecker substitution (von zur Gathen &
@@ -677,7 +620,9 @@ class GaussPolynomialRing(_IntegerCoreRing):
     Units are the nonzero rational constants.  An element is c * N with
     N primitive in Z[t] (a :class:`RatFunc` with D = (1,)), so every
     operation takes the constant-denominator branch of the shared
-    arithmetic, and none takes a gcd of polynomials.
+    arithmetic, and none takes a gcd of polynomials.  The witness routine
+    :meth:`katz_vector_at_t` and :meth:`lemma_norms` are Q[t]'s own: they
+    read the integer iterates, whose denominator L is 1 here.
     """
 
     kind = "gauss_padic"
@@ -767,6 +712,39 @@ class GaussPolynomialRing(_IntegerCoreRing):
                             best = e
             out.append(NormValue(p, best))
         return out, iterates
+
+    def katz_vector_at_t(self, n: int, iterates):
+        """The witness: the coordinates of Katz's candidate at X := t,
+        c(e, t) = sum_j t^j/j! sum_k (-1)^k C(j, k) (row j - k of G_k),
+        from ``iterates`` = (m, L, [A_1, ...]) of :meth:`integer_iterates`
+        with at least n - 1 matrices, where L = (1,) over Q[t].
+
+        With G_0 = Id = A_0 and G_k = A_k/m^k, coordinate i times
+        (n-1)! m^(n-1) is the integer polynomial
+
+            sum_{j, k} (-1)^k C(j, k) (n-1)!/j! m^(n-1-k) t^j A_k[j-k][i],
+
+        so each coordinate takes one scaled form, and no G_k is built.
+        """
+        m, _, As = iterates
+        top = n - 1
+        acc = [[] for _ in range(n)]
+        for j in range(n):
+            fj = math.factorial(top) // math.factorial(j)
+            for k in range(j + 1):
+                c = (-1) ** k * math.comb(j, k) * fj * m ** (top - k)
+                # (i, coordinate i of row j - k of A_k), with A_0 = Id
+                terms = enumerate(As[k - 1][j - k]) if k else [(j, _ONE)]
+                for i, f in terms:
+                    if not f:
+                        continue
+                    a = acc[i]
+                    if len(a) < j + len(f):
+                        a.extend([0] * (j + len(f) - len(a)))
+                    for e, x in enumerate(f, j):  # c t^j f
+                        a[e] += c * x
+        den = math.factorial(top) * m ** top
+        return tuple(_scaled(1, den, polys.normalize(ZZ, a)) for a in acc)
 
     def derivation_norm(self) -> NormValue:
         # |d(t^i)| / |t^i| = |i|_p * p^r, maximal at i = 1.

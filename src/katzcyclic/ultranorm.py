@@ -24,10 +24,10 @@ Over Q[t], Lemma 2.1 takes its norms from the ring's ``lemma_norms``:
 each row of H_0(-t) H_s(t) G_s is summed in Z[t] from the integer
 iterates behind G_s and its norm read off the integer coefficients.  A
 certified module's witness c(e, t) is read off integer iterates too, by
-the ring's ``katz_vector_at_t``: lemma 2.1 hands over the iterates its
-norms were taken on, and a prop-2.x certificate takes G_1 .. G_{n-1} as
-integer iterates, so no G_s is put in canonical form.  Other Banach
-rings (the rescaled ones) multiply canonical matrices, take
+the hook ``katz_vector_at_t``, which only Q[t] has: lemma 2.1 hands over
+the iterates its norms were taken on, and a prop-2.x certificate takes
+G_1 .. G_{n-1} as integer iterates, so no G_s is put in canonical form.
+Other Banach rings (the rescaled ones) multiply canonical matrices, take
 :func:`matrix_norm`, and build c(e, X) from canonical G_0 .. G_{n-1}
 before setting X := t.
 
@@ -151,15 +151,15 @@ def _base_norms(m: DifferentialModule) -> Dict[str, NormValue]:
 def _witness(
     m: DifferentialModule, iterates=None, gs: Optional[Sequence[Matrix]] = None
 ) -> Row:
-    """c(e, t).  Over Q(x) and Q[t] it is read off the integer iterates
-    (``iterates``, or the ring's own for G_1 .. G_{n-1}) by the ring's
-    ``katz_vector_at_t``; over other rings it is built from the iterated
+    """c(e, t).  A ring with its own ``katz_vector_at_t`` (Q[t]) reads it
+    off the integer iterates (``iterates``, or the ring's own for
+    G_1 .. G_{n-1}); over other rings it is built from the iterated
     matrices G_0 .. G_{n-1} (``gs``, or more of them) and specialized at
     X := t."""
     ring = m.ring
-    integer_iterates = getattr(ring, "integer_iterates", None)
-    if integer_iterates is not None:
-        return ring.katz_vector_at_t(m.n, iterates or integer_iterates(m.g1, m.n - 1))
+    katz_vector_at_t = getattr(ring, "katz_vector_at_t", None)
+    if katz_vector_at_t is not None:
+        return katz_vector_at_t(m.n, iterates or ring.integer_iterates(m.g1, m.n - 1))
     if gs is None:
         gs = iterated_matrices(m, m.n - 1)
     return specialize_vector(m, _katz_vector_from(m, gs), ring.from_int(0))

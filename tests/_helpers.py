@@ -130,10 +130,10 @@ def nabla_on_xpoly_row(ring, row, g1):
 
 def katz_vector_xpoly_row(m):
     """The candidate vector as a row of X-polynomials over the ring."""
-    kv = katz_vector(m)
+    rows = katz_vector(m)
     n = m.n
     return tuple(
-        xpoly.normalize(m.ring, [kv.coeffs[j][k] for j in range(n)])
+        xpoly.normalize(m.ring, [rows[j][k] for j in range(n)])
         for k in range(n)
     )
 
@@ -171,14 +171,15 @@ def seeded(seed):
 
 # -- evaluation routes that production does not take ---------------------
 
-def specialize_by_powers(m, kv, a):
-    """c(e, t - a) as sum_j (t - a)^j kv.coeffs[j], with the powers of
-    t - a accumulated one by one (no Horner scheme, no xpoly)."""
+def specialize_by_powers(m, rows, a):
+    """c(e, t - a) as sum_j (t - a)^j rows[j], for the rows of
+    ``katz_vector``, with the powers of t - a accumulated one by one (no
+    Horner scheme, no xpoly)."""
     ring = m.ring
     point = ring.sub(ring.t, a)
     acc = tuple(ring.zero for _ in range(m.n))
     power = ring.one
-    for row in kv.coeffs:
+    for row in rows:
         acc = tuple(ring.add(x, ring.mul(power, c)) for x, c in zip(acc, row))
         power = ring.mul(power, point)
     return acc

@@ -1,6 +1,7 @@
 """The pure parts of tools/bench_compare.py on hand-made runs: medians,
-quartile spreads, the metrics worse than their bound and the metrics
-the runs leave unresolved."""
+quartile spreads, the metrics worse than their bound, the metrics the
+runs leave unresolved, the counts that differ between traced runs and
+the order in which the sides alternate."""
 
 import importlib.util
 import pathlib
@@ -78,3 +79,25 @@ def test_change_beating_every_base_run_is_resolved(tool):
     # one change run no better than the best base run leaves it unresolved
     change[0] = {"op_s.p50": 0.6, "ops_per_s": 140}
     assert tool.unresolved(base, change) == ["ops_per_s", "op_s.p50"]
+
+
+def test_traced_runs_are_summarised_by_their_medians(tool):
+    # three traced runs of one side: seconds move, counts repeat
+    traced = runs(**{"polys.mul.calls": [465, 465, 465],
+                     "polys.mul.self_s": [0.030, 0.012, 0.020]})
+    assert tool.medians(traced) == {"polys.mul.calls": 465, "polys.mul.self_s": 0.020}
+    assert tool.count_mismatch(traced) == []
+
+
+def test_count_mismatch_names_counts_only(tool):
+    traced = runs(**{"polys.gcd.calls": [10, 10, 11], "linalg.det.calls": [4, 4, 4],
+                     "linalg.det.self_s": [0.1, 0.2, 0.3]})
+    # seconds differ too, but only an exact count that differs is named
+    assert tool.count_mismatch(traced) == ["polys.gcd.calls"]
+    assert "linalg.det.self_s" not in tool.COUNTS
+
+
+def test_sides_alternate_which_goes_first(tool):
+    sides = ["base", "change"]
+    order = [tool.alternating(k, sides) for k in range(tool.TRACED_RUNS)]
+    assert order == [["base", "change"], ["change", "base"], ["base", "change"]]

@@ -510,6 +510,22 @@ class TestCertify:
         assert code == 2
         assert json.loads(out)["verdict"] == "not_certified"
 
+    def test_zero_connection_prints_zero_norms(self, capsys, tmp_path):
+        """A norm of 0 prints as "0", not as a power of p: |G1| = 0 under
+        prop2.3, and every per-s norm under lemma2.1."""
+        doc = {"ring": {"kind": "gauss_padic", "p": 3, "radius_exp": 1}, "n": 2,
+               "G1": [["0", "0"], ["0", "0"]]}
+        code, out, err = run_doc(capsys, tmp_path, ["certify", "--criterion", "prop2.3"], doc)
+        assert (code, err) == (0, "")
+        prop = json.loads(out)
+        assert prop["norms"]["G1"] == "0" and prop["norms"]["bound"] == "3^-1"
+        code, out, err = run_doc(capsys, tmp_path, ["certify", "--criterion", "lemma2.1"], doc)
+        assert (code, err) == (0, "")
+        lemma = json.loads(out)
+        assert lemma["per_s_norms"] == ["0", "0"] and lemma["norms"]["G1"] == "0"
+        for cert in (prop, lemma):
+            assert cert["verdict"] == "certified" and cert["witness"] == ["1", "t"]
+
     def test_all_criteria_run(self, capsys, gauss_module):
         for criterion in ("prop2.3", "prop2.5", "prop2.8", "lemma2.1"):
             code, out, _ = run(capsys, ["certify", "-i", gauss_module, "--criterion", criterion])

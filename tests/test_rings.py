@@ -146,6 +146,13 @@ class TestCanonicalForm:
         a = qx.parse("1/(2*x - 2)")
         assert qx.to_str(a) == "(1/2)/(x - 1)"
 
+    def test_never_equal_to_other_types(self, qx):
+        # X-polynomials are tuples, so an element must not equal one
+        assert not qx.one == 1
+        assert not qx.one == (1,)
+        assert not qx.zero == ()
+        assert qx.one != (1,)
+
     def test_equality_decidable(self, qx):
         assert qx.eq(qx.parse("(x+1)/(x-1)"), qx.parse("(x^2+2*x+1)/(x^2-1)"))
 

@@ -7,15 +7,19 @@ Runs ``bench/run.py --trace 0`` for the benchmark's ``run_seconds`` on
 every workload of ``BENCHMARK.json`` and on seeds 1-10, once in the base
 checkout and once in this one, as one pair per seed; the side that
 runs first alternates from pair to pair, so that both sides see the same
-phases of a noisy machine.  Then it runs ``bench/run.py --trace 1`` once
-per side and workload on seed 0, whose counts repeat exactly.  The JSON
+phases of a noisy machine.  Then it runs ``bench/run.py --trace 1``
+three times per side and workload on seed 0, alternating which side goes
+first, and keeps each side's per-layer medians, so that no single moment
+of the machine sets a ``self_s``; the counts of seed 0 repeat exactly,
+and a count that differs between a side's traced runs is printed and
+recorded (``count_mismatch``) and makes the exit status 1.  The JSON
 written to the repository root holds every run's metrics, the
 per-metric medians of each side, the change/base ratio of the medians,
 both sides' quartile spreads, the number of pairs the change wins, the
 end-to-end metrics whose change median is worse than the base median by
 more than their bound (``worse_beyond_bound``, also printed), the
 end-to-end metrics the runs cannot settle (``unresolved``, also
-printed), both sides' per-layer metrics, and the machine and Python
+printed), both sides' per-layer medians, and the machine and Python
 details.
 Standard library only.
 """
@@ -36,6 +40,8 @@ SECONDS = SPEC["run_seconds"]
 SEEDS = range(1, 11)
 HIGHER_IS_BETTER = {m["name"]: m["better"] == "higher" for m in SPEC["end_to_end"]}
 BOUNDS = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
+COUNTS = [m["name"] for m in SPEC["per_layer"] if m["unit"] == "count"]
+TRACED_RUNS = 3
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -50,6 +56,19 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
 
 def medians(runs):
     return {name: statistics.median(r[name] for r in runs) for name in runs[0]}
+
+
+def count_mismatch(runs) -> list:
+    """The per-layer counts that are not equal in every traced run of one
+    side; on the fixed seed-0 input each must repeat exactly."""
+    return [name for name in COUNTS
+            if name in runs[0] and len({r[name] for r in runs}) > 1]
+
+
+def alternating(k: int, sides: list) -> list:
+    """The two sides in the order of pair k: as given for even k, swapped
+    for odd k."""
+    return sides[::-1] if k % 2 else sides
 
 
 def quartile_spreads(runs):
@@ -116,16 +135,17 @@ def main(argv=None) -> int:
 
     doc = {
         "command": f"bench/run.py --trace 0 --seconds {SECONDS:g}",
-        "per_layer_command": "bench/run.py --trace 1 --seed 0",
+        "per_layer_command": f"bench/run.py --trace 1 --seed 0, median of {TRACED_RUNS}",
         "seeds": list(SEEDS),
         "machine": machine_info(),
         "workloads": {},
     }
+    mismatched = False
     for workload in WORKLOADS:
         base_runs, change_runs = [], []
+        sides = [(base_runs, args.base.resolve()), (change_runs, ROOT)]
         for k, seed in enumerate(SEEDS):
-            sides = [(base_runs, args.base.resolve()), (change_runs, ROOT)]
-            for runs, checkout in sides[::-1] if k % 2 else sides:
+            for runs, checkout in alternating(k, sides):
                 runs.append(run_bench(checkout, workload, seed))
             print(f"{workload} seed {seed}: ops_per_s {base_runs[-1]['ops_per_s']:.2f} -> "
                   f"{change_runs[-1]['ops_per_s']:.2f}", file=sys.stderr)
@@ -134,6 +154,15 @@ def main(argv=None) -> int:
         unsettled = unresolved(base_runs, change_runs)
         print(f"{workload}: worse beyond bound: {', '.join(worse) or 'none'}; "
               f"unresolved: {', '.join(unsettled) or 'none'}", file=sys.stderr)
+        traced = {"base": [], "change": []}
+        traced_sides = [(traced["base"], args.base.resolve()), (traced["change"], ROOT)]
+        for k in range(TRACED_RUNS):
+            for runs, checkout in alternating(k, traced_sides):
+                runs.append(run_bench(checkout, workload, 0, trace=1))
+        unequal = {side: count_mismatch(runs) for side, runs in traced.items()}
+        if any(unequal.values()):
+            mismatched = True
+            print(f"{workload}: counts differ between traced runs: {unequal}", file=sys.stderr)
         doc["workloads"][workload] = {
             "base_median": base,
             "change_median": change,
@@ -147,15 +176,13 @@ def main(argv=None) -> int:
                             for k in base},
             "base_runs": base_runs,
             "change_runs": change_runs,
-            "per_layer_seed_0": {
-                "base": run_bench(args.base.resolve(), workload, 0, trace=1),
-                "change": run_bench(ROOT, workload, 0, trace=1),
-            },
+            "per_layer_seed_0": {side: medians(runs) for side, runs in traced.items()},
+            "count_mismatch": unequal,
         }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
-    return 0
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ matrix G1 whose row i holds the coordinates of nabla(e_i) in the basis
 e.  Coordinates act on the right, so for a row vector f one has
 nabla(f) = d(f) + f * G1, and the iterated matrices satisfy
 G_{s+1} = d(G_s) + G_s * G1 with G_0 = Id.  :func:`iterated_matrices`
-defers this recurrence to the ring where it has its own: Q(x) and Q[t]
-run it on cleared integer matrices, other rings apply nabla to each row
-of G_s.
+leaves this recurrence to the ring: every ring applies nabla to each row
+of G_s, and Q(x) and Q[t] run it on cleared integer matrices instead
+when G1 has no denominator.
 
 A module may have any characteristic.  Only the Katz construction
 divides by (n-1)!, so its entry points, not the module, call
@@ -82,27 +82,12 @@ def module_to_json(m: DifferentialModule) -> dict:
 
 
 def iterated_matrices(m: DifferentialModule, s_max: int) -> List[Matrix]:
-    """[G_0, ..., G_{s_max}] with G_0 = Id and G_{s+1} = d(G_s) + G_s G_1.
-
-    Row k of G_s holds the coordinates of nabla^s(e_k).  A ring with its
-    own ``iterated_matrices`` runs the recurrence itself: Q(x) and Q[t]
-    take it on cleared integer matrices
-    (:meth:`~katzcyclic.rings.RationalFunctionField.iterated_matrices`).
-    F_q[x] and the scaled-derivation rings apply nabla to each row of
-    G_s.  G_1 = d(Id) + Id G_1 is the connection matrix itself, so the
-    loop starts from it."""
+    """[G_0, ..., G_{s_max}] with G_0 = Id and G_{s+1} = d(G_s) + G_s G_1:
+    row k of G_s holds the coordinates of nabla^s(e_k).  The ring runs
+    the recurrence (:meth:`~katzcyclic.rings.Ring.iterated_matrices`)."""
     if s_max < 0:
         raise PreconditionError("s_max must be >= 0")
-    ring = m.ring
-    recurrence = getattr(ring, "iterated_matrices", None)
-    if recurrence is not None:
-        return recurrence(m.g1, s_max)
-    out = [linalg.identity(ring, m.n)]
-    if s_max:
-        out.append(linalg.freeze(m.g1))
-    for _ in range(s_max - 1):
-        out.append(tuple(apply_nabla(m, row) for row in out[-1]))
-    return out
+    return m.ring.iterated_matrices(m.g1, s_max)
 
 
 def apply_nabla(m: DifferentialModule, v: Row, k: int = 1) -> Row:

@@ -183,12 +183,8 @@ def katz_vector(m: DifferentialModule) -> Tuple[Row, ...]:
     """c(e, X) = sum_j (X^j/j!) sum_k (-1)^k C(j,k) nabla^k(e_{j-k}) as n
     rows, lowest degree first: row j is its X^j coefficient."""
     check_factorial_invertible(m.ring, m.n)
-    return _katz_vector_from(m, iterated_matrices(m, m.n - 1))
-
-
-def _katz_vector_from(m: DifferentialModule, gs: Sequence[Matrix]) -> Tuple[Row, ...]:
-    """c(e, X)'s rows from the iterated matrices G_0 .. G_{n-1} (or more): the
-    inversion formula on z = e, as H(0) = Id, with nabla^k(e_i) row i of G_k."""
+    # the inversion formula on z = e, as H(0) = Id, with nabla^k(e_i) row i of G_k
+    gs = iterated_matrices(m, m.n - 1)
     return _inversion(m.ring, m.n, m.n, lambda k, i: gs[k][i])
 
 

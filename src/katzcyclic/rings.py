@@ -33,8 +33,9 @@ partial sum.
 
 This module decides which matrix routines run on integers.  Two clear
 their input into Z[x] by one helper, :func:`_clear`, and take the rest
-on Kronecker-packed ints: the iterated matrices (``integer_iterates``,
-one packed product :func:`_zx_mat_mul` per step) and the determinant
+on Kronecker-packed ints: the iterated matrices of a polynomial G_1
+(``integer_iterates``, one packed product :func:`_zx_mat_mul` per step;
+any other G_1 takes :meth:`Ring.iterated_matrices`) and the determinant
 of a matrix over ring[X] (``xdet``).  Q[t] has two more, which read the
 integer iterates without packing: the norms of Lemma 2.1
 (``lemma_norms``, whose factors have one monomial per entry, which a
@@ -150,6 +151,22 @@ class Ring:
     # -- derivation -----------------------------------------------------
     def derive(self, a):
         raise NotImplementedError
+
+    def iterated_matrices(self, g1, s_max: int):
+        """[G_0, ..., G_{s_max}] for s_max >= 0, with G_0 = Id, G_1 = g1 and
+        G_{s+1} = d(G_s) + G_s G_1: row k of G_s holds the coordinates of
+        nabla^s(e_k), so each row of G_{s+1} is one nabla step on that row
+        of G_s, each coordinate one ``dot`` started at d(x)."""
+        out = [linalg.identity(self, len(g1))]
+        if s_max:
+            out.append(linalg.freeze(g1))
+        cols = tuple(zip(*g1))
+        for _ in range(s_max - 1):
+            out.append(tuple(
+                tuple(self.dot(row, col, self.derive(x)) for x, col in zip(row, cols))
+                for row in out[-1]
+            ))
+        return out
 
     def antiderivative(self, a):
         """An element F with d(F) = a, or None if none exists in the ring."""
@@ -319,8 +336,9 @@ class _IntegerCoreRing(Ring):
     all polynomial work is in Z[x] with :data:`~katzcyclic.fields.ZZ` as
     the coefficient ring of the :mod:`katzcyclic.polys` helpers, and the
     scale is the reduced int pair p/q.  Each operation has one branch for
-    D = (1,), which takes no gcd; the subclasses add their units, norms
-    and descriptors, and Q[t] its two routines on the integer iterates,
+    D = (1,), which takes no gcd, and the iterates of a polynomial G_1 run
+    on integers (``integer_iterates``); the subclasses add their units,
+    norms and descriptors, and Q[t] its two routines on those iterates,
     ``lemma_norms`` and the witness routine ``katz_vector_at_t``."""
 
     characteristic = 0
@@ -462,63 +480,49 @@ class _IntegerCoreRing(Ring):
         return _scaled(1, 1, coeffs)
 
     def integer_iterates(self, g1, s_max: int):
-        """(m, L, [A_1, ..., A_{s_max}]) with the iterated matrices of
-        G_{s+1} = d(G_s) + G_s G_1 written as G_s = A_s/(m^s L^s), every
-        A_s over Z[x].
+        """(m, [A_1, ..., A_{s_max}]) for a polynomial g1 (every entry with
+        D = (1,)): the iterated matrices of G_{s+1} = d(G_s) + G_s G_1
+        written as G_s = A_s/m^s, every A_s over Z[x].
 
-        :func:`_clear` writes G_1 once as A/(m L) with A over Z[x].  Then
-        A_1 = A and
-
-            A_{s+1} = m (L A_s' - s L' A_s) + A_s A,
-
-        since d(A_s/(m^s L^s)) = (L A_s' - s L' A_s)/(m^s L^(s+1)).  Each
-        step takes one packed product A_s A (:func:`_zx_mat_mul`); with
-        L = (1,), as in Q[t], the derivative term is m A_s', and each
-        entry m A_s' + (A_s A) is taken in one pass over its ints.
+        :func:`_clear` writes G_1 once as A/m with A over Z[x].  Then
+        A_1 = A and A_{s+1} = m A_s' + A_s A, since d(A_s/m^s) = A_s'/m^s.
+        Each step takes one packed product A_s A (:func:`_zx_mat_mul`),
+        and each entry m A_s' + (A_s A) is taken in one pass over its
+        ints.  A g1 with a denominator is refused: its iterates carry
+        powers of that denominator, which this recurrence does not.
         """
         n = len(g1)
         m, L, flat = _clear([x for row in g1 for x in row])
+        if L != _ONE:
+            raise PreconditionError("integer iterates need a polynomial connection matrix")
         A = [flat[i * n:(i + 1) * n] for i in range(n)]
-        dL = polys.derive(ZZ, L)
 
-        def step(s, f, p):
-            """m (L f' - s L' f) + p: an entry of A_{s+1} from A_s and A_s A."""
-            if not dL:  # m f' + p, in one pass over f
-                acc = list(p)
-                acc += [0] * (len(f) - 1 - len(acc))
-                for i in range(1, len(f)):
-                    acc[i - 1] += m * i * f[i]
-                return polys.normalize(ZZ, acc)
-            d = polys.derive(ZZ, f)
-            d = polys.sub(ZZ, polys.mul(ZZ, L, d), polys.mul(ZZ, polys.scale(ZZ, s, dL), f))
-            return polys.add(ZZ, p, polys.scale(ZZ, m, d))
+        def step(f, p):
+            """m f' + p: an entry of A_{s+1} from A_s and A_s A, in one pass over f."""
+            acc = list(p)
+            acc += [0] * (len(f) - 1 - len(acc))
+            for i in range(1, len(f)):
+                acc[i - 1] += m * i * f[i]
+            return polys.normalize(ZZ, acc)
 
         out = [A] if s_max else []
-        for s in range(1, s_max):
+        for _ in range(1, s_max):
             prod = _zx_mat_mul(out[-1], A)
-            out.append([[step(s, f, p) for f, p in zip(row, prow)]
+            out.append([[step(f, p) for f, p in zip(row, prow)]
                         for row, prow in zip(out[-1], prod)])
-        return m, L, out
+        return m, out
 
     def iterated_matrices(self, g1, s_max: int):
-        """[G_0, ..., G_{s_max}] with G_0 = Id and G_{s+1} = d(G_s) + G_s G_1:
-        one canonical form per entry of :meth:`integer_iterates`."""
-        out = [linalg.identity(self, len(g1))]
-        if s_max:
-            out.append(linalg.freeze(g1))
-        if s_max < 2:
-            return out
-        m, L, As = self.integer_iterates(g1, s_max)
-        scale, den = m, L
-        for A_s in As[1:s_max]:
-            scale, den = scale * m, polys.mul(ZZ, den, L)
-            out.append(tuple(
-                tuple(
-                    _scaled(1, scale, f) if len(L) == 1 else _canonical(1, scale, f, den)
-                    for f in row
-                )
-                for row in A_s
-            ))
+        """[G_0, ..., G_{s_max}] as :meth:`Ring.iterated_matrices` gives them.
+        A polynomial g1 with s_max >= 2 takes :meth:`integer_iterates` and
+        one scaled form per entry; s_max < 2, or a g1 with a denominator,
+        takes the nabla loop of :class:`Ring`."""
+        if s_max < 2 or any(len(x.D) > 1 for row in g1 for x in row):
+            return super().iterated_matrices(g1, s_max)
+        m, As = self.integer_iterates(g1, s_max)
+        out = [linalg.identity(self, len(g1)), linalg.freeze(g1)]
+        for s, A_s in enumerate(As[1:], 2):
+            out.append(tuple(tuple(_scaled(1, m ** s, f) for f in row) for row in A_s))
         return out
 
     def xdet(self, h):
@@ -622,7 +626,7 @@ class GaussPolynomialRing(_IntegerCoreRing):
     operation takes the constant-denominator branch of the shared
     arithmetic, and none takes a gcd of polynomials.  The witness routine
     :meth:`katz_vector_at_t` and :meth:`lemma_norms` are Q[t]'s own: they
-    read the integer iterates, whose denominator L is 1 here.
+    read the integer iterates, which every G_1 over Q[t] has.
     """
 
     kind = "gauss_padic"
@@ -686,7 +690,7 @@ class GaussPolynomialRing(_IntegerCoreRing):
         """
         p, r = self.prime, self.radius_exp
         iterates = self.integer_iterates(g1, len(factors))
-        m, _, As = iterates
+        m, As = iterates
         vm = padic_valuation(m, p)
         out = []
         for s, (F, A_s) in enumerate(zip(factors, As), 1):
@@ -716,8 +720,8 @@ class GaussPolynomialRing(_IntegerCoreRing):
     def katz_vector_at_t(self, n: int, iterates):
         """The witness: the coordinates of Katz's candidate at X := t,
         c(e, t) = sum_j t^j/j! sum_k (-1)^k C(j, k) (row j - k of G_k),
-        from ``iterates`` = (m, L, [A_1, ...]) of :meth:`integer_iterates`
-        with at least n - 1 matrices, where L = (1,) over Q[t].
+        from ``iterates`` = (m, [A_1, ...]) of :meth:`integer_iterates`
+        with at least n - 1 matrices.
 
         With G_0 = Id = A_0 and G_k = A_k/m^k, coordinate i times
         (n-1)! m^(n-1) is the integer polynomial
@@ -726,7 +730,7 @@ class GaussPolynomialRing(_IntegerCoreRing):
 
         so each coordinate takes one scaled form, and no G_k is built.
         """
-        m, _, As = iterates
+        m, As = iterates
         top = n - 1
         acc = [[] for _ in range(n)]
         for j in range(n):

@@ -28,8 +28,8 @@ the hook ``katz_vector_at_t``, which only Q[t] has: lemma 2.1 hands over
 the iterates its norms were taken on, and a prop-2.x certificate takes
 G_1 .. G_{n-1} as integer iterates, so no G_s is put in canonical form.
 Other Banach rings (the rescaled ones) multiply canonical matrices, take
-:func:`matrix_norm`, and build c(e, X) from canonical G_0 .. G_{n-1}
-before setting X := t.
+:func:`matrix_norm`, and take the witness as
+:func:`~katzcyclic.katz.katz_vector` at X := t.
 
 All inequalities are strict and decided exactly on NormValue exponents;
 an equality boundary is reported as "not certified" with a flag.
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import linalg
 from .diffmod import (
@@ -49,13 +49,7 @@ from .diffmod import (
     nabla_family,
 )
 from .errors import PreconditionError, UnsupportedOperationError
-from .katz import (
-    _katz_vector_from,
-    h_matrix,
-    h_matrix_at,
-    lemma_table,
-    specialize_vector,
-)
+from .katz import h_matrix, h_matrix_at, katz_vector, lemma_table, specialize_vector
 from .linalg import Matrix, Row
 from .normvalue import NormValue
 
@@ -148,21 +142,16 @@ def _base_norms(m: DifferentialModule) -> Dict[str, NormValue]:
     }
 
 
-def _witness(
-    m: DifferentialModule, iterates=None, gs: Optional[Sequence[Matrix]] = None
-) -> Row:
+def _witness(m: DifferentialModule, iterates=None) -> Row:
     """c(e, t).  A ring with its own ``katz_vector_at_t`` (Q[t]) reads it
     off the integer iterates (``iterates``, or the ring's own for
-    G_1 .. G_{n-1}); over other rings it is built from the iterated
-    matrices G_0 .. G_{n-1} (``gs``, or more of them) and specialized at
-    X := t."""
+    G_1 .. G_{n-1}); over other rings (the rescaled ones) it is
+    :func:`~katzcyclic.katz.katz_vector` specialized at X := t."""
     ring = m.ring
     katz_vector_at_t = getattr(ring, "katz_vector_at_t", None)
     if katz_vector_at_t is not None:
         return katz_vector_at_t(m.n, iterates or ring.integer_iterates(m.g1, m.n - 1))
-    if gs is None:
-        gs = iterated_matrices(m, m.n - 1)
-    return specialize_vector(m, _katz_vector_from(m, gs), ring.from_int(0))
+    return specialize_vector(m, katz_vector(m), ring.from_int(0))
 
 
 def _smallness_certificate(
@@ -259,12 +248,11 @@ def certify_lemma_2_1(
     one = NormValue.one(ring.prime)
     factors = [h_matrix_at(ring, lemma_table(s, n), ring.t) for s in range(1, 2 * n - 1)]
     lemma_norms = getattr(ring, "lemma_norms", None)
-    iterates = gs = None
+    iterates = None
     if lemma_norms is None:
-        gs = iterated_matrices(m, 2 * n - 2)
         per_s = [
             matrix_norm(ring, linalg.mat_mul(ring, f, g), kind)
-            for f, g in zip(factors, gs[1:])
+            for f, g in zip(factors, iterated_matrices(m, 2 * n - 2)[1:])
         ]
     else:
         per_s, iterates = lemma_norms(m.g1, factors, _rho_exp(ring, kind))
@@ -277,7 +265,7 @@ def certify_lemma_2_1(
         norms={**_base_norms(m), "G1": g1_norm},
         per_s=tuple(per_s),
         boundary=boundary,
-        witness=_witness(m, iterates, gs) if certified else None,
+        witness=_witness(m, iterates) if certified else None,
     )
 
 

@@ -13,7 +13,7 @@ for hashability-free equality.
 
 from fractions import Fraction
 
-from katzcyclic.fields import dot
+from katzcyclic.rings import Ring
 
 
 class GPoly:
@@ -36,8 +36,11 @@ def _mono_mul(m1, m2):
     return tuple(sorted(d.items()))
 
 
-class GenericConnectionRing:
-    """Q[g_{j,k}^{(m)} : j,k < n, m <= max_order], d = shift in m."""
+class GenericConnectionRing(Ring):
+    """Q[g_{j,k}^{(m)} : j,k < n, m <= max_order], d = shift in m.  The
+    protocol's defaults serve ``sub``, ``dot``, ``eq``, ``is_zero``,
+    ``is_constant`` and the iterated matrices (``GPoly`` equality is
+    that of the term dicts)."""
 
     kind = "generic"
     variable = "g"
@@ -79,9 +82,6 @@ class GenericConnectionRing:
     def neg(self, a):
         return GPoly({m: -c for m, c in a.terms.items()})
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         out = {}
         for m1, c1 in a.terms.items():
@@ -93,15 +93,6 @@ class GenericConnectionRing:
                 else:
                     out.pop(mono, None)
         return GPoly(out)
-
-    def dot(self, u, v, start=None):
-        return dot(self, u, v, start)
-
-    def is_zero(self, a):
-        return not a.terms
-
-    def eq(self, a, b):
-        return a.terms == b.terms
 
     def from_int(self, k):
         return self.from_fraction(Fraction(k))
@@ -137,11 +128,11 @@ class GenericConnectionRing:
                     out.pop(new_mono, None)
         return GPoly(out)
 
-    def is_constant(self, a):
-        return self.is_zero(self.derive(a))
-
     def to_str(self, a):
         return repr(a)
+
+    def descriptor(self):
+        return {"kind": self.kind, "n": self.n, "max_order": self.max_order}
 
 
 class CountingRing:

@@ -98,9 +98,12 @@ def test_rings_names_fraction_only_where_values_enter_or_leave():
 
 
 def test_linalg_never_probes_the_ring():
-    """A ``getattr`` probe in ``linalg`` would let a ring swap in its own
-    routine, as a packed ``mat_mul`` once did, unseen by its callers."""
-    assert "getattr(" not in (SRC / "linalg.py").read_text(encoding="utf-8")
+    """A ``getattr`` probe in ``linalg`` or ``diffmod`` would let a ring
+    swap in its own routine, as a packed ``mat_mul`` once did, unseen by
+    its callers; a ring's own iterates override the protocol's
+    ``Ring.iterated_matrices`` instead."""
+    for name in ("linalg.py", "diffmod.py"):
+        assert "getattr(" not in (SRC / name).read_text(encoding="utf-8"), name
 
 
 def test_equality_is_left_to_the_ring_protocol():

@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction
 from unittest import mock
 
@@ -23,7 +24,7 @@ from katzcyclic import (
     rescale_derivation,
 )
 from katzcyclic.diffmod import nabla_family
-from katzcyclic.rings import RatFunc, Ring
+from katzcyclic.rings import RatFunc, Ring, _IntegerCoreRing
 
 from _helpers import (
     iterated_by_recurrence,
@@ -140,18 +141,48 @@ RECURRENCE_SETTINGS = settings(
 )
 
 
+@contextlib.contextmanager
+def routes():
+    """Records the s_max of every call, inside the block, to the nabla loop
+    ``Ring.iterated_matrices`` (under "loop") and to
+    ``_IntegerCoreRing.integer_iterates`` (under "integer")."""
+    calls = {"loop": [], "integer": []}
+    loop, integer = Ring.iterated_matrices, _IntegerCoreRing.integer_iterates
+
+    def recording(key, fn):
+        def wrapper(self, g1, s_max, *args):
+            calls[key].append(s_max)
+            return fn(self, g1, s_max, *args)
+        return wrapper
+
+    with mock.patch.object(Ring, "iterated_matrices", recording("loop", loop)), \
+            mock.patch.object(_IntegerCoreRing, "integer_iterates", recording("integer", integer)):
+        yield calls
+
+
 class TestIntegerRecurrence:
     """Q(x) and Q[t] run G_{s+1} = d(G_s) + G_s G_1 on cleared integer
-    matrices; checked against nabla on the basis rows and against the
-    same module rescaled by 1, which takes the generic loop."""
+    matrices when G_1 is polynomial, and the nabla loop of ``Ring`` when
+    it has a denominator; checked against nabla on the basis rows and
+    against the same module rescaled by 1, which takes the loop."""
 
     def check(self, m, s_max):
-        gs = iterated_matrices(m, s_max)
+        with routes() as calls:
+            gs = iterated_matrices(m, s_max)
+        if all(len(x.D) == 1 for row in m.g1 for x in row):
+            # polynomial G_1: the loop only up to G_1, the integer route from G_2 on
+            integer = s_max >= 2
+            assert calls == {"loop": [] if integer else [s_max],
+                             "integer": [s_max] if integer else []}
+        else:
+            # a denominator: the loop, and integer_iterates never reached
+            assert calls == {"loop": [s_max], "integer": []}
         assert gs == m.ring.iterated_matrices(m.g1, s_max)
         assert len(gs) == s_max + 1
         loop = rescale_derivation(m, m.ring.one)
-        assert not hasattr(loop.ring, "iterated_matrices")
-        assert iterated_matrices(loop, s_max) == gs
+        with routes() as calls:
+            assert iterated_matrices(loop, s_max) == gs
+        assert calls == {"loop": [s_max], "integer": []}
         for k in range(m.n):
             e_k = tuple(m.ring.one if i == k else m.ring.zero for i in range(m.n))
             for s in range(s_max + 1):
@@ -169,8 +200,9 @@ class TestIntegerRecurrence:
 
     @pytest.mark.parametrize("ring", [QX, QT], ids=["qx", "qt"])
     def test_powers_of_the_variable_over_a_scale(self, ring):
-        """G_1 = t^2/3 Id + (1/(t+1) off the diagonal over Q(x)): m = 3 and,
-        over Q(x), L = t + 1, so every term of the recurrence is used."""
+        """G_1 = t^2/3 Id + (1/(t+1) off the diagonal over Q(x)): m = 3 on
+        the integer route over Q[t], and over Q(x) the denominator t + 1
+        sends G_1 to the nabla loop."""
         n = 3
         diag = ring.div(ring.pow(ring.t, 2), ring.from_int(3))
         off = ring.inv(ring.add(ring.t, ring.one)) if ring is QX else ring.from_int(2)
@@ -179,10 +211,10 @@ class TestIntegerRecurrence:
 
     def test_other_rings_keep_the_loop(self):
         ring = FiniteFieldPolyRing(5)
-        assert not hasattr(Ring, "iterated_matrices")
-        assert not hasattr(ring, "iterated_matrices")
         m = mk(ring, [["x", "2"], ["x^2 + 1", "3*x"]])
-        gs = iterated_matrices(m, 2)
+        with routes() as calls:
+            gs = iterated_matrices(m, 2)
+        assert calls == {"loop": [2], "integer": []}
         e_0 = (ring.one, ring.zero)
         assert [gs[s][0] for s in range(3)] == [apply_nabla(m, e_0, s) for s in range(3)]
 
@@ -194,8 +226,9 @@ class TestIntegerRecurrence:
 
 
 class TestGenericIterate:
-    """Rings without their own recurrence apply nabla to each row of G_s;
-    checked against d(G_s) + G_s G1 written out entry by entry."""
+    """F_q[x] and the scaled-derivation rings take the nabla loop of
+    ``Ring``, which applies nabla to each row of G_s; checked against
+    d(G_s) + G_s G1 written out entry by entry."""
 
     @pytest.mark.parametrize("kind", ["f5", "f4", "scaled"])
     def test_matches_the_written_out_recurrence(self, kind):
@@ -209,8 +242,9 @@ class TestGenericIterate:
             m = random_module(ring, rng, n, max_deg=2)
             if kind == "scaled":
                 m = rescale_derivation(m, ring.parse("x^2 + 1"))
-            assert not hasattr(m.ring, "iterated_matrices")
-            gs = iterated_matrices(m, n + 1)
+            with routes() as calls:
+                gs = iterated_matrices(m, n + 1)
+            assert calls == {"loop": [n + 1], "integer": []}
             expected = iterated_by_recurrence(m, n + 1)
             assert len(gs) == len(expected) == n + 2
             assert all(mat_eq(m.ring, g, h) for g, h in zip(gs, expected))

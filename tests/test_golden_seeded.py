@@ -9,6 +9,9 @@ builds elements:
 
 * Q(x) modules of rank 2 and 3 whose entries have nontrivial
   denominators and fractional scales (P(X) and ``katzcyclic cyclic``);
+* pole-grid Q(x) modules of rank 3 and 4 (``tools/pole_grid.py``), whose
+  iterates G_s, s >= 2, are formed on rational entries (``katzcyclic
+  cyclic`` and P(X));
 * a Gauss Q[t] module with fractional coefficients;
 * F_5[x] and F_49[x] modules (p > n - 1);
 * a Q(x) module after ``rescale_derivation``;
@@ -19,7 +22,8 @@ builds elements:
 The digests were recorded before H(X) was built as the nabla-family of
 c(e, X) and before polynomial Q(x) elements took the Q[t] arithmetic;
 the ``certify`` digest before lemma 2.1 read H_0(-t) H_s(t) from one
-cached universal table per s.
+cached universal table per s; the pole-grid digests before the
+iterates of a rational G_1 left the integer recurrence.
 """
 
 import contextlib
@@ -87,6 +91,17 @@ def fpe_module(ring, n, seed):
         return ring.add(a, ring.mul(g, b))
 
     rows = [[entry() for _ in range(n)] for _ in range(n)]
+    return DifferentialModule(ring=ring, n=n, g1=linalg.freeze(rows))
+
+
+def pole_grid(n, d):
+    """Entry (i, j) is 1/((x+i+2j+1)^d) when i + j is even, else (i-j)*x + 1."""
+    ring = RationalFunctionField()
+
+    def entry(i, j):
+        return f"1/((x+{i + 2 * j + 1})^{d})" if (i + j) % 2 == 0 else f"({i - j})*x + 1"
+
+    rows = [[ring.parse(entry(i, j)) for j in range(n)] for i in range(n)]
     return DifferentialModule(ring=ring, n=n, g1=linalg.freeze(rows))
 
 
@@ -179,6 +194,11 @@ def certify_digest(paths):
 QX_P_DIGEST = "632a6e3150181fbd98b70b118c2eabfb763fb7acaf9a352b870bd3c300638b80"
 QX_CYCLIC_DIGEST = "a4d859bd9bc33c81bc9066b9176cab616c510c5b4c3c430e8f34a49d84a429b8"
 GAUSS_CERTIFY_DIGEST = "fa64e8556a56b22a8575f4e052995d15cbf96ce09064aa455547a0a97c5c1167"
+POLE_GRID_CYCLIC_DIGESTS = {
+    (3, 8): "1bd3c29b75972341298986900930f9b533de3d9c23849fbbbe99f4ef9c14e2a6",
+    (4, 2): "388659fbe2b781355ce2ef4aa605dd7887f4fb8289b172f5254a93754982eeda",
+}
+POLE_GRID_P_DIGEST = "5eb38cf4aecc9ae88613e95b9ec9ddb2f55b9d55617a90e6ad537603091d4a50"  # (4, 1)
 # Gauss Q[t] p = 3 r = 1, F_5[x], F_49[x], Q(x) with d rescaled by 2x^2 + 1.
 OTHER_P_DIGESTS = (
     "f4b1156db004fd0e492366689c2d2869abecfd3705895a613cb00f161776ff1d",
@@ -200,6 +220,15 @@ def test_golden_qx_base_change_det():
 
 def test_golden_qx_cyclic(tmp_path):
     assert cyclic_digest(qx_modules(), tmp_path) == QX_CYCLIC_DIGEST
+
+
+def test_golden_pole_grid_cyclic(tmp_path):
+    for (n, d), digest in POLE_GRID_CYCLIC_DIGESTS.items():
+        assert cyclic_digest([pole_grid(n, d)], tmp_path) == digest, (n, d)
+
+
+def test_golden_pole_grid_base_change_det():
+    assert p_digest([pole_grid(4, 1)]) == POLE_GRID_P_DIGEST
 
 
 def test_golden_other_rings_base_change_det():

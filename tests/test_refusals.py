@@ -35,6 +35,9 @@ def scaled_by_x_t():
 
 REFUSALS = {
     "iterated_matrices s_max < 0": (lambda: iterated_matrices(module(QX), -1), PreconditionError),
+    "integer_iterates of a rational G_1": (
+        lambda: QX.integer_iterates(((QX.zero, QX.inv(QX.t)), (QX.t, QX.zero)), 2),
+        PreconditionError),
     "apply_nabla k < 0": (lambda: apply_nabla(module(QX), (QX.one, QX.zero), -1),
                           PreconditionError),
     "derivative_coefficients i < 0": (

@@ -1,4 +1,5 @@
-"""Differential tests of Z[x] gcd, Q(x) arithmetic and primality against sympy.
+"""Differential tests of Z[x] gcd, Q(x) arithmetic, the iterates G_s and
+primality against sympy.
 
 sympy is an oracle here only; the package never imports it.  Inputs are
 built on the sympy side (``sympy.cancel``) and handed to the package as
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from katzcyclic import polys
+from katzcyclic import DifferentialModule, iterated_matrices, linalg, polys
 from katzcyclic.fields import QQ, ZZ, is_prime
 from katzcyclic.rings import RationalFunctionField, RatFunc
 
@@ -188,6 +189,63 @@ def test_inv_and_derive_match_sympy_cancel(a):
     d = QX.derive(a)
     assert_canonical(d)
     assert d == canonical(sympy.diff(expr_of(a), X))
+
+
+# sympy's field Q(x), whose elements are kept cancelled.  Pole factors:
+# x + 1 and (x + 1)^2 share a pole, the others are coprime to it.
+FX, FX_X = sympy.polys.fields.field("x", sympy.QQ)
+POLES = [FX_X + 1, (FX_X + 1) ** 2, FX_X - 2, 2 * FX_X + 3, FX_X ** 2 + 1]
+
+
+def from_frac(f):
+    """The package's element for an element of sympy's field Q(x)."""
+    num, den = (sympy.Poly(g.as_expr(), X, domain=sympy.QQ) for g in (f.numer, f.denom))
+    lead = den.LC()
+    return RatFunc(from_sympy(num.quo_ground(lead)), from_sympy(den.quo_ground(lead)))
+
+
+@st.composite
+def connection_entries(draw, polynomial):
+    """Zero, a polynomial of degree <= 2 with a fractional scale, or (unless
+    ``polynomial``) such a polynomial over one or two pole factors."""
+    kind = draw(st.sampled_from(["zero", "poly"] + ([] if polynomial else ["pole"] * 2)))
+    if kind == "zero":
+        return FX(0)
+    scale = FX(sympy.Rational(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4))))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    num = scale * sum((c * FX_X ** i for i, c in enumerate(coeffs)), FX(0))
+    if kind == "poly":
+        return num
+    for pole in draw(st.lists(st.sampled_from(POLES), min_size=1, max_size=2)):
+        num /= pole
+    return num
+
+
+@st.composite
+def connections(draw):
+    n = draw(st.integers(2, 3))
+    polynomial = draw(st.booleans())
+    return [[draw(connection_entries(polynomial)) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connections())
+def test_iterated_matrices_match_sympy(g1):
+    """G_{s+1} = d(G_s) + G_s G_1 run in sympy's Q(x), for s up to 2n - 2,
+    against both routes of ``iterated_matrices`` (integer iterates for a
+    polynomial G_1, the nabla loop otherwise), compared as canonical
+    strings."""
+    n = len(g1)
+    s_max = 2 * n - 2
+    rows = linalg.freeze([[from_frac(f) for f in row] for row in g1])
+    got = iterated_matrices(DifferentialModule(ring=QX, n=n, g1=rows), s_max)
+    g = [[FX(int(i == j)) for j in range(n)] for i in range(n)]
+    for s in range(s_max + 1):
+        assert [[QX.to_str(a) for a in row] for row in got[s]] == [
+            [QX.to_str(from_frac(f)) for f in row] for row in g
+        ], s
+        g = [[g[i][j].diff(FX_X) + sum((g[i][l] * g1[l][j] for l in range(n)), FX(0))
+              for j in range(n)] for i in range(n)]
 
 
 @settings(max_examples=300, deadline=None)

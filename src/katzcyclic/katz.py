@@ -28,10 +28,11 @@ alone: each is built once per process, in a bounded cache, and shared
 by every module of that rank; :func:`h_matrix_at` evaluates either kind
 at a ring element through one table of powers.
 
-Over Q(x) and Q[t], ``base_change`` takes P(X) as one determinant of
-Kronecker-packed integers, derived in
-:meth:`~katzcyclic.rings._IntegerCoreRing.xdet`.  Other rings (F_q[x],
-the scaled-derivation rings) take det H(X) over ring[X].
+Over Q(x) and Q[t], ``base_change`` takes P(X) as one determinant over
+vectors of Kronecker-packed integers, the values of H(X) at small
+integer points, interpolated exactly, as derived in
+:meth:`~katzcyclic.rings._IntegerCoreRing.xdet`.  A scaled-derivation
+ring takes its base's; F_q[x] takes det H(X) over ring[X].
 """
 
 from __future__ import annotations

@@ -63,7 +63,9 @@ class XPolyRing:
     reuse the generic linear algebra helpers.
 
     It supplies what its callers read: ``is_zero``, ``neg`` and ``dot``
-    for ``linalg.det`` (:meth:`Ring.xdet <katzcyclic.rings.Ring.xdet>`),
+    for ``linalg.det`` (:meth:`Ring.xdet <katzcyclic.rings.Ring.xdet>`,
+    which only F_q[x] reaches: Q(x) and Q[t] take their determinant on
+    integers, and a rescaled ring takes its base's),
     ``dot`` and ``derive`` with d(X) = 1 for the nabla-family of
     :func:`katzcyclic.katz.assemble_h`, the ``zero``, ``add`` and ``mul``
     that its ``dot`` loops over, and ``one``, ``from_int`` and ``eq`` for

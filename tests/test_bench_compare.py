@@ -1,6 +1,6 @@
 """The pure parts of tools/bench_compare.py on hand-made runs: medians,
-quartile spreads, the metrics worse than their bound, the metrics the
-runs leave unresolved, the counts that differ between traced runs and
+quartile spreads, the metrics worse than their bound, the gains the
+runs settle, the metrics the runs leave unresolved, the counts that differ between traced runs and
 the order in which the sides alternate."""
 
 import importlib.util
@@ -79,6 +79,41 @@ def test_change_beating_every_base_run_is_resolved(tool):
     # one change run no better than the best base run leaves it unresolved
     change[0] = {"op_s.p50": 0.6, "ops_per_s": 140}
     assert tool.unresolved(base, change) == ["ops_per_s", "op_s.p50"]
+
+
+def test_a_gain_inside_the_base_spread_is_not_settled(tool):
+    """About 10 % more ops_per_s, won in 9 of 10 pairs, inside a base
+    quartile spread of about 12.5 %: the medians 970 and 1064 differ by
+    94, less than the spread 121.5."""
+    base = [880, 900, 930, 950, 965, 975, 1010, 1040, 1056, 1060]
+    change = [1010, 1040, 1050, 1062, 1066, 1068, 1070, 1080, 1090, 1055]
+    b, c = runs(ops_per_s=base), runs(ops_per_s=change)
+    assert tool.medians(b) == {"ops_per_s": 970} and tool.medians(c) == {"ops_per_s": 1064}
+    assert tool.quartile_spreads(b)["ops_per_s"] == pytest.approx(121.5)
+    assert tool.change_wins(b, c) == {"ops_per_s": 9}
+    assert tool.settled_gains(b, c) == []
+
+
+def test_a_clear_gain_is_settled(tool):
+    """15 % more ops_per_s and a lower op_s.tail in 10 of 10 pairs, beyond
+    a narrow base spread; op_s.p50 holds, and equal ok_frac is no gain."""
+    base = runs(ops_per_s=[993, 1031, 967, 996, 992, 994, 985, 990, 1000, 980],
+                **{"op_s.tail": [2.73] * 10, "op_s.p50": [0.312] * 10, "ok_frac": [1.0] * 10})
+    change = runs(ops_per_s=[1170, 1168, 1084, 1142, 1111, 1132, 1150, 1140, 1145, 1139],
+                  **{"op_s.tail": [2.52] * 10, "op_s.p50": [0.312] * 10, "ok_frac": [1.0] * 10})
+    assert tool.settled_gains(base, change) == ["ops_per_s", "op_s.tail"]
+    assert tool.change_wins(base, change)["ok_frac"] == 0
+
+
+def test_ties_count_for_neither_side(tool):
+    """A large gain that wins only 8 pairs, the other two tied, is not
+    settled."""
+    base = runs(ops_per_s=[100.0] * 10)
+    change = runs(ops_per_s=[100.0, 100.0] + [150.0] * 8)
+    assert tool.change_wins(base, change) == {"ops_per_s": 8}
+    assert tool.settled_gains(base, change) == []
+    change[0] = {"ops_per_s": 150.0}
+    assert tool.settled_gains(base, change) == ["ops_per_s"]
 
 
 def test_traced_runs_are_summarised_by_their_medians(tool):

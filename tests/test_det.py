@@ -1,17 +1,34 @@
-"""``linalg.det`` with shared minors, and P(X) over Q(x) and Q[t] as one
-integer determinant (``xdet``), each against a reference that shares no
-code with it: a plain cofactor expansion kept here, and the elimination
-over ring[X]."""
+"""``linalg.det`` with shared minors, and P(X) over Q(x) and Q[t]
+(``xdet``), each against a reference that shares no code with it: a
+plain cofactor expansion kept here, and the elimination over ring[X].
+
+``xdet`` packs x into integers and evaluates X at e + 1 small points,
+so the shapes it depends on are tested here: the X-degree of each row,
+whose sum e sets the number of points (down to e = 0, all entries
+constant in X), rank 1 to 5, zero rows, a digit width at its bound, and
+the exactness of the interpolation table for every e up to
+MAX_RANK (MAX_RANK - 1).  The rescaled Q(x) and Q[t] rings take their
+base's ``xdet``.
+"""
 
 import functools
+import operator
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from katzcyclic import GaussPolynomialRing, RationalFunctionField, linalg, xpoly
+from katzcyclic import (
+    GaussPolynomialRing,
+    RationalFunctionField,
+    ScaledDerivationRing,
+    linalg,
+    rings,
+    xpoly,
+)
+from katzcyclic.cli import MAX_RANK
 from katzcyclic.fields import QQ, ZZ, FiniteField
 from katzcyclic.xpoly import XPolyRing
 
@@ -161,15 +178,15 @@ def gauss_entry(ring, rng, x_deg):
     return ring.mul(a, ring.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
 
 
-def xmatrix(ring, entry, rng, n, x_deg, X_deg, zero_rows=()):
-    """An n x n matrix over ring[X] with X-degree <= X_deg."""
+def xmatrix(ring, entry, rng, n, x_deg, X_degs, zero_rows=()):
+    """An n x n matrix over ring[X] whose row i has X-degree <= X_degs[i]."""
     rows = []
     for i in range(n):
         row = []
         for _ in range(n):
-            f = [ring.zero] * (X_deg + 1) if i in zero_rows else [
+            f = [ring.zero] * (X_degs[i] + 1) if i in zero_rows else [
                 entry(rng, x_deg) if rng.random() < 0.8 else ring.zero
-                for _ in range(X_deg + 1)
+                for _ in range(X_degs[i] + 1)
             ]
             row.append(xpoly.normalize(ring, f))
         rows.append(row)
@@ -184,27 +201,59 @@ def check_xdet(ring, h):
 
 
 GAUSS3, GAUSS2 = GaussPolynomialRing(3, 1), GaussPolynomialRing(2, 0)
+QX_SCALED = ScaledDerivationRing(QX, QX.parse("2*x^2 + 1"))
+GAUSS3_SCALED = ScaledDerivationRing(GAUSS3, GAUSS3.from_int(3))
 RINGS = {
     "qx": (QX, qx_entry),
     "gauss3": (GAUSS3, functools.partial(gauss_entry, GAUSS3)),
     "gauss2": (GAUSS2, functools.partial(gauss_entry, GAUSS2)),
+    "qx-scaled": (QX_SCALED, qx_entry),
+    "gauss3-scaled": (GAUSS3_SCALED, functools.partial(gauss_entry, GAUSS3)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
 @given(
     seed=st.integers(min_value=0, max_value=2**32),
-    n=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=1, max_value=5),
     x_deg=st.integers(min_value=0, max_value=2),
-    X_deg=st.integers(min_value=0, max_value=2),
+    X_degs=st.lists(st.integers(min_value=0, max_value=2), min_size=5, max_size=5),
 )
-@settings(max_examples=25, deadline=None)
-def test_xdet_matches_det_over_ring_x(name, seed, n, x_deg, X_deg):
+@example(seed=1, n=4, x_deg=2, X_degs=[0] * 5)
+@example(seed=2, n=1, x_deg=2, X_degs=[2] * 5)
+@example(seed=3, n=5, x_deg=1, X_degs=[2, 0, 1, 0, 2])
+@settings(max_examples=40, deadline=None)
+def test_xdet_matches_det_over_ring_x(name, seed, n, x_deg, X_degs):
+    """Rows of unequal X-degree, so that e, the sum of the rows'
+    degrees, is below n times the largest; e = 0 and n = 1 are examples."""
     ring, entry = RINGS[name]
     rng = seeded(seed)
     zero_rows = (rng.randrange(n),) if rng.random() < 0.15 else ()
-    h = xmatrix(ring, entry, rng, n, x_deg, X_deg, zero_rows)
+    h = xmatrix(ring, entry, rng, n, x_deg, X_degs, zero_rows)
     check_xdet(ring, h)
+
+
+@pytest.mark.parametrize("name", ["qx-scaled", "gauss3-scaled"])
+def test_rescaled_rings_take_their_bases_xdet(name):
+    ring, entry = RINGS[name]
+    h = xmatrix(ring, entry, seeded(41), 3, 1, [1, 2, 1])
+    with mock.patch.object(ring.base, "xdet", return_value="base") as base_xdet:
+        assert ring.xdet(h) == "base"
+    base_xdet.assert_called_once_with(h)
+
+
+@pytest.mark.parametrize("e", range(MAX_RANK * (MAX_RANK - 1) + 1))
+def test_interpolation_table_is_exact(e):
+    """sum_t W[l][t] x_t^j = L delta_lj for 0 <= l, j <= e: the table
+    inverts the Vandermonde matrix of the e + 1 points, times L."""
+    values, weights, lcm = rings._interpolation(e)
+    points = values.points
+    assert len(set(points)) == e + 1 and points[:3] == (0, 1, -1)[:e + 1]
+    for j in range(e + 1):
+        column = [x ** j for x in points]
+        assert [sum(map(operator.mul, w, column)) for w in weights] == [
+            lcm if l == j else 0 for l in range(e + 1)
+        ]
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
@@ -230,7 +279,7 @@ def test_xdet_where_the_bound_is_tight(name, coeffs, degs):
     bit short misreads it."""
     ring, _ = RINGS[name]
     n = len(coeffs)
-    x = ring.t
+    x = ring.var_element
     h = []
     for i in range(n):
         a, b = degs[2 * i], degs[2 * i + 1]
@@ -250,7 +299,7 @@ def test_xdet_of_all_negative_entries(name):
             [
                 [
                     tuple(
-                        ring.mul(ring.from_int(-rng.randint(1, 30)), ring.pow(ring.t, k))
+                        ring.mul(ring.from_int(-rng.randint(1, 30)), ring.pow(ring.var_element, k))
                         for k in rng.choices(range(3), k=rng.randint(1, 3))
                     )
                     for _ in range(n)

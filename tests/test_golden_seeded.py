@@ -15,6 +15,11 @@ builds elements:
 * a Gauss Q[t] module with fractional coefficients;
 * F_5[x] and F_49[x] modules (p > n - 1);
 * a Q(x) module after ``rescale_derivation``;
+* P(X) at the ranks that exercise the most points of ``xdet``'s
+  evaluation in X: dense Q(x) modules with integer entries of degree at
+  most 1 (the ``qx-base-change`` shape) at ranks 5 and 6, a Gauss Q[t]
+  module at rank 5 and the pole grid (4, 2), whose rows have nonconstant
+  denominators;
 * Gauss Q[t] modules of rank 4 to 8 over p = 2, 3, 5 with radius
   exponents 0, 1, 2, each plain and with G1 multiplied by p, under every
   ``certify`` criterion and every lemma-2.1 norm.
@@ -23,7 +28,8 @@ The digests were recorded before H(X) was built as the nabla-family of
 c(e, X) and before polynomial Q(x) elements took the Q[t] arithmetic;
 the ``certify`` digest before lemma 2.1 read H_0(-t) H_s(t) from one
 cached universal table per s; the pole-grid digests before the
-iterates of a rational G_1 left the integer recurrence.
+iterates of a rational G_1 left the integer recurrence; the high-rank
+P(X) digests while ``xdet`` still packed X into the same integer as x.
 """
 
 import contextlib
@@ -68,6 +74,11 @@ def poly_entry(rng, var):
         f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}*{var}^{i}"
         for i in range(rng.randint(0, 2) + 1)
     )
+
+
+def dense_entry(rng, var):
+    """An integer polynomial of degree at most 1, coefficients in [-3, 3]."""
+    return _int_poly(rng, var, 1)
 
 
 def int_entry(rng, var):
@@ -119,6 +130,16 @@ def other_modules():
         module(FiniteFieldPolyRing(5), 3, 300, int_entry),
         fpe_module(FiniteFieldPolyRing(7, 2), 3, 301),
         rescale_derivation(module(qx, 2, 400, qx_entry), qx.parse("2*x^2 + 1")),
+    ]
+
+
+def high_rank_modules():
+    qx = RationalFunctionField()
+    return [
+        module(qx, 5, 700, dense_entry),
+        module(qx, 6, 701, dense_entry),
+        module(GaussPolynomialRing(3, 1), 5, 702, poly_entry),
+        pole_grid(4, 2),
     ]
 
 
@@ -207,6 +228,14 @@ OTHER_P_DIGESTS = (
     "45802eadfaa3e83b673e738d5fb56dc9f3b357b41ac6e038897733e4475c2f95",
 )
 
+# Q(x) ranks 5 and 6 of degree <= 1, Gauss Q[t] p = 3 r = 1 rank 5, pole grid (4, 2).
+HIGH_RANK_P_DIGESTS = (
+    "623c7cceb5202bc58284dd53ce866d3ad2d274f675aef5856e00fe96b978ae97",
+    "5936ae478ea54db0521c285f98881450b2f4018918d5e11cc0db8aa494177f8d",
+    "c69d64e84abacdfd6109411393782bbb0386e877f813071295eaf65716adaffd",
+    "599f37e0cbe68767311013aa8ba071dcebe71f8dafe0e59c22707ca8522cb6b7",
+)
+
 
 def test_qx_modules_have_denominators():
     ms = qx_modules()
@@ -233,6 +262,10 @@ def test_golden_pole_grid_base_change_det():
 
 def test_golden_other_rings_base_change_det():
     assert tuple(p_digest([m]) for m in other_modules()) == OTHER_P_DIGESTS
+
+
+def test_golden_high_rank_base_change_det():
+    assert tuple(p_digest([m]) for m in high_rank_modules()) == HIGH_RANK_P_DIGESTS
 
 
 def test_golden_gauss_certify_high_rank(tmp_path):

@@ -18,9 +18,11 @@ per-metric medians of each side, the change/base ratio of the medians,
 both sides' quartile spreads, the number of pairs the change wins, the
 end-to-end metrics whose change median is worse than the base median by
 more than their bound (``worse_beyond_bound``, also printed), the
-end-to-end metrics the runs cannot settle (``unresolved``, also
-printed), both sides' per-layer medians, and the machine and Python
-details.
+end-to-end metrics whose gain the runs settle (``settled_gains``, also
+printed: the change wins at least 9 of 10 pairs and its median is better
+by more than the base's quartile spread), the end-to-end metrics the
+runs cannot settle (``unresolved``, also printed), both sides' per-layer
+medians, and the machine and Python details.
 Standard library only.
 """
 
@@ -42,6 +44,8 @@ HIGHER_IS_BETTER = {m["name"]: m["better"] == "higher" for m in SPEC["end_to_end
 BOUNDS = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 COUNTS = [m["name"] for m in SPEC["per_layer"] if m["unit"] == "count"]
 TRACED_RUNS = 3
+# A gain is settled when the change wins at least this share of the pairs.
+SETTLED_WIN_SHARE = (9, 10)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -92,6 +96,33 @@ def worse_beyond_bound(base: dict, change: dict) -> list:
         if loss > bound * abs(base[name]):
             worse.append(name)
     return worse
+
+
+def change_wins(base_runs, change_runs) -> dict:
+    """Per metric, the number of pairs (base_runs[k], change_runs[k]) in
+    which the change is better; a tie counts for neither side."""
+    return {k: sum(c[k] > b[k] if HIGHER_IS_BETTER[k] else c[k] < b[k]
+                   for b, c in zip(base_runs, change_runs))
+            for k in base_runs[0]}
+
+
+def settled_gains(base_runs, change_runs) -> list:
+    """End-to-end metrics whose gain the runs settle: the change wins at
+    least 9 of 10 pairs, and its median is better than the base median
+    by more than the base runs' quartile spread.  A gain inside the
+    base's own run-to-run spread is not settled, however many pairs it
+    wins."""
+    base, change = medians(base_runs), medians(change_runs)
+    spread, wins = quartile_spreads(base_runs), change_wins(base_runs, change_runs)
+    won, of = SETTLED_WIN_SHARE
+    out = []
+    for name in BOUNDS:
+        if name not in base:
+            continue
+        gain = change[name] - base[name] if HIGHER_IS_BETTER[name] else base[name] - change[name]
+        if wins[name] * of >= won * len(base_runs) and gain > spread[name]:
+            out.append(name)
+    return out
 
 
 def unresolved(base_runs, change_runs) -> list:
@@ -151,8 +182,10 @@ def main(argv=None) -> int:
                   f"{change_runs[-1]['ops_per_s']:.2f}", file=sys.stderr)
         base, change = medians(base_runs), medians(change_runs)
         worse = worse_beyond_bound(base, change)
+        settled = settled_gains(base_runs, change_runs)
         unsettled = unresolved(base_runs, change_runs)
         print(f"{workload}: worse beyond bound: {', '.join(worse) or 'none'}; "
+              f"settled gains: {', '.join(settled) or 'none'}; "
               f"unresolved: {', '.join(unsettled) or 'none'}", file=sys.stderr)
         traced = {"base": [], "change": []}
         traced_sides = [(traced["base"], args.base.resolve()), (traced["change"], ROOT)]
@@ -170,10 +203,9 @@ def main(argv=None) -> int:
             "base_quartile_spread": quartile_spreads(base_runs),
             "change_quartile_spread": quartile_spreads(change_runs),
             "worse_beyond_bound": worse,
+            "settled_gains": settled,
             "unresolved": unsettled,
-            "change_wins": {k: sum(c[k] > b[k] if HIGHER_IS_BETTER[k] else c[k] < b[k]
-                                   for b, c in zip(base_runs, change_runs))
-                            for k in base},
+            "change_wins": change_wins(base_runs, change_runs),
             "base_runs": base_runs,
             "change_runs": change_runs,
             "per_layer_seed_0": {side: medians(runs) for side, runs in traced.items()},

@@ -1,4 +1,6 @@
-"""Recursive-descent parser for ring element expressions.
+"""Parser for ring element expressions: a one-pass reader for sums of
+integer monomials in characteristic 0, and the recursive-descent grammar
+below for everything else.
 
 Grammar (whitespace insensitive), in three levels:
 
@@ -45,10 +47,38 @@ caps need the ring's degree or canonical string (any base but the bare
 variable), and once at the end.  F_q[x] runs on the ring's operations
 throughout, because its caps read the reduced element: over F_5,
 ``(5*x^2+1)^200`` has a base of degree 0.
+
+In characteristic 0 a cheaper reading comes first.  Almost every entry
+the program reads, in its corpora and its generated modules alike, is a
+sum of signed monomials ``c``, ``c*v``, ``c*v^k``, ``v`` or ``v^k`` in
+the ring's variable v, perhaps wrapped as ``INT*( ... )``, with a sign
+after each '+' or '-' allowed, as in ``1 + -2*t^2``.  ``_monomial_sum``
+reads such a text in one regular-expression pass, linear in its
+length, into its Z[x] tuple, which enters the ring by
+``from_integer_poly`` as the grammar's value would.  It raises nothing:
+for any other text it returns None and the grammar reads the text
+instead, so every error keeps the grammar's message and position.  It
+returns None also for a text that the grammar would refuse at a cap,
+before any coefficient is summed away (so ``0*x^300`` is still
+refused).  The caps are the grammar's own: every literal goes through
+``_literal``, and the least refused exponent of the variable is found
+once per variable by ``_power_error``:
+
+* a literal of over MAX_LITERAL_DIGITS digits, coefficient or
+  exponent, is refused by the tokenizer;
+* ``v^k`` has degree k, so k over MAX_EXPONENT or MAX_DEGREE is refused;
+* for k >= 2, ``v^k`` prints as the variable's name, of size
+  k * len(v), so a size over MAX_POWER_SIZE is refused.
+
+A sum or a product by a literal has no cap of its own in the grammar,
+and one sign inside the wrapper's parentheses nests two levels deep, far
+below MAX_NESTING, so nothing else can refuse such a text.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 import string
 
@@ -83,14 +113,37 @@ def _tokenize(text: str) -> list:
             continue
         if not tok[0].isdecimal():
             raise ParseError(f"unexpected character {tok!r}", _position(text, index))
-        if len(tok) > MAX_LITERAL_DIGITS:
+        value = _literal(tok)
+        if value is None:
             raise ParseError(
                 f"integer literal exceeds the maximum {MAX_LITERAL_DIGITS} digits",
                 _position(text, index),
             )
-        tokens[index] = int(tok)
+        tokens[index] = value
     tokens.append(None)
     return tokens
+
+
+def _literal(digits: str):
+    """The int a decimal literal stands for; None past MAX_LITERAL_DIGITS
+    digits, where the tokenizer refuses it."""
+    return int(digits) if len(digits) <= MAX_LITERAL_DIGITS else None
+
+
+def _power_error(exp: int, degree: int, length):
+    """Why the grammar refuses base^exp, for a base of ``degree`` whose
+    canonical string is ``length()`` characters long (called only when
+    the size cap applies); None when no cap refuses it."""
+    if exp > MAX_EXPONENT:
+        return f"exponent {exp} exceeds the maximum {MAX_EXPONENT}"
+    degree *= exp
+    if degree > MAX_DEGREE:
+        return f"power of degree {degree} exceeds the maximum {MAX_DEGREE}"
+    if exp >= 2:
+        size = exp * length()
+        if size > MAX_POWER_SIZE:
+            return f"power of size {size} exceeds the maximum {MAX_POWER_SIZE}"
+    return None
 
 
 def _position(text: str, index: int) -> int:
@@ -193,8 +246,6 @@ class _Parser:
         exp = tokens[at]
         if type(exp) is not int:
             raise self._error("exponent must be a nonnegative integer", at)
-        if exp > MAX_EXPONENT:
-            raise self._error(f"exponent {exp} exceeds the maximum {MAX_EXPONENT}", at)
         return self.pow(value, exp, at)
 
     def _enter(self):
@@ -205,24 +256,23 @@ class _Parser:
         self.idx += 1
 
     def _check_caps(self, base, exp: int, at: int, degree: int, name_size: bool):
-        """The degree and size caps on base^exp, base of ``degree``; its
-        printed length is the variable's when ``name_size``."""
-        degree *= exp
-        if degree > MAX_DEGREE:
-            raise self._error(f"power of degree {degree} exceeds the maximum {MAX_DEGREE}", at)
-        if exp < 2:
-            return
+        """The caps on base^exp, base of ``degree``; its printed length is
+        the variable's when ``name_size``."""
         if name_size:  # it prints as the variable's name
-            size = exp * len(self.ring.variable)
+            length = functools.partial(len, self.ring.variable)
         else:
-            try:
-                size = exp * len(self.ring.to_str(base))
-            except UnsupportedOperationError:  # the base alone is too long to print
-                raise self._error(
-                    f"power base exceeds the maximum size {MAX_POWER_SIZE}", at
-                ) from None
-        if size > MAX_POWER_SIZE:
-            raise self._error(f"power of size {size} exceeds the maximum {MAX_POWER_SIZE}", at)
+            length = functools.partial(self._printed_length, base, at)
+        message = _power_error(exp, degree, length)
+        if message is not None:
+            raise self._error(message, at)
+
+    def _printed_length(self, base, at: int) -> int:
+        try:
+            return len(self.ring.to_str(base))
+        except UnsupportedOperationError:  # the base alone is too long to print
+            raise self._error(
+                f"power base exceeds the maximum size {MAX_POWER_SIZE}", at
+            ) from None
 
     # -- arithmetic: the ring's own ------------------------------------
     def add(self, a, b):
@@ -307,7 +357,87 @@ class _IntegerPolyParser(_Parser):
         return super().pow(self.lift(base), exp, at)
 
 
+# INT*( ... ) around a text without parentheses
+_WRAPPED = re.compile(r"\s*(\d+)\s*\*\s*\(([^()]*)\)\s*")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+@functools.lru_cache(maxsize=8)
+def _monomial_reader(variable: str):
+    """The pattern of one signed monomial in ``variable``, for ``findall``,
+    and the least k for which the grammar refuses ``variable^k`` (each cap
+    grows with k); None for a variable the tokenizer would not read as a
+    name.  The pattern's groups are a '+' or '-', a sign after it, the
+    coefficient and the exponent of a power of the variable, and a
+    constant; or, when no monomial starts there, the rest of the text
+    from the next visible character in a sixth group, which ends the
+    pass.
+
+    Each run of blanks is read by a single ``\\s*`` of an alternative, so
+    a failed alternative gives the run back one blank at a time, and on
+    a text that ends in a visible character the second alternative
+    matches wherever the first fails: the pass is linear in the text."""
+    if not _NAME.fullmatch(variable):
+        return None
+    v = re.escape(variable) + r"(?![A-Za-z_0-9])"
+    pattern = re.compile(
+        rf"\s*(?:([-+])\s*)?(?:([-+])\s*)?(?:(?:(\d+)\s*\*\s*)?{v}(?:\s*\^\s*(\d+))?|(\d+))"
+        r"|\s*(\S[\s\S]*)"
+    )
+    length = functools.partial(len, variable)
+    limit = next(k for k in itertools.count() if _power_error(k, 1, length) is not None)
+    return pattern, limit
+
+
+def _monomial_sum(text: str, variable: str):
+    """The Z[x] tuple of ``text`` when it is a sum of monomials in
+    ``variable`` that the grammar accepts, read as the module docstring
+    says; None for any other text."""
+    reader = _monomial_reader(variable)
+    if reader is None:
+        return None
+    pattern, limit = reader
+    scale = 1
+    wrapped = _WRAPPED.fullmatch(text)
+    if wrapped:
+        digits, text = wrapped.groups()
+        scale = _literal(digits)
+        if scale is None:
+            return None
+    # With a '+' in front, every term follows a '+' or '-' and takes at
+    # most one sign after it, as the grammar's first term may take one.
+    terms = pattern.findall("+" + text.rstrip())
+    if terms[-1][5]:  # the rest of the text, from where no monomial starts
+        return None
+    coeffs = {}
+    for sign, unary, coeff, exp, const, _ in terms:
+        if not sign:
+            return None
+        if const:
+            c, degree = _literal(const), 0
+        else:
+            c = _literal(coeff) if coeff else 1
+            degree = _literal(exp) if exp else 1
+            if degree is None or degree >= limit:
+                return None
+        if c is None:
+            return None
+        if (sign == "-") != (unary == "-"):
+            c = -c
+        coeffs[degree] = coeffs.get(degree, 0) + c
+    out = [0] * (max(coeffs) + 1)
+    for degree, c in coeffs.items():
+        out[degree] = scale * c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
 def parse_element(text: str, ring):
     """Parse ``text`` into a canonical element of ``ring``."""
-    parser = _IntegerPolyParser if ring.characteristic == 0 else _Parser
-    return parser(text, ring).parse()
+    if ring.characteristic:
+        return _Parser(text, ring).parse()
+    coeffs = _monomial_sum(text, ring.variable)
+    if coeffs is None:
+        return _IntegerPolyParser(text, ring).parse()
+    return ring.from_integer_poly(coeffs)

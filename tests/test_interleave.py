@@ -1,7 +1,7 @@
 """Tests of tools/interleave.py: one small rep against this checkout
-itself, its report of median times and by rank, a base whose output
-differs, the two package copies it loads, and the bytecode it leaves
-(none, in the checkouts it times)."""
+itself, its report of median times, by rank and by operation kind, a
+base whose output differs, the two package copies it loads, and the
+bytecode it leaves (none, in the checkouts it times)."""
 
 import importlib.util
 import math
@@ -32,10 +32,10 @@ def tool_module():
     return tool
 
 
-def run_tool(base, *args, env=None):
+def run_tool(base, *args, env=None, workload="qx-cyclic"):
     needs_tool()
     return subprocess.run(
-        [sys.executable, str(TOOL), "--base", str(base), "--workload", "qx-cyclic",
+        [sys.executable, str(TOOL), "--base", str(base), "--workload", workload,
          "--groups", "1", *args],
         capture_output=True, text=True, timeout=120, env=env,
     )
@@ -55,12 +55,18 @@ def test_same_checkout_gives_identical_output():
     assert "median ratio" in proc.stdout and "outputs identical" in proc.stdout
 
 
+BREAKDOWN = (r"(\d+) operations  base [\d.e+]+ ops/s  change [\d.e+]+ ops/s  "
+             r"ratio \d+\.\d{4}  median base [\d.e+-]+ ms  change [\d.e+-]+ ms  "
+             r"ratio \d+\.\d{4}")
+
+
 def test_report_by_rank_follows_the_median():
     """After the median line, each side's median operation time and their
     ratio, then one line per rank of the group's modules (qx-cyclic draws
     ranks 2 and 3), in rank order, each with its count of operations over
     all reps, both sides' ops/s and their ratio, and both sides' median
-    operation time and their ratio."""
+    operation time and their ratio; then the same line for its one
+    operation kind."""
     tool = tool_module()
     proc = run_tool(ROOT)
     assert proc.returncode == 0, proc.stderr
@@ -69,14 +75,34 @@ def test_report_by_rank_follows_the_median():
     medians = r"median base [\d.e+-]+ ms  change [\d.e+-]+ ms  ratio \d+\.\d{4}"
     assert re.fullmatch(f"  operation time: {medians} \\(change over base\\)", lines[at + 1])
     ranks = lines[at + 2:at + 4]
-    assert lines[at + 4] == "  outputs identical"
-    pattern = (r"  rank (\d+): (\d+) operations  base [\d.e+]+ ops/s  "
-               r"change [\d.e+]+ ops/s  ratio \d+\.\d{4}  " + medians)
-    matches = [re.fullmatch(pattern, line) for line in ranks]
+    assert lines[at + 5] == "  outputs identical"
+    matches = [re.fullmatch(r"  rank (\d+): " + BREAKDOWN, line) for line in ranks]
     assert all(matches), ranks
     assert [int(m[1]) for m in matches] == [2, 3]
     total = int(lines[0].split(", ")[2].split()[0])
     assert sum(int(m[2]) for m in matches) == total * tool.REPS
+    kind = re.fullmatch(r"  kind cyclic: " + BREAKDOWN, lines[at + 4])
+    assert kind and int(kind[1]) == total * tool.REPS, lines[at + 4]
+
+
+def test_report_by_kind_adds_up_to_the_pass():
+    """gauss-certify runs six operation kinds on every module; after the
+    rank lines comes one line per kind, in the workload's order, and
+    their counts add up to the operations of all reps."""
+    tool = tool_module()
+    proc = run_tool(ROOT, workload="gauss-certify")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    kinds = [re.fullmatch(r"  kind ([\w. -]+): " + BREAKDOWN, line) for line in lines]
+    kinds = [m for m in kinds if m]
+    assert [m[1] for m in kinds] == [
+        "prop2.3 sup", "prop2.5 rho-t", "prop2.8 rho-d",
+        "lemma2.1 sup sup", "lemma2.1 rho-t rho-t", "lemma2.1 rho-d rho-d",
+    ]
+    total = int(lines[0].split(", ")[2].split()[0])
+    assert sum(int(m[2]) for m in kinds) == total * tool.REPS
+    assert len({int(m[2]) for m in kinds}) == 1
+    assert lines[-1] == "  outputs identical"
 
 
 def test_medians_are_each_sides_middle_time():
@@ -89,21 +115,28 @@ def test_medians_are_each_sides_middle_time():
 
 def test_rank_times_add_up_to_the_pass(tmp_path):
     """``run_pass`` records each operation's time under its module's rank
-    and side, so that the ranks' times sum to each side's total."""
+    and side, and under its kind and side, so that the ranks' times, and
+    the kinds' times, sum to each side's total."""
     tool = tool_module()
 
     class Workload:
         def run(self, program, path, op):
             return 0, f"{program} {op}", None
 
-    ops = [(types.SimpleNamespace(n=n), str(tmp_path / f"m{k}"), "cyclic")
-           for k, n in enumerate([2, 3, 2, 5])]
-    busy, by_rank, mismatches = {"base": 0.0, "change": 0.0}, {}, set()
-    tool.run_pass(Workload(), {"base": "same", "change": "same"}, ops, busy, by_rank, mismatches)
+    kinds = [("prop2.3", None, "sup"), ("lemma2.1", "rho-t", "rho-t"), ("prop2.3", None, "sup"),
+             ("cyclic",)]
+    ops = [(types.SimpleNamespace(n=n), str(tmp_path / f"m{k}"), op)
+           for k, (n, op) in enumerate(zip([2, 3, 2, 5], kinds))]
+    busy, by_rank, by_kind, mismatches = {"base": 0.0, "change": 0.0}, {}, {}, set()
+    tool.run_pass(Workload(), {"base": "same", "change": "same"}, ops, busy, by_rank, by_kind,
+                  mismatches)
     assert sorted(by_rank) == [2, 3, 5] and mismatches == set()
+    assert list(by_kind) == ["prop2.3 sup", "lemma2.1 rho-t rho-t", "cyclic"]
     for side in busy:
         assert [len(by_rank[n][side]) for n in (2, 3, 5)] == [2, 1, 1]
-        assert math.isclose(sum(sum(times[side]) for times in by_rank.values()), busy[side])
+        assert [len(times[side]) for times in by_kind.values()] == [2, 1, 1]
+        for groups in (by_rank, by_kind):
+            assert math.isclose(sum(sum(times[side]) for times in groups.values()), busy[side])
 
 
 def test_seed_option_times_other_inputs(tmp_path):

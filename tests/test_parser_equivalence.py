@@ -6,7 +6,16 @@ message and position.  In characteristic 0 the parser evaluates in Z[x]
 and converts to the ring at '/', at a power of anything but the
 variable, and at the end; F_q[x] stays on the ring's own operations,
 whose caps read the reduced element.
+
+In characteristic 0 a sum of integer monomials is read in one pass by
+``_monomial_sum`` before the grammar; over Q(x), Q[t] and a rescaled
+Q(x), with a variable of one character and of twenty, that reading must
+give the grammar's element, and every text it does not take (past a
+cap, or of another shape) must be left to the grammar.  A long run of
+blanks must cost the reader time linear in its length.
 """
+
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +35,9 @@ from katzcyclic.parser import (
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
     MAX_NESTING,
+    MAX_POWER_SIZE,
+    _IntegerPolyParser,
+    _monomial_sum,
     parse_element,
 )
 from test_cli_fuzz import expressions as fuzz_expressions
@@ -170,3 +182,166 @@ def test_fq_caps_read_the_reduced_base():
     assert parse_element("(5*x^2 + x)^256", f5) == f5.pow(f5.t, 256)
     with pytest.raises(ParseError, match="power of degree 400 exceeds"):
         parse_element("(5*x^2 + 1)^200", RationalFunctionField())
+
+
+# -- the one-pass reader of monomial sums against the grammar ----------
+
+LONG = "v_" * 10  # 20 characters, so v^k is past MAX_POWER_SIZE from k = 216
+assert MAX_EXPONENT * len(LONG) > MAX_POWER_SIZE
+CHAR0 = {
+    f"{kind}-{len(v)}": ring
+    for v in ("x", LONG)
+    for kind, ring in (
+        ("qx", RationalFunctionField(v)),
+        ("qt", GaussPolynomialRing(3, 1, v)),
+        ("qx-scaled", ScaledDerivationRing(RationalFunctionField(v), RationalFunctionField(v).t)),
+    )
+}
+
+
+def grammar(text, ring):
+    return _IntegerPolyParser(text, ring).parse()
+
+
+def assert_grammar(text, ring):
+    assert outcome(parse_element, text, ring) == outcome(grammar, text, ring), text
+
+
+SPACE = st.sampled_from(["", "", " ", "\t", " \t "])
+SIGN = st.sampled_from(["", "", "-", "+"])
+# Literals of a few digits, some of them Arabic-Indic, or of exactly
+# MAX_LITERAL_DIGITS digits, or of one more
+LITERALS = st.builds(
+    lambda digits, n: (digits * n)[:n] if n else digits,
+    st.text("0123456789\u0663", min_size=1, max_size=6),
+    st.sampled_from([0, 0, 0, 0, MAX_LITERAL_DIGITS, MAX_LITERAL_DIGITS + 1]),
+)
+EXPONENTS = st.one_of(
+    st.integers(0, 300).map(str),
+    st.sampled_from(["2", "215", "216", "256", "257", "\u0663", "007"]),
+)
+
+
+@st.composite
+def monomial_sums(draw, variable):
+    """A sum of signed monomials in ``variable``, spaced by blanks and
+    tabs, with up to two signs before each term and perhaps wrapped as
+    INT*( ... ): the grammar accepts most of them and refuses some at a
+    cap or for a second sign on the first term."""
+    sp = lambda: draw(SPACE)
+
+    def monomial():
+        shape = draw(st.integers(0, 4))
+        if shape == 0:
+            return draw(LITERALS)
+        if shape == 1:
+            return variable
+        power = f"{variable}{sp()}^{sp()}{draw(EXPONENTS)}" if shape % 2 else variable
+        return f"{draw(LITERALS)}{sp()}*{sp()}{power}"
+
+    text = f"{draw(SIGN)}{sp()}{draw(SIGN)}{sp()}{monomial()}"
+    for _ in range(draw(st.integers(0, 4))):
+        text += f"{sp()}{draw(st.sampled_from('+-'))}{sp()}{draw(SIGN)}{sp()}{monomial()}"
+    if draw(st.booleans()):
+        text = f"{sp()}{draw(LITERALS)}{sp()}*{sp()}({text}){sp()}"
+    return text
+
+
+@pytest.mark.parametrize("name", sorted(CHAR0))
+@SETTINGS
+@given(data=st.data())
+def test_monomial_sums_parse_as_the_grammar(name, data):
+    ring = CHAR0[name]
+    assert_grammar(data.draw(monomial_sums(ring.variable)), ring)
+
+
+SOUP = st.text(alphabet=list("0123456789+-*/^()xt_ "), max_size=30)
+
+
+@pytest.mark.parametrize("name", ["qx-1", "qt-1", "qx-scaled-1"])
+@SETTINGS
+@given(text=SOUP)
+def test_a_tuple_from_the_reader_is_the_grammars_element(name, text):
+    ring = CHAR0[name]
+    coeffs = _monomial_sum(text, ring.variable)
+    if coeffs is not None:
+        assert ring.from_integer_poly(coeffs) == grammar(text, ring), text
+    assert_grammar(text, ring)
+
+
+READ = {
+    "25*(-1 + 2*x + -2*x^2)": (-25, 50, -50),
+    "1 + -2*x^2 - -3*x": (1, 3, -2),
+    "-x + + x^0 - 0*x^256": (1, -1),
+    " 7 \t* ( x ^ \u0663 - x^3 ) ": (),
+    "-0": (),
+    "9" * MAX_LITERAL_DIGITS: (int("9" * MAX_LITERAL_DIGITS),),
+}
+NOT_READ = [
+    "0*x^300",
+    "x^257",
+    "2x",
+    "2*x*x",
+    "x/2*x",
+    "2*x^2^3",
+    "25*(x))",
+    "9" * (MAX_LITERAL_DIGITS + 1),
+    "x^" + "0" * MAX_LITERAL_DIGITS + "2",
+    "- -x",
+    "x + - -1",
+    "x 1",
+    "x1",
+    "2^2",
+    "-2*(x)",
+    "2*(x)^2",
+    "",
+    " ",
+]
+
+
+@pytest.mark.parametrize("name", ["qx-1", "qt-1", "qx-scaled-1"])
+def test_the_reader_takes_monomial_sums_and_leaves_the_rest(name):
+    ring = CHAR0[name]
+    for text, coeffs in READ.items():
+        assert _monomial_sum(text, "x") == coeffs, text
+        assert_grammar(text, ring)
+    for text in NOT_READ:
+        assert _monomial_sum(text, "x") is None, text
+        assert_grammar(text, ring)
+
+
+@pytest.mark.parametrize("name", ["qx-20", "qt-20"])
+def test_the_reader_leaves_a_power_past_the_size_cap(name):
+    """With a 20-character variable, v^215 is the largest power whose
+    printed size passes MAX_POWER_SIZE; v^216 is refused by the grammar,
+    even with a zero coefficient."""
+    ring = CHAR0[name]
+    assert _monomial_sum(f"{LONG}^215", LONG) == (0,) * 215 + (1,)
+    for text in (f"{LONG}^216", f"1 + 0*{LONG}^216"):
+        assert _monomial_sum(text, LONG) is None
+        with pytest.raises(ParseError, match="power of size 4320 exceeds"):
+            parse_element(text, ring)
+
+
+BLANKS = " " * 1000
+BLANK_RUNS = {
+    "before-the-end": "x" + BLANKS,
+    "before-slash": "x" + BLANKS + "/2",
+    "before-paren": "x" + BLANKS + ")",
+    "around-signs": "1" + BLANKS + "+" + BLANKS + "-" + BLANKS + "/",
+    "after-star": "2" + BLANKS + "*" + BLANKS + "y",
+    "in-the-wrapper": "25*(" + BLANKS + "x" + BLANKS + ")" + BLANKS,
+    "every-gap": BLANKS + "-" + BLANKS + "x" + BLANKS + "^" + BLANKS + "2" + BLANKS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLANK_RUNS))
+def test_a_run_of_blanks_costs_the_reader_linear_time(name):
+    """Each run of blanks has one reader in the pattern, so a match that
+    fails gives it back once instead of trying every split of it among
+    the blanks around a sign: 1,000 blanks would otherwise take seconds."""
+    text = BLANK_RUNS[name]
+    start = time.perf_counter()
+    _monomial_sum(text, "x")
+    assert time.perf_counter() - start < 0.5, name
+    assert_grammar(text, CHAR0["qx-1"])

@@ -22,7 +22,9 @@ side's median operation time and their ratio, change over base, so that
 a claim on the median latency can be checked in one process; then one
 line per rank of the input modules with each side's operations per
 second and their ratio, and each side's median operation time and their
-ratio, so that a gain can be placed by rank.  Exits 1 if an
+ratio, so that a gain can be placed by rank; then the same line per
+operation kind, the workload's op tuple such as ``prop2.5 rho-t``, so
+that it can be placed by criterion.  Exits 1 if an
 operation's output differs between the two sides, else 0.  No bytecode is written
 into either checkout.  Standard library only.
 """
@@ -72,12 +74,18 @@ def write_inputs(workload, seed: int, groups: int, workdir: Path):
     return out
 
 
-def run_pass(workload, sides: dict, ops, busy: dict, by_rank: dict, mismatches: set,
-             start: int = 0):
+def kind(op) -> str:
+    """An operation's kind: the parts of its op tuple that are set."""
+    return " ".join(str(part) for part in op if part is not None)
+
+
+def run_pass(workload, sides: dict, ops, busy: dict, by_rank: dict, by_kind: dict,
+             mismatches: set, start: int = 0):
     """Every operation on both sides, the first side alternating; adds
     each side's operation time to ``busy`` and, for a module of rank n,
-    appends it to the list ``by_rank[n][side]``, and notes each operation
-    whose outputs differ."""
+    appends it to the lists ``by_rank[n][side]`` and
+    ``by_kind[kind(op)][side]``, and notes each operation whose outputs
+    differ."""
     names = list(sides)
     for k, (module, path, op) in enumerate(ops, start):
         outs = {}
@@ -87,6 +95,7 @@ def run_pass(workload, sides: dict, ops, busy: dict, by_rank: dict, mismatches: 
             elapsed = perf_counter() - t0
             busy[name] += elapsed
             by_rank.setdefault(module.n, {n: [] for n in names})[name].append(elapsed)
+            by_kind.setdefault(kind(op), {n: [] for n in names})[name].append(elapsed)
             outs[name] = (rc, out)
         if len(set(outs.values())) > 1:
             mismatches.add(f"{Path(path).name} {op}")
@@ -98,6 +107,16 @@ def medians(times: dict) -> str:
     base, change = statistics.median(times["base"]), statistics.median(times["change"])
     return (f"median base {base * 1e3:.4g} ms  change {change * 1e3:.4g} ms  "
             f"ratio {change / base:.4f}")
+
+
+def breakdown(label: str, times: dict) -> str:
+    """One line for the operations under ``label``: their count, each
+    side's operations per second and their ratio, and ``medians``."""
+    count = len(times["base"])
+    base, change = sum(times["base"]), sum(times["change"])
+    return (f"  {label}: {count} operations  base {count / base:.4g} ops/s  "
+            f"change {count / change:.4g} ops/s  ratio {base / change:.4f}  "
+            f"{medians(times)}")
 
 
 def main(argv=None) -> int:
@@ -128,16 +147,16 @@ def main(argv=None) -> int:
 
     mismatches = set()
     ratios = []
-    by_rank = {}
+    by_rank, by_kind = {}, {}
     with tempfile.TemporaryDirectory(prefix="interleave-") as workdir:
         ops = write_inputs(workload, args.seed, groups, Path(workdir))
         warm = write_inputs(workload, args.seed, 1, Path(workdir))
-        run_pass(workload, programs, warm, dict.fromkeys(sides, 0.0), {}, mismatches)
+        run_pass(workload, programs, warm, dict.fromkeys(sides, 0.0), {}, {}, mismatches)
         print(f"{workload.name}: seed {args.seed}, {groups} groups, "
               f"{len(ops)} operations per side per rep, {REPS} reps")
         for rep in range(REPS):
             busy = dict.fromkeys(sides, 0.0)
-            run_pass(workload, programs, ops, busy, by_rank, mismatches, start=rep)
+            run_pass(workload, programs, ops, busy, by_rank, by_kind, mismatches, start=rep)
             ratios.append(busy["base"] / busy["change"])
             print(f"  rep {rep + 1}: base {len(ops) / busy['base']:.4g} ops/s  "
                   f"change {len(ops) / busy['change']:.4g} ops/s  ratio {ratios[-1]:.4f}")
@@ -145,11 +164,9 @@ def main(argv=None) -> int:
     overall = {name: [t for times in by_rank.values() for t in times[name]] for name in sides}
     print(f"  operation time: {medians(overall)} (change over base)")
     for n, times in sorted(by_rank.items()):
-        count = len(times["base"])
-        base, change = sum(times["base"]), sum(times["change"])
-        print(f"  rank {n}: {count} operations  base {count / base:.4g} ops/s  "
-              f"change {count / change:.4g} ops/s  ratio {base / change:.4f}  "
-              f"{medians(times)}")
+        print(breakdown(f"rank {n}", times))
+    for name, times in by_kind.items():
+        print(breakdown(f"kind {name}", times))
     if mismatches:
         print(f"  outputs DIFFER on {len(mismatches)} operations, first: {min(mismatches)}")
         return 1

@@ -1,5 +1,5 @@
-"""Parser for ring element expressions: a one-pass reader for sums of
-integer monomials in characteristic 0, and the recursive-descent grammar
+"""Parser for ring element expressions, one for every ring: a one-pass
+reader for sums of integer monomials, and the recursive-descent grammar
 below for everything else.
 
 Grammar (whitespace insensitive), in three levels:
@@ -35,40 +35,46 @@ single capture group, and each token is told by its first character:
 an ASCII letter or '_' starts a name and an operator stands for itself,
 both kept as strings; a decimal digit starts an int; anything else is
 an unexpected character.  A token's position in the text is worked out
-only when an error reports it.
+only when an error reports it.  Trailing blanks are stripped before the
+pass, so it is linear in them; an error at the end still reports the
+end of the whole text.
 
-One grammar serves every ring; only the arithmetic under it differs.
-In characteristic 0 (Q(x), Q[t] and the rings rescaled from them) a
-value is a Z[x] coefficient tuple, taken through ``+``, ``-``, ``*``
-(a constant factor only scales the other tuple), unary ``-`` and ``^``
-on plain ints, and it becomes a ring element by the ring's
-``from_integer_poly`` in three places only: at ``/``, at a power whose
-caps need the ring's degree or canonical string (any base but the bare
-variable), and once at the end.  F_q[x] runs on the ring's operations
-throughout, because its caps read the reduced element: over F_5,
-``(5*x^2+1)^200`` has a base of degree 0.
+The grammar takes every value through the ring's own operations
+(``from_int``, ``add``, ``sub``, ``mul``, ``div``, ``neg`` and
+``pow``), so its caps read the ring's element: over F_5,
+``(5*x^2+1)^200`` has a base of degree 0 and is accepted.
 
-In characteristic 0 a cheaper reading comes first.  Almost every entry
-the program reads, in its corpora and its generated modules alike, is a
+A cheaper reading comes first, in every ring.  Almost every entry the
+program reads, in its corpora and its generated modules alike, is a
 sum of signed monomials ``c``, ``c*v``, ``c*v^k``, ``v`` or ``v^k`` in
 the ring's variable v, perhaps wrapped as ``INT*( ... )``, with a sign
 after each '+' or '-' allowed, as in ``1 + -2*t^2``.  ``_monomial_sum``
 reads such a text in one regular-expression pass, linear in its
 length, into its Z[x] tuple, which enters the ring by
-``from_integer_poly`` as the grammar's value would.  It raises nothing:
-for any other text it returns None and the grammar reads the text
-instead, so every error keeps the grammar's message and position.  It
-returns None also for a text that the grammar would refuse at a cap,
-before any coefficient is summed away (so ``0*x^300`` is still
-refused).  The caps are the grammar's own: every literal goes through
-``_literal``, and the least refused exponent of the variable is found
-once per variable by ``_power_error``:
+``from_integer_poly``.  That is the grammar's element: the grammar's
+literals enter by ``from_int``, and in characteristic p reducing the
+integer coefficients once at the end gives what reducing each literal
+gives, since reduction mod p respects sums and products.
+
+The reader raises nothing: for any other text it returns None and the
+grammar reads the text instead, so every error keeps the grammar's
+message and position.  It returns None also for a text that the grammar
+would refuse at a cap, before any coefficient is summed away (so
+``0*x^300`` is still refused).  The caps are the grammar's own: every
+literal goes through ``_literal``, and the least refused exponent of the
+variable is found once per variable by ``_power_error``:
 
 * a literal of over MAX_LITERAL_DIGITS digits, coefficient or
   exponent, is refused by the tokenizer;
 * ``v^k`` has degree k, so k over MAX_EXPONENT or MAX_DEGREE is refused;
 * for k >= 2, ``v^k`` prints as the variable's name, of size
   k * len(v), so a size over MAX_POWER_SIZE is refused.
+
+These caps read only the text's literals and the exponents of the bare
+variable, never a reduced element, so they hold unreduced over F_q as
+well: the grammar checks a cap only at '^', and the only base the
+reader lets a '^' follow is the variable itself, of degree 1 in every
+ring.
 
 A sum or a product by a literal has no cap of its own in the grammar,
 and one sign inside the wrapper's parentheses nests two levels deep, far
@@ -82,9 +88,7 @@ import itertools
 import re
 import string
 
-from . import polys
 from .errors import NotInvertibleError, ParseError, UnsupportedOperationError
-from .fields import ZZ
 
 MAX_EXPONENT = 256
 MAX_DEGREE = 256
@@ -99,15 +103,18 @@ _TOKEN = re.compile(r"\s*([-+*/^()]|\d+|[A-Za-z_][A-Za-z_0-9]*|\S)")
 _OPERATORS = frozenset("+-*/^()")
 # What a token starts with when it is kept as it is: an operator or a name
 _KEPT = _OPERATORS | frozenset(string.ascii_letters + "_")
-_X = (0, 1)  # the variable, in Z[x]
 
 
 def _tokenize(text: str) -> list:
     """The tokens of ``text``, ints for literals and strings for names and
     operators, then None for the end.  A token is told by its first
     character, and only a literal is replaced in the list: ``\\d``
-    matches exactly the characters for which ``str.isdecimal`` holds."""
-    tokens = _TOKEN.findall(text)
+    matches exactly the characters for which ``str.isdecimal`` holds.
+    The pass runs over the text without its trailing blanks, from each
+    of which ``_TOKEN`` would scan the rest of the run and fail, a cost
+    quadratic in the run; ``\\s`` matches exactly what ``str.rstrip``
+    strips, so the tokens are the same."""
+    tokens = _TOKEN.findall(text.rstrip())
     for index, tok in enumerate(tokens):
         if tok[0] in _KEPT:
             continue
@@ -147,9 +154,9 @@ def _power_error(exp: int, degree: int, length):
 
 
 def _position(text: str, index: int) -> int:
-    """Where token ``index`` of ``text`` starts; the end of the text for
-    the end token."""
-    for i, m in enumerate(_TOKEN.finditer(text)):
+    """Where token ``index`` of ``text`` starts; the end of the text, its
+    trailing blanks included, for the end token."""
+    for i, m in enumerate(_TOKEN.finditer(text.rstrip())):
         if i == index:
             return m.start(1)
     return len(text)
@@ -173,36 +180,36 @@ class _Parser:
         tok = self.tokens[self.idx]
         if tok is not None:
             raise self._error(f"unexpected token {tok!r}", self.idx)
-        return self.lift(value)
+        return value
 
     def expr(self):
         value = self.term()
-        tokens = self.tokens
+        tokens, ring = self.tokens, self.ring
         while True:
             tok = tokens[self.idx]
             if tok == "+":
                 self.idx += 1
-                value = self.add(value, self.term())
+                value = ring.add(value, self.term())
             elif tok == "-":
                 self.idx += 1
-                value = self.sub(value, self.term())
+                value = ring.sub(value, self.term())
             else:
                 return value
 
     def term(self):
         value = self.factor()
-        tokens = self.tokens
+        tokens, ring = self.tokens, self.ring
         while True:
             tok = tokens[self.idx]
             if tok == "*":
                 self.idx += 1
-                value = self.mul(value, self.factor())
+                value = ring.mul(value, self.factor())
             elif tok == "/":
                 at = self.idx
                 self.idx += 1
                 rhs = self.factor()
                 try:
-                    value = self.div(value, rhs)
+                    value = ring.div(value, rhs)
                 except NotInvertibleError:
                     raise self._error("division by a non-invertible element", at) from None
             else:
@@ -211,17 +218,17 @@ class _Parser:
     def factor(self):
         """A signed factor, or an atom (an int, a name or a parenthesised
         expr) with its optional '^' exponent."""
-        tokens = self.tokens
+        tokens, ring = self.tokens, self.ring
         at = self.idx
         tok = tokens[at]
         if type(tok) is int:
             self.idx = at + 1
-            value = self.from_int(tok)
+            value = ring.from_int(tok)
         elif tok == "+" or tok == "-":
             self._enter()
             value = self.factor()
             self.depth -= 1
-            return self.neg(value) if tok == "-" else value
+            return ring.neg(value) if tok == "-" else value
         elif tok == "(":
             self._enter()
             value = self.expr()
@@ -233,10 +240,10 @@ class _Parser:
             raise self._error("expected a number, variable, or '('", at)
         else:
             self.idx = at + 1
-            if tok == self.ring.variable:
-                value = self.variable()
-            elif tok == "g" and self.ring.generator is not None:
-                value = self.ring.generator
+            if tok == ring.variable:
+                value = ring.var_element
+            elif tok == "g" and ring.generator is not None:
+                value = ring.generator
             else:
                 raise self._error(f"unknown symbol {tok!r}", at)
         if tokens[self.idx] != "^":
@@ -246,7 +253,14 @@ class _Parser:
         exp = tokens[at]
         if type(exp) is not int:
             raise self._error("exponent must be a nonnegative integer", at)
-        return self.pow(value, exp, at)
+        if value is ring.var_element:  # it prints as the variable's name
+            length = functools.partial(len, ring.variable)
+        else:
+            length = functools.partial(self._printed_length, value, at)
+        message = _power_error(exp, ring.degree(value), length)
+        if message is not None:
+            raise self._error(message, at)
+        return ring.pow(value, exp)
 
     def _enter(self):
         """Step over a sign or '(' one level deeper."""
@@ -255,17 +269,6 @@ class _Parser:
             raise self._error(f"nesting exceeds the maximum depth {MAX_NESTING}", self.idx)
         self.idx += 1
 
-    def _check_caps(self, base, exp: int, at: int, degree: int, name_size: bool):
-        """The caps on base^exp, base of ``degree``; its printed length is
-        the variable's when ``name_size``."""
-        if name_size:  # it prints as the variable's name
-            length = functools.partial(len, self.ring.variable)
-        else:
-            length = functools.partial(self._printed_length, base, at)
-        message = _power_error(exp, degree, length)
-        if message is not None:
-            raise self._error(message, at)
-
     def _printed_length(self, base, at: int) -> int:
         try:
             return len(self.ring.to_str(base))
@@ -273,88 +276,6 @@ class _Parser:
             raise self._error(
                 f"power base exceeds the maximum size {MAX_POWER_SIZE}", at
             ) from None
-
-    # -- arithmetic: the ring's own ------------------------------------
-    def add(self, a, b):
-        return self.ring.add(a, b)
-
-    def sub(self, a, b):
-        return self.ring.sub(a, b)
-
-    def mul(self, a, b):
-        return self.ring.mul(a, b)
-
-    def div(self, a, b):
-        return self.ring.div(a, b)
-
-    def neg(self, a):
-        return self.ring.neg(a)
-
-    def from_int(self, n: int):
-        return self.ring.from_int(n)
-
-    def variable(self):
-        return self.ring.var_element
-
-    def pow(self, base, exp: int, at: int):
-        ring = self.ring
-        self._check_caps(base, exp, at, ring.degree(base), base is ring.var_element)
-        return ring.pow(base, exp)
-
-    def lift(self, value):
-        return value
-
-
-class _IntegerPolyParser(_Parser):
-    """The grammar over a ring of characteristic 0: a value is a Z[x]
-    coefficient tuple (lowest degree first, no trailing zeros) until it
-    meets '/', a power of anything but the variable, or the end, where
-    the ring's ``from_integer_poly`` makes it a ring element.  Ring
-    elements are never tuples, so the two kinds of value stay apart."""
-
-    def lift(self, value):
-        return self.ring.from_integer_poly(value) if type(value) is tuple else value
-
-    def add(self, a, b):
-        if type(a) is tuple and type(b) is tuple:
-            return polys.add(ZZ, a, b)
-        return self.ring.add(self.lift(a), self.lift(b))
-
-    def sub(self, a, b):
-        if type(a) is tuple and type(b) is tuple:
-            return polys.sub(ZZ, a, b)
-        return self.ring.sub(self.lift(a), self.lift(b))
-
-    def mul(self, a, b):
-        if type(a) is tuple and type(b) is tuple:
-            if len(b) == 1:
-                a, b = b, a
-            if len(a) == 1:
-                # a nonzero constant times a tuple with no trailing zeros
-                # leaves none, so the scaled tuple needs no normalize
-                c = a[0]
-                return tuple([c * v for v in b])
-            return polys.mul(ZZ, a, b)
-        return self.ring.mul(self.lift(a), self.lift(b))
-
-    def div(self, a, b):
-        return self.ring.div(self.lift(a), self.lift(b))
-
-    def neg(self, a):
-        return polys.neg(ZZ, a) if type(a) is tuple else self.ring.neg(a)
-
-    def from_int(self, n: int):
-        return (n,) if n else ()
-
-    def variable(self):
-        return _X
-
-    def pow(self, base, exp: int, at: int):
-        if type(base) is tuple and base == _X:
-            # x^exp has degree exp and prints as the variable's name
-            self._check_caps(base, exp, at, 1, True)
-            return (0,) * exp + (1,)
-        return super().pow(self.lift(base), exp, at)
 
 
 # INT*( ... ) around a text without parentheses
@@ -435,9 +356,7 @@ def _monomial_sum(text: str, variable: str):
 
 def parse_element(text: str, ring):
     """Parse ``text`` into a canonical element of ``ring``."""
-    if ring.characteristic:
-        return _Parser(text, ring).parse()
     coeffs = _monomial_sum(text, ring.variable)
     if coeffs is None:
-        return _IntegerPolyParser(text, ring).parse()
+        return _Parser(text, ring).parse()
     return ring.from_integer_poly(coeffs)

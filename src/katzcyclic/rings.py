@@ -17,9 +17,10 @@ coefficients, and an element of Q[t] is one with D = (1,).  The form is
 unique, so equality is structural, and all work runs on plain ints:
 the scale by integer gcds, the polynomials in Z[x] through the
 :data:`~katzcyclic.fields.ZZ` branches of :mod:`katzcyclic.polys`.
-Values cross into the form at three places: a parsed entry is built in
-Z[x] by :mod:`katzcyclic.parser` and enters by ``from_integer_poly``
-(or a ring operation at '/'), a rational constant enters by
+Values cross into the form at three places: a parsed entry that is a
+sum of integer monomials is read into Z[x] by :mod:`katzcyclic.parser`
+and enters by ``from_integer_poly`` (any other by the ring's
+operations), a rational constant enters by
 ``from_fraction``, and a matrix cleared into Z[x] comes back by one
 canonical form per entry.  A Fraction is built only where a value
 leaves the ring, in ``num`` and ``den``.  One arithmetic in a private
@@ -128,8 +129,9 @@ class Ring:
 
     def from_integer_poly(self, coeffs):
         """The element with the integer coefficients ``coeffs`` (lowest
-        degree first, no trailing zeros), in characteristic 0; the parser
-        builds an expression in Z[x] and hands it over here."""
+        degree first, no trailing zeros), reduced in characteristic p;
+        the parser reads a sum of integer monomials into Z[x] and hands
+        it over here."""
         raise NotImplementedError
 
     def is_invertible(self, a) -> bool:
@@ -880,6 +882,10 @@ class FiniteFieldPolyRing(Ring):
 
     def from_fraction(self, q: Fraction):
         return polys.const(self.field, self.field.from_fraction(q))
+
+    def from_integer_poly(self, coeffs):
+        field = self.field
+        return polys.normalize(field, [field.from_int(c) for c in coeffs])
 
     def is_invertible(self, a) -> bool:
         return polys.degree(a) == 0

@@ -2,17 +2,17 @@
 
 Over Q(x), Q[t], a rescaled Q[t], F_5 and F_9, every string must parse
 to the same element as with the reference, or fail with the same error
-message and position.  In characteristic 0 the parser evaluates in Z[x]
-and converts to the ring at '/', at a power of anything but the
-variable, and at the end; F_q[x] stays on the ring's own operations,
-whose caps read the reduced element.
+message and position.  The grammar runs on the ring's own operations in
+every ring, so its caps read the ring's element (over F_5, the reduced
+one).
 
-In characteristic 0 a sum of integer monomials is read in one pass by
-``_monomial_sum`` before the grammar; over Q(x), Q[t] and a rescaled
-Q(x), with a variable of one character and of twenty, that reading must
-give the grammar's element, and every text it does not take (past a
-cap, or of another shape) must be left to the grammar.  A long run of
-blanks must cost the reader time linear in its length.
+In every ring a sum of integer monomials is read in one pass by
+``_monomial_sum`` before the grammar; over Q(x), Q[t], a rescaled Q(x),
+F_5 and F_9, with a variable of one character and of twenty, that
+reading must give the grammar's element, and every text it does not
+take (past a cap, or of another shape) must be left to the grammar.  A
+long run of blanks must cost the reader, and the grammar's tokenizer at
+the end of a text, time linear in its length.
 """
 
 import time
@@ -36,7 +36,7 @@ from katzcyclic.parser import (
     MAX_LITERAL_DIGITS,
     MAX_NESTING,
     MAX_POWER_SIZE,
-    _IntegerPolyParser,
+    _Parser,
     _monomial_sum,
     parse_element,
 )
@@ -176,8 +176,10 @@ def test_caps_and_errors_match_the_reference(name):
 
 def test_fq_caps_read_the_reduced_base():
     """Over F_5, 5*x^2 + 1 is the constant 1, so its 200th power passes
-    the degree cap; its degree in Z[x] would refuse it."""
+    the degree cap; its degree in Z[x] would refuse it.  The reader's
+    tuple (3, 0, 5) for 5*x^2 + 3 reduces as it enters the ring."""
     f5 = FiniteFieldPolyRing(5)
+    assert parse_element("5*x^2 + 3", f5) == f5.from_int(3)
     assert parse_element("(5*x^2 + 1)^200", f5) == f5.one
     assert parse_element("(5*x^2 + x)^256", f5) == f5.pow(f5.t, 256)
     with pytest.raises(ParseError, match="power of degree 400 exceeds"):
@@ -188,19 +190,21 @@ def test_fq_caps_read_the_reduced_base():
 
 LONG = "v_" * 10  # 20 characters, so v^k is past MAX_POWER_SIZE from k = 216
 assert MAX_EXPONENT * len(LONG) > MAX_POWER_SIZE
-CHAR0 = {
+READER_RINGS = {
     f"{kind}-{len(v)}": ring
     for v in ("x", LONG)
     for kind, ring in (
         ("qx", RationalFunctionField(v)),
         ("qt", GaussPolynomialRing(3, 1, v)),
         ("qx-scaled", ScaledDerivationRing(RationalFunctionField(v), RationalFunctionField(v).t)),
+        ("f5", FiniteFieldPolyRing(5, 1, v)),
+        ("f9", FiniteFieldPolyRing(3, 2, v)),
     )
 }
 
 
 def grammar(text, ring):
-    return _IntegerPolyParser(text, ring).parse()
+    return _Parser(text, ring).parse()
 
 
 def assert_grammar(text, ring):
@@ -247,22 +251,22 @@ def monomial_sums(draw, variable):
     return text
 
 
-@pytest.mark.parametrize("name", sorted(CHAR0))
+@pytest.mark.parametrize("name", sorted(READER_RINGS))
 @SETTINGS
 @given(data=st.data())
 def test_monomial_sums_parse_as_the_grammar(name, data):
-    ring = CHAR0[name]
+    ring = READER_RINGS[name]
     assert_grammar(data.draw(monomial_sums(ring.variable)), ring)
 
 
 SOUP = st.text(alphabet=list("0123456789+-*/^()xt_ "), max_size=30)
 
 
-@pytest.mark.parametrize("name", ["qx-1", "qt-1", "qx-scaled-1"])
+@pytest.mark.parametrize("name", ["qx-1", "qt-1", "qx-scaled-1", "f5-1", "f9-1"])
 @SETTINGS
 @given(text=SOUP)
 def test_a_tuple_from_the_reader_is_the_grammars_element(name, text):
-    ring = CHAR0[name]
+    ring = READER_RINGS[name]
     coeffs = _monomial_sum(text, ring.variable)
     if coeffs is not None:
         assert ring.from_integer_poly(coeffs) == grammar(text, ring), text
@@ -275,6 +279,7 @@ READ = {
     "-x + + x^0 - 0*x^256": (1, -1),
     " 7 \t* ( x ^ \u0663 - x^3 ) ": (),
     "-0": (),
+    "5*x^2 + 3": (3, 0, 5),
     "9" * MAX_LITERAL_DIGITS: (int("9" * MAX_LITERAL_DIGITS),),
 }
 NOT_READ = [
@@ -299,9 +304,9 @@ NOT_READ = [
 ]
 
 
-@pytest.mark.parametrize("name", ["qx-1", "qt-1", "qx-scaled-1"])
+@pytest.mark.parametrize("name", ["qx-1", "qt-1", "qx-scaled-1", "f5-1", "f9-1"])
 def test_the_reader_takes_monomial_sums_and_leaves_the_rest(name):
-    ring = CHAR0[name]
+    ring = READER_RINGS[name]
     for text, coeffs in READ.items():
         assert _monomial_sum(text, "x") == coeffs, text
         assert_grammar(text, ring)
@@ -310,12 +315,12 @@ def test_the_reader_takes_monomial_sums_and_leaves_the_rest(name):
         assert_grammar(text, ring)
 
 
-@pytest.mark.parametrize("name", ["qx-20", "qt-20"])
+@pytest.mark.parametrize("name", ["qx-20", "qt-20", "f5-20"])
 def test_the_reader_leaves_a_power_past_the_size_cap(name):
     """With a 20-character variable, v^215 is the largest power whose
     printed size passes MAX_POWER_SIZE; v^216 is refused by the grammar,
     even with a zero coefficient."""
-    ring = CHAR0[name]
+    ring = READER_RINGS[name]
     assert _monomial_sum(f"{LONG}^215", LONG) == (0,) * 215 + (1,)
     for text in (f"{LONG}^216", f"1 + 0*{LONG}^216"):
         assert _monomial_sum(text, LONG) is None
@@ -344,4 +349,26 @@ def test_a_run_of_blanks_costs_the_reader_linear_time(name):
     start = time.perf_counter()
     _monomial_sum(text, "x")
     assert time.perf_counter() - start < 0.5, name
-    assert_grammar(text, CHAR0["qx-1"])
+    assert_grammar(text, READER_RINGS["qx-1"])
+
+
+TRAILING = " " * 20000
+TRAILING_BLANKS = {
+    "qx-quotient": ("1/x" + TRAILING, RINGS["qx"]),
+    "qx-error-at-the-end": ("1/" + TRAILING, RINGS["qx"]),
+    "f9-generator": ("g*x" + TRAILING, RINGS["f9"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAILING_BLANKS))
+def test_trailing_blanks_cost_the_tokenizer_linear_time(name):
+    """Texts that the reader leaves to the grammar, ending in 20,000
+    blanks, parse in well under 0.5 s, and an error at the end reports
+    the end of the whole text: the tokenizer skips the trailing blanks,
+    from each of which its pattern would scan the rest of the run, a
+    cost of seconds here."""
+    text, ring = TRAILING_BLANKS[name]
+    start = time.perf_counter()
+    got = outcome(parse_element, text, ring)
+    assert time.perf_counter() - start < 0.5, name
+    assert got == outcome(reference_parse, text, ring), name

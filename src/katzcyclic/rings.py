@@ -35,18 +35,19 @@ partial sum.
 This module decides which matrix routines run on integers.  Two clear
 their input into Z[x] by one helper, :func:`_clear`, and take the rest
 on Kronecker-packed ints: the iterated matrices of a polynomial G_1
-(``integer_iterates``, one packed product :func:`_zx_mat_mul` per step;
-any other G_1 takes :meth:`Ring.iterated_matrices`) and the determinant
-of a matrix over ring[X] (``xdet``), which packs x alone, evaluates X at
-e + 1 small integers, takes one ``linalg.det`` over the vectors of
-values (:class:`_Values`) and interpolates exactly by an integer
-Lagrange table (:func:`_interpolation`).  A rescaled ring takes its
-base's ``xdet``; F_q[x], whose field may have fewer than e + 1 points,
-takes :meth:`Ring.xdet` over ring[X].  Q[t] has two more, which read the
-integer iterates without packing: the norms of Lemma 2.1
-(``lemma_norms``, whose factors have one monomial per entry, which a
-packed product would spend its time packing and unpacking) and the
-witness routine ``katz_vector_at_t``, Katz's candidate c(e, t).
+(``integer_iterates``, on one packing width for every step, fixed by an
+a-priori bound, with one packed product ``linalg.mat_mul`` over ZZ per
+step; any other G_1 takes :meth:`Ring.iterated_matrices`) and the
+determinant of a matrix over ring[X] (``xdet``), which packs x alone,
+evaluates X at e + 1 small integers, takes one ``linalg.det`` over the
+vectors of values (:class:`_Values`) and interpolates exactly by an
+integer Lagrange table (:func:`_interpolation`).  A rescaled ring takes
+its base's ``xdet``; F_q[x], whose field may have fewer than e + 1
+points, takes :meth:`Ring.xdet` over ring[X].  Q[t] has two more, which
+read the unpacked integer iterates: the norms of Lemma 2.1
+(``lemma_norms``, which bounds every entry of F_s G_s by the ultrametric
+inequality and sums only the entries whose bound can reach the maximum)
+and the witness routine ``katz_vector_at_t``, Katz's candidate c(e, t).
 Every other matrix product, over any ring, is
 :func:`katzcyclic.linalg.mat_mul`, one ``dot`` per entry.
 
@@ -298,6 +299,15 @@ def _scaled(p: int, q: int, N: Tuple[int, ...], D: Tuple[int, ...] = _ONE) -> Ra
     return _ratfunc(p // g, q // g, N, D)
 
 
+def _zx_pow(f: Tuple[int, ...], k: int) -> Tuple[int, ...]:
+    """f^k for k >= 0 and a primitive f in Z[x] with a positive leading
+    coefficient.  The monomials among them are the x^e, whose power is
+    the shifted tuple of x^(e k); any other f takes square-and-multiply."""
+    if not any(f[:-1]):
+        return (0,) * ((len(f) - 1) * k) + _ONE
+    return power(functools.partial(polys.mul, ZZ), _ONE, f, k)
+
+
 def _clear(elements) -> Tuple[int, Tuple[int, ...], list]:
     """(m, L, [m L a for a in elements]) for a sequence of elements: m is
     the lcm of their scales' denominators and L the lcm of their
@@ -315,31 +325,6 @@ def _clear(elements) -> Tuple[int, Tuple[int, ...], list]:
         N = polys.scale(ZZ, m // q * a.p, a.N)
         out.append(polys.mul(ZZ, N, cofactor[a.D]) if a.D != L else N)
     return m, L, out
-
-
-def _zx_mat_mul(a, b):
-    """a * b for matrices over Z[x], as one product of integer matrices
-    by Kronecker substitution (von zur Gathen & Gerhard, *Modern
-    Computer Algebra*, 8.4): the product A_s A of each step of
-    :meth:`_IntegerCoreRing.integer_iterates`.
-
-    Every coefficient of sum_l a_il b_lj is at most max_i sum_l |a_il|_1
-    * max_lj |b_lj|_1 =: B in absolute value, so with k = bitlen(B) + 1
-    the packing x -> 2^k is exact, and each entry of the product of the
-    packed ints, taken by ``linalg.mat_mul`` over ZZ, unpacks into the
-    entry of a * b.
-    """
-    row_sum = max(sum(sum(map(abs, f)) for f in row) for row in a)
-    bound = row_sum * max(sum(map(abs, f)) for row in b for f in row)
-    if not bound:
-        return [[() for _ in b[0]] for _ in a]
-    k = bound.bit_length() + 1
-    prod = linalg.mat_mul(
-        ZZ,
-        tuple(tuple(polys.pack(f, k) for f in row) for row in a),
-        tuple(tuple(polys.pack(f, k) for f in row) for row in b),
-    )
-    return [[polys.unpack(v, k) for v in row] for row in prod]
 
 
 class _Values:
@@ -436,9 +421,7 @@ class _IntegerCoreRing(Ring):
             raise PreconditionError(f"negative exponent {k}")
         if not a.p:
             return self.one if k == 0 else self.zero
-        zmul = functools.partial(polys.mul, ZZ)
-        D = a.D if len(a.D) == 1 else power(zmul, _ONE, a.D, k)
-        return _ratfunc(a.p ** k, a.q ** k, power(zmul, _ONE, a.N, k), D)
+        return _ratfunc(a.p ** k, a.q ** k, _zx_pow(a.N, k), _zx_pow(a.D, k))
 
     def is_zero(self, a: RatFunc) -> bool:
         return not a.p
@@ -556,36 +539,58 @@ class _IntegerCoreRing(Ring):
         return _scaled(1, 1, coeffs)
 
     def integer_iterates(self, g1, s_max: int):
-        """(m, [A_1, ..., A_{s_max}]) for a polynomial g1 (every entry with
-        D = (1,)): the iterated matrices of G_{s+1} = d(G_s) + G_s G_1
-        written as G_s = A_s/m^s, every A_s over Z[x].
+        """(m, [A_1, ..., A_{s_max}]) for s_max >= 0 and a polynomial g1
+        (every entry with D = (1,)): the iterated matrices of
+        G_{s+1} = d(G_s) + G_s G_1 written as G_s = A_s/m^s, every A_s
+        over Z[x].
 
         :func:`_clear` writes G_1 once as A/m with A over Z[x].  Then
         A_1 = A and A_{s+1} = m A_s' + A_s A, since d(A_s/m^s) = A_s'/m^s.
-        Each step takes one packed product A_s A (:func:`_zx_mat_mul`),
-        and each entry m A_s' + (A_s A) is taken in one pass over its
-        ints.  A g1 with a denominator is refused: its iterates carry
+        All steps run on one Kronecker packing x -> 2^k (von zur Gathen &
+        Gerhard, *Modern Computer Algebra*, 8.4), a ring map, so only the
+        unpacking needs a bound.  With a = max_lj |A_lj|_1 and d the
+        x-degree of A, A_s has x-degree at most s d, so entrywise
+        |A_{s+1}|_1 <= (m s d + n a) max |A_s|_1, and every coefficient of
+        A_1, ..., A_S is at most B = a prod_{s<S} (m s d + n a) in absolute
+        value; k = bitlen(B) + 1 unpacks them exactly.  A is packed once,
+        and each step carries the packed values A_s(2^k): one packed
+        product ``linalg.mat_mul`` over ZZ, plus m A_s'(2^k), packed
+        straight from A_s's coefficients, and one ``polys.unpack`` per
+        entry.  A g1 with a denominator is refused: its iterates carry
         powers of that denominator, which this recurrence does not.
         """
+        if s_max < 0:
+            raise PreconditionError(f"s_max must be >= 0, got {s_max}")
         n = len(g1)
         m, L, flat = _clear([x for row in g1 for x in row])
         if L != _ONE:
             raise PreconditionError("integer iterates need a polynomial connection matrix")
         A = [flat[i * n:(i + 1) * n] for i in range(n)]
+        a = max(sum(map(abs, f)) for f in flat)
+        if s_max < 2 or not a:  # at most A_1, or the zero G_1, whose A_s are all A
+            return m, [A] * s_max
+        d = max(map(len, flat)) - 1
+        bound = a
+        for s in range(1, s_max):
+            bound *= m * s * d + n * a
+        k = bound.bit_length() + 1
 
-        def step(f, p):
-            """m f' + p: an entry of A_{s+1} from A_s and A_s A, in one pass over f."""
-            acc = list(p)
-            acc += [0] * (len(f) - 1 - len(acc))
-            for i in range(1, len(f)):
-                acc[i - 1] += m * i * f[i]
-            return polys.normalize(ZZ, acc)
+        def packed_derivative(f):
+            """m f'(2^k), packed from f's coefficients."""
+            v = 0
+            for i in range(len(f) - 1, 0, -1):
+                v = (v << k) + m * i * f[i]
+            return v
 
-        out = [A] if s_max else []
+        packed_a = tuple(tuple(polys.pack(f, k) for f in row) for row in A)
+        packed, out = packed_a, [A]
         for _ in range(1, s_max):
-            prod = _zx_mat_mul(out[-1], A)
-            out.append([[step(f, p) for f, p in zip(row, prow)]
-                        for row, prow in zip(out[-1], prod)])
+            prod = linalg.mat_mul(ZZ, packed, packed_a)
+            packed = tuple(
+                tuple(v + packed_derivative(f) for v, f in zip(prow, row))
+                for prow, row in zip(prod, out[-1])
+            )
+            out.append([[polys.unpack(v, k) for v in row] for row in packed])
         return m, out
 
     def iterated_matrices(self, g1, s_max: int):
@@ -752,6 +757,16 @@ class GaussPolynomialRing(_IntegerCoreRing):
                     best = term
         return best
 
+    def _int_exp(self, f):
+        """The exponent of |f| for f in Z[t], a tuple or a list of ints
+        with trailing zeros allowed; None for zero.  |f| = |g|_p |f/g| for
+        f's content g, and |f/g| = 1 at r = 0."""
+        g = math.gcd(*f)
+        if not g:
+            return None
+        e = -padic_valuation(g, self.prime)
+        return e + self._scan_exp(f, g) if self.radius_exp else e
+
     def lemma_norms(self, g1, factors, k: int):
         """([|F_1 G_1|, ..., |F_S G_S|], iterates) for the S matrices F_s
         of ``factors``, with |a| = max_ij |a_ij| p^(k (j - i)), G_s the
@@ -761,13 +776,20 @@ class GaussPolynomialRing(_IntegerCoreRing):
         Row i of F_s has entries (p_l/q_l) N_l; with m_i the lcm of their
         q_l and G_s = A_s/m^s,
 
-            (F_s G_s)_ij = sum_l (m_i/q_l) p_l N_l A_s[l][j] / (m_i m^s),
+            (F_s G_s)_ij = sum_l c_il N_l A_s[l][j] / (m_i m^s),  c_il = (m_i/q_l) p_l,
 
-        and the integer numerator is summed by ``polys.add_mul`` into one
-        list of ints, which skips N_l's zero coefficients, so a monomial
-        factor costs one pass over A_s[l][j].  Each entry's exponent is
-        that of the numerator plus v_p(m_i) + s v_p(m) + k (j - i), and
-        no G_s, product entry or norm is put in canonical form.
+        and the exponent of |(F_s G_s)_ij| is shift_i + k j plus that of
+        the integer numerator, shift_i = v_p(m_i) + s v_p(m) - k i.  The
+        Gauss norm is multiplicative and ultrametric (Bosch, Guntzer &
+        Remmert, *Non-Archimedean Analysis*, 5.1), so that exponent is at
+        most U_ij = shift_i + k j + max_l (E(c_il N_l) + E(A_s[l][j])),
+        with E the exact exponent of each nonzero factor.  The entries are
+        visited by decreasing U_ij, and the search stops once U_ij is no
+        larger than the best exact exponent so far; only the entries
+        visited are summed, by ``polys.add_mul`` into one list of ints,
+        which skips N_l's zero coefficients, so a monomial factor costs
+        one pass over A_s[l][j].  The norm is the one every entry gives,
+        and no G_s, product entry or norm is put in canonical form.
         """
         p, r = self.prime, self.radius_exp
         iterates = self.integer_iterates(g1, len(factors))
@@ -776,25 +798,37 @@ class GaussPolynomialRing(_IntegerCoreRing):
         out = []
         for s, (F, A_s) in enumerate(zip(factors, As), 1):
             width = max(len(f) for row in A_s for f in row)
-            best = None
+            exps = [None] * len(A_s)  # E(A_s[l][j]), row l taken when a term first meets it
+            rows, bounds = [], []
             for i, row in enumerate(F):
                 nonzero = [(l, a) for l, a in enumerate(row) if a.p]
                 mi = math.lcm(*[a.q for _, a in nonzero])
-                terms = [(mi // a.q * a.p, a.N, A_s[l]) for l, a in nonzero]
+                terms = [(mi // a.q * a.p, a.N, l) for l, a in nonzero]
                 size = max([len(N) for _, N, _ in terms], default=0) + width - 1
                 shift = padic_valuation(mi, p) + s * vm - k * i
+                rows.append((terms, size, shift))
+                tops = []  # E(c N), N primitive, and the row of E(A_s) that the term meets
+                for c, N, l in terms:
+                    if exps[l] is None:
+                        exps[l] = [self._int_exp(f) for f in A_s[l]]
+                    tops.append((-padic_valuation(c, p) + (self._scan_exp(N) if r else 0), exps[l]))
                 for j in range(len(A_s[0])):
-                    acc = [0] * size
-                    for c, N, A_row in terms:
-                        polys.add_mul(acc, c, N, A_row[j])
-                    # |acc| = |g|_p |acc/g| for acc's content g, and |acc/g| = 1 at r = 0
-                    g = math.gcd(*acc)
-                    if g:
-                        e = shift + k * j - padic_valuation(g, p)
-                        if r:
-                            e += self._scan_exp(acc, g)
-                        if best is None or e > best:
-                            best = e
+                    reach = [e + E[j] for e, E in tops if E[j] is not None]
+                    if reach:
+                        bounds.append((shift + k * j + max(reach), i, j))
+            best = None
+            for bound, i, j in sorted(bounds, reverse=True):
+                if best is not None and bound <= best:
+                    break
+                terms, size, shift = rows[i]
+                acc = [0] * size
+                for c, N, l in terms:
+                    polys.add_mul(acc, c, N, A_s[l][j])
+                e = self._int_exp(acc)
+                if e is not None:
+                    e += shift + k * j
+                    if best is None or e > best:
+                        best = e
             out.append(NormValue(p, best))
         return out, iterates
 

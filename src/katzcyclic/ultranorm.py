@@ -21,9 +21,12 @@ H_0(+-t) and H_s(t) and from |G_s| <= |G1| max(|G1|, |d|)^(s-1) (Lemma
 (``tests/_helpers.py``), which check them against materialized norms.
 
 Over Q[t], Lemma 2.1 takes its norms from the ring's ``lemma_norms``:
-each row of H_0(-t) H_s(t) G_s is summed in Z[t] from the integer
-iterates behind G_s and its norm read off the integer coefficients.  A
-certified module's witness c(e, t) is read off integer iterates too, by
+every entry of H_0(-t) H_s(t) G_s is bounded by the ultrametric
+inequality from the exact norms of its factors, and the entries are
+summed in Z[t] from the integer iterates behind G_s, largest bound
+first, only until no bound left can exceed the largest norm found; each
+norm is read off the integer coefficients.  A certified module's
+witness c(e, t) is read off integer iterates too, by
 the hook ``katz_vector_at_t``, which only Q[t] has: lemma 2.1 hands over
 the iterates its norms were taken on, and a prop-2.x certificate takes
 G_1 .. G_{n-1} as integer iterates, so no G_s is put in canonical form.
@@ -237,10 +240,11 @@ def certify_lemma_2_1(
     sufficient conditions for this one.  H0(-t) H_s(t) is the universal
     table :func:`~katzcyclic.katz.lemma_table` evaluated at t, so each s
     takes one matrix product with G_s.  A ring with its own
-    ``lemma_norms`` (Q[t]) sums its rows in Z[t] from the integer
-    iterates behind G_s and reads its norm off the integer
-    coefficients; a certified module's witness is read off the same
-    iterates.
+    ``lemma_norms`` (Q[t]) bounds every entry of each product by the
+    ultrametric inequality, sums in Z[t], from the integer iterates
+    behind G_s, only the entries whose bound can reach the largest
+    norm, and reads each norm off the integer coefficients; a certified
+    module's witness is read off the same iterates.
     """
     _require_banach(m)
     ring = m.ring

@@ -1,11 +1,14 @@
-"""The packed Z[x] product of Q(x) and Q[t] (``rings._zx_mat_mul``),
-checked through the iterated matrices G_s of
-``diffmod.iterated_matrices``, and the per-s norms of
-``GaussPolynomialRing.lemma_norms``, which sum each row of F_s G_s in
-Z[t] on the integer iterates behind G_s.  The reference is the
-recurrence G_{s+1} = d(G_s) + G_s G_1 with each product by
-``linalg.mat_mul``, the entry-wise loop of every ring, which shares no
-code with either.
+"""The packed integer iterates of Q(x) and Q[t]
+(``_IntegerCoreRing.integer_iterates``, every step on one Kronecker
+width fixed by an a-priori bound), checked through the iterated
+matrices G_s of ``diffmod.iterated_matrices``, and the per-s norms of
+``GaussPolynomialRing.lemma_norms``, which bound every entry of F_s G_s
+by the ultrametric inequality and sum in Z[t], on the integer iterates
+behind G_s, only the entries whose bound can reach the maximum.  The
+reference is the recurrence G_{s+1} = d(G_s) + G_s G_1 with each
+product by ``linalg.mat_mul``, the entry-wise loop of every ring, and
+the norm of every entry of the product, which share no code with
+either.
 """
 
 from fractions import Fraction
@@ -147,7 +150,39 @@ def check_lemma_norms(ring, g1, factors, k):
         matrix_norm(ring, linalg.mat_mul(ring, f, g), kind)
         for f, g in zip(factors, loop_iterates(ring, g1, len(factors))[1:])
     ]
-    assert ring.lemma_norms(g1, factors, k)[0] == expected
+    got = ring.lemma_norms(g1, factors, k)[0]
+    assert got == expected
+    return got
+
+
+def qt_matrix(rows):
+    return tuple(tuple(QT.parse(x) for x in row) for row in rows)
+
+
+EQUAL_ROWS = [["t", "1", "2*t^2"], ["t", "1", "2*t^2"], ["1", "t", "3"]]
+CANCELLING = {
+    # rows 0 and 1 of G_1, and so of every G_s, are equal, so the factor's
+    # row 0 has the largest bound in each product and sums to zero; the
+    # norm comes from row 1, whose bound is lower
+    "top-bound-row-cancels": (
+        EQUAL_ROWS, [["1/27", "-1/27", "0"], ["1", "0", "0"], ["0", "0", "t"]], [0] * 4),
+    "row-cancels-entirely": (EQUAL_ROWS, [["1", "-1", "0"]], [None] * 4),
+    # G_s = G_1 for every s; entry (0, 0) of the product has the terms 1
+    # and 8, each of norm 1, whose sum 9 has norm 3^-2; the norm is entry
+    # (1, 0)'s, 3 * 1, of norm 3^-1 and a lower bound
+    "top-terms-gain-valuation": ([["1", "0"], ["8", "0"]], [["1", "1"], ["3", "0"]], [-1] * 2),
+}
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+@pytest.mark.parametrize("g1, f, sup_exps", CANCELLING.values(), ids=CANCELLING.keys())
+def test_entries_that_cancel(g1, f, sup_exps, k):
+    """The entry with the largest bound sums to less than its bound, so
+    the search must go on past it; ``sup_exps`` are the per-s exponents
+    in the sup-norm (k = 0), None for the zero norm."""
+    got = check_lemma_norms(QT, qt_matrix(g1), [qt_matrix(f)] * len(sup_exps), k)
+    if k == 0:
+        assert got == [NormValue(3, e) for e in sup_exps]
 
 
 @pytest.mark.parametrize("name", sorted(ELEMENTS))
@@ -179,15 +214,36 @@ def test_zero_rows_and_columns(name, data, n):
 @SETTINGS
 def test_product_where_the_bound_is_tight(name, n, top, q, degree):
     """Every entry of G_1 (top/q) x^degree, over Q(x) also divided by
-    x + 1, so that G_1 clears to the matrix A with every entry
-    top' x^degree, top' = top/gcd(top, q).  Each coefficient of A A is
-    then n top'^2, the kernel's bound itself, so a digit width one bit
-    short misreads G_2."""
+    x + 1, which takes the nabla loop.  Over Q[t] G_1 clears to the
+    matrix A with every entry top' x^degree, top' = top/gcd(top, q), and
+    |A_2|_1 = top' (q' degree + n top'), q' = q/gcd(top, q), is the
+    width's bound itself; at degree 0 that is the coefficient of every
+    entry of A_2, so a width one bit short misreads G_2."""
     ring = ELEMENTS[name][0]
     x = ring.mul(ring.from_fraction(Fraction(top, q)), ring.pow(ring.t, degree))
     if ring is QX:
         x = ring.div(x, ring.add(ring.t, ring.one))
     check_iterates(ring, tuple(tuple(x for _ in range(n)) for _ in range(n)), 2)
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTS))
+@given(
+    data=st.data(),
+    n=st.integers(2, 4),
+    top=st.integers(-(2**80), 2**80).filter(bool),
+    q=st.integers(1, 9),
+)
+@SETTINGS
+def test_one_width_where_the_bound_is_tight(name, data, n, top, q):
+    """A constant G_1 = (top/q) J, every entry equal, clears to A = c J
+    with c = top/gcd(top, q), and A_s = c^s n^(s-1) J.  The coefficient
+    of every entry of A_S is then the width's bound a prod_(s<S) n a
+    itself, so a digit width one bit short misreads G_S, for every S up
+    to 2n - 2."""
+    ring = ELEMENTS[name][0]
+    x = ring.from_fraction(Fraction(top, q))
+    s_max = data.draw(st.integers(2, 2 * n - 2))
+    check_iterates(ring, tuple(tuple(x for _ in range(n)) for _ in range(n)), s_max)
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,8 @@ REFUSALS = {
     "integer_iterates of a rational G_1": (
         lambda: QX.integer_iterates(((QX.zero, QX.inv(QX.t)), (QX.t, QX.zero)), 2),
         PreconditionError),
+    "integer_iterates s_max < 0": (lambda: QT.integer_iterates(module(QT).g1, -1),
+                                   PreconditionError),
     "apply_nabla k < 0": (lambda: apply_nabla(module(QX), (QX.one, QX.zero), -1),
                           PreconditionError),
     "derivative_coefficients i < 0": (

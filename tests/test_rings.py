@@ -178,6 +178,19 @@ class TestCanonicalForm:
         assert qx.add(a, b) == expected
         assert degrees and max(degrees) < 40
 
+    @pytest.mark.parametrize("ring", [RationalFunctionField(), GaussPolynomialRing(3, 1, "x")],
+                             ids=["Q(x)", "Q[t]"])
+    def test_power_matches_square_and_multiply(self, ring):
+        # a monomial numerator or denominator x^e is raised as a shifted
+        # tuple, anything else by square-and-multiply
+        texts = ["x", "x^255", "-3*x^4/7", "x^255 + 3", "2*x^2 - x + 5", "(1/2)*(x + 1)^3"]
+        if ring.is_field:
+            texts += ["1/x^3", "5*x^2/(x + 1)", "(x^2 + 1)/(3*x^7)", "1/(x^255 + 3)"]
+        for text in texts:
+            a = ring.parse(text)
+            for k in (0, 1, 2, 5, 17):
+                assert ring.pow(a, k) == power(ring.mul, ring.one, a, k), (text, k)
+
     def test_print_parse_roundtrip(self, qx):
         rng = seeded(17)
         for _ in range(200):

@@ -35,20 +35,20 @@ partial sum.
 This module decides which matrix routines run on integers.  Two clear
 their input into Z[x] by one helper, :func:`_clear`, and take the rest
 on Kronecker-packed ints: the iterated matrices of a polynomial G_1
-(``integer_iterates``, on one packing width for every step, fixed by an
-a-priori bound, with one packed product ``linalg.mat_mul`` over ZZ per
-step; any other G_1 takes :meth:`Ring.iterated_matrices`) and the
+(:func:`integer_iterates`, on one packing width for every step, fixed by
+an a-priori bound, with one packed product ``linalg.mat_mul`` over ZZ
+per step; any other G_1 takes :meth:`Ring.iterated_matrices`) and the
 determinant of a matrix over ring[X] (``xdet``), which packs x alone,
 evaluates X at e + 1 small integers, takes one ``linalg.det`` over the
 vectors of values (:class:`_Values`) and interpolates exactly by an
 integer Lagrange table (:func:`_interpolation`).  A rescaled ring takes
 its base's ``xdet``; F_q[x], whose field may have fewer than e + 1
-points, takes :meth:`Ring.xdet` over ring[X].  Q[t] has two more, which
-read the unpacked integer iterates: the norms of Lemma 2.1
-(``lemma_norms``, which bounds every entry of F_s G_s by the ultrametric
-inequality and sums only the entries whose bound can reach the maximum)
-and the witness routine ``katz_vector_at_t``, Katz's candidate c(e, t).
-Every other matrix product, over any ring, is
+points, takes :meth:`Ring.xdet` over ring[X].  Every Gauss ring and its
+rescalings certify on the unpacked integer iterates: the norms of Lemma
+2.1 (:func:`lemma_norms`, which bounds every entry of F_s G_s by the
+ultrametric inequality and sums only the entries whose bound can reach
+the maximum) and the witness :func:`katz_vector_at_t`, Katz's candidate
+c(e, t).  Every other matrix product, over any ring, is
 :func:`katzcyclic.linalg.mat_mul`, one ``dot`` per entry.
 
 F_q[x] stores dense coefficient tuples over
@@ -392,15 +392,207 @@ def _interpolation(e: int):
     return values, weights, lcm
 
 
+def integer_iterates(ring, g1, s_max: int):
+    """(m, [A_1, ..., A_{s_max}]) for s_max >= 0 and a polynomial g1
+    (every entry with D = (1,)): the iterated matrices of
+    G_{s+1} = d(G_s) + G_s G_1 written as G_s = A_s/m^s, every A_s
+    over Z[x].
+
+    :func:`_clear` writes G_1 and c = d(x) (1, or a rescaling's factor)
+    at once as A/m and w/m, with A over Z[x] and w in Z.  Then A_1 = A
+    and A_{s+1} = w A_s' + A_s A, since d(A_s/m^s) = c A_s'/m^s.
+    All steps run on one Kronecker packing x -> 2^k (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, 8.4), a ring map, so only the
+    unpacking needs a bound.  With a = max_lj |A_lj|_1 and d the
+    x-degree of A, A_s has x-degree at most s d, so entrywise
+    |A_{s+1}|_1 <= (|w| s d + n a) max |A_s|_1, and every coefficient of
+    A_1, ..., A_S is at most B = a prod_{s<S} (|w| s d + n a) in absolute
+    value; k = bitlen(B) + 1 unpacks them exactly.  A is packed once,
+    and each step carries the packed values A_s(2^k): one packed
+    product ``linalg.mat_mul`` over ZZ, plus w A_s'(2^k), packed
+    straight from A_s's coefficients, and one ``polys.unpack`` per
+    entry.  A g1 with a denominator, or a c that is not constant, is
+    refused: the iterates would carry powers of it, which this
+    recurrence does not.
+    """
+    if s_max < 0:
+        raise PreconditionError(f"s_max must be >= 0, got {s_max}")
+    c = ring.derive(ring.var_element)
+    if len(c.N) > 1 or len(c.D) > 1:
+        raise PreconditionError("integer iterates need a derivation c d/dx with c constant")
+    n = len(g1)
+    m, L, flat = _clear([x for row in g1 for x in row] + [c])
+    if L != _ONE:
+        raise PreconditionError("integer iterates need a polynomial connection matrix")
+    w = flat.pop()[0]
+    A = [flat[i * n:(i + 1) * n] for i in range(n)]
+    a = max(sum(map(abs, f)) for f in flat)
+    if s_max < 2 or not a:  # at most A_1, or the zero G_1, whose A_s are all A
+        return m, [A] * s_max
+    d = max(map(len, flat)) - 1
+    bound = a
+    for s in range(1, s_max):
+        bound *= abs(w) * s * d + n * a
+    k = bound.bit_length() + 1
+
+    def packed_derivative(f):
+        """w f'(2^k), packed from f's coefficients."""
+        v = 0
+        for i in range(len(f) - 1, 0, -1):
+            v = (v << k) + w * i * f[i]
+        return v
+
+    packed_a = tuple(tuple(polys.pack(f, k) for f in row) for row in A)
+    packed, out = packed_a, [A]
+    for _ in range(1, s_max):
+        prod = linalg.mat_mul(ZZ, packed, packed_a)
+        packed = tuple(
+            tuple(v + packed_derivative(f) for v, f in zip(prow, row))
+            for prow, row in zip(prod, out[-1])
+        )
+        out.append([[polys.unpack(v, k) for v in row] for row in packed])
+    return m, out
+
+
+def _scan_exp(N, p: int, r: int, g: int = 1) -> int:
+    """The exponent of |N/g| = max_i |N_i/g|_p p^(-r i) for r > 0, a
+    nonzero N in Z[t] and g dividing every N_i.  The term at i is at
+    most -r i, so the scan stops once that is no larger than the best
+    term so far."""
+    best = None
+    for i, n in enumerate(N):
+        if best is not None and -r * i <= best:
+            break
+        if n:
+            term = -padic_valuation(n // g, p) - r * i
+            if best is None or term > best:
+                best = term
+    return best
+
+
+def _int_exp(f, p: int, r: int):
+    """The exponent of |f| for f in Z[t], a tuple or a list of ints
+    with trailing zeros allowed; None for zero.  |f| = |g|_p |f/g| for
+    f's content g, and |f/g| = 1 at r = 0."""
+    g = math.gcd(*f)
+    if not g:
+        return None
+    e = -padic_valuation(g, p)
+    return e + _scan_exp(f, p, r, g) if r else e
+
+
+def lemma_norms(ring, iterates, factors, k: int):
+    """[|F_1 G_1|, ..., |F_S G_S|] for the S matrices F_s of ``factors``
+    over a Gauss ring of radius |x| = p^(-r) or a rescaling of it, with
+    |a| = max_ij |a_ij| p^(k (j - i)) and G_s = A_s/m^s for
+    ``iterates`` = (m, [A_1, ..., A_S]) of :func:`integer_iterates`.
+
+    Row i of F_s has entries (p_l/q_l) N_l; with m_i the lcm of their
+    q_l,
+
+        (F_s G_s)_ij = sum_l c_il N_l A_s[l][j] / (m_i m^s),  c_il = (m_i/q_l) p_l,
+
+    and the exponent of |(F_s G_s)_ij| is shift_i + k j plus that of
+    the integer numerator, shift_i = v_p(m_i) + s v_p(m) - k i.  The
+    Gauss norm is multiplicative and ultrametric (Bosch, Guntzer &
+    Remmert, *Non-Archimedean Analysis*, 5.1), so that exponent is at
+    most U_ij = shift_i + k j + max_l (E(c_il N_l) + E(A_s[l][j])),
+    with E the exact exponent of each nonzero factor.  The entries are
+    visited by decreasing U_ij, and the search stops once U_ij is no
+    larger than the best exact exponent so far; only the entries
+    visited are summed, by ``polys.add_mul`` into one list of ints,
+    which skips N_l's zero coefficients, so a monomial factor costs
+    one pass over A_s[l][j].  The norm is the one every entry gives,
+    and no G_s, product entry or norm is put in canonical form.
+    """
+    p = ring.prime
+    r = -ring.norm(ring.var_element).exp
+    m, As = iterates
+    vm = padic_valuation(m, p)
+    out = []
+    for s, (F, A_s) in enumerate(zip(factors, As), 1):
+        width = max(len(f) for row in A_s for f in row)
+        exps = [None] * len(A_s)  # E(A_s[l][j]), row l taken when a term first meets it
+        rows, bounds = [], []
+        for i, row in enumerate(F):
+            nonzero = [(l, a) for l, a in enumerate(row) if a.p]
+            mi = math.lcm(*[a.q for _, a in nonzero])
+            terms = [(mi // a.q * a.p, a.N, l) for l, a in nonzero]
+            size = max([len(N) for _, N, _ in terms], default=0) + width - 1
+            shift = padic_valuation(mi, p) + s * vm - k * i
+            rows.append((terms, size, shift))
+            tops = []  # E(c N), N primitive, and the row of E(A_s) that the term meets
+            for c, N, l in terms:
+                if exps[l] is None:
+                    exps[l] = [_int_exp(f, p, r) for f in A_s[l]]
+                tops.append((-padic_valuation(c, p) + (_scan_exp(N, p, r) if r else 0), exps[l]))
+            for j in range(len(A_s[0])):
+                reach = [e + E[j] for e, E in tops if E[j] is not None]
+                if reach:
+                    bounds.append((shift + k * j + max(reach), i, j))
+        best = None
+        for bound, i, j in sorted(bounds, reverse=True):
+            if best is not None and bound <= best:
+                break
+            terms, size, shift = rows[i]
+            acc = [0] * size
+            for c, N, l in terms:
+                polys.add_mul(acc, c, N, A_s[l][j])
+            e = _int_exp(acc, p, r)
+            if e is not None:
+                e += shift + k * j
+                if best is None or e > best:
+                    best = e
+        out.append(NormValue(p, best))
+    return out
+
+
+def katz_vector_at_t(ring, n: int, iterates):
+    """The witness: the coordinates of Katz's candidate at X := t,
+    c(e, t) = sum_j t^j/j! sum_k (-1)^k C(j, k) (row j - k of G_k),
+    from ``iterates`` = (m, [A_1, ...]) of :func:`integer_iterates`
+    with at least n - 1 matrices.
+
+    With G_0 = Id = A_0, G_k = A_k/m^k and the ring's t = (t_p/t_q) x
+    (x/c over a ring rescaled by c), coordinate i times
+    (n-1)! m^(n-1) t_q^(n-1) is the integer polynomial
+
+        sum_{j, k} (-1)^k C(j, k) (n-1)!/j! m^(n-1-k) t_p^j t_q^(n-1-j) x^j A_k[j-k][i],
+
+    so each coordinate takes one scaled form, and no G_k is built.
+    """
+    m, As = iterates
+    tp, tq = ring.t.p, ring.t.q
+    top = n - 1
+    acc = [[] for _ in range(n)]
+    for j in range(n):
+        fj = math.factorial(top) // math.factorial(j) * tp ** j * tq ** (top - j)
+        for k in range(j + 1):
+            c = (-1) ** k * math.comb(j, k) * fj * m ** (top - k)
+            # (i, coordinate i of row j - k of A_k), with A_0 = Id
+            terms = enumerate(As[k - 1][j - k]) if k else [(j, _ONE)]
+            for i, f in terms:
+                if not f:
+                    continue
+                a = acc[i]
+                if len(a) < j + len(f):
+                    a.extend([0] * (j + len(f) - len(a)))
+                for e, x in enumerate(f, j):  # c x^j f
+                    a[e] += c * x
+    den = math.factorial(top) * (m * tq) ** top
+    return tuple(_scaled(1, den, polys.normalize(ZZ, a)) for a in acc)
+
+
 class _IntegerCoreRing(Ring):
     """The arithmetic of Q(x) and Q[t]: elements are :class:`RatFunc`,
     all polynomial work is in Z[x] with :data:`~katzcyclic.fields.ZZ` as
     the coefficient ring of the :mod:`katzcyclic.polys` helpers, and the
     scale is the reduced int pair p/q.  Each operation has one branch for
     D = (1,), which takes no gcd, and the iterates of a polynomial G_1 run
-    on integers (``integer_iterates``); the subclasses add their units,
-    norms and descriptors, and Q[t] its two routines on those iterates,
-    ``lemma_norms`` and the witness routine ``katz_vector_at_t``."""
+    on integers (:func:`integer_iterates`); the subclasses add their
+    units, norms and descriptors.  Every Gauss ring and its rescalings
+    certify on those iterates (:func:`lemma_norms` and the witness
+    :func:`katz_vector_at_t`)."""
 
     characteristic = 0
 
@@ -538,69 +730,14 @@ class _IntegerCoreRing(Ring):
     def from_integer_poly(self, coeffs) -> RatFunc:
         return _scaled(1, 1, coeffs)
 
-    def integer_iterates(self, g1, s_max: int):
-        """(m, [A_1, ..., A_{s_max}]) for s_max >= 0 and a polynomial g1
-        (every entry with D = (1,)): the iterated matrices of
-        G_{s+1} = d(G_s) + G_s G_1 written as G_s = A_s/m^s, every A_s
-        over Z[x].
-
-        :func:`_clear` writes G_1 once as A/m with A over Z[x].  Then
-        A_1 = A and A_{s+1} = m A_s' + A_s A, since d(A_s/m^s) = A_s'/m^s.
-        All steps run on one Kronecker packing x -> 2^k (von zur Gathen &
-        Gerhard, *Modern Computer Algebra*, 8.4), a ring map, so only the
-        unpacking needs a bound.  With a = max_lj |A_lj|_1 and d the
-        x-degree of A, A_s has x-degree at most s d, so entrywise
-        |A_{s+1}|_1 <= (m s d + n a) max |A_s|_1, and every coefficient of
-        A_1, ..., A_S is at most B = a prod_{s<S} (m s d + n a) in absolute
-        value; k = bitlen(B) + 1 unpacks them exactly.  A is packed once,
-        and each step carries the packed values A_s(2^k): one packed
-        product ``linalg.mat_mul`` over ZZ, plus m A_s'(2^k), packed
-        straight from A_s's coefficients, and one ``polys.unpack`` per
-        entry.  A g1 with a denominator is refused: its iterates carry
-        powers of that denominator, which this recurrence does not.
-        """
-        if s_max < 0:
-            raise PreconditionError(f"s_max must be >= 0, got {s_max}")
-        n = len(g1)
-        m, L, flat = _clear([x for row in g1 for x in row])
-        if L != _ONE:
-            raise PreconditionError("integer iterates need a polynomial connection matrix")
-        A = [flat[i * n:(i + 1) * n] for i in range(n)]
-        a = max(sum(map(abs, f)) for f in flat)
-        if s_max < 2 or not a:  # at most A_1, or the zero G_1, whose A_s are all A
-            return m, [A] * s_max
-        d = max(map(len, flat)) - 1
-        bound = a
-        for s in range(1, s_max):
-            bound *= m * s * d + n * a
-        k = bound.bit_length() + 1
-
-        def packed_derivative(f):
-            """m f'(2^k), packed from f's coefficients."""
-            v = 0
-            for i in range(len(f) - 1, 0, -1):
-                v = (v << k) + m * i * f[i]
-            return v
-
-        packed_a = tuple(tuple(polys.pack(f, k) for f in row) for row in A)
-        packed, out = packed_a, [A]
-        for _ in range(1, s_max):
-            prod = linalg.mat_mul(ZZ, packed, packed_a)
-            packed = tuple(
-                tuple(v + packed_derivative(f) for v, f in zip(prow, row))
-                for prow, row in zip(prod, out[-1])
-            )
-            out.append([[polys.unpack(v, k) for v in row] for row in packed])
-        return m, out
-
     def iterated_matrices(self, g1, s_max: int):
         """[G_0, ..., G_{s_max}] as :meth:`Ring.iterated_matrices` gives them.
-        A polynomial g1 with s_max >= 2 takes :meth:`integer_iterates` and
+        A polynomial g1 with s_max >= 2 takes :func:`integer_iterates` and
         one scaled form per entry; s_max < 2, or a g1 with a denominator,
         takes the nabla loop of :class:`Ring`."""
         if s_max < 2 or any(len(x.D) > 1 for row in g1 for x in row):
             return super().iterated_matrices(g1, s_max)
-        m, As = self.integer_iterates(g1, s_max)
+        m, As = integer_iterates(self, g1, s_max)
         out = [linalg.identity(self, len(g1)), linalg.freeze(g1)]
         for s, A_s in enumerate(As[1:], 2):
             out.append(tuple(tuple(_scaled(1, m ** s, f) for f in row) for row in A_s))
@@ -710,9 +847,10 @@ class GaussPolynomialRing(_IntegerCoreRing):
     Units are the nonzero rational constants.  An element is c * N with
     N primitive in Z[t] (a :class:`RatFunc` with D = (1,)), so every
     operation takes the constant-denominator branch of the shared
-    arithmetic, and none takes a gcd of polynomials.  The witness routine
-    :meth:`katz_vector_at_t` and :meth:`lemma_norms` are Q[t]'s own: they
-    read the integer iterates, which every G_1 over Q[t] has.
+    arithmetic, and none takes a gcd of polynomials.  Every G_1 over
+    Q[t], or over a rescaling of it, has integer iterates, on which it
+    certifies (:func:`lemma_norms` and the witness
+    :func:`katz_vector_at_t`).
     """
 
     kind = "gauss_padic"
@@ -738,132 +876,8 @@ class GaussPolynomialRing(_IntegerCoreRing):
             return NormValue.zero(p)
         exp = padic_valuation(a.q, p) - padic_valuation(a.p, p)
         if self.radius_exp:
-            exp += self._scan_exp(a.N)
+            exp += _scan_exp(a.N, p, self.radius_exp)
         return NormValue(p, exp)
-
-    def _scan_exp(self, N, g: int = 1) -> int:
-        """The exponent of |N/g| = max_i |N_i/g|_p p^(-r i) for r > 0, a
-        nonzero N in Z[t] and g dividing every N_i.  The term at i is at
-        most -r i, so the scan stops once that is no larger than the best
-        term so far."""
-        p, r = self.prime, self.radius_exp
-        best = None
-        for i, n in enumerate(N):
-            if best is not None and -r * i <= best:
-                break
-            if n:
-                term = -padic_valuation(n // g, p) - r * i
-                if best is None or term > best:
-                    best = term
-        return best
-
-    def _int_exp(self, f):
-        """The exponent of |f| for f in Z[t], a tuple or a list of ints
-        with trailing zeros allowed; None for zero.  |f| = |g|_p |f/g| for
-        f's content g, and |f/g| = 1 at r = 0."""
-        g = math.gcd(*f)
-        if not g:
-            return None
-        e = -padic_valuation(g, self.prime)
-        return e + self._scan_exp(f, g) if self.radius_exp else e
-
-    def lemma_norms(self, g1, factors, k: int):
-        """([|F_1 G_1|, ..., |F_S G_S|], iterates) for the S matrices F_s
-        of ``factors``, with |a| = max_ij |a_ij| p^(k (j - i)), G_s the
-        iterated matrices of g1 and iterates = ``integer_iterates(g1, S)``,
-        which :meth:`katz_vector_at_t` reads for Katz's candidate.
-
-        Row i of F_s has entries (p_l/q_l) N_l; with m_i the lcm of their
-        q_l and G_s = A_s/m^s,
-
-            (F_s G_s)_ij = sum_l c_il N_l A_s[l][j] / (m_i m^s),  c_il = (m_i/q_l) p_l,
-
-        and the exponent of |(F_s G_s)_ij| is shift_i + k j plus that of
-        the integer numerator, shift_i = v_p(m_i) + s v_p(m) - k i.  The
-        Gauss norm is multiplicative and ultrametric (Bosch, Guntzer &
-        Remmert, *Non-Archimedean Analysis*, 5.1), so that exponent is at
-        most U_ij = shift_i + k j + max_l (E(c_il N_l) + E(A_s[l][j])),
-        with E the exact exponent of each nonzero factor.  The entries are
-        visited by decreasing U_ij, and the search stops once U_ij is no
-        larger than the best exact exponent so far; only the entries
-        visited are summed, by ``polys.add_mul`` into one list of ints,
-        which skips N_l's zero coefficients, so a monomial factor costs
-        one pass over A_s[l][j].  The norm is the one every entry gives,
-        and no G_s, product entry or norm is put in canonical form.
-        """
-        p, r = self.prime, self.radius_exp
-        iterates = self.integer_iterates(g1, len(factors))
-        m, As = iterates
-        vm = padic_valuation(m, p)
-        out = []
-        for s, (F, A_s) in enumerate(zip(factors, As), 1):
-            width = max(len(f) for row in A_s for f in row)
-            exps = [None] * len(A_s)  # E(A_s[l][j]), row l taken when a term first meets it
-            rows, bounds = [], []
-            for i, row in enumerate(F):
-                nonzero = [(l, a) for l, a in enumerate(row) if a.p]
-                mi = math.lcm(*[a.q for _, a in nonzero])
-                terms = [(mi // a.q * a.p, a.N, l) for l, a in nonzero]
-                size = max([len(N) for _, N, _ in terms], default=0) + width - 1
-                shift = padic_valuation(mi, p) + s * vm - k * i
-                rows.append((terms, size, shift))
-                tops = []  # E(c N), N primitive, and the row of E(A_s) that the term meets
-                for c, N, l in terms:
-                    if exps[l] is None:
-                        exps[l] = [self._int_exp(f) for f in A_s[l]]
-                    tops.append((-padic_valuation(c, p) + (self._scan_exp(N) if r else 0), exps[l]))
-                for j in range(len(A_s[0])):
-                    reach = [e + E[j] for e, E in tops if E[j] is not None]
-                    if reach:
-                        bounds.append((shift + k * j + max(reach), i, j))
-            best = None
-            for bound, i, j in sorted(bounds, reverse=True):
-                if best is not None and bound <= best:
-                    break
-                terms, size, shift = rows[i]
-                acc = [0] * size
-                for c, N, l in terms:
-                    polys.add_mul(acc, c, N, A_s[l][j])
-                e = self._int_exp(acc)
-                if e is not None:
-                    e += shift + k * j
-                    if best is None or e > best:
-                        best = e
-            out.append(NormValue(p, best))
-        return out, iterates
-
-    def katz_vector_at_t(self, n: int, iterates):
-        """The witness: the coordinates of Katz's candidate at X := t,
-        c(e, t) = sum_j t^j/j! sum_k (-1)^k C(j, k) (row j - k of G_k),
-        from ``iterates`` = (m, [A_1, ...]) of :meth:`integer_iterates`
-        with at least n - 1 matrices.
-
-        With G_0 = Id = A_0 and G_k = A_k/m^k, coordinate i times
-        (n-1)! m^(n-1) is the integer polynomial
-
-            sum_{j, k} (-1)^k C(j, k) (n-1)!/j! m^(n-1-k) t^j A_k[j-k][i],
-
-        so each coordinate takes one scaled form, and no G_k is built.
-        """
-        m, As = iterates
-        top = n - 1
-        acc = [[] for _ in range(n)]
-        for j in range(n):
-            fj = math.factorial(top) // math.factorial(j)
-            for k in range(j + 1):
-                c = (-1) ** k * math.comb(j, k) * fj * m ** (top - k)
-                # (i, coordinate i of row j - k of A_k), with A_0 = Id
-                terms = enumerate(As[k - 1][j - k]) if k else [(j, _ONE)]
-                for i, f in terms:
-                    if not f:
-                        continue
-                    a = acc[i]
-                    if len(a) < j + len(f):
-                        a.extend([0] * (j + len(f) - len(a)))
-                    for e, x in enumerate(f, j):  # c t^j f
-                        a[e] += c * x
-        den = math.factorial(top) * m ** top
-        return tuple(_scaled(1, den, polys.normalize(ZZ, a)) for a in acc)
 
     def derivation_norm(self) -> NormValue:
         # |d(t^i)| / |t^i| = |i|_p * p^r, maximal at i = 1.

@@ -20,19 +20,17 @@ H_0(+-t) and H_s(t) and from |G_s| <= |G1| max(|G1|, |d|)^(s-1) (Lemma
 2.2).  No certificate reads those bounds, so they live in the tests
 (``tests/_helpers.py``), which check them against materialized norms.
 
-Over Q[t], Lemma 2.1 takes its norms from the ring's ``lemma_norms``:
-every entry of H_0(-t) H_s(t) G_s is bounded by the ultrametric
-inequality from the exact norms of its factors, and the entries are
-summed in Z[t] from the integer iterates behind G_s, largest bound
-first, only until no bound left can exceed the largest norm found; each
-norm is read off the integer coefficients.  A certified module's
-witness c(e, t) is read off integer iterates too, by
-the hook ``katz_vector_at_t``, which only Q[t] has: lemma 2.1 hands over
-the iterates its norms were taken on, and a prop-2.x certificate takes
+Over every Gauss ring and its rescalings, Lemma 2.1 takes its norms
+from :func:`~katzcyclic.rings.lemma_norms`: every entry of
+H_0(-t) H_s(t) G_s is bounded by the ultrametric inequality from the
+exact norms of its factors, and the entries are summed in Z[t] from the
+integer iterates behind G_s (:func:`~katzcyclic.rings.integer_iterates`),
+largest bound first, only until no bound left can exceed the largest
+norm found; each norm is read off the integer coefficients.  A certified
+module's witness c(e, t) is read off integer iterates too, by
+:func:`~katzcyclic.rings.katz_vector_at_t`: lemma 2.1 hands over the
+iterates its norms were taken on, and a prop-2.x certificate takes
 G_1 .. G_{n-1} as integer iterates, so no G_s is put in canonical form.
-Other Banach rings (the rescaled ones) multiply canonical matrices, take
-:func:`matrix_norm`, and take the witness as
-:func:`~katzcyclic.katz.katz_vector` at X := t.
 
 All inequalities are strict and decided exactly on NormValue exponents;
 an equality boundary is reported as "not certified" with a flag.
@@ -45,16 +43,12 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from . import linalg
-from .diffmod import (
-    DifferentialModule,
-    check_factorial_invertible,
-    iterated_matrices,
-    nabla_family,
-)
+from .diffmod import DifferentialModule, check_factorial_invertible, nabla_family
 from .errors import PreconditionError, UnsupportedOperationError
-from .katz import h_matrix, h_matrix_at, katz_vector, lemma_table, specialize_vector
+from .katz import h_matrix, h_matrix_at, lemma_table
 from .linalg import Matrix, Row
 from .normvalue import NormValue
+from .rings import integer_iterates, katz_vector_at_t, lemma_norms
 
 
 @dataclass(frozen=True)
@@ -146,15 +140,9 @@ def _base_norms(m: DifferentialModule) -> Dict[str, NormValue]:
 
 
 def _witness(m: DifferentialModule, iterates=None) -> Row:
-    """c(e, t).  A ring with its own ``katz_vector_at_t`` (Q[t]) reads it
-    off the integer iterates (``iterates``, or the ring's own for
-    G_1 .. G_{n-1}); over other rings (the rescaled ones) it is
-    :func:`~katzcyclic.katz.katz_vector` specialized at X := t."""
-    ring = m.ring
-    katz_vector_at_t = getattr(ring, "katz_vector_at_t", None)
-    if katz_vector_at_t is not None:
-        return katz_vector_at_t(m.n, iterates or ring.integer_iterates(m.g1, m.n - 1))
-    return specialize_vector(m, katz_vector(m), ring.from_int(0))
+    """c(e, t) over a Gauss ring or a rescaling of it, read off the
+    integer iterates: ``iterates``, or G_1 .. G_{n-1} taken here."""
+    return katz_vector_at_t(m.ring, m.n, iterates or integer_iterates(m.ring, m.g1, m.n - 1))
 
 
 def _smallness_certificate(
@@ -239,27 +227,20 @@ def certify_lemma_2_1(
     vector specialized at X := t is cyclic.  The prop-2.x checks are
     sufficient conditions for this one.  H0(-t) H_s(t) is the universal
     table :func:`~katzcyclic.katz.lemma_table` evaluated at t, so each s
-    takes one matrix product with G_s.  A ring with its own
-    ``lemma_norms`` (Q[t]) bounds every entry of each product by the
-    ultrametric inequality, sums in Z[t], from the integer iterates
-    behind G_s, only the entries whose bound can reach the largest
-    norm, and reads each norm off the integer coefficients; a certified
-    module's witness is read off the same iterates.
+    takes one matrix product with G_s.  Over every Gauss ring and its
+    rescalings, :func:`~katzcyclic.rings.lemma_norms` bounds every entry
+    of each product by the ultrametric inequality, sums in Z[t], from the
+    integer iterates behind G_s, only the entries whose bound can reach
+    the largest norm, and reads each norm off the integer coefficients;
+    a certified module's witness is read off the same iterates.
     """
     _require_banach(m)
     ring = m.ring
     n = m.n
     one = NormValue.one(ring.prime)
     factors = [h_matrix_at(ring, lemma_table(s, n), ring.t) for s in range(1, 2 * n - 1)]
-    lemma_norms = getattr(ring, "lemma_norms", None)
-    iterates = None
-    if lemma_norms is None:
-        per_s = [
-            matrix_norm(ring, linalg.mat_mul(ring, f, g), kind)
-            for f, g in zip(factors, iterated_matrices(m, 2 * n - 2)[1:])
-        ]
-    else:
-        per_s, iterates = lemma_norms(m.g1, factors, _rho_exp(ring, kind))
+    iterates = integer_iterates(ring, m.g1, 2 * n - 2)
+    per_s = lemma_norms(ring, iterates, factors, _rho_exp(ring, kind))
     certified = all(v < one for v in per_s)
     boundary = (not certified) and all(v <= one for v in per_s)
     g1_norm = matrix_norm(ring, m.g1, kind)

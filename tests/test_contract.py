@@ -97,12 +97,15 @@ def test_rings_names_fraction_only_where_values_enter_or_leave():
     assert found == []
 
 
-def test_linalg_never_probes_the_ring():
-    """A ``getattr`` probe in ``linalg`` or ``diffmod`` would let a ring
-    swap in its own routine, as a packed ``mat_mul`` once did, unseen by
-    its callers; a ring's own iterates override the protocol's
-    ``Ring.iterated_matrices`` instead."""
-    for name in ("linalg.py", "diffmod.py"):
+def test_no_module_probes_the_ring():
+    """A ``getattr`` probe anywhere in the package would let a ring swap
+    in its own routine, as a packed ``mat_mul`` and a Q[t]-only Lemma
+    2.1 once did, unseen by its callers; a ring's own iterates override
+    the protocol's ``Ring.iterated_matrices`` instead, and the integer
+    routines of ``rings`` are functions of the ring."""
+    names = sorted(path.name for path in SRC.glob("*.py"))
+    assert "linalg.py" in names and "ultranorm.py" in names
+    for name in names:
         assert "getattr(" not in (SRC / name).read_text(encoding="utf-8"), name
 
 

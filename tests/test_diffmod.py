@@ -22,9 +22,10 @@ from katzcyclic import (
     module_to_json,
     polys,
     rescale_derivation,
+    rings,
 )
 from katzcyclic.diffmod import nabla_family
-from katzcyclic.rings import RatFunc, Ring, _IntegerCoreRing
+from katzcyclic.rings import RatFunc, Ring
 
 from _helpers import (
     iterated_by_recurrence,
@@ -145,18 +146,19 @@ RECURRENCE_SETTINGS = settings(
 def routes():
     """Records the s_max of every call, inside the block, to the nabla loop
     ``Ring.iterated_matrices`` (under "loop") and to
-    ``_IntegerCoreRing.integer_iterates`` (under "integer")."""
+    ``rings.integer_iterates`` (under "integer"), which
+    ``_IntegerCoreRing.iterated_matrices`` calls by that name."""
     calls = {"loop": [], "integer": []}
-    loop, integer = Ring.iterated_matrices, _IntegerCoreRing.integer_iterates
+    loop, integer = Ring.iterated_matrices, rings.integer_iterates
 
     def recording(key, fn):
-        def wrapper(self, g1, s_max, *args):
+        def wrapper(ring, g1, s_max, *args):
             calls[key].append(s_max)
-            return fn(self, g1, s_max, *args)
+            return fn(ring, g1, s_max, *args)
         return wrapper
 
     with mock.patch.object(Ring, "iterated_matrices", recording("loop", loop)), \
-            mock.patch.object(_IntegerCoreRing, "integer_iterates", recording("integer", integer)):
+            mock.patch.object(rings, "integer_iterates", recording("integer", integer)):
         yield calls
 
 

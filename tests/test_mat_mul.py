@@ -1,10 +1,10 @@
 """The packed integer iterates of Q(x) and Q[t]
-(``_IntegerCoreRing.integer_iterates``, every step on one Kronecker
-width fixed by an a-priori bound), checked through the iterated
-matrices G_s of ``diffmod.iterated_matrices``, and the per-s norms of
-``GaussPolynomialRing.lemma_norms``, which bound every entry of F_s G_s
-by the ultrametric inequality and sum in Z[t], on the integer iterates
-behind G_s, only the entries whose bound can reach the maximum.  The
+(``rings.integer_iterates``, every step on one Kronecker width fixed by
+an a-priori bound), checked through the iterated matrices G_s of
+``diffmod.iterated_matrices``, and the per-s norms of
+``rings.lemma_norms``, which bound every entry of F_s G_s by the
+ultrametric inequality and sum in Z[t], on the integer iterates behind
+G_s, only the entries whose bound can reach the maximum.  The
 reference is the recurrence G_{s+1} = d(G_s) + G_s G_1 with each
 product by ``linalg.mat_mul``, the entry-wise loop of every ring, and
 the norm of every entry of the product, which share no code with
@@ -14,7 +14,7 @@ either.
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from katzcyclic import linalg, rings, xpoly
@@ -150,7 +150,7 @@ def check_lemma_norms(ring, g1, factors, k):
         matrix_norm(ring, linalg.mat_mul(ring, f, g), kind)
         for f, g in zip(factors, loop_iterates(ring, g1, len(factors))[1:])
     ]
-    got = ring.lemma_norms(g1, factors, k)[0]
+    got = rings.lemma_norms(ring, rings.integer_iterates(ring, g1, len(factors)), factors, k)
     assert got == expected
     return got
 
@@ -244,6 +244,39 @@ def test_one_width_where_the_bound_is_tight(name, data, n, top, q):
     x = ring.from_fraction(Fraction(top, q))
     s_max = data.draw(st.integers(2, 2 * n - 2))
     check_iterates(ring, tuple(tuple(x for _ in range(n)) for _ in range(n)), s_max)
+
+
+@pytest.mark.parametrize("c", [Fraction(-1), Fraction(-3), Fraction(1, 6)], ids=str)
+@given(
+    n=st.integers(1, 4),
+    top=st.integers(-(2**40), 2**40).filter(bool),
+    q=st.integers(1, 9),
+    degree=st.integers(0, 3),
+    s_max=st.integers(2, 4),
+)
+# at c = -1: w = m c = -2 and d = n a = 2, so a width taken from the
+# signed w d + n a = 0 misreads A_2 = -2 J + 2 x^2 J
+@example(n=2, top=1, q=2, degree=1, s_max=2)
+@SETTINGS
+def test_rescaled_iterates(c, n, top, q, degree, s_max):
+    """Over Q[t] rescaled by c, d(x) = c, and the integer iterates take
+    A_{s+1} = w A_s' + A_s A with w = m c, negative or with c's
+    denominator cleared into m; G_1 = (top/q) x^degree J, whose A_2
+    reaches the width's bound, against the loop of ``linalg.mat_mul``
+    over the rescaled ring."""
+    ring = ScaledDerivationRing(QT, QT.from_fraction(c))
+    x = ring.mul(ring.from_fraction(Fraction(top, q)), ring.pow(ring.var_element, degree))
+    g1 = tuple(tuple(x for _ in range(n)) for _ in range(n))
+    m, As = rings.integer_iterates(ring, g1, s_max)
+    got = [
+        tuple(
+            tuple(ring.mul(ring.from_fraction(Fraction(1, m ** s)), ring.from_integer_poly(f))
+                  for f in row)
+            for row in A_s
+        )
+        for s, A_s in enumerate(As, 1)
+    ]
+    assert got == loop_iterates(ring, g1, s_max)[1:]
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from katzcyclic.diffmod import DifferentialModule, apply_nabla, iterated_matrice
 from katzcyclic.fields import QQ, ZZ, FiniteField
 from katzcyclic.katz import companion_form, derivative_coefficients
 from katzcyclic.normvalue import NormValue, padic_valuation
-from katzcyclic.rings import RatFunc
+from katzcyclic.rings import RatFunc, integer_iterates
 
 QX = RationalFunctionField("x")
 QT = GaussPolynomialRing(3, 0, "t")
@@ -36,10 +36,13 @@ def scaled_by_x_t():
 REFUSALS = {
     "iterated_matrices s_max < 0": (lambda: iterated_matrices(module(QX), -1), PreconditionError),
     "integer_iterates of a rational G_1": (
-        lambda: QX.integer_iterates(((QX.zero, QX.inv(QX.t)), (QX.t, QX.zero)), 2),
+        lambda: integer_iterates(QX, ((QX.zero, QX.inv(QX.t)), (QX.t, QX.zero)), 2),
         PreconditionError),
-    "integer_iterates s_max < 0": (lambda: QT.integer_iterates(module(QT).g1, -1),
+    "integer_iterates s_max < 0": (lambda: integer_iterates(QT, module(QT).g1, -1),
                                    PreconditionError),
+    "integer_iterates under x d/dx": (
+        lambda: integer_iterates(ScaledDerivationRing(QX, QX.t), module(QX).g1, 2),
+        PreconditionError),
     "apply_nabla k < 0": (lambda: apply_nabla(module(QX), (QX.one, QX.zero), -1),
                           PreconditionError),
     "derivative_coefficients i < 0": (

@@ -28,6 +28,7 @@ from katzcyclic import (
     specialize_vector,
 )
 from katzcyclic.katz import h_matrix, h_matrix_at
+from katzcyclic.rings import integer_iterates, katz_vector_at_t
 from katzcyclic.ultranorm import norm_kind
 
 from _helpers import (
@@ -59,6 +60,14 @@ def random_gauss_matrix(ring, rng, n, max_scale=3):
         return ring.mul(scale, acc)
 
     return linalg.freeze([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def rescalings(ring):
+    """p, -p and 1/(2p): the rescaled ring's constant c = d(x), and so
+    the factor w = m c of its integer iterates, is positive, negative,
+    or has a denominator."""
+    p = ring.prime
+    return [ring.from_int(p), ring.from_int(-p), ring.from_fraction(Fraction(1, 2 * p))]
 
 
 def prop_2_3_bound_by_powers(ring, n):
@@ -399,11 +408,12 @@ class TestLemma21:
         evaluated tables, with each norm by ``matrix_norm``: on seeded
         modules with G1 times p^e for e = -2..1 (so that the iterates'
         denominator m is not always a p-adic unit), on each plain module
-        over the ring rescaled by p (which has no ``lemma_norms`` of its
-        own), and on modules whose products F_s G_s vanish for some or
-        every s.  At p = 3, r = 1 one more module per rank 5..8, G1 times
-        1/3, takes s up to 14.  A certified module's witness is c(e, t)
-        built from G_0 .. G_{n-1} the usual way."""
+        over the ring rescaled by p, -p and 1/(2p) (so that the factor
+        w = m c of the integer recurrence takes a sign, and c a
+        denominator), and on modules whose products F_s G_s vanish for
+        some or every s.  At p = 3, r = 1 one more module per rank 5..8,
+        G1 times 1/3, takes s up to 14.  A certified module's witness is
+        c(e, t) built from G_0 .. G_{n-1} the usual way."""
         rng = seeded(300 + p)
         compared = 0
         for r in (0, 1, 2):
@@ -425,7 +435,8 @@ class TestLemma21:
             for n in (2, 3, 4):
                 g1 = random_gauss_matrix(ring, rng, n, max_scale=2 * n)
                 modules.extend(scaled(g1, e) for e in (-2, -1, 0, 1))
-                modules.append(rescale_derivation(modules[-2], ring.from_int(p)))
+                plain = modules[-2]
+                modules.extend(rescale_derivation(plain, f) for f in rescalings(ring))
             if (p, r) == (3, 1):
                 big = seeded(700)
                 modules.extend(
@@ -454,14 +465,14 @@ class TestLemma21:
                             m, katz_vector(m), mring.from_int(0)
                         )
                     compared += 1
-        assert compared == (3 * (2 + 3 * 5) + (4 if p == 3 else 0)) * 3
+        assert compared == (3 * (2 + 3 * 7) + (4 if p == 3 else 0)) * 3
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_witness_norm_matches_h_of_x_at_t(self, p):
         """H(t) as the nabla-family of c(e, t) against H(X) over ring[X]
         evaluated at X := t, in all three norms, on seeded modules and
-        on the same modules over the ring rescaled by p (where t is
-        t/p)."""
+        on the same modules over the ring rescaled by p, -p and 1/(2p)
+        (where t is t/p, -t/p and 2p t)."""
         rng = seeded(500 + p)
         compared = 0
         for r in (0, 1, 2):
@@ -469,7 +480,7 @@ class TestLemma21:
             for n in (1, 2, 3, 4):
                 g1 = random_gauss_matrix(ring, rng, n, max_scale=n)
                 plain = DifferentialModule(ring=ring, n=n, g1=g1)
-                for m in (plain, rescale_derivation(plain, ring.from_int(p))):
+                for m in [plain] + [rescale_derivation(plain, f) for f in rescalings(ring)]:
                     delta = witness_delta_from_h_of_x(m)
                     kinds = (None, MatrixNormKind.rho_t_inverse(m.ring),
                              MatrixNormKind.rho_d(m.ring))
@@ -477,7 +488,7 @@ class TestLemma21:
                         expected = matrix_norm(m.ring, delta, kind)
                         assert invertibility_witness_norm(m, kind) == expected
                         compared += 1
-        assert compared == 3 * 4 * 2 * 3
+        assert compared == 3 * 4 * 4 * 3
 
     def test_witness_norm_small_when_certified(self):
         ring = GaussPolynomialRing(3)
@@ -549,16 +560,12 @@ class TestLemma21:
 
     def test_rescaled_twice_matches_rescaled_once(self):
         """A ring rescaled by 2 and then by 5 has t = t/10, as the ring
-        rescaled once by 10 does, so both certify alike; neither has
-        integer iterates nor the witness routine, so the witness takes
-        the path through the iterated matrices."""
+        rescaled once by 10 does, so both certify alike."""
         ring = GaussPolynomialRing(3, 1)
         m = mk(ring, [["0", "3"], ["3*t", "0"]])
         twice = rescale_derivation(rescale_derivation(m, ring.from_int(2)), ring.from_int(5))
         once = rescale_derivation(m, ring.from_int(10))
         assert twice.ring.t == once.ring.t == ring.div(ring.t, ring.from_int(10))
-        assert not hasattr(twice.ring, "integer_iterates")
-        assert not hasattr(twice.ring, "katz_vector_at_t")
         for kind in (None, MatrixNormKind.rho_t_inverse(ring), MatrixNormKind.rho_d(ring)):
             a, b = certify_lemma_2_1(twice, kind), certify_lemma_2_1(once, kind)
             assert a.per_s == b.per_s and a.certified == b.certified
@@ -579,17 +586,17 @@ def _certificates(m):
 
 
 class TestIntegerWitness:
-    """Over Q[t], the one ring with the witness routine, c(e, t) is read
-    off the integer iterates A_s, with G_s = A_s/m^s, by
-    ``katz_vector_at_t``; it must be the candidate vector of
-    ``katz_vector`` specialized at 0."""
+    """Over every Gauss ring and its rescalings, c(e, t) is read off the
+    integer iterates A_s, with G_s = A_s/m^s, by ``katz_vector_at_t``;
+    it must be the candidate vector of ``katz_vector`` specialized at
+    0, which a rescaled ring takes through the nabla loop."""
 
     def assert_witnesses(self, m):
         ring, n = m.ring, m.n
         expected = _candidate_at_zero(m)
         for s_max in (n - 1, 2 * n - 2):
-            iterates = ring.integer_iterates(m.g1, s_max)
-            assert ring.katz_vector_at_t(n, iterates) == expected
+            iterates = integer_iterates(ring, m.g1, s_max)
+            assert katz_vector_at_t(ring, n, iterates) == expected
         certified = 0
         for cert in _certificates(m):
             if cert.certified:
@@ -607,7 +614,8 @@ class TestIntegerWitness:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_seeded_ranks_1_to_5_with_scales(self, p):
         """G1 times p^e for e = -2..1, so the iterates' denominator m is
-        not always a p-adic unit, at every radius 0..2."""
+        not always a p-adic unit, at every radius 0..2; and G1 itself
+        over the ring rescaled by p, -p and 1/(2p)."""
         rng = seeded(700 + p)
         certified = 0
         for r in (0, 1, 2):
@@ -620,6 +628,9 @@ class TestIntegerWitness:
                         ring=ring, n=n, g1=linalg.mat_scale(ring, c, g1)
                     )
                     certified += self.assert_witnesses(m)
+                plain = DifferentialModule(ring=ring, n=n, g1=g1)
+                for f in rescalings(ring):
+                    certified += self.assert_witnesses(rescale_derivation(plain, f))
         assert certified > 0
 
     def test_zero_and_nilpotent_connections(self):
